@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or parse failure,
 3 capacity error. All file outputs are deterministic functions of the
-scenario file, the overrides, and the master seed; the MUTAGAME_THREADS
-environment variable only caps parallelism and never changes results.
+scenario file, the overrides, and the master seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .protocol import integrity, kernel_entropy, mutation_rate
 from .scenario import apply_overrides, load_document, parse_document
-from .simulate import BatchSummary, ReplicaTrace, Scenario, detect_spiral, run_batch
+from .simulate import BatchSummary, BatchTrace, Scenario, run_batch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -67,21 +67,28 @@ def _load(args: argparse.Namespace) -> Scenario:
     return parse_document(doc, name=Path(args.scenario).stem)
 
 
-def write_trace_csv(path: Path, scenario: Scenario, traces: list[ReplicaTrace]) -> None:
+def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
     """Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}."""
+    profile_keys = ["".join(p) for p in itertools.product("CD", repeat=scenario.n)]
+    masks = batch.profile_masks()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["replica", "t", "state", "theta", "actions"]
             + [f"payoff_{i}" for i in range(scenario.n)]
         )
-        for trace in traces:
-            for record in trace.records:
-                theta = "" if record.theta is None else repr(record.theta)
-                actions = "".join(a.symbol for a in record.profile)
+        for r, replica_index in enumerate(batch.replicas):
+            if batch.theta is None:
+                thetas = [""] * scenario.horizon
+            else:
+                thetas = [repr(theta) for theta in batch.theta[r].tolist()]
+            rows = zip(
+                batch.states[r].tolist(), thetas, masks[r].tolist(), batch.payoffs[r].tolist()
+            )
+            for t, (state, theta, mask, payoffs) in enumerate(rows):
                 writer.writerow(
-                    [trace.replica_index, record.t, record.state, theta, actions]
-                    + [repr(p) for p in record.payoffs]
+                    [replica_index, t, state, theta, profile_keys[mask]]
+                    + [repr(p) for p in payoffs]
                 )
 
 
@@ -126,10 +133,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    summary, traces = run_batch(scenario)
+    summary, batch = run_batch(scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(out_dir / TRACE_FILENAME, scenario, traces)
+    write_trace_csv(out_dir / TRACE_FILENAME, scenario, batch)
     write_summary_json(out_dir / SUMMARY_FILENAME, scenario, summary)
     _print_summary(scenario, summary)
     return EXIT_OK
@@ -153,19 +160,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         overrides[args.param] = value
         point_doc = apply_overrides(doc, overrides)
         scenario = parse_document(point_doc, name=Path(args.scenario).stem)
-        summary, traces = run_batch(scenario)
-        durations = np.array(
-            [
-                scenario.horizon if onset is None else onset
-                for onset in (
-                    _spiral_onset(trace, scenario.spiral_threshold) for trace in traces
-                )
-            ],
-            dtype=float,
-        )
-        utilities = np.array(
-            [float(np.mean(trace.discounted_utility)) for trace in traces]
-        )
+        summary, batch = run_batch(scenario)
+        durations = batch.cooperation_duration.astype(float)
+        utilities = batch.discounted_utility.mean(axis=1)
         rows.append(
             [
                 args.param,
@@ -200,10 +197,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f" mean_utility={float(row[5]):.6f} (ci {float(row[6]):.6f})"
         )
     return EXIT_OK
-
-
-def _spiral_onset(trace: ReplicaTrace, threshold: float) -> int | None:
-    return detect_spiral(trace, threshold).onset_round
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -1,17 +1,21 @@
 """Monte Carlo engine for the repeated mining game under protocol dynamics.
 
 Each replica owns an independent random stream derived from
-``SeedSequence([master_seed, replica_index])``, so batches are bit-identical
-regardless of thread count. Per-round draw order is fixed: action resolution
-(no draws), meta influence on the kernel row (no draws), protocol step (one
-draw), payoff-scale perturbation (one draw, when enabled), block lottery
-(one draw, when enabled).
+``SeedSequence([master_seed, replica_index])``, so a replica's rounds do not
+depend on the other replicas of its batch. Per-round draw order is fixed:
+action resolution (no draws), meta influence on the kernel row (no draws),
+protocol step (one draw), payoff-scale perturbation (one draw, when
+enabled), block lottery (one draw, when enabled).
+
+A batch advances all its replicas together, one round at a time, with array
+operations. The protocol state path, theta and the lottery winner never
+depend on play, so they are computed before the actions.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,32 +23,22 @@ import numpy as np
 from .discounting import (
     NoisePath,
     InvestmentPlan,
-    discounted_utility,
     endogenous_discount_path,
     risk_adjusted_utility,
     validate_discount,
 )
-from .errors import ConfigurationError, MutagameError, ScenarioValidationError
+from .errors import ConfigurationError, ScenarioValidationError
 from .game import (
+    _ALWAYS_DEFECT,
     Action,
     PlayHistory,
     StageGameSpec,
     StrategyKind,
     StrategyTag,
-    block_lottery,
-    resolve_actions,
-    stage_payoffs,
+    _myopic_response,
     validate_shares,
 )
-from .protocol import (
-    ThetaProcess,
-    TransitionKernel,
-    sample_from_cumulative,
-    sample_theta,
-    step_protocol,
-)
-
-THREADS_ENV_VAR = "MUTAGAME_THREADS"
+from .protocol import ThetaProcess, TransitionKernel
 
 
 @dataclass(frozen=True)
@@ -178,17 +172,17 @@ class RoundRecord:
     theta: float | None
     profile: tuple[Action, ...]
     payoffs: tuple[float, ...]
-    kernel_row: tuple[float, ...]
     mutated: bool
     lottery_winner: int | None = None
 
 
 @dataclass
 class ReplicaTrace:
+    """One replica's rounds as records, with its per-miner utilities."""
+
     replica_index: int
     records: list[RoundRecord]
     discounted_utility: tuple[float, ...] = ()
-    risk_adjusted_utility: tuple[float, ...] = ()
     endogenous_utility: tuple[float, ...] | None = None
     mutation_count: int = 0
 
@@ -247,6 +241,75 @@ class BatchSummary:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class BatchTrace:
+    """Every round of a batch as arrays, one row per replica.
+
+    ``states`` (R, H) holds the state in force each round, ``defects``
+    (R, H, n) marks Defect actions and ``payoffs`` (R, H, n) holds the
+    realized payoffs. ``theta`` and ``winner`` (R, H) exist only when the
+    scenario draws them. Per replica: ``discounted_utility`` and
+    ``endogenous_utility`` (R, n), and ``cooperation_duration`` (R,), the
+    rounds before the spiral onset, or H when the replica does not spiral.
+    Indexing or iterating yields per-replica ``ReplicaTrace`` views.
+    """
+
+    replicas: range
+    states: np.ndarray
+    defects: np.ndarray
+    payoffs: np.ndarray
+    theta: np.ndarray | None
+    winner: np.ndarray | None
+    discounted_utility: np.ndarray
+    endogenous_utility: np.ndarray | None
+    cooperation_duration: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.replicas)
+
+    def __iter__(self):
+        return (self[r] for r in range(len(self)))
+
+    def __getitem__(self, r: int) -> ReplicaTrace:
+        r = range(len(self))[r]
+        horizon = self.states.shape[1]
+        states = self.states[r].tolist()
+        thetas = [None] * horizon if self.theta is None else self.theta[r].tolist()
+        winners = [None] * horizon if self.winner is None else self.winner[r].tolist()
+        actions = (Action.COOPERATE, Action.DEFECT)
+        records = [
+            RoundRecord(
+                t=t,
+                state=states[t],
+                theta=thetas[t],
+                profile=tuple(actions[d] for d in defects),
+                payoffs=tuple(payoffs),
+                mutated=t > 0 and states[t] != states[t - 1],
+                lottery_winner=winners[t],
+            )
+            for t, (defects, payoffs) in enumerate(
+                zip(self.defects[r].tolist(), self.payoffs[r].tolist())
+            )
+        ]
+        endogenous = self.endogenous_utility
+        return ReplicaTrace(
+            replica_index=self.replicas[r],
+            records=records,
+            discounted_utility=tuple(self.discounted_utility[r].tolist()),
+            endogenous_utility=None if endogenous is None else tuple(endogenous[r].tolist()),
+            mutation_count=sum(record.mutated for record in records),
+        )
+
+    @property
+    def mutation_counts(self) -> np.ndarray:
+        """Rule changes per replica: rounds whose state differs from the round before."""
+        return np.count_nonzero(self.states[:, 1:] != self.states[:, :-1], axis=1)
+
+    def profile_masks(self) -> np.ndarray:
+        """(R, H) joint profiles as bitmasks, miner 0 in the highest bit."""
+        return self.defects @ _profile_bits(self.defects.shape[2])
+
+
 def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
     """Stream splitting rule: PCG64 seeded by SeedSequence([master_seed, index])."""
     return np.random.Generator(
@@ -292,104 +355,16 @@ def apply_meta_influence(
     return (1.0 - lam) * row + lam * weights
 
 
+def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:
+    """Run every replica and aggregate; replica i always draws from its own
+    stream, so its rounds match ``run_replica(scenario, i)``."""
+    batch = _simulate(scenario, range(scenario.replica_count))
+    return summarize_batch(scenario, batch), batch
+
+
 def run_replica(scenario: Scenario, replica_index: int) -> ReplicaTrace:
-    """Run one replica; identical (scenario, replica_index) gives an identical trace.
-
-    Per round t the state in force is P_t; the protocol step taken during
-    round t yields P_{t+1}, whose change is observable to strategies from
-    round t+2 on (mutation flags describe completed rounds). Payoffs are the
-    table row at (P_t, profile), scaled by the clamped theta draw when a
-    perturbation process is attached, reduced by each MetaInvestor's budget
-    fraction while the meta game is enabled, and zeroed for lottery losers
-    in lottery mode.
-    """
-    rng = replica_rng(scenario.master_seed, replica_index)
-    game = scenario.game
-    n = scenario.n
-    strategies = [m.strategy for m in scenario.miners]
-    shares = [m.share for m in scenario.miners]
-    investors = scenario.meta_investors()
-    meta_enabled = scenario.meta.enabled and bool(investors)
-    budget_keep = np.ones(n)
-    if meta_enabled:
-        for i, miner in enumerate(scenario.miners):
-            if miner.strategy.tag is StrategyTag.META_INVESTOR:
-                budget_keep[i] = 1.0 - miner.strategy.meta_budget
-
-    history = PlayHistory(n)
-    records: list[RoundRecord] = []
-    payoff_matrix = np.empty((scenario.horizon, n))
-    state = scenario.initial_state
-    previous_state: int | None = None
-
-    for t in range(scenario.horizon):
-        mutated = previous_state is not None and state != previous_state
-        profile = resolve_actions(
-            strategies,
-            history,
-            t,
-            game=game,
-            state=state,
-            trigger_on_mutation=scenario.trigger_on_mutation,
-            discount=scenario.delta,
-        )
-        if meta_enabled:
-            effective_row = apply_meta_influence(
-                scenario.kernel.row(state), investors, scenario.meta
-            )
-            next_state = sample_from_cumulative(np.cumsum(effective_row), rng)
-        else:
-            effective_row = scenario.kernel.row(state)
-            next_state = step_protocol(scenario.kernel, state, rng)
-        theta = sample_theta(scenario.theta, rng) if scenario.theta is not None else None
-
-        payoffs = stage_payoffs(game, state, profile)
-        if theta is not None:
-            scale = max(0.0, theta) if scenario.theta.clamp else theta
-            payoffs = payoffs * scale
-        if meta_enabled:
-            payoffs = payoffs * budget_keep
-        winner: int | None = None
-        if game.lottery_mode:
-            winner = block_lottery(shares, rng)
-            mask = np.zeros(n)
-            mask[winner] = 1.0
-            payoffs = payoffs * mask
-
-        records.append(
-            RoundRecord(
-                t=t,
-                state=state,
-                theta=theta,
-                profile=tuple(profile),
-                payoffs=tuple(float(p) for p in payoffs),
-                kernel_row=tuple(float(p) for p in effective_row),
-                mutated=mutated,
-                lottery_winner=winner,
-            )
-        )
-        payoff_matrix[t] = payoffs
-        history.append(profile, mutated)
-        previous_state = state
-        state = next_state
-
-    discounted = tuple(
-        discounted_utility(payoff_matrix[:, i], scenario.delta) for i in range(n)
-    )
-    endogenous: tuple[float, ...] | None = None
-    if scenario.noise is not None:
-        path = endogenous_discount_path(scenario.noise, scenario.horizon - 1)
-        endogenous = tuple(float(v) for v in path @ payoff_matrix)
-    return ReplicaTrace(
-        replica_index=replica_index,
-        records=records,
-        discounted_utility=discounted,
-        # One sample per round makes the volatility penalty vanish, so the
-        # within-replica risk-adjusted utility coincides with the plain one.
-        risk_adjusted_utility=discounted,
-        endogenous_utility=endogenous,
-        mutation_count=sum(1 for r in records if r.mutated),
-    )
+    """Run one replica; identical (scenario, replica_index) gives an identical trace."""
+    return _simulate(scenario, range(replica_index, replica_index + 1))[0]
 
 
 def detect_spiral(trace: ReplicaTrace, threshold: float = 0.5) -> SpiralReport:
@@ -415,92 +390,210 @@ def cooperation_duration(trace: ReplicaTrace, threshold: float = 0.5) -> int:
     return report.onset_round if report.onset_round is not None else len(trace.records)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "") or "1"
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(
-            f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
+def _profile_bits(n: int) -> np.ndarray:
+    """Bit of each miner in a profile bitmask, miner 0 highest, so a mask
+    indexes a payoff table reshaped to (2**n, n) and the profiles of
+    ``itertools.product("CD", repeat=n)`` in order."""
+    return 1 << np.arange(n - 1, -1, -1)
 
 
-def run_batch(
-    scenario: Scenario, max_workers: int | None = None
-) -> tuple[BatchSummary, list[ReplicaTrace]]:
-    """Run every replica and aggregate; output is independent of scheduling.
+def _cooperating_fraction(defects: np.ndarray) -> np.ndarray:
+    n = defects.shape[-1]
+    return (n - np.count_nonzero(defects, axis=-1)) / n
 
-    ``max_workers`` defaults to the MUTAGAME_THREADS environment variable
-    (1 when unset). Replicas are seeded independently, so any worker count
-    produces the same traces, ordered by replica index.
+
+def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
+    """Every replica's draws, shape (R, H, d), in per-round draw order.
+
+    Column 0 is the protocol step, then theta's standard normal when
+    enabled, then the lottery uniform when enabled. One ``random(d*H)`` call
+    yields the same stream as d*H scalar calls, but theta's ziggurat
+    consumes a variable number of words, so with theta the draws are taken
+    one at a time.
     """
-    workers = max_workers if max_workers is not None else _thread_count()
-    indices = range(scenario.replica_count)
-
-    def indexed(replica_index: int) -> ReplicaTrace:
-        try:
-            return run_replica(scenario, replica_index)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"replica {replica_index}: {exc}") from exc
-        except Exception as exc:
-            raise MutagameError(f"replica {replica_index} failed: {exc!r}") from exc
-
-    if workers <= 1:
-        traces = [indexed(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(indexed, indices))
-    return summarize_batch(scenario, traces), traces
+    horizon = scenario.horizon
+    per_round = 1 + (scenario.theta is not None) + scenario.game.lottery_mode
+    draws = np.empty((len(replicas), horizon * per_round))
+    for row, replica_index in zip(draws, replicas):
+        rng = replica_rng(scenario.master_seed, replica_index)
+        if scenario.theta is None:
+            row[:] = rng.random(horizon * per_round)
+        else:
+            order = (rng.random, rng.standard_normal, rng.random)[:per_round]
+            row[:] = [draw() for _ in range(horizon) for draw in order]
+    return draws.reshape(len(replicas), horizon, per_round)
 
 
-def summarize_batch(scenario: Scenario, traces: list[ReplicaTrace]) -> BatchSummary:
-    """Aggregate statistics over replica traces (all recomputable from them)."""
-    if not traces:
-        raise ConfigurationError("cannot summarize an empty batch")
+def _myopic_defects(scenario: Scenario, miners: list[int]) -> np.ndarray:
+    """Defect flag of each listed MyopicBestResponse miner per state and
+    last-profile bitmask, shape (len(miners), k, 2**n).
+
+    A miner's own bit of the mask is ignored. Round 0 reads mask 0: with no
+    last profile, opponents are held at Cooperate.
+    """
+    n, k = scenario.n, scenario.kernel.size
+    table = np.empty((len(miners), k, 2**n), dtype=bool)
+    profiles = itertools.product((Action.COOPERATE, Action.DEFECT), repeat=n)
+    for mask, profile in enumerate(profiles):
+        history = PlayHistory.from_rounds(n, [profile])
+        for state in range(k):
+            for j, miner in enumerate(miners):
+                action = _myopic_response(miner, history, scenario.game, state, scenario.delta)
+                table[j, state, mask] = action is Action.DEFECT
+    return table
+
+
+def _resolve_defects(scenario: Scenario, states: np.ndarray) -> np.ndarray:
+    """Defect flags (R, H, n) under the rules of ``game.resolve_actions``,
+    one round at a time over all replicas."""
+    replicas, horizon = states.shape
     n = scenario.n
-    utility = np.array([t.discounted_utility for t in traces])
-    mean_utility = utility.mean(axis=0)
-    if len(traces) > 1:
+    tags = [m.strategy.tag for m in scenario.miners]
+
+    def miners(*wanted: StrategyTag) -> list[int]:
+        return [i for i, tag in enumerate(tags) if tag in wanted]
+
+    defects = np.zeros((replicas, horizon, n), dtype=bool)
+    defects[:, :, miners(*_ALWAYS_DEFECT)] = True
+    grim = miners(StrategyTag.GRIM_TRIGGER)
+    tit_for_tat = miners(StrategyTag.TIT_FOR_TAT)
+    myopic = miners(StrategyTag.MYOPIC_BEST_RESPONSE)
+    if myopic:
+        myopic_table = _myopic_defects(scenario, myopic)
+        bits = _profile_bits(n)
+    # Round t's flag marks a rule change entering it; strategies see it from
+    # round t + 1 on.
+    mutation_seen = np.zeros((replicas, horizon), dtype=bool)
+    mutation_seen[:, 1:] = np.logical_or.accumulate(states[:, 1:] != states[:, :-1], axis=1)
+
+    ever_defected = np.zeros((replicas, n), dtype=bool)
+    previous = np.zeros((replicas, n), dtype=bool)  # round 0 reads as all Cooperate
+    for t in range(horizon):
+        now = defects[:, t]
+        if grim:
+            triggered = ever_defected.sum(axis=1, keepdims=True) - ever_defected[:, grim] > 0
+            if scenario.trigger_on_mutation and t > 0:
+                triggered |= mutation_seen[:, t - 1, None]
+            now[:, grim] = triggered
+        if tit_for_tat:
+            opponents = previous.sum(axis=1, keepdims=True) - previous[:, tit_for_tat]
+            now[:, tit_for_tat] = 2 * opponents > n - 1
+        if myopic:
+            now[:, myopic] = myopic_table[:, states[:, t], previous @ bits].T
+        ever_defected |= now
+        previous = now
+    return defects
+
+
+def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
+    """Advance the given replicas together, round by round.
+
+    Per round t the state in force is P_t; the protocol step taken during
+    round t yields P_{t+1}, whose change is observable to strategies from
+    round t+2 on (mutation flags describe completed rounds). Payoffs are the
+    table row at (P_t, profile), scaled by the clamped theta draw when a
+    perturbation process is attached, reduced by each MetaInvestor's budget
+    fraction while the meta game is enabled, and zeroed for lottery losers
+    in lottery mode, multiplied in that order.
+    """
+    count, horizon, n = len(replicas), scenario.horizon, scenario.n
+    game, kernel = scenario.game, scenario.kernel
+    draws = _draws(scenario, replicas)
+
+    # MetaInvestors always cooperate with fixed budgets, so the adjusted
+    # kernel row depends on the state alone.
+    investors = scenario.meta_investors()
+    cumulative = np.cumsum(
+        [apply_meta_influence(kernel.row(s), investors, scenario.meta) for s in range(kernel.size)],
+        axis=1,
+    )
+    states = np.empty((count, horizon), dtype=np.int64)
+    states[:, 0] = scenario.initial_state
+    for t in range(horizon - 1):
+        below = cumulative[states[:, t]] <= draws[:, t, :1]
+        np.minimum(below.sum(axis=1), kernel.size - 1, out=states[:, t + 1])
+
+    defects = _resolve_defects(scenario, states)
+    tables = np.stack([game.table(s).reshape(-1, n) for s in range(kernel.size)])
+    payoffs = tables[states, defects @ _profile_bits(n)]
+    theta = None
+    if scenario.theta is not None:
+        process = scenario.theta
+        theta = process.mean + math.sqrt(process.variance) * draws[:, :, 1]
+        scale = np.where(theta > 0.0, theta, 0.0) if process.clamp else theta
+        payoffs = payoffs * scale[:, :, None]
+    if scenario.meta.enabled and investors:
+        budget_keep = np.array([
+            1.0 - m.strategy.meta_budget if m.strategy.tag is StrategyTag.META_INVESTOR
+            else 1.0
+            for m in scenario.miners
+        ])
+        payoffs = payoffs * budget_keep
+    winner = None
+    if game.lottery_mode:
+        cuts = np.cumsum([m.share for m in scenario.miners])
+        winner = np.minimum(np.searchsorted(cuts, draws[:, :, -1], side="right"), n - 1)
+        payoffs = payoffs * (winner[:, :, None] == np.arange(n))  # one-hot
+
+    # Left to right over rounds, as ``discounting.discounted_utility`` sums.
+    discounted = np.zeros((count, n))
+    factor = 1.0
+    for t in range(horizon):
+        discounted += factor * payoffs[:, t]
+        factor *= scenario.delta
+    endogenous = None
+    if scenario.noise is not None:
+        path = endogenous_discount_path(scenario.noise, horizon - 1)
+        # One product per replica: a batched product would reorder the sums.
+        endogenous = np.array([path @ replica for replica in payoffs])
+
+    cooperating = _cooperating_fraction(defects) >= scenario.spiral_threshold
+    last_cooperating = horizon - np.argmax(cooperating[:, ::-1], axis=1)
+    return BatchTrace(
+        replicas=replicas,
+        states=states,
+        defects=defects,
+        payoffs=payoffs,
+        theta=theta,
+        winner=winner,
+        discounted_utility=discounted,
+        endogenous_utility=endogenous,
+        cooperation_duration=np.where(cooperating.any(axis=1), last_cooperating, 0),
+    )
+
+
+def summarize_batch(scenario: Scenario, batch: BatchTrace) -> BatchSummary:
+    """Aggregate statistics over a batch (all recomputable from its arrays)."""
+    count, n = len(batch), scenario.n
+    utility = batch.discounted_utility
+    if count > 1:
         std_utility = utility.std(axis=0, ddof=1)
     else:
         std_utility = np.zeros(n)
-
     # Cross-replica per-round samples give the volatility penalty its
     # Monte Carlo meaning; within one replica it is degenerate.
-    cube = np.array([[r.payoffs for r in trace.records] for trace in traces])
     risk_adjusted = tuple(
-        risk_adjusted_utility(cube[:, :, i].T, scenario.delta, scenario.risk_aversion)
+        risk_adjusted_utility(batch.payoffs[:, :, i].T, scenario.delta, scenario.risk_aversion)
         for i in range(n)
     )
-
-    durations = []
-    spirals = 0
-    finals = []
-    for trace in traces:
-        report = detect_spiral(trace, scenario.spiral_threshold)
-        if report.onset_round is not None:
-            spirals += 1
-        durations.append(
-            report.onset_round if report.onset_round is not None else scenario.horizon
-        )
-        finals.append(report.final_cooperation_fraction)
-    mutations = np.array([t.mutation_count for t in traces])
-
+    durations = batch.cooperation_duration
+    mutations = batch.mutation_counts
     endogenous_mean: tuple[float, ...] | None = None
-    if scenario.noise is not None:
-        endo = np.array([t.endogenous_utility for t in traces])
-        endogenous_mean = tuple(float(v) for v in endo.mean(axis=0))
+    if batch.endogenous_utility is not None:
+        endogenous_mean = tuple(batch.endogenous_utility.mean(axis=0).tolist())
 
     return BatchSummary(
-        replica_count=len(traces),
-        mean_utility=tuple(float(v) for v in mean_utility),
-        std_utility=tuple(float(v) for v in std_utility),
+        replica_count=count,
+        mean_utility=tuple(utility.mean(axis=0).tolist()),
+        std_utility=tuple(std_utility.tolist()),
         risk_adjusted_utility=risk_adjusted,
         mean_cooperation_duration=float(np.mean(durations)),
-        spiral_frequency=float(spirals / len(traces)),
-        mean_final_cooperation_fraction=float(np.mean(finals)),
+        spiral_frequency=int(np.count_nonzero(durations < scenario.horizon)) / count,
+        mean_final_cooperation_fraction=float(
+            np.mean(_cooperating_fraction(batch.defects[:, -1]))
+        ),
         mutation_count_mean=float(mutations.mean()),
-        mutation_count_std=float(mutations.std(ddof=1)) if len(traces) > 1 else 0.0,
+        mutation_count_std=float(mutations.std(ddof=1)) if count > 1 else 0.0,
         mutation_count_min=int(mutations.min()),
         mutation_count_max=int(mutations.max()),
         mean_endogenous_utility=endogenous_mean,

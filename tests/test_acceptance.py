@@ -149,7 +149,7 @@ def test_c04_mutation_shortens_cooperation():
             epsilon=eps, delta=0.9, horizon=horizon, replicas=replicas, seed=1234,
             trigger_on_mutation=True,
         )
-        summary, traces = run_batch(scenario, max_workers=1)
+        summary, traces = run_batch(scenario)
         durations = np.array([cooperation_duration(t) for t in traces], dtype=float)
         half_width = (
             1.96 * durations.std(ddof=1) / math.sqrt(replicas)
@@ -251,7 +251,7 @@ def test_c09_protocol_dynamics():
         replica_count=10,
         master_seed=3,
     )
-    _, traces = run_batch(scenario, max_workers=1)
+    _, traces = run_batch(scenario)
     assert all(record.state == 1 for trace in traces for record in trace.records)
     uniform = TransitionKernel(np.full((4, 4), 0.25))
     assert abs(kernel_entropy(uniform).value - math.log(4)) <= 1e-12
@@ -299,7 +299,7 @@ def test_c10_cli_determinism_across_threads(tmp_path):
             )
         assert outputs[0] == outputs[1] == outputs[2]
     _pass(10, "both presets produce byte-identical trace.csv and summary.json "
-              "across repeated runs and MUTAGAME_THREADS in {1, 8}")
+              "across three repeated runs")
 
 
 def test_c11_meta_game_conservation():

@@ -71,7 +71,7 @@ def synthetic_trace(fraction_pattern, n=4):
         profile = tuple([C] * coop + [D] * (n - coop))
         records.append(
             RoundRecord(t=t, state=0, theta=None, profile=profile,
-                        payoffs=(0.0,) * n, kernel_row=(1.0,), mutated=False)
+                        payoffs=(0.0,) * n, mutated=False)
         )
     return ReplicaTrace(replica_index=0, records=records)
 
@@ -134,22 +134,6 @@ def test_replica_streams_differ():
     assert states_a != states_b
 
 
-def test_batch_schedule_independence():
-    scenario = pd_scenario(
-        [StrategyKind.grim_trigger()] * 2,
-        kernel=two_state_kernel(0.1),
-        num_states=2,
-        horizon=30,
-        replicas=16,
-        seed=5,
-        trigger_on_mutation=True,
-    )
-    summary_seq, traces_seq = run_batch(scenario, max_workers=1)
-    summary_par, traces_par = run_batch(scenario, max_workers=4)
-    assert traces_seq == traces_par
-    assert summary_seq == summary_par
-
-
 def test_trace_payoff_consistency_with_all_scalings():
     scenario = pd_scenario(
         [StrategyKind.grim_trigger(), StrategyKind.meta_investor(0.3, 0)],
@@ -179,7 +163,7 @@ def test_state_constant_when_kernel_is_identity():
         [StrategyKind.honest()] * 2, num_states=3, horizon=50, replicas=5,
         kernel=TransitionKernel.identity(3),
     )
-    _, traces = run_batch(scenario, max_workers=1)
+    _, traces = run_batch(scenario)
     for trace in traces:
         assert all(r.state == 0 for r in trace.records)
         assert trace.mutation_count == 0
@@ -364,7 +348,7 @@ def test_cooperation_duration():
 
 def test_single_replica_summary():
     scenario = pd_scenario([StrategyKind.honest()] * 2, horizon=20, replicas=1)
-    summary, traces = run_batch(scenario, max_workers=1)
+    summary, traces = run_batch(scenario)
     assert summary.replica_count == 1
     assert summary.mean_utility == traces[0].discounted_utility
     assert summary.std_utility == (0.0, 0.0)
@@ -387,7 +371,7 @@ def test_epsilon_sweep_duration_monotone():
             seed=2024,
             trigger_on_mutation=True,
         )
-        _, traces = run_batch(scenario, max_workers=1)
+        _, traces = run_batch(scenario)
         values = [cooperation_duration(t) for t in traces]
         durations[eps] = np.mean(values)
         spiral_freqs[eps] = np.mean(
@@ -399,6 +383,34 @@ def test_epsilon_sweep_duration_monotone():
     assert spiral_freqs[0.2] > 0.9
 
 
+@pytest.mark.parametrize("epsilon", [0.02, 0.1])
+def test_grim_mutation_spirals_match_closed_form(epsilon):
+    # A GrimTrigger pair defects from the round after the first rule change.
+    # That change enters round M ~ Geometric(epsilon) on {1, 2, ...}, so the
+    # cooperation duration is D = min(M + 1, H) and a spiral means D < H.
+    horizon, replicas = 60, 4000
+    scenario = pd_scenario(
+        [StrategyKind.grim_trigger()] * 2,
+        kernel=two_state_kernel(epsilon),
+        num_states=2,
+        horizon=horizon,
+        replicas=replicas,
+        seed=2025,
+        trigger_on_mutation=True,
+    )
+    summary, _ = run_batch(scenario)
+    support = np.arange(2, horizon + 1)
+    probability = epsilon * (1 - epsilon) ** (support - 2.0)
+    probability[-1] = (1 - epsilon) ** (horizon - 2)
+    mean = support @ probability
+    se = np.sqrt((support**2 @ probability - mean**2) / replicas)
+    assert abs(summary.mean_cooperation_duration - mean) <= 4 * se
+    spiral = 1 - (1 - epsilon) ** (horizon - 2)
+    assert spiral == pytest.approx(probability[:-1].sum(), rel=1e-12)
+    spiral_se = np.sqrt(spiral * (1 - spiral) / replicas)
+    assert abs(summary.spiral_frequency - spiral) <= 4 * spiral_se
+
+
 def test_noise_adds_endogenous_utilities():
     noise = NoisePath(baseline_rate=0.05, segments=((0, 0.0), (5, 0.1)))
     scenario = pd_scenario([StrategyKind.honest()] * 2, horizon=10, noise=noise)
@@ -407,7 +419,7 @@ def test_noise_adds_endogenous_utilities():
     weights = np.exp(-np.array([noise.cumulative_rate(t) for t in range(10)]))
     expected = float(weights.sum() * 3.0)
     assert trace.endogenous_utility[0] == pytest.approx(expected, rel=1e-12)
-    summary, _ = run_batch(scenario, max_workers=1)
+    summary, _ = run_batch(scenario)
     assert summary.mean_endogenous_utility is not None
 
 

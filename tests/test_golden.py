@@ -1,8 +1,10 @@
 """Golden fence: sha256 of the CLI's deterministic outputs, pinned.
 
-The hashes were produced by the scalar per-replica engine. Any engine change
-that alters a state, an action, a payoff bit, a float repr or the summary
-fails here, unlike run-vs-run determinism checks, which drift together.
+The hashes were produced by the scalar per-replica engine (the negative-theta
+case by the batch engine that reproduces it) and the row-at-a-time
+``csv.writer`` trace writer. Any engine or writer change that alters a state,
+an action, a payoff bit, a float repr or the summary fails here, unlike
+run-vs-run determinism checks, which drift together.
 """
 
 import hashlib
@@ -14,10 +16,10 @@ from mutagame.cli import EXIT_OK, main
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE
 
 
-def fixed_noisy_doc():
+def lottery_theta_doc(theta):
     doc = yaml.safe_load(FIXED_RULES)
     doc["game"]["lottery_mode"] = True
-    doc["theta"] = {"mean": 1.0, "variance": 0.04}
+    doc["theta"] = theta
     return doc
 
 
@@ -33,9 +35,16 @@ RUN_CASES = {
         "34bd7a91b10f100655dd33a3e4fd985f961f816fefb6b53a6d65e4a5f4431e07",
     ),
     "fixed_rules_lottery_theta": (
-        fixed_noisy_doc,
+        lambda: lottery_theta_doc({"mean": 1.0, "variance": 0.04}),
         "eb96fddf4a032522e32085446de3f4ce8a43fbc14bf8f4697ab4c308322ba0e8",
         "b9df5e5fc0d0ec002e4fe6b0cb84bc437ce97af8265355dfbd750688a9764497",
+    ),
+    # Unclamped theta below zero times a lottery loser's zero mask: about
+    # 9.9k "-0.0" payoff fields in trace.csv.
+    "fixed_rules_lottery_negative_theta": (
+        lambda: lottery_theta_doc({"mean": 0.0, "variance": 1.0, "clamp": False}),
+        "a184c3bee3830885c96c7f9cd45c94ce4ab27073740f0dde268787aec09497e6",
+        "a3b62b627f85f8c52b962e6f684843190c759ab30a7ae0bffa7f051580056281",
     ),
 }
 

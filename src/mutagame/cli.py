@@ -68,28 +68,30 @@ def _load(args: argparse.Namespace) -> Scenario:
 
 
 def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
-    """Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}."""
+    """Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}.
+
+    Written one replica at a time, column by column: floats are their
+    ``repr``, so every payoff and theta round-trips, ``-0.0`` included.
+    """
     profile_keys = ["".join(p) for p in itertools.product("CD", repeat=scenario.n)]
     masks = batch.profile_masks()
+    rounds = list(map(str, range(scenario.horizon)))
+    no_theta = [""] * scenario.horizon
+    header = ["replica", "t", "state", "theta", "actions"]
+    header += [f"payoff_{i}" for i in range(scenario.n)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["replica", "t", "state", "theta", "actions"]
-            + [f"payoff_{i}" for i in range(scenario.n)]
-        )
+        handle.write(",".join(header) + "\n")
         for r, replica_index in enumerate(batch.replicas):
-            if batch.theta is None:
-                thetas = [""] * scenario.horizon
-            else:
-                thetas = [repr(theta) for theta in batch.theta[r].tolist()]
-            rows = zip(
-                batch.states[r].tolist(), thetas, masks[r].tolist(), batch.payoffs[r].tolist()
-            )
-            for t, (state, theta, mask, payoffs) in enumerate(rows):
-                writer.writerow(
-                    [replica_index, t, state, theta, profile_keys[mask]]
-                    + [repr(p) for p in payoffs]
-                )
+            thetas = no_theta if batch.theta is None else map(repr, batch.theta[r].tolist())
+            columns = [
+                itertools.repeat(str(replica_index)),
+                rounds,
+                map(str, batch.states[r].tolist()),
+                thetas,
+                map(profile_keys.__getitem__, masks[r].tolist()),
+                *(map(repr, payoffs) for payoffs in batch.payoffs[r].T.tolist()),
+            ]
+            handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def write_summary_json(path: Path, scenario: Scenario, summary: BatchSummary) -> None:

@@ -390,7 +390,14 @@ def parse_document(doc: Any, name: str = "scenario") -> Scenario:
 def load_document(path: str | Path) -> Any:
     """Read and parse the YAML document; I/O and parse errors propagate."""
     text = Path(path).read_text(encoding="utf-8")
-    return yaml.safe_load(text)
+    return _load_yaml(text)
+
+
+def _load_yaml(text: str) -> Any:
+    """``yaml.safe_load`` through libyaml's parser when PyYAML was built with
+    it: same constructor and resolver, so the same objects, several times faster."""
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    return yaml.load(text, Loader=loader)
 
 
 def load_scenario(
@@ -440,7 +447,7 @@ def apply_overrides(doc: Any, overrides: Mapping[str, str]) -> Any:
         raise ScenarioValidationError(["(document): expected a mapping"])
     for raw_path, raw_value in overrides.items():
         try:
-            value = yaml.safe_load(raw_value)
+            value = _load_yaml(raw_value)
         except yaml.YAMLError:
             raise ScenarioValidationError(
                 [f"override {raw_path}: cannot parse value {raw_value!r}"]

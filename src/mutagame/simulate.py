@@ -24,7 +24,6 @@ from .discounting import (
     NoisePath,
     InvestmentPlan,
     endogenous_discount_path,
-    risk_adjusted_utility,
     validate_discount,
 )
 from .errors import ConfigurationError, ScenarioValidationError
@@ -571,11 +570,18 @@ def summarize_batch(scenario: Scenario, batch: BatchTrace) -> BatchSummary:
     else:
         std_utility = np.zeros(n)
     # Cross-replica per-round samples give the volatility penalty its
-    # Monte Carlo meaning; within one replica it is degenerate.
-    risk_adjusted = tuple(
-        risk_adjusted_utility(batch.payoffs[:, :, i].T, scenario.delta, scenario.risk_aversion)
-        for i in range(n)
-    )
+    # Monte Carlo meaning; within one replica it is degenerate. The sum runs
+    # left to right, as ``discounting.risk_adjusted_utility`` adds it.
+    risk_adjusted = []
+    for i in range(n):
+        rounds = np.ascontiguousarray(batch.payoffs[:, :, i].T)  # (H, R), one miner
+        means = rounds.mean(axis=1).tolist()
+        sds = np.sqrt(rounds.var(axis=1, ddof=1)) if count > 1 else np.zeros(len(means))
+        total, factor = 0.0, 1.0
+        for mean, sd in zip(means, sds.tolist()):
+            total += factor * (mean - scenario.risk_aversion * sd)
+            factor *= scenario.delta
+        risk_adjusted.append(total)
     durations = batch.cooperation_duration
     mutations = batch.mutation_counts
     endogenous_mean: tuple[float, ...] | None = None
@@ -586,7 +592,7 @@ def summarize_batch(scenario: Scenario, batch: BatchTrace) -> BatchSummary:
         replica_count=count,
         mean_utility=tuple(utility.mean(axis=0).tolist()),
         std_utility=tuple(std_utility.tolist()),
-        risk_adjusted_utility=risk_adjusted,
+        risk_adjusted_utility=tuple(risk_adjusted),
         mean_cooperation_duration=float(np.mean(durations)),
         spiral_frequency=int(np.count_nonzero(durations < scenario.horizon)) / count,
         mean_final_cooperation_fraction=float(

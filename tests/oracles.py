@@ -4,9 +4,12 @@ The Nash oracle is deliberately written against the plain dict
 representation of a game, with no reliance on the package's tensor layout,
 so it stays an independent check of the enumeration code paths. The scalar
 engine plays one replica round by round through the single-round library
-functions; it is the reference for the replica-vectorized batch engine.
+functions; it is the reference for the replica-vectorized batch engine. The
+row-at-a-time ``csv.writer`` trace writer is the reference for the columnar
+one in ``mutagame.cli``.
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -195,3 +198,31 @@ def scalar_summary(scenario, traces) -> BatchSummary:
         mutation_count_max=int(mutations.max()),
         mean_endogenous_utility=endogenous_mean,
     )
+
+
+def csv_trace_writer(path, scenario, batch) -> None:
+    """Reference trace writer: one ``csv.writer`` row per round.
+
+    Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}.
+    """
+    profile_keys = ["".join(p) for p in itertools.product("CD", repeat=scenario.n)]
+    masks = batch.profile_masks()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(
+            ["replica", "t", "state", "theta", "actions"]
+            + [f"payoff_{i}" for i in range(scenario.n)]
+        )
+        for r, replica_index in enumerate(batch.replicas):
+            if batch.theta is None:
+                thetas = [""] * scenario.horizon
+            else:
+                thetas = [repr(theta) for theta in batch.theta[r].tolist()]
+            rows = zip(
+                batch.states[r].tolist(), thetas, masks[r].tolist(), batch.payoffs[r].tolist()
+            )
+            for t, (state, theta, mask, payoffs) in enumerate(rows):
+                writer.writerow(
+                    [replica_index, t, state, theta, profile_keys[mask]]
+                    + [repr(p) for p in payoffs]
+                )

@@ -6,8 +6,13 @@ import pytest
 import yaml
 
 from mutagame import ScenarioValidationError, parse_document
-from mutagame.presets import FIXED_RULES, MUTABLE_CORE
-from mutagame.scenario import apply_overrides, load_scenario, scale_kernel_epsilon
+from mutagame.presets import FIXED_RULES, MUTABLE_CORE, preset_names, preset_text
+from mutagame.scenario import (
+    apply_overrides,
+    load_document,
+    load_scenario,
+    scale_kernel_epsilon,
+)
 
 
 @pytest.fixture
@@ -39,6 +44,14 @@ def test_load_scenario_round_trip(tmp_path):
     del doc["name"]
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     assert load_scenario(path).name == "scenario"
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_load_document_matches_safe_load(name, tmp_path):
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(preset_text(name), encoding="utf-8")
+    # repr also tells 1 from 1.0 and compares key order.
+    assert repr(load_document(path)) == repr(yaml.safe_load(preset_text(name)))
 
 
 def test_unknown_top_level_key(base_doc):

@@ -1,7 +1,8 @@
 """Golden fence: sha256 of the CLI's deterministic outputs, pinned.
 
 The hashes were produced by the scalar per-replica engine (the negative-theta
-case by the batch engine that reproduces it) and the row-at-a-time
+and lottery-free theta cases by the batch engine's one-draw-at-a-time theta
+loop, which reproduces it) and the row-at-a-time
 ``csv.writer`` trace writer. Any engine or writer change that alters a state,
 an action, a payoff bit, a float repr or the summary fails here, unlike
 run-vs-run determinism checks, which drift together.
@@ -16,9 +17,9 @@ from mutagame.cli import EXIT_OK, main
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE
 
 
-def lottery_theta_doc(theta):
+def theta_doc(theta, lottery=True):
     doc = yaml.safe_load(FIXED_RULES)
-    doc["game"]["lottery_mode"] = True
+    doc["game"]["lottery_mode"] = lottery
     doc["theta"] = theta
     return doc
 
@@ -34,15 +35,21 @@ RUN_CASES = {
         "f7c7f35b90e7a3eeb01d07459ffd9498d97d9bf6b1c7c549c8ffef35a74e64df",
         "34bd7a91b10f100655dd33a3e4fd985f961f816fefb6b53a6d65e4a5f4431e07",
     ),
+    # Two draws per round: the protocol step and theta's normal.
+    "fixed_rules_theta": (
+        lambda: theta_doc({"mean": 1.0, "variance": 0.04}, lottery=False),
+        "4891aeeb426e469d3297c239123324d54a29879fb77b700b543757f2e8899dfb",
+        "396598dcce01a04c219806fa4d5b88443c58b16fbeb1884f02f32a4c5358ef8e",
+    ),
     "fixed_rules_lottery_theta": (
-        lambda: lottery_theta_doc({"mean": 1.0, "variance": 0.04}),
+        lambda: theta_doc({"mean": 1.0, "variance": 0.04}),
         "eb96fddf4a032522e32085446de3f4ce8a43fbc14bf8f4697ab4c308322ba0e8",
         "b9df5e5fc0d0ec002e4fe6b0cb84bc437ce97af8265355dfbd750688a9764497",
     ),
     # Unclamped theta below zero times a lottery loser's zero mask: about
     # 9.9k "-0.0" payoff fields in trace.csv.
     "fixed_rules_lottery_negative_theta": (
-        lambda: lottery_theta_doc({"mean": 0.0, "variance": 1.0, "clamp": False}),
+        lambda: theta_doc({"mean": 0.0, "variance": 1.0, "clamp": False}),
         "a184c3bee3830885c96c7f9cd45c94ce4ab27073740f0dde268787aec09497e6",
         "a3b62b627f85f8c52b962e6f684843190c759ab30a7ae0bffa7f051580056281",
     ),

@@ -220,6 +220,8 @@ def integrity(kernel: TransitionKernel) -> float:
 
 
 def sample_theta(process: ThetaProcess, rng: np.random.Generator) -> float:
-    """One Gaussian draw; consumes exactly one draw even at zero variance."""
+    """One Gaussian draw, taken even at zero variance. It is one
+    ``standard_normal()`` call: one 64-bit word of the stream on numpy's
+    ziggurat fast path, more words off it."""
     z = rng.standard_normal()
     return float(process.mean + math.sqrt(process.variance) * z)

@@ -37,6 +37,7 @@ from .game import (
     _myopic_response,
     validate_shares,
 )
+from . import _ziggurat
 from .protocol import ThetaProcess, TransitionKernel
 
 
@@ -306,7 +307,7 @@ class BatchTrace:
 
     def profile_masks(self) -> np.ndarray:
         """(R, H) joint profiles as bitmasks, miner 0 in the highest bit."""
-        return self.defects @ _profile_bits(self.defects.shape[2])
+        return _profile_masks(self.defects)
 
 
 def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
@@ -389,11 +390,18 @@ def cooperation_duration(trace: ReplicaTrace, threshold: float = 0.5) -> int:
     return report.onset_round if report.onset_round is not None else len(trace.records)
 
 
-def _profile_bits(n: int) -> np.ndarray:
-    """Bit of each miner in a profile bitmask, miner 0 highest, so a mask
-    indexes a payoff table reshaped to (2**n, n) and the profiles of
-    ``itertools.product("CD", repeat=n)`` in order."""
-    return 1 << np.arange(n - 1, -1, -1)
+def _profile_masks(defects: np.ndarray) -> np.ndarray:
+    """Defect flags (..., n) as profile bitmasks (...), miner 0 highest, so a
+    mask indexes a payoff table reshaped to (2**n, n) and the profiles of
+    ``itertools.product("CD", repeat=n)`` in order. Built in place, one
+    miner at a time, in the smallest unsigned dtype that holds 2**n - 1, so
+    no wider temporary is made."""
+    n = defects.shape[-1]
+    masks = np.zeros(defects.shape[:-1], dtype=np.min_scalar_type(2**n - 1))
+    for i in range(n):
+        masks <<= 1
+        masks |= defects[..., i]
+    return masks
 
 
 def _cooperating_fraction(defects: np.ndarray) -> np.ndarray:
@@ -401,26 +409,122 @@ def _cooperating_fraction(defects: np.ndarray) -> np.ndarray:
     return (n - np.count_nonzero(defects, axis=-1)) / n
 
 
+# Replicas whose words are converted together; results do not depend on it.
+_CHUNK = 64
+# PCG64's LCG multiplier: state <- state * _PCG64_MULTIPLIER + inc (mod 2**128).
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
 def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
     """Every replica's draws, shape (R, H, d), in per-round draw order.
 
     Column 0 is the protocol step, then theta's standard normal when
-    enabled, then the lottery uniform when enabled. One ``random(d*H)`` call
-    yields the same stream as d*H scalar calls, but theta's ziggurat
-    consumes a variable number of words, so with theta the draws are taken
-    one at a time.
+    enabled, then the lottery uniform when enabled: the values that scalar
+    ``random()`` and ``standard_normal()`` calls on
+    ``replica_rng(master_seed, i)`` return in that order. They are computed
+    in bulk from the stream's raw 64-bit words, chunk by chunk of replicas.
+    A uniform takes one word w, ``(w >> 11) * 2**-53``. A normal takes one
+    word on numpy's ziggurat fast path (``_ziggurat``). Off it (about 1.5% of
+    normals) numpy's own ``standard_normal`` runs from that word, and every
+    later draw of the replica moves down by the extra words it used.
     """
-    horizon = scenario.horizon
-    per_round = 1 + (scenario.theta is not None) + scenario.game.lottery_mode
-    draws = np.empty((len(replicas), horizon * per_round))
-    for row, replica_index in zip(draws, replicas):
-        rng = replica_rng(scenario.master_seed, replica_index)
-        if scenario.theta is None:
-            row[:] = rng.random(horizon * per_round)
-        else:
-            order = (rng.random, rng.standard_normal, rng.random)[:per_round]
-            row[:] = [draw() for _ in range(horizon) for draw in order]
-    return draws.reshape(len(replicas), horizon, per_round)
+    horizon, normal = scenario.horizon, scenario.theta is not None
+    per_round = 1 + normal + scenario.game.lottery_mode
+    draws = np.empty((len(replicas), horizon, per_round))
+    for start in range(0, len(replicas), _CHUNK):
+        chunk = replicas[start:start + _CHUNK]
+        out = draws[start:start + len(chunk)]
+        streams = [replica_rng(scenario.master_seed, i).bit_generator for i in chunk]
+        seeds = [stream.state for stream in streams] if normal else []
+        words = np.stack([stream.random_raw(horizon * per_round) for stream in streams])
+        slow = {}
+        if normal:
+            words, slow = _skip_slow_normals(words, seeds, streams, per_round)
+        words = words.reshape(out.shape)
+        np.multiply(words >> 11, 2.0**-53, out=out)
+        if normal:
+            out[:, :, 1] = _fast_normals(words[:, :, 1])
+            for (row, t), value in slow.items():
+                out[row, t, 1] = value
+    return draws
+
+
+def _skip_slow_normals(
+    words: np.ndarray, seeds: list[dict], streams: list, per_round: int
+) -> tuple[np.ndarray, dict[tuple[int, int], float]]:
+    """The word each draw starts from, (C, H*d), and the normals that miss
+    the ziggurat fast path, by (row, round).
+
+    ``words`` holds the first H*d words of each of the C ``streams``, whose
+    initial states are ``seeds``; normals sit in column 1 of each round. A
+    row's first miss is drawn by ``_slow_normal`` and its later draws shift;
+    then the row is searched again from the round after, until no row
+    misses. A row that needs words past its end draws them from its stream.
+    """
+    count, horizon = len(streams), words.shape[1] // per_round
+    positions = np.tile(np.arange(horizon * per_round), (count, 1))
+    normals = positions[:, 1::per_round]  # a view: the shifts reach it
+    drawn = np.full(count, words.shape[1])
+    unchecked = np.zeros(count, dtype=np.int64)  # first round not yet searched
+    scratch = np.random.Generator(np.random.PCG64(0))
+    slow = {}
+    rows = np.arange(count)
+    while len(rows):
+        words = _extend_words(words, drawn, positions[:, -1] + 1, streams)
+        first = words[rows[:, None], normals[rows]]
+        missed = ~_fast_path(first) & (np.arange(horizon) >= unchecked[rows, None])
+        hit = missed.any(axis=1)
+        rows = rows[hit]
+        for row, t in zip(rows.tolist(), np.argmax(missed[hit], axis=1).tolist()):
+            value, used = _slow_normal(scratch, seeds[row], int(normals[row, t]))
+            slow[row, t] = value
+            positions[row, t * per_round + 2:] += used - 1
+            unchecked[row] = t + 1
+    return np.take_along_axis(words, positions, axis=1), slow
+
+
+def _fast_path(words: np.ndarray) -> np.ndarray:
+    """Whether numpy's ziggurat fast path accepts each word as a normal."""
+    return (words >> 9) & (2**52 - 1) < _ziggurat.KI[words & 0xFF]
+
+
+def _fast_normals(words: np.ndarray) -> np.ndarray:
+    """The normal numpy's ziggurat fast path makes of each word:
+    ``+-rabs * WI[layer]``, right only where ``_fast_path`` accepts it."""
+    normals = ((words >> 9) & (2**52 - 1)) * _ziggurat.WI[words & 0xFF]
+    return np.negative(normals, out=normals, where=(words & 0x100).astype(bool))
+
+
+def _slow_normal(scratch: np.random.Generator, seed: dict, position: int) -> tuple[float, int]:
+    """``standard_normal()`` of the stream whose initial state is ``seed``,
+    started at word ``position``, and the number of words it used."""
+    stream = scratch.bit_generator
+    stream.state = seed
+    stream.advance(position)
+    lcg = stream.state["state"]
+    state, inc = lcg["state"], lcg["inc"]
+    value = scratch.standard_normal()
+    end = stream.state["state"]["state"]
+    used = 0
+    while state != end:
+        state = (state * _PCG64_MULTIPLIER + inc) % 2**128
+        used += 1
+    return value, used
+
+
+def _extend_words(
+    words: np.ndarray, drawn: np.ndarray, needed: np.ndarray, streams: list
+) -> np.ndarray:
+    """``words`` with row r holding the first ``needed[r]`` words of
+    ``streams[r]``: a row short of them takes its stream's next words.
+    ``drawn`` counts each row's words and is updated in place."""
+    width = needed.max()
+    if width > words.shape[1]:
+        words = np.pad(words, ((0, 0), (0, width - words.shape[1])))
+    for row in np.flatnonzero(needed > drawn):
+        words[row, drawn[row]:needed[row]] = streams[row].random_raw(needed[row] - drawn[row])
+        drawn[row] = needed[row]
+    return words
 
 
 def _myopic_defects(scenario: Scenario, miners: list[int]) -> np.ndarray:
@@ -459,7 +563,6 @@ def _resolve_defects(scenario: Scenario, states: np.ndarray) -> np.ndarray:
     myopic = miners(StrategyTag.MYOPIC_BEST_RESPONSE)
     if myopic:
         myopic_table = _myopic_defects(scenario, myopic)
-        bits = _profile_bits(n)
     # Round t's flag marks a rule change entering it; strategies see it from
     # round t + 1 on.
     mutation_seen = np.zeros((replicas, horizon), dtype=bool)
@@ -478,7 +581,7 @@ def _resolve_defects(scenario: Scenario, states: np.ndarray) -> np.ndarray:
             opponents = previous.sum(axis=1, keepdims=True) - previous[:, tit_for_tat]
             now[:, tit_for_tat] = 2 * opponents > n - 1
         if myopic:
-            now[:, myopic] = myopic_table[:, states[:, t], previous @ bits].T
+            now[:, myopic] = myopic_table[:, states[:, t], _profile_masks(previous)].T
         ever_defected |= now
         previous = now
     return defects
@@ -514,7 +617,7 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
 
     defects = _resolve_defects(scenario, states)
     tables = np.stack([game.table(s).reshape(-1, n) for s in range(kernel.size)])
-    payoffs = tables[states, defects @ _profile_bits(n)]
+    payoffs = tables[states, _profile_masks(defects)]
     theta = None
     if scenario.theta is not None:
         process = scenario.theta

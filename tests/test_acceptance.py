@@ -5,12 +5,12 @@ lines; every tolerance is pinned in the assertions below.
 """
 
 import math
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from oracles import nash_oracle, random_profile_map
 
@@ -273,7 +273,7 @@ def test_c09_protocol_dynamics():
 
 
 def test_c10_cli_determinism_across_threads(tmp_path):
-    env_base = dict(os.environ)
+    scenario_paths = []
     for preset in ("fixed_rules", "mutable_core"):
         scenario_path = tmp_path / f"{preset}.yaml"
         subprocess.run(
@@ -281,14 +281,22 @@ def test_c10_cli_determinism_across_threads(tmp_path):
              "--out", str(scenario_path)],
             check=True, capture_output=True,
         )
+        scenario_paths.append(scenario_path)
+    # Three draws per round: the protocol step, theta's ziggurat normal and
+    # the lottery uniform.
+    doc = yaml.safe_load(scenario_paths[0].read_text(encoding="utf-8"))
+    doc["game"]["lottery_mode"] = True
+    doc["theta"] = {"mean": 1.0, "variance": 0.04}
+    scenario_paths.append(tmp_path / "fixed_rules_lottery_theta.yaml")
+    scenario_paths[-1].write_text(yaml.safe_dump(doc), encoding="utf-8")
+    for scenario_path in scenario_paths:
         outputs = []
-        for run_index, threads in enumerate(("1", "1", "8")):
-            out_dir = tmp_path / f"{preset}_{run_index}"
-            env = dict(env_base, MUTAGAME_THREADS=threads)
+        for run_index in range(3):
+            out_dir = tmp_path / f"{scenario_path.stem}_{run_index}"
             result = subprocess.run(
                 [sys.executable, "-m", "mutagame.cli", "run", str(scenario_path),
                  "--seed", "42", "--out", str(out_dir)],
-                env=env, capture_output=True,
+                capture_output=True,
             )
             assert result.returncode == 0, result.stderr.decode()
             outputs.append(
@@ -298,8 +306,8 @@ def test_c10_cli_determinism_across_threads(tmp_path):
                 )
             )
         assert outputs[0] == outputs[1] == outputs[2]
-    _pass(10, "both presets produce byte-identical trace.csv and summary.json "
-              "across three repeated runs")
+    _pass(10, "both presets and fixed_rules with lottery and theta produce "
+              "byte-identical trace.csv and summary.json across three repeated runs")
 
 
 def test_c11_meta_game_conservation():

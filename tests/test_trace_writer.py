@@ -94,6 +94,24 @@ def test_writer_peak_memory_stays_per_replica(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # About 2 MB; converting the whole batch with .tolist() at once peaks
+    # About 0.14 MB (2 MB while the profile masks went through an int64
+    # product); converting the whole batch with .tolist() at once peaks
     # above 7 MB.
     assert peak < 4_000_000
+
+
+def test_profile_masks_peak_stays_under_twice_their_size():
+    doc = yaml.safe_load(MUTABLE_CORE)
+    doc.update(replica_count=250, horizon=200)
+    _, batch = run_batch(parse_document(doc))
+    tracemalloc.start()
+    try:
+        masks = batch.profile_masks()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # An (R, H, n) bool @ int64 bits product peaks at 40x the uint8 masks.
+    assert masks.dtype == np.uint8
+    assert peak < 2 * masks.nbytes
+    bits = 1 << np.arange(batch.defects.shape[2] - 1, -1, -1)
+    assert np.array_equal(masks, batch.defects @ bits)

@@ -75,6 +75,23 @@ def test_tables_match_numpy():
     assert ki[1] == 0
 
 
+def test_fast_path_matches_numpy_at_every_layer_boundary():
+    probe = OneWord()
+    words = [
+        (rabs << 9) | (sign << 8) | layer
+        for layer, ki in enumerate(_ziggurat.KI.tolist())
+        for rabs in {0, max(ki - 1, 0), ki, 2**52 - 1} - {2**52}
+        for sign in (0, 1)
+    ]
+    accepted = simulate._fast_path(np.array(words, dtype=np.uint64))
+    normals = simulate._fast_normals(np.array(words, dtype=np.uint64))
+    for word, fast, normal in zip(words, accepted.tolist(), normals.tolist()):
+        value, one_word = probe.normal(word)
+        assert fast == one_word
+        if fast:
+            assert normal.hex() == value.hex()
+
+
 def scalar_draws(scenario, replicas):
     """The documented draw order, one scalar call per draw."""
     out = []

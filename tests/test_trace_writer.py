@@ -94,8 +94,7 @@ def test_writer_peak_memory_stays_per_replica(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # About 0.14 MB (2 MB while the profile masks went through an int64
-    # product); converting the whole batch with .tolist() at once peaks
+    # About 0.14 MB; converting the whole batch with .tolist() at once peaks
     # above 7 MB.
     assert peak < 4_000_000
 

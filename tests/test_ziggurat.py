@@ -135,3 +135,14 @@ def test_bulk_draws_match_scalar_stream(lottery, monkeypatch):
     assert layers.count(0) >= 1  # the idx-0 tail
     assert layers.count(1) >= 1  # layer 1, where KI is 0
     assert sum(grown) >= 1  # a row ran past its first H*d words
+
+
+def test_draws_do_not_depend_on_chunk_size(monkeypatch):
+    doc = yaml.safe_load(FIXED_RULES)
+    doc["game"]["lottery_mode"] = True
+    doc["theta"] = {"mean": 0.0, "variance": 1.0}
+    scenario = parse_document(doc)
+    draws = simulate._draws(scenario, range(150))
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    rechunked = simulate._draws(scenario, range(150))
+    assert np.array_equal(draws.view(np.uint64), rechunked.view(np.uint64))

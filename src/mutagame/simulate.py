@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _ziggurat
 from .discounting import (
     NoisePath,
     InvestmentPlan,
@@ -37,7 +38,6 @@ from .game import (
     _myopic_response,
     validate_shares,
 )
-from . import _ziggurat
 from .protocol import ThetaProcess, TransitionKernel
 
 

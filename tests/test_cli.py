@@ -1,6 +1,10 @@
 """Command-line front end: exit codes, file outputs, determinism."""
 
+import gc
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -249,3 +253,36 @@ def test_analyze_mutable_core_reports_investment(tmp_path, capsys):
 
 def test_exit_code_constants_are_distinct():
     assert len({EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_CAPACITY}) == 4
+
+
+def test_main_leaves_the_heap_unfrozen(fixed_rules_file):
+    frozen = gc.get_freeze_count()
+    assert main(["validate", str(fixed_rules_file)]) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def test_program_entries_freeze_the_import_time_heap(fixed_rules_file):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    script = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, function = script["mutagame"].partition(":")
+    launchers = [
+        "runpy.run_module('mutagame.cli', run_name='__main__')",  # python -m
+        f"sys.exit(importlib.import_module({module!r}).{function}())",  # console script
+    ]
+    for launcher in launchers:
+        code = (
+            "import gc, importlib, runpy, sys\n"
+            "sys.argv = ['mutagame', 'validate', sys.argv[1]]\n"
+            "try:\n"
+            f"    {launcher}\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(fixed_rules_file)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        exit_code, frozen = result.stdout.split()[-2:]
+        assert exit_code == str(EXIT_OK) and int(frozen) > 0, launcher

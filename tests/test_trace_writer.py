@@ -6,6 +6,7 @@ run's peak memory flat as the batch grows.
 """
 
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from mutagame import (
     run_batch,
 )
 from mutagame.cli import write_trace_csv
-from mutagame.presets import MUTABLE_CORE
+from mutagame.presets import FIXED_RULES, MUTABLE_CORE
 
 
 def assert_same_bytes(scenario, directory):
@@ -80,23 +81,33 @@ def test_writer_edge_cases_match_oracle(case, tmp_path):
     assert lines[-1] == ""
     assert len(lines) == 2 + scenario.replica_count * scenario.horizon
     if case == "theta_clamp_off":
-        assert ",-0.0" in written.decode()
+        # A lottery loser's zero times theta: both signs of zero in one
+        # replica's payoff column, which only a dedupe keyed by bits keeps apart.
+        columns = defaultdict(set)
+        for line in lines[1:-1]:
+            row = line.split(",")
+            for i, field in enumerate(row[5:]):
+                columns[row[0], i].add(field)
+        assert any({"0.0", "-0.0"} <= fields for fields in columns.values())
 
 
 def test_writer_peak_memory_stays_per_replica(tmp_path):
-    doc = yaml.safe_load(MUTABLE_CORE)
-    doc.update(replica_count=250, horizon=200)
-    scenario = parse_document(doc)
-    _, batch = run_batch(scenario)
-    tracemalloc.start()
-    try:
-        write_trace_csv(tmp_path / "trace.csv", scenario, batch)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # About 0.14 MB; converting the whole batch with .tolist() at once peaks
-    # above 7 MB.
-    assert peak < 4_000_000
+    lottery_theta = yaml.safe_load(FIXED_RULES)
+    lottery_theta["game"]["lottery_mode"] = True
+    lottery_theta["theta"] = {"mean": 1.0, "variance": 0.04}
+    for doc in (yaml.safe_load(MUTABLE_CORE), lottery_theta):
+        doc.update(replica_count=250, horizon=200)
+        scenario = parse_document(doc)
+        _, batch = run_batch(scenario)
+        tracemalloc.start()
+        try:
+            write_trace_csv(tmp_path / "trace.csv", scenario, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 0.14 MB on both documents, value tables included; converting
+        # the whole batch with .tolist() at once peaks above 7 MB.
+        assert peak < 4_000_000
 
 
 def test_profile_masks_peak_stays_under_twice_their_size():

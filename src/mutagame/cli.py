@@ -88,20 +88,16 @@ def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
         handle.write(",".join(header) + "\n")
         for r, replica_index in enumerate(batch.replicas):
             thetas = no_theta if batch.theta is None else map(repr, batch.theta[r].tolist())
-            bits, inverse = np.unique(
-                batch.payoffs[r].T.view(np.uint64), return_inverse=True
-            )
+            bits, inverse = np.unique(batch.payoffs[r].T.view(np.uint64), return_inverse=True)
             values = list(map(repr, bits.view(np.float64).tolist()))
+            payoff_columns = inverse.reshape(scenario.n, scenario.horizon).tolist()
             columns = [
                 itertools.repeat(str(replica_index)),
                 rounds,
                 map(state_keys.__getitem__, batch.states[r].tolist()),
                 thetas,
                 map(profile_keys.__getitem__, masks[r].tolist()),
-                *(
-                    map(values.__getitem__, payoffs)
-                    for payoffs in inverse.reshape(scenario.n, scenario.horizon).tolist()
-                ),
+                *(map(values.__getitem__, column) for column in payoff_columns),
             ]
             handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 

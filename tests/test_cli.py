@@ -64,6 +64,52 @@ def test_validate_lists_every_violation(tmp_path, capsys):
     assert "hash shares" in err and "horizon" in err
 
 
+def _second_state(doc):
+    doc["game"]["states"].append({"id": 1, "label": "fork"})
+    doc["kernel"]["matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+
+
+BAD_PAYOFF_TABLES = {
+    "bad_profile_key": (
+        lambda doc: doc["game"]["payoffs"]["baseline"].update(
+            CX=doc["game"]["payoffs"]["baseline"].pop("CD")
+        ),
+        "error: game.payoffs: state 'baseline': bad profile key 'CX' for 2 miners",
+    ),
+    "wrong_payoff_count": (
+        lambda doc: doc["game"]["payoffs"]["baseline"].update(CD=[0.0]),
+        "error: game.payoffs: state 'baseline', profile 'CD': expected 2 payoffs, got 1",
+    ),
+    "incomplete_table": (
+        lambda doc: doc["game"]["payoffs"]["baseline"].pop("DD"),
+        "error: game.payoffs: state 'baseline': 3 of 4 profiles defined",
+    ),
+    "missing_state_table": (
+        _second_state,
+        "error: game.payoffs: payoff tables missing for states: ['fork']",
+    ),
+    "unknown_state_table": (
+        lambda doc: doc["game"]["payoffs"].update(fork=doc["game"]["payoffs"]["baseline"]),
+        "error: game.payoffs: payoff tables for unknown states: ['fork']",
+    ),
+    "nan_payoff": (
+        lambda doc: doc["game"]["payoffs"]["baseline"].update(CC=[float("nan"), 3.0]),
+        "error: game.payoffs: payoff table for state 'baseline' has non-finite entries",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAYOFF_TABLES))
+def test_validate_pins_payoff_table_errors(case, tmp_path, capsys):
+    corrupt, expected = BAD_PAYOFF_TABLES[case]
+    doc = yaml.safe_load(FIXED_RULES)
+    corrupt(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == expected + "\n"
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.yaml")]) == EXIT_IO
 

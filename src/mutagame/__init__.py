@@ -23,7 +23,6 @@ from .discounting import (
 from .equilibrium import (
     CooperationCondition,
     GrimThreshold,
-    NormalFormGame,
     cooperation_condition,
     effective_coop_value,
     grim_cooperation_verdict,
@@ -39,13 +38,10 @@ from .errors import (
 )
 from .game import (
     Action,
-    PlayHistory,
+    NormalFormGame,
     StageGameSpec,
     StrategyKind,
     StrategyTag,
-    block_lottery,
-    resolve_actions,
-    stage_payoffs,
     validate_shares,
 )
 from .protocol import (
@@ -56,9 +52,7 @@ from .protocol import (
     integrity,
     kernel_entropy,
     mutation_rate,
-    sample_theta,
     stationary_distribution,
-    step_protocol,
 )
 from .scenario import apply_overrides, load_scenario, parse_document
 from .simulate import (
@@ -66,18 +60,14 @@ from .simulate import (
     BatchTrace,
     MetaModelConfig,
     Miner,
-    ReplicaTrace,
     Scenario,
-    SpiralReport,
     apply_meta_influence,
-    cooperation_duration,
-    detect_spiral,
     replica_rng,
     run_batch,
     run_replica,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Action",
@@ -96,11 +86,8 @@ __all__ = [
     "NoisePath",
     "NormalFormGame",
     "PayoffVariance",
-    "PlayHistory",
-    "ReplicaTrace",
     "Scenario",
     "ScenarioValidationError",
-    "SpiralReport",
     "StageGameSpec",
     "StrategyKind",
     "StrategyTag",
@@ -109,11 +96,8 @@ __all__ = [
     "ZERO_NOISE",
     "apply_meta_influence",
     "apply_overrides",
-    "block_lottery",
     "breakeven_horizon",
     "cooperation_condition",
-    "cooperation_duration",
-    "detect_spiral",
     "discounted_utility",
     "effective_coop_value",
     "endogenous_discount_path",
@@ -129,14 +113,10 @@ __all__ = [
     "payoff_variance",
     "pure_nash",
     "replica_rng",
-    "resolve_actions",
     "risk_adjusted_utility",
     "run_batch",
     "run_replica",
-    "sample_theta",
-    "stage_payoffs",
     "stationary_distribution",
-    "step_protocol",
     "truncation_horizon",
     "validate_shares",
 ]

@@ -28,7 +28,7 @@ from .errors import (
     ScenarioValidationError,
 )
 from .protocol import integrity, kernel_entropy, mutation_rate
-from .scenario import apply_overrides, load_document, parse_document
+from .scenario import apply_overrides, load_document, load_scenario, parse_document
 from .simulate import BatchSummary, BatchTrace, Scenario, run_batch
 
 EXIT_OK = 0
@@ -60,14 +60,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
-def _load(args: argparse.Namespace) -> Scenario:
-    doc = load_document(args.scenario)
-    overrides = _collect_overrides(args)
-    if overrides:
-        doc = apply_overrides(doc, overrides)
-    return parse_document(doc, name=Path(args.scenario).stem)
-
-
 def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
     """Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}.
 
@@ -78,7 +70,7 @@ def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
     formatted field by field.
     """
     profile_keys = ["".join(p) for p in itertools.product("CD", repeat=scenario.n)]
-    state_keys = list(map(str, range(scenario.game.num_states)))
+    state_keys = list(map(str, range(len(scenario.game))))
     masks = batch.profile_masks()
     rounds = list(map(str, range(scenario.horizon)))
     no_theta = [""] * scenario.horizon
@@ -136,13 +128,13 @@ def _print_summary(scenario: Scenario, summary: BatchSummary) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _load(args)
+    load_scenario(args.scenario, _collect_overrides(args))
     print("OK")
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario, _collect_overrides(args))
     summary, batch = run_batch(scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,6 +165,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary, batch = run_batch(scenario)
         durations = batch.cooperation_duration.astype(float)
         utilities = batch.discounted_utility.mean(axis=1)
+        del batch  # free this point's trace before the next point runs
         rows.append(
             [
                 args.param,
@@ -210,13 +203,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario, _collect_overrides(args))
     game = scenario.game
     rates = mutation_rate(scenario.kernel)
     uniform = kernel_entropy(scenario.kernel, "uniform")
     stationary = kernel_entropy(scenario.kernel, "stationary")
     print(f"scenario: {scenario.name}")
-    print(f"miners: {scenario.n}, protocol states: {game.num_states}")
+    print(f"miners: {scenario.n}, protocol states: {len(game)}")
     print("kernel")
     print(f"  mutation rate per state: {[round(e, 12) for e in rates.per_state]}")
     print(f"  epsilon_max: {rates.maximum:.6f}")
@@ -225,9 +218,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"  entropy (stationary weighting): {stationary.value:.6f} nats{suffix}")
     print(f"  integrity: {integrity(scenario.kernel):.6f}")
     all_hold = True
-    for state in range(game.num_states):
-        label = game.state_labels[state]
-        stage = equilibrium.NormalFormGame.from_stage_game(game, state)
+    for state, (label, stage) in enumerate(zip(game.state_labels, game)):
         nash = equilibrium.pure_nash(stage)
         threshold = equilibrium.grim_trigger_threshold(stage)
         verdict = equilibrium.grim_cooperation_verdict(

@@ -9,64 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .discounting import validate_discount
 from .errors import CapacityError, ConfigurationError
-from .game import Action, StageGameSpec
+from .game import Action, NormalFormGame
 
 MAX_NASH_PLAYERS = 20
-
-
-class NormalFormGame:
-    """n-player binary-action game as a payoff tensor of shape (2,)*n + (n,)."""
-
-    def __init__(self, payoff_tensor) -> None:
-        arr = np.array(payoff_tensor, dtype=float)
-        n = arr.ndim - 1
-        if n < 1 or arr.shape != (2,) * n + (n,):
-            raise ConfigurationError(
-                f"payoff tensor shape {arr.shape} is not (2,)*n + (n,) for any n"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("payoff tensor has non-finite entries")
-        arr.setflags(write=False)
-        self.tensor = arr
-        self.n = n
-
-    @classmethod
-    def from_profile_map(
-        cls, profiles: Mapping[str, Sequence[float]]
-    ) -> "NormalFormGame":
-        """Build from a mapping of C/D profile strings to payoff vectors."""
-        if not profiles:
-            raise ConfigurationError("empty profile map")
-        n = len(next(iter(profiles)))
-        arr = np.empty((2,) * n + (n,), dtype=float)
-        seen = set()
-        for key, values in profiles.items():
-            if len(key) != n or any(c not in "CD" for c in key):
-                raise ConfigurationError(f"bad profile key {key!r}")
-            if len(values) != n:
-                raise ConfigurationError(
-                    f"profile {key!r}: expected {n} payoffs, got {len(values)}"
-                )
-            idx = tuple(0 if c == "C" else 1 for c in key)
-            arr[idx] = values
-            seen.add(idx)
-        if len(seen) != 2 ** n:
-            raise ConfigurationError(f"{len(seen)} of {2 ** n} profiles defined")
-        return cls(arr)
-
-    @classmethod
-    def from_stage_game(cls, game: StageGameSpec, state: int) -> "NormalFormGame":
-        """The stage game fixed at one protocol state."""
-        return cls(game.table(state))
-
-    def payoff(self, profile: Sequence[int]) -> np.ndarray:
-        return self.tensor[tuple(profile)]
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
-"""Stage game: miners, strategies, state-indexed payoff tables, block lottery.
+"""Stage game: actions, strategies, hash shares and state-indexed payoff tables.
 
 Each round every miner resolves to one of two actions (Cooperate/Defect);
-payoffs come from a per-protocol-state table over joint action profiles.
-All objects are immutable after construction and every operation is pure
-given an explicit random generator, so replicas can run in parallel.
+payoffs come from the normal-form game of the protocol state in force, over
+joint action profiles. All objects are immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -33,14 +32,6 @@ class Action(Enum):
     def index(self) -> int:
         return 0 if self is Action.COOPERATE else 1
 
-    @classmethod
-    def from_symbol(cls, symbol: str) -> "Action":
-        if symbol == "C":
-            return cls.COOPERATE
-        if symbol == "D":
-            return cls.DEFECT
-        raise ConfigurationError(f"unknown action symbol {symbol!r}, expected 'C' or 'D'")
-
 
 class StrategyTag(Enum):
     """Named miner behaviours.
@@ -61,7 +52,6 @@ class StrategyTag(Enum):
     META_INVESTOR = "MetaInvestor"
 
 
-_ALWAYS_COOPERATE = {StrategyTag.HONEST, StrategyTag.META_INVESTOR}
 _ALWAYS_DEFECT = {StrategyTag.WITHHOLD, StrategyTag.COLLUDE, StrategyTag.ALWAYS_DEFECT}
 
 
@@ -92,38 +82,6 @@ class StrategyKind:
                 f"{self.tag.value} carries no meta_budget/preferred_state payload"
             )
 
-    @classmethod
-    def honest(cls) -> "StrategyKind":
-        return cls(StrategyTag.HONEST)
-
-    @classmethod
-    def withhold(cls) -> "StrategyKind":
-        return cls(StrategyTag.WITHHOLD)
-
-    @classmethod
-    def collude(cls) -> "StrategyKind":
-        return cls(StrategyTag.COLLUDE)
-
-    @classmethod
-    def grim_trigger(cls) -> "StrategyKind":
-        return cls(StrategyTag.GRIM_TRIGGER)
-
-    @classmethod
-    def tit_for_tat(cls) -> "StrategyKind":
-        return cls(StrategyTag.TIT_FOR_TAT)
-
-    @classmethod
-    def always_defect(cls) -> "StrategyKind":
-        return cls(StrategyTag.ALWAYS_DEFECT)
-
-    @classmethod
-    def myopic_best_response(cls) -> "StrategyKind":
-        return cls(StrategyTag.MYOPIC_BEST_RESPONSE)
-
-    @classmethod
-    def meta_investor(cls, meta_budget: float, preferred_state: int) -> "StrategyKind":
-        return cls(StrategyTag.META_INVESTOR, meta_budget, preferred_state)
-
 
 def validate_shares(shares: Sequence[float]) -> None:
     """Reject hash-share vectors that are out of range or not normalized."""
@@ -139,58 +97,89 @@ def validate_shares(shares: Sequence[float]) -> None:
         )
 
 
-def profile_key(profile: Sequence[Action]) -> str:
-    """Compact C/D string for a joint action profile, miner 0 first."""
-    return "".join(a.symbol for a in profile)
+class NormalFormGame:
+    """n-player binary-action game as a payoff tensor of shape (2,)*n + (n,).
 
-
-def parse_profile(key: str) -> tuple[Action, ...]:
-    return tuple(Action.from_symbol(c) for c in key)
-
-
-class StageGameSpec:
-    """Per-protocol-state payoff tables over joint action profiles.
-
-    Tables are stored as one read-only float array per state with shape
-    ``(2,) * n + (n,)``; axis ``i`` is miner ``i``'s action (0=Cooperate,
-    1=Defect) and the trailing axis is the payee.
+    Axis ``i`` is miner ``i``'s action (0=Cooperate, 1=Defect) and the
+    trailing axis is the payee. ``state`` is the label of the protocol state
+    the game belongs to, if any; error messages name it.
     """
 
-    def __init__(
-        self,
+    def __init__(self, payoff_tensor, state: str | None = None) -> None:
+        subject = "payoff tensor" if state is None else f"payoff table for state {state!r}"
+        arr = np.array(payoff_tensor, dtype=float)
+        n = arr.ndim - 1
+        if n < 1 or arr.shape != (2,) * n + (n,):
+            raise ConfigurationError(
+                f"{subject} has shape {arr.shape}, not (2,)*n + (n,) for any n"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise ConfigurationError(f"{subject} has non-finite entries")
+        arr.setflags(write=False)
+        self.tensor = arr
+        self.n = n
+
+    @classmethod
+    def from_profile_map(
+        cls, profiles: Mapping[str, Sequence[float]], state: str | None = None
+    ) -> "NormalFormGame":
+        """Build from a mapping of C/D profile strings to payoff vectors."""
+
+        def at_state(text: str, separator: str = ": ") -> str:
+            return text if state is None else f"state {state!r}{separator}{text}"
+
+        if not profiles:
+            raise ConfigurationError(at_state("empty profile map"))
+        n = len(next(iter(profiles)))
+        arr = np.empty((2,) * n + (n,), dtype=float)
+        seen = set()
+        for key, values in profiles.items():
+            if len(key) != n or any(c not in "CD" for c in key):
+                raise ConfigurationError(at_state(f"bad profile key {key!r} for {n} miners"))
+            if len(values) != n:
+                raise ConfigurationError(at_state(
+                    f"profile {key!r}: expected {n} payoffs, got {len(values)}", ", "
+                ))
+            idx = tuple(0 if c == "C" else 1 for c in key)
+            arr[idx] = values
+            seen.add(idx)
+        if len(seen) != 2 ** n:
+            raise ConfigurationError(at_state(f"{len(seen)} of {2 ** n} profiles defined"))
+        return cls(arr, state)
+
+
+class StageGameSpec(tuple):
+    """The stage game of every protocol state: a tuple of ``NormalFormGame``
+    indexed by state, all over the same miners, plus the state labels and
+    whether a block lottery pays each round."""
+
+    state_labels: tuple[str, ...]
+    lottery_mode: bool
+
+    def __new__(
+        cls,
         state_labels: Sequence[str],
-        payoff_arrays: Sequence[np.ndarray],
+        games: Sequence[NormalFormGame],
         lottery_mode: bool = False,
-    ):
+    ) -> "StageGameSpec":
         if len(state_labels) == 0:
             raise ConfigurationError("at least one protocol state required")
-        if len(state_labels) != len(payoff_arrays):
+        if len(state_labels) != len(games):
             raise ConfigurationError(
-                f"{len(state_labels)} state labels but {len(payoff_arrays)} payoff tables"
+                f"{len(state_labels)} state labels but {len(games)} payoff tables"
             )
         if len(set(state_labels)) != len(state_labels):
             raise ConfigurationError("protocol state labels must be unique")
-        first = np.asarray(payoff_arrays[0], dtype=float)
-        n = first.ndim - 1
-        if n < 1:
-            raise ConfigurationError("payoff table must cover at least one miner")
-        expected_shape = (2,) * n + (n,)
-        arrays = []
-        for label, arr in zip(state_labels, payoff_arrays):
-            arr = np.array(arr, dtype=float)
-            if arr.shape != expected_shape:
+        for label, game in zip(state_labels, games):
+            if game.n != games[0].n:
                 raise ConfigurationError(
-                    f"payoff table for state {label!r} has shape {arr.shape}, "
-                    f"expected {expected_shape}"
+                    f"payoff table for state {label!r} has shape {game.tensor.shape}, "
+                    f"expected {games[0].tensor.shape}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ConfigurationError(f"payoff table for state {label!r} has non-finite entries")
-            arr.setflags(write=False)
-            arrays.append(arr)
-        self._labels = tuple(state_labels)
-        self._arrays = tuple(arrays)
-        self._n = n
+        self = super().__new__(cls, games)
+        self.state_labels = tuple(state_labels)
         self.lottery_mode = bool(lottery_mode)
+        return self
 
     @classmethod
     def from_profile_maps(
@@ -206,223 +195,12 @@ class StageGameSpec:
         extra = [label for label in payoffs_by_state if label not in state_labels]
         if extra:
             raise ConfigurationError(f"payoff tables for unknown states: {extra}")
-        any_table = payoffs_by_state[state_labels[0]]
-        if not any_table:
-            raise ConfigurationError("empty payoff table")
-        n = len(next(iter(any_table)))
-        arrays = []
-        for label in state_labels:
-            table = payoffs_by_state[label]
-            arr = np.empty((2,) * n + (n,), dtype=float)
-            seen = set()
-            for key, values in table.items():
-                if len(key) != n or any(c not in "CD" for c in key):
-                    raise ConfigurationError(
-                        f"state {label!r}: bad profile key {key!r} for {n} miners"
-                    )
-                if len(values) != n:
-                    raise ConfigurationError(
-                        f"state {label!r}, profile {key!r}: expected {n} payoffs, "
-                        f"got {len(values)}"
-                    )
-                idx = tuple(0 if c == "C" else 1 for c in key)
-                arr[idx] = values
-                seen.add(idx)
-            if len(seen) != 2 ** n:
-                raise ConfigurationError(
-                    f"state {label!r}: {len(seen)} of {2 ** n} profiles defined"
-                )
-            arrays.append(arr)
-        return cls(state_labels, arrays, lottery_mode=lottery_mode)
+        games = [
+            NormalFormGame.from_profile_map(payoffs_by_state[label], state=label)
+            for label in state_labels
+        ]
+        return cls(state_labels, games, lottery_mode)
 
     @property
     def n(self) -> int:
-        return self._n
-
-    @property
-    def num_states(self) -> int:
-        return len(self._labels)
-
-    @property
-    def state_labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    def table(self, state: int) -> np.ndarray:
-        if not 0 <= state < self.num_states:
-            raise ConfigurationError(
-                f"unknown protocol state {state}, have {self.num_states} states"
-            )
-        return self._arrays[state]
-
-
-def stage_payoffs(
-    game: StageGameSpec, state: int, profile: Sequence[Action]
-) -> np.ndarray:
-    """Payoff vector for a joint profile under the given protocol state."""
-    if len(profile) != game.n:
-        raise ConfigurationError(
-            f"profile has {len(profile)} actions for a {game.n}-miner game"
-        )
-    idx = tuple(a.index for a in profile)
-    return game.table(state)[idx].copy()
-
-
-def block_lottery(shares: Sequence[float], rng: np.random.Generator) -> int:
-    """Sample the block winner, miner i with probability shares[i].
-
-    Consumes exactly one uniform draw from the stream.
-    """
-    validate_shares(shares)
-    cuts = np.cumsum(np.asarray(shares, dtype=float))
-    u = rng.random()
-    winner = int(np.searchsorted(cuts, u, side="right"))
-    return min(winner, len(cuts) - 1)
-
-
-@dataclass
-class PlayHistory:
-    """Running view of past play: last profile plus cumulative standing flags.
-
-    ``append`` must be called once per completed round, in order. Aggregates
-    are monotone, which is what makes grim triggers absorbing.
-    """
-
-    num_miners: int
-    rounds: int = 0
-    last_profile: tuple[Action, ...] | None = None
-    defect_counts: list[int] = field(default_factory=list)
-    total_defects: int = 0
-    mutation_seen: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.defect_counts:
-            self.defect_counts = [0] * self.num_miners
-
-    def append(self, profile: Sequence[Action], mutated: bool = False) -> None:
-        if len(profile) != self.num_miners:
-            raise ConfigurationError(
-                f"profile has {len(profile)} actions for {self.num_miners} miners"
-            )
-        for i, action in enumerate(profile):
-            if action is Action.DEFECT:
-                self.defect_counts[i] += 1
-                self.total_defects += 1
-        self.last_profile = tuple(profile)
-        self.mutation_seen = self.mutation_seen or bool(mutated)
-        self.rounds += 1
-
-    def opponent_defected(self, miner: int) -> bool:
-        return self.total_defects - self.defect_counts[miner] > 0
-
-    @classmethod
-    def from_rounds(
-        cls,
-        num_miners: int,
-        profiles: Sequence[Sequence[Action]],
-        mutated_flags: Sequence[bool] | None = None,
-    ) -> "PlayHistory":
-        history = cls(num_miners)
-        flags = mutated_flags if mutated_flags is not None else [False] * len(profiles)
-        for profile, mutated in zip(profiles, flags):
-            history.append(profile, mutated)
-        return history
-
-
-def _myopic_response(
-    miner: int,
-    history: PlayHistory,
-    game: StageGameSpec,
-    state: int,
-    discount: float | None,
-) -> Action:
-    """Best response holding opponents at their previous actions.
-
-    Without a discount context the comparison is the one-shot stage payoff.
-    With a discount it also prices the grim continuation: defecting now is
-    assumed to switch the future from the all-Cooperate to the all-Defect
-    payoff stream, each valued at delta/(1-delta). Either way, ties resolve
-    to Cooperate.
-    """
-    n = game.n
-    if history.last_profile is None:
-        others = [Action.COOPERATE] * n
-    else:
-        others = list(history.last_profile)
-    coop_profile = list(others)
-    coop_profile[miner] = Action.COOPERATE
-    defect_profile = list(others)
-    defect_profile[miner] = Action.DEFECT
-    table = game.table(state)
-    value_coop = float(table[tuple(a.index for a in coop_profile)][miner])
-    value_defect = float(table[tuple(a.index for a in defect_profile)][miner])
-    opponents_cooperating = all(
-        a is Action.COOPERATE for j, a in enumerate(others) if j != miner
-    )
-    if discount is not None and opponents_cooperating:
-        # Deviation tested against the folk-theorem threat: cooperate keeps
-        # the all-C stream, defect triggers the all-D stream.
-        weight = discount / (1.0 - discount)
-        all_coop = float(table[(0,) * n][miner])
-        all_defect = float(table[(1,) * n][miner])
-        value_coop += weight * all_coop
-        value_defect += weight * all_defect
-    return Action.COOPERATE if value_coop >= value_defect else Action.DEFECT
-
-
-def resolve_actions(
-    strategies: Sequence[StrategyKind],
-    history: PlayHistory,
-    round_index: int,
-    *,
-    game: StageGameSpec | None = None,
-    state: int | None = None,
-    trigger_on_mutation: bool = False,
-    discount: float | None = None,
-) -> list[Action]:
-    """Resolve every miner's strategy to this round's action.
-
-    Rules:
-      * Honest and MetaInvestor always Cooperate; Withhold, Collude and
-        AlwaysDefect always Defect.
-      * GrimTrigger Cooperates until any opponent Defect is on record (or a
-        protocol mutation, when ``trigger_on_mutation``), then Defects forever.
-      * TitForTat Cooperates at round 0, then mirrors the majority of the
-        opponents' previous actions; ties Cooperate.
-      * MyopicBestResponse needs ``game`` and ``state``; see _myopic_response
-        for the optional discount-aware deviation test.
-    """
-    if history.rounds != round_index:
-        raise ConfigurationError(
-            f"history holds {history.rounds} rounds but round {round_index} was requested"
-        )
-    actions: list[Action] = []
-    for i, strategy in enumerate(strategies):
-        tag = strategy.tag
-        if tag in _ALWAYS_COOPERATE:
-            actions.append(Action.COOPERATE)
-        elif tag in _ALWAYS_DEFECT:
-            actions.append(Action.DEFECT)
-        elif tag is StrategyTag.GRIM_TRIGGER:
-            triggered = history.opponent_defected(i) or (
-                trigger_on_mutation and history.mutation_seen
-            )
-            actions.append(Action.DEFECT if triggered else Action.COOPERATE)
-        elif tag is StrategyTag.TIT_FOR_TAT:
-            if history.last_profile is None:
-                actions.append(Action.COOPERATE)
-            else:
-                opponent_actions = [
-                    a for j, a in enumerate(history.last_profile) if j != i
-                ]
-                defects = sum(1 for a in opponent_actions if a is Action.DEFECT)
-                majority_defect = defects > len(opponent_actions) / 2
-                actions.append(Action.DEFECT if majority_defect else Action.COOPERATE)
-        elif tag is StrategyTag.MYOPIC_BEST_RESPONSE:
-            if game is None or state is None:
-                raise ConfigurationError(
-                    "MyopicBestResponse requires the stage game and current state"
-                )
-            actions.append(_myopic_response(i, history, game, state, discount))
-        else:  # pragma: no cover - enum is exhaustive
-            raise ConfigurationError(f"unhandled strategy tag {tag}")
-    return actions
+        return self[0].n

@@ -39,9 +39,6 @@ class TransitionKernel:
                 )
         arr.setflags(write=False)
         self._matrix = arr
-        cum = np.cumsum(arr, axis=1)
-        cum.setflags(write=False)
-        self._cumulative = cum
 
     @property
     def size(self) -> int:
@@ -52,15 +49,9 @@ class TransitionKernel:
         return self._matrix
 
     def row(self, state: int) -> np.ndarray:
-        self._check_state(state)
-        return self._matrix[state]
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self._matrix, np.eye(self.size)))
-
-    def _check_state(self, state: int) -> None:
         if not 0 <= state < self.size:
             raise IndexError(f"protocol state {state} out of range [0, {self.size})")
+        return self._matrix[state]
 
     @classmethod
     def identity(cls, size: int) -> "TransitionKernel":
@@ -99,19 +90,6 @@ class ThetaProcess:
     def __post_init__(self) -> None:
         if self.variance < 0.0:
             raise ConfigurationError(f"theta variance must be >= 0, got {self.variance}")
-
-
-def sample_from_cumulative(cumulative_row: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample consuming exactly one uniform draw."""
-    u = rng.random()
-    index = int(np.searchsorted(cumulative_row, u, side="right"))
-    return min(index, len(cumulative_row) - 1)
-
-
-def step_protocol(kernel: TransitionKernel, current: int, rng: np.random.Generator) -> int:
-    """Sample the next protocol state from the kernel row of the current one."""
-    kernel._check_state(current)
-    return sample_from_cumulative(kernel._cumulative[current], rng)
 
 
 def mutation_rate(kernel: TransitionKernel) -> MutationRate:
@@ -217,11 +195,3 @@ def integrity(kernel: TransitionKernel) -> float:
     diagonal mass moves off-diagonal.
     """
     return float(np.min(np.diag(kernel.matrix)))
-
-
-def sample_theta(process: ThetaProcess, rng: np.random.Generator) -> float:
-    """One Gaussian draw, taken even at zero variance. It is one
-    ``standard_normal()`` call: one 64-bit word of the stream on numpy's
-    ziggurat fast path, more words off it."""
-    z = rng.standard_normal()
-    return float(process.mean + math.sqrt(process.variance) * z)

@@ -14,7 +14,6 @@ depend on play, so they are computed before the actions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,12 +29,9 @@ from .discounting import (
 from .errors import ConfigurationError, ScenarioValidationError
 from .game import (
     _ALWAYS_DEFECT,
-    Action,
-    PlayHistory,
     StageGameSpec,
     StrategyKind,
     StrategyTag,
-    _myopic_response,
     validate_shares,
 )
 from .protocol import ThetaProcess, TransitionKernel
@@ -113,10 +109,10 @@ class Scenario:
             errors.append(
                 f"game: payoff tables cover {self.game.n} miners but scenario has {n}"
             )
-        if self.kernel.size != self.game.num_states:
+        if self.kernel.size != len(self.game):
             errors.append(
                 f"kernel: {self.kernel.size} states but game defines "
-                f"{self.game.num_states}"
+                f"{len(self.game)}"
             )
         if not 0 <= self.initial_state < self.kernel.size:
             errors.append(
@@ -164,50 +160,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """One simulated round: state in force, actions, realized payoffs."""
-
-    t: int
-    state: int
-    theta: float | None
-    profile: tuple[Action, ...]
-    payoffs: tuple[float, ...]
-    mutated: bool
-    lottery_winner: int | None = None
-
-
-@dataclass
-class ReplicaTrace:
-    """One replica's rounds as records, with its per-miner utilities."""
-
-    replica_index: int
-    records: list[RoundRecord]
-    discounted_utility: tuple[float, ...] = ()
-    endogenous_utility: tuple[float, ...] | None = None
-    mutation_count: int = 0
-
-    def cooperation_fractions(self) -> list[float]:
-        n = len(self.records[0].profile)
-        return [
-            sum(1 for a in record.profile if a is Action.COOPERATE) / n
-            for record in self.records
-        ]
-
-    @property
-    def final_cooperation_fraction(self) -> float:
-        return self.cooperation_fractions()[-1]
-
-
-@dataclass(frozen=True)
-class SpiralReport:
-    """Permanent-collapse onset: the first round from which the cooperating
-    fraction stays below the threshold for every remaining round."""
-
-    onset_round: int | None
-    final_cooperation_fraction: float
-
-
-@dataclass(frozen=True)
 class BatchSummary:
     replica_count: int
     mean_utility: tuple[float, ...]
@@ -251,7 +203,6 @@ class BatchTrace:
     scenario draws them. Per replica: ``discounted_utility`` and
     ``endogenous_utility`` (R, n), and ``cooperation_duration`` (R,), the
     rounds before the spiral onset, or H when the replica does not spiral.
-    Indexing or iterating yields per-replica ``ReplicaTrace`` views.
     """
 
     replicas: range
@@ -266,39 +217,6 @@ class BatchTrace:
 
     def __len__(self) -> int:
         return len(self.replicas)
-
-    def __iter__(self):
-        return (self[r] for r in range(len(self)))
-
-    def __getitem__(self, r: int) -> ReplicaTrace:
-        r = range(len(self))[r]
-        horizon = self.states.shape[1]
-        states = self.states[r].tolist()
-        thetas = [None] * horizon if self.theta is None else self.theta[r].tolist()
-        winners = [None] * horizon if self.winner is None else self.winner[r].tolist()
-        actions = (Action.COOPERATE, Action.DEFECT)
-        records = [
-            RoundRecord(
-                t=t,
-                state=states[t],
-                theta=thetas[t],
-                profile=tuple(actions[d] for d in defects),
-                payoffs=tuple(payoffs),
-                mutated=t > 0 and states[t] != states[t - 1],
-                lottery_winner=winners[t],
-            )
-            for t, (defects, payoffs) in enumerate(
-                zip(self.defects[r].tolist(), self.payoffs[r].tolist())
-            )
-        ]
-        endogenous = self.endogenous_utility
-        return ReplicaTrace(
-            replica_index=self.replicas[r],
-            records=records,
-            discounted_utility=tuple(self.discounted_utility[r].tolist()),
-            endogenous_utility=None if endogenous is None else tuple(endogenous[r].tolist()),
-            mutation_count=sum(record.mutated for record in records),
-        )
 
     @property
     def mutation_counts(self) -> np.ndarray:
@@ -362,32 +280,10 @@ def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:
     return summarize_batch(scenario, batch), batch
 
 
-def run_replica(scenario: Scenario, replica_index: int) -> ReplicaTrace:
-    """Run one replica; identical (scenario, replica_index) gives an identical trace."""
-    return _simulate(scenario, range(replica_index, replica_index + 1))[0]
-
-
-def detect_spiral(trace: ReplicaTrace, threshold: float = 0.5) -> SpiralReport:
-    """Find the permanent-collapse onset, ignoring transient dips.
-
-    The onset is the first round t such that the cooperating fraction is
-    below the threshold at every round >= t; None when the trace ends in a
-    round at or above the threshold.
-    """
-    fractions = trace.cooperation_fractions()
-    last_good = -1
-    for t in range(len(fractions) - 1, -1, -1):
-        if fractions[t] >= threshold:
-            last_good = t
-            break
-    onset = None if last_good == len(fractions) - 1 else last_good + 1
-    return SpiralReport(onset_round=onset, final_cooperation_fraction=fractions[-1])
-
-
-def cooperation_duration(trace: ReplicaTrace, threshold: float = 0.5) -> int:
-    """Rounds before the spiral onset; the full horizon when no spiral occurs."""
-    report = detect_spiral(trace, threshold)
-    return report.onset_round if report.onset_round is not None else len(trace.records)
+def run_replica(scenario: Scenario, replica_index: int) -> BatchTrace:
+    """Run one replica as a one-replica batch; identical (scenario,
+    replica_index) gives an identical trace."""
+    return _simulate(scenario, range(replica_index, replica_index + 1))
 
 
 def _profile_masks(defects: np.ndarray) -> np.ndarray:
@@ -527,28 +423,39 @@ def _extend_words(
     return words
 
 
-def _myopic_defects(scenario: Scenario, miners: list[int]) -> np.ndarray:
+def _myopic_defects(tables: np.ndarray, delta: float, miners: list[int]) -> np.ndarray:
     """Defect flag of each listed MyopicBestResponse miner per state and
-    last-profile bitmask, shape (len(miners), k, 2**n).
+    last-profile bitmask, shape (len(miners), k, 2**n), from the (k, 2**n, n)
+    payoff tables.
 
-    A miner's own bit of the mask is ignored. Round 0 reads mask 0: with no
-    last profile, opponents are held at Cooperate.
+    A miner compares its payoff with its own bit of the mask cleared
+    (Cooperate) and set (Defect), opponents held at the mask. When every
+    opponent cooperated it also prices the grim continuation: delta/(1-delta)
+    times the all-Cooperate payoff for Cooperate, times the all-Defect payoff
+    for Defect. Ties Cooperate. Round 0 reads mask 0: with no last profile,
+    opponents are held at Cooperate.
     """
-    n, k = scenario.n, scenario.kernel.size
-    table = np.empty((len(miners), k, 2**n), dtype=bool)
-    profiles = itertools.product((Action.COOPERATE, Action.DEFECT), repeat=n)
-    for mask, profile in enumerate(profiles):
-        history = PlayHistory.from_rounds(n, [profile])
-        for state in range(k):
-            for j, miner in enumerate(miners):
-                action = _myopic_response(miner, history, scenario.game, state, scenario.delta)
-                table[j, state, mask] = action is Action.DEFECT
-    return table
+    n = tables.shape[-1]
+    masks = np.arange(2**n)
+    weight = delta / (1.0 - delta)
+    flags = []
+    for miner in miners:
+        bit = 1 << (n - 1 - miner)
+        cooperate = tables[:, masks & ~bit, miner]
+        defect = tables[:, masks | bit, miner]
+        threatened = (masks & ~bit) == 0
+        cooperate[:, threatened] += weight * tables[:, :1, miner]
+        defect[:, threatened] += weight * tables[:, -1:, miner]
+        flags.append(cooperate < defect)
+    return np.stack(flags)
 
 
-def _resolve_defects(scenario: Scenario, states: np.ndarray) -> np.ndarray:
-    """Defect flags (R, H, n) under the rules of ``game.resolve_actions``,
-    one round at a time over all replicas."""
+def _resolve_defects(
+    scenario: Scenario, states: np.ndarray, tables: np.ndarray
+) -> np.ndarray:
+    """Defect flags (R, H, n) under the strategy rules, one round at a time
+    over all replicas; ``tables`` are the (k, 2**n, n) payoff tables. The
+    scalar reference is ``resolve_actions`` in ``tests/oracles.py``."""
     replicas, horizon = states.shape
     n = scenario.n
     tags = [m.strategy.tag for m in scenario.miners]
@@ -562,7 +469,7 @@ def _resolve_defects(scenario: Scenario, states: np.ndarray) -> np.ndarray:
     tit_for_tat = miners(StrategyTag.TIT_FOR_TAT)
     myopic = miners(StrategyTag.MYOPIC_BEST_RESPONSE)
     if myopic:
-        myopic_table = _myopic_defects(scenario, myopic)
+        myopic_table = _myopic_defects(tables, scenario.delta, myopic)
     # Round t's flag marks a rule change entering it; strategies see it from
     # round t + 1 on.
     mutation_seen = np.zeros((replicas, horizon), dtype=bool)
@@ -615,8 +522,8 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
         below = cumulative[states[:, t]] <= draws[:, t, :1]
         np.minimum(below.sum(axis=1), kernel.size - 1, out=states[:, t + 1])
 
-    defects = _resolve_defects(scenario, states)
-    tables = np.stack([game.table(s).reshape(-1, n) for s in range(kernel.size)])
+    tables = np.stack([stage.tensor.reshape(-1, n) for stage in game])
+    defects = _resolve_defects(scenario, states, tables)
     payoffs = tables[states, _profile_masks(defects)]
     theta = None
     if scenario.theta is not None:

@@ -3,36 +3,43 @@
 The Nash oracle is deliberately written against the plain dict
 representation of a game, with no reliance on the package's tensor layout,
 so it stays an independent check of the enumeration code paths. The scalar
-engine plays one replica round by round through the single-round library
-functions; it is the reference for the replica-vectorized batch engine. The
-row-at-a-time ``csv.writer`` trace writer is the reference for the columnar
-one in ``mutagame.cli``.
+engine plays one replica round by round through the single-round functions
+below (strategy resolution, protocol step, theta, stage payoffs, block
+lottery, spiral detection); it is the reference for the replica-vectorized
+batch engine and returns the same ``BatchTrace`` arrays. The row-at-a-time
+``csv.writer`` trace writer is the reference for the columnar one in
+``mutagame.cli``.
 """
 
 import csv
+import dataclasses
 import itertools
+import math
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from mutagame import (
+    Action,
     BatchSummary,
-    PlayHistory,
-    ReplicaTrace,
+    BatchTrace,
+    ConfigurationError,
+    StageGameSpec,
+    StrategyKind,
     StrategyTag,
+    ThetaProcess,
+    TransitionKernel,
     apply_meta_influence,
-    block_lottery,
-    detect_spiral,
     discounted_utility,
     endogenous_discount_path,
     replica_rng,
-    resolve_actions,
     risk_adjusted_utility,
-    sample_theta,
-    stage_payoffs,
-    step_protocol,
+    validate_shares,
 )
-from mutagame.protocol import sample_from_cumulative
-from mutagame.simulate import RoundRecord
+
+_ALWAYS_COOPERATE = {StrategyTag.HONEST, StrategyTag.META_INVESTOR}
+_ALWAYS_DEFECT = {StrategyTag.WITHHOLD, StrategyTag.COLLUDE, StrategyTag.ALWAYS_DEFECT}
 
 
 def nash_oracle(profile_map: dict[str, list[float]]) -> set[str]:
@@ -58,13 +65,262 @@ def random_profile_map(rng: np.random.Generator, n: int) -> dict[str, list[float
     }
 
 
-def scalar_replica(scenario, replica_index):
+def parse_profile(key: str) -> tuple[Action, ...]:
+    """Joint action profile of a C/D string, miner 0 first."""
+    return tuple(map(Action, key))
+
+
+def stage_payoffs(
+    game: StageGameSpec, state: int, profile: Sequence[Action]
+) -> np.ndarray:
+    """Payoff vector for a joint profile under the given protocol state."""
+    if not 0 <= state < len(game):
+        raise ConfigurationError(
+            f"unknown protocol state {state}, have {len(game)} states"
+        )
+    if len(profile) != game.n:
+        raise ConfigurationError(
+            f"profile has {len(profile)} actions for a {game.n}-miner game"
+        )
+    return game[state].tensor[tuple(a.index for a in profile)].copy()
+
+
+def block_lottery(shares: Sequence[float], rng: np.random.Generator) -> int:
+    """Sample the block winner, miner i with probability shares[i].
+
+    Consumes exactly one uniform draw from the stream.
+    """
+    validate_shares(shares)
+    cuts = np.cumsum(np.asarray(shares, dtype=float))
+    u = rng.random()
+    winner = int(np.searchsorted(cuts, u, side="right"))
+    return min(winner, len(cuts) - 1)
+
+
+def sample_from_cumulative(cumulative_row: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF sample consuming exactly one uniform draw."""
+    u = rng.random()
+    index = int(np.searchsorted(cumulative_row, u, side="right"))
+    return min(index, len(cumulative_row) - 1)
+
+
+def step_protocol(kernel: TransitionKernel, current: int, rng: np.random.Generator) -> int:
+    """Sample the next protocol state from the kernel row of the current one."""
+    return sample_from_cumulative(np.cumsum(kernel.row(current)), rng)
+
+
+def sample_theta(process: ThetaProcess, rng: np.random.Generator) -> float:
+    """One Gaussian draw, taken even at zero variance: one
+    ``standard_normal()`` call."""
+    z = rng.standard_normal()
+    return float(process.mean + math.sqrt(process.variance) * z)
+
+
+@dataclass
+class PlayHistory:
+    """Running view of past play: last profile plus cumulative standing flags.
+
+    ``append`` must be called once per completed round, in order. Aggregates
+    are monotone, which is what makes grim triggers absorbing.
+    """
+
+    num_miners: int
+    rounds: int = 0
+    last_profile: tuple[Action, ...] | None = None
+    defect_counts: list[int] = field(default_factory=list)
+    total_defects: int = 0
+    mutation_seen: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.defect_counts:
+            self.defect_counts = [0] * self.num_miners
+
+    def append(self, profile: Sequence[Action], mutated: bool = False) -> None:
+        if len(profile) != self.num_miners:
+            raise ConfigurationError(
+                f"profile has {len(profile)} actions for {self.num_miners} miners"
+            )
+        for i, action in enumerate(profile):
+            if action is Action.DEFECT:
+                self.defect_counts[i] += 1
+                self.total_defects += 1
+        self.last_profile = tuple(profile)
+        self.mutation_seen = self.mutation_seen or bool(mutated)
+        self.rounds += 1
+
+    def opponent_defected(self, miner: int) -> bool:
+        return self.total_defects - self.defect_counts[miner] > 0
+
+    @classmethod
+    def from_rounds(
+        cls,
+        num_miners: int,
+        profiles: Sequence[Sequence[Action]],
+        mutated_flags: Sequence[bool] | None = None,
+    ) -> "PlayHistory":
+        history = cls(num_miners)
+        flags = mutated_flags if mutated_flags is not None else [False] * len(profiles)
+        for profile, mutated in zip(profiles, flags):
+            history.append(profile, mutated)
+        return history
+
+
+def _myopic_response(
+    miner: int,
+    history: PlayHistory,
+    game: StageGameSpec,
+    state: int,
+    discount: float | None,
+) -> Action:
+    """Best response holding opponents at their previous actions.
+
+    Without a discount context the comparison is the one-shot stage payoff.
+    With a discount it also prices the grim continuation: defecting now is
+    assumed to switch the future from the all-Cooperate to the all-Defect
+    payoff stream, each valued at delta/(1-delta). Either way, ties resolve
+    to Cooperate.
+    """
+    n = game.n
+    if history.last_profile is None:
+        others = [Action.COOPERATE] * n
+    else:
+        others = list(history.last_profile)
+    coop_profile = list(others)
+    coop_profile[miner] = Action.COOPERATE
+    defect_profile = list(others)
+    defect_profile[miner] = Action.DEFECT
+    table = game[state].tensor
+    value_coop = float(table[tuple(a.index for a in coop_profile)][miner])
+    value_defect = float(table[tuple(a.index for a in defect_profile)][miner])
+    opponents_cooperating = all(
+        a is Action.COOPERATE for j, a in enumerate(others) if j != miner
+    )
+    if discount is not None and opponents_cooperating:
+        # Deviation tested against the folk-theorem threat: cooperate keeps
+        # the all-C stream, defect triggers the all-D stream.
+        weight = discount / (1.0 - discount)
+        all_coop = float(table[(0,) * n][miner])
+        all_defect = float(table[(1,) * n][miner])
+        value_coop += weight * all_coop
+        value_defect += weight * all_defect
+    return Action.COOPERATE if value_coop >= value_defect else Action.DEFECT
+
+
+def resolve_actions(
+    strategies: Sequence[StrategyKind],
+    history: PlayHistory,
+    round_index: int,
+    *,
+    game: StageGameSpec | None = None,
+    state: int | None = None,
+    trigger_on_mutation: bool = False,
+    discount: float | None = None,
+) -> list[Action]:
+    """Resolve every miner's strategy to this round's action.
+
+    Rules:
+      * Honest and MetaInvestor always Cooperate; Withhold, Collude and
+        AlwaysDefect always Defect.
+      * GrimTrigger Cooperates until any opponent Defect is on record (or a
+        protocol mutation, when ``trigger_on_mutation``), then Defects forever.
+      * TitForTat Cooperates at round 0, then mirrors the majority of the
+        opponents' previous actions; ties Cooperate.
+      * MyopicBestResponse needs ``game`` and ``state``; see _myopic_response
+        for the optional discount-aware deviation test.
+    """
+    if history.rounds != round_index:
+        raise ConfigurationError(
+            f"history holds {history.rounds} rounds but round {round_index} was requested"
+        )
+    actions: list[Action] = []
+    for i, strategy in enumerate(strategies):
+        tag = strategy.tag
+        if tag in _ALWAYS_COOPERATE:
+            actions.append(Action.COOPERATE)
+        elif tag in _ALWAYS_DEFECT:
+            actions.append(Action.DEFECT)
+        elif tag is StrategyTag.GRIM_TRIGGER:
+            triggered = history.opponent_defected(i) or (
+                trigger_on_mutation and history.mutation_seen
+            )
+            actions.append(Action.DEFECT if triggered else Action.COOPERATE)
+        elif tag is StrategyTag.TIT_FOR_TAT:
+            if history.last_profile is None:
+                actions.append(Action.COOPERATE)
+            else:
+                opponent_actions = [
+                    a for j, a in enumerate(history.last_profile) if j != i
+                ]
+                defects = sum(1 for a in opponent_actions if a is Action.DEFECT)
+                majority_defect = defects > len(opponent_actions) / 2
+                actions.append(Action.DEFECT if majority_defect else Action.COOPERATE)
+        elif tag is StrategyTag.MYOPIC_BEST_RESPONSE:
+            if game is None or state is None:
+                raise ConfigurationError(
+                    "MyopicBestResponse requires the stage game and current state"
+                )
+            actions.append(_myopic_response(i, history, game, state, discount))
+        else:  # pragma: no cover - enum is exhaustive
+            raise ConfigurationError(f"unhandled strategy tag {tag}")
+    return actions
+
+
+@dataclass(frozen=True)
+class SpiralReport:
+    """Permanent-collapse onset: the first round from which the cooperating
+    fraction stays below the threshold for every remaining round."""
+
+    onset_round: int | None
+    final_cooperation_fraction: float
+
+
+def detect_spiral(defects, threshold: float = 0.5) -> SpiralReport:
+    """Find the permanent-collapse onset of one replica, ignoring transient
+    dips; ``defects`` is its (H, n) Defect flags.
+
+    The onset is the first round t such that the cooperating fraction is
+    below the threshold at every round >= t; None when the trace ends in a
+    round at or above the threshold.
+    """
+    rounds = np.asarray(defects).tolist()
+    n = len(rounds[0])
+    fractions = [(n - sum(flags)) / n for flags in rounds]
+    last_good = -1
+    for t in range(len(fractions) - 1, -1, -1):
+        if fractions[t] >= threshold:
+            last_good = t
+            break
+    onset = None if last_good == len(fractions) - 1 else last_good + 1
+    return SpiralReport(onset_round=onset, final_cooperation_fraction=fractions[-1])
+
+
+def cooperation_duration(defects, threshold: float = 0.5) -> int:
+    """Rounds before the spiral onset; the full horizon when no spiral occurs."""
+    report = detect_spiral(defects, threshold)
+    return report.onset_round if report.onset_round is not None else len(defects)
+
+
+def replica_fields(batch: BatchTrace, r: int) -> dict:
+    """Replica ``r``'s entry of every ``BatchTrace`` field as plain Python
+    values, so that ``repr`` compares floats bit for bit, ``-0.0`` included."""
+    fields = {}
+    for item in dataclasses.fields(batch):
+        value = getattr(batch, item.name)
+        if isinstance(value, np.ndarray):
+            value = value[r].tolist()
+        elif value is not None:
+            value = value[r]
+        fields[item.name] = value
+    return fields
+
+
+def scalar_replica(scenario, replica_index) -> BatchTrace:
     """Reference engine: the per-round scalar loop, one replica at a time.
 
     It resolves actions, steps the protocol, draws theta and the lottery
-    winner and pays each round through the single-round library functions,
-    in the documented draw order. The batch engine must reproduce it bit
-    for bit.
+    winner and pays each round through the single-round functions above, in
+    the documented draw order, and returns a one-replica ``BatchTrace``. The
+    batch engine must reproduce it bit for bit.
     """
     rng = replica_rng(scenario.master_seed, replica_index)
     game = scenario.game
@@ -80,7 +336,7 @@ def scalar_replica(scenario, replica_index):
                 budget_keep[i] = 1.0 - miner.strategy.meta_budget
 
     history = PlayHistory(n)
-    records: list[RoundRecord] = []
+    states, profiles, thetas, winners = [], [], [], []
     payoff_matrix = np.empty((scenario.horizon, n))
     state = scenario.initial_state
     previous_state: int | None = None
@@ -111,56 +367,52 @@ def scalar_replica(scenario, replica_index):
             payoffs = payoffs * scale
         if meta_enabled:
             payoffs = payoffs * budget_keep
-        winner: int | None = None
         if game.lottery_mode:
             winner = block_lottery(shares, rng)
             mask = np.zeros(n)
             mask[winner] = 1.0
             payoffs = payoffs * mask
+            winners.append(winner)
 
-        records.append(
-            RoundRecord(
-                t=t,
-                state=state,
-                theta=theta,
-                profile=tuple(profile),
-                payoffs=tuple(float(p) for p in payoffs),
-                mutated=mutated,
-                lottery_winner=winner,
-            )
-        )
+        states.append(state)
+        profiles.append([a is Action.DEFECT for a in profile])
+        thetas.append(theta)
         payoff_matrix[t] = payoffs
         history.append(profile, mutated)
         previous_state = state
         state = next_state
 
-    discounted = tuple(
-        discounted_utility(payoff_matrix[:, i], scenario.delta) for i in range(n)
-    )
-    endogenous: tuple[float, ...] | None = None
+    discounted = [discounted_utility(payoff_matrix[:, i], scenario.delta) for i in range(n)]
+    endogenous = None
     if scenario.noise is not None:
         path = endogenous_discount_path(scenario.noise, scenario.horizon - 1)
-        endogenous = tuple(float(v) for v in path @ payoff_matrix)
-    return ReplicaTrace(
-        replica_index=replica_index,
-        records=records,
-        discounted_utility=discounted,
+        endogenous = np.array([path @ payoff_matrix])
+    return BatchTrace(
+        replicas=range(replica_index, replica_index + 1),
+        states=np.array([states]),
+        defects=np.array([profiles], dtype=bool),
+        payoffs=payoff_matrix[None],
+        theta=None if scenario.theta is None else np.array([thetas]),
+        winner=np.array([winners]) if game.lottery_mode else None,
+        discounted_utility=np.array([discounted]),
         endogenous_utility=endogenous,
-        mutation_count=sum(1 for r in records if r.mutated),
+        cooperation_duration=np.array(
+            [cooperation_duration(profiles, scenario.spiral_threshold)]
+        ),
     )
 
 
 def scalar_summary(scenario, traces) -> BatchSummary:
-    """Reference aggregation over a list of per-replica traces."""
+    """Reference aggregation over a list of one-replica traces."""
     n = scenario.n
-    utility = np.array([t.discounted_utility for t in traces])
+    utility = np.array([t.discounted_utility[0] for t in traces])
     mean_utility = utility.mean(axis=0)
     if len(traces) > 1:
         std_utility = utility.std(axis=0, ddof=1)
     else:
         std_utility = np.zeros(n)
 
-    cube = np.array([[r.payoffs for r in trace.records] for trace in traces])
+    cube = np.array([trace.payoffs[0] for trace in traces])
     risk_adjusted = tuple(
         risk_adjusted_utility(cube[:, :, i].T, scenario.delta, scenario.risk_aversion)
         for i in range(n)
@@ -169,19 +421,22 @@ def scalar_summary(scenario, traces) -> BatchSummary:
     durations = []
     spirals = 0
     finals = []
+    mutations = []
     for trace in traces:
-        report = detect_spiral(trace, scenario.spiral_threshold)
+        report = detect_spiral(trace.defects[0], scenario.spiral_threshold)
         if report.onset_round is not None:
             spirals += 1
         durations.append(
             report.onset_round if report.onset_round is not None else scenario.horizon
         )
         finals.append(report.final_cooperation_fraction)
-    mutations = np.array([t.mutation_count for t in traces])
+        states = trace.states[0].tolist()
+        mutations.append(sum(1 for a, b in zip(states, states[1:]) if a != b))
+    mutations = np.array(mutations)
 
     endogenous_mean: tuple[float, ...] | None = None
     if scenario.noise is not None:
-        endo = np.array([t.endogenous_utility for t in traces])
+        endo = np.array([t.endogenous_utility[0] for t in traces])
         endogenous_mean = tuple(float(v) for v in endo.mean(axis=0))
 
     return BatchSummary(

@@ -15,7 +15,6 @@ import yaml
 from oracles import nash_oracle, random_profile_map
 
 from mutagame import (
-    Action,
     MetaModelConfig,
     Miner,
     NoisePath,
@@ -24,10 +23,10 @@ from mutagame import (
     Scenario,
     StageGameSpec,
     StrategyKind,
+    StrategyTag,
     TransitionKernel,
     apply_meta_influence,
     breakeven_horizon,
-    cooperation_duration,
     discounted_utility,
     effective_coop_value,
     endogenous_discount_path,
@@ -43,9 +42,6 @@ from mutagame import (
     truncation_horizon,
 )
 
-C = Action.COOPERATE
-D = Action.DEFECT
-
 PD_TABLE = {"CC": [3.0, 3.0], "CD": [0.0, 5.0], "DC": [5.0, 0.0], "DD": [1.0, 1.0]}
 
 
@@ -60,9 +56,9 @@ def pd_game(num_states=1):
 
 def grim_pd_scenario(*, epsilon, delta, horizon, replicas, seed,
                      deviator=False, trigger_on_mutation=False):
-    strategies = [StrategyKind.grim_trigger(),
-                  StrategyKind.myopic_best_response() if deviator
-                  else StrategyKind.grim_trigger()]
+    strategies = [StrategyKind(StrategyTag.GRIM_TRIGGER),
+                  StrategyKind(StrategyTag.MYOPIC_BEST_RESPONSE) if deviator
+                  else StrategyKind(StrategyTag.GRIM_TRIGGER)]
     num_states = 2 if epsilon > 0 or trigger_on_mutation else 1
     if num_states == 2:
         kernel = TransitionKernel([[1 - epsilon, epsilon], [epsilon, 1 - epsilon]])
@@ -107,13 +103,13 @@ def test_c02_folk_theorem_threshold_reproduction():
             epsilon=0.0, delta=0.55, horizon=100, replicas=1, seed=seed, deviator=True
         )
         trace = run_replica(cooperative, 0)
-        assert all(a is C for record in trace.records for a in record.profile)
+        assert trace.defects.shape == (1, 100, 2) and not trace.defects.any()
     for seed in range(50):
         defecting = grim_pd_scenario(
             epsilon=0.0, delta=0.45, horizon=100, replicas=1, seed=seed, deviator=True
         )
         trace = run_replica(defecting, 0)
-        assert trace.records[0].profile[1] is D
+        assert trace.defects[0, 0, 1]
     _pass(2, "delta* = 0.5; deviator cooperates at delta 0.55 and defects at 0.45 "
              "across 50 seeds each")
 
@@ -149,8 +145,8 @@ def test_c04_mutation_shortens_cooperation():
             epsilon=eps, delta=0.9, horizon=horizon, replicas=replicas, seed=1234,
             trigger_on_mutation=True,
         )
-        summary, traces = run_batch(scenario)
-        durations = np.array([cooperation_duration(t) for t in traces], dtype=float)
+        summary, batch = run_batch(scenario)
+        durations = batch.cooperation_duration.astype(float)
         half_width = (
             1.96 * durations.std(ddof=1) / math.sqrt(replicas)
             if durations.std(ddof=1) > 0 else 0.0
@@ -242,7 +238,7 @@ def test_c08_risk_adjustment_properties():
 
 def test_c09_protocol_dynamics():
     scenario = Scenario(
-        miners=(Miner(0.5, StrategyKind.honest()), Miner(0.5, StrategyKind.honest())),
+        miners=(Miner(0.5, StrategyKind(StrategyTag.HONEST)),) * 2,
         game=pd_game(3),
         kernel=TransitionKernel.identity(3),
         initial_state=1,
@@ -251,8 +247,8 @@ def test_c09_protocol_dynamics():
         replica_count=10,
         master_seed=3,
     )
-    _, traces = run_batch(scenario)
-    assert all(record.state == 1 for trace in traces for record in trace.records)
+    _, batch = run_batch(scenario)
+    assert batch.states.tolist() == [[1] * 100] * 10
     uniform = TransitionKernel(np.full((4, 4), 0.25))
     assert abs(kernel_entropy(uniform).value - math.log(4)) <= 1e-12
     assert integrity(TransitionKernel.identity(5)) == 1.0

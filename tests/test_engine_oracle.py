@@ -10,12 +10,13 @@ bit, down to the sign of a zero.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import scalar_replica, scalar_summary
+from oracles import replica_fields, scalar_replica, scalar_summary
 
 from mutagame import (
     MetaModelConfig,
     Miner,
     NoisePath,
+    NormalFormGame,
     Scenario,
     StageGameSpec,
     StrategyKind,
@@ -40,8 +41,8 @@ def scenarios(draw):
     strategies = []
     for tag in draw(st.lists(st.sampled_from(list(StrategyTag)), min_size=n, max_size=n)):
         if tag is StrategyTag.META_INVESTOR:
-            strategies.append(StrategyKind.meta_investor(
-                draw(st.sampled_from([0.0, 0.25, 1.0])), draw(st.integers(0, k - 1))
+            strategies.append(StrategyKind(
+                tag, draw(st.sampled_from([0.0, 0.25, 1.0])), draw(st.integers(0, k - 1))
             ))
         else:
             strategies.append(StrategyKind(tag))
@@ -50,7 +51,9 @@ def scenarios(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # Quarter steps in [-3, 5]: negative entries turn zero scalings into -0.0.
-    tables = [rng.integers(-12, 21, size=(2,) * n + (n,)) / 4.0 for _ in range(k)]
+    games = [
+        NormalFormGame(rng.integers(-12, 21, size=(2,) * n + (n,)) / 4.0) for _ in range(k)
+    ]
     kernel = random_kernel(rng, k) if draw(st.booleans()) else TransitionKernel.identity(k)
     theta = None
     if draw(st.booleans()):
@@ -65,7 +68,7 @@ def scenarios(draw):
     return Scenario(
         miners=tuple(Miner(w / sum(weights), s) for w, s in zip(weights, strategies)),
         game=StageGameSpec(
-            [f"s{i}" for i in range(k)], tables, lottery_mode=draw(st.booleans())
+            [f"s{i}" for i in range(k)], games, lottery_mode=draw(st.booleans())
         ),
         kernel=kernel,
         initial_state=draw(st.integers(0, k - 1)),
@@ -86,23 +89,23 @@ def scenarios(draw):
     )
 
 
+def assert_same_replica(got, want):
+    """States, profiles and winners exactly; payoffs, theta, both utilities
+    and the cooperation duration by ``repr``, so bit for bit."""
+    for name, value in got.items():
+        assert repr(value) == repr(want[name]), name
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(scenarios())
 def test_batch_engine_matches_scalar_oracle(scenario):
     summary, batch = run_batch(scenario)
     expected = [scalar_replica(scenario, i) for i in range(scenario.replica_count)]
     assert len(batch) == len(expected)
-    for got, want in zip(batch, expected):
-        assert [r.state for r in got.records] == [r.state for r in want.records]
-        assert [r.profile for r in got.records] == [r.profile for r in want.records]
-        assert [r.lottery_winner for r in got.records] == [
-            r.lottery_winner for r in want.records
-        ]
-        assert repr([r.payoffs for r in got.records]) == repr(
-            [r.payoffs for r in want.records]
-        )
-        assert repr([r.theta for r in got.records]) == repr([r.theta for r in want.records])
-        assert repr(got) == repr(want)
+    for r, want in enumerate(expected):
+        assert_same_replica(replica_fields(batch, r), replica_fields(want, 0))
     assert repr(summary) == repr(scalar_summary(scenario, expected))
     last = scenario.replica_count - 1
-    assert repr(run_replica(scenario, last)) == repr(expected[last])
+    assert_same_replica(
+        replica_fields(run_replica(scenario, last), 0), replica_fields(expected[last], 0)
+    )

@@ -1,24 +1,30 @@
-"""Stage game: payoff lookups, the block lottery, and strategy resolution."""
+"""Stage game: payoff tables and shares, plus the scalar reference's payoff
+lookups, block lottery and strategy resolution (``tests/oracles.py``)."""
 
 import itertools
 
 import numpy as np
 import pytest
+from oracles import PlayHistory, block_lottery, parse_profile, resolve_actions, stage_payoffs
 
 from mutagame import (
     Action,
     ConfigurationError,
-    PlayHistory,
     StageGameSpec,
     StrategyKind,
-    block_lottery,
-    resolve_actions,
-    stage_payoffs,
+    StrategyTag,
     validate_shares,
 )
 
 C = Action.COOPERATE
 D = Action.DEFECT
+HONEST = StrategyKind(StrategyTag.HONEST)
+WITHHOLD = StrategyKind(StrategyTag.WITHHOLD)
+COLLUDE = StrategyKind(StrategyTag.COLLUDE)
+GRIM = StrategyKind(StrategyTag.GRIM_TRIGGER)
+TIT_FOR_TAT = StrategyKind(StrategyTag.TIT_FOR_TAT)
+ALWAYS_DEFECT = StrategyKind(StrategyTag.ALWAYS_DEFECT)
+MYOPIC = StrategyKind(StrategyTag.MYOPIC_BEST_RESPONSE)
 
 PD_TABLE = {"CC": [3.0, 3.0], "CD": [0.0, 5.0], "DC": [5.0, 0.0], "DD": [1.0, 1.0]}
 
@@ -55,7 +61,7 @@ def test_stage_payoffs_matches_formula_oracle():
     rng = np.random.default_rng(11)
     for _ in range(50):
         key = "".join(rng.choice(["C", "D"]) for _ in range(3))
-        profile = [Action.from_symbol(ch) for ch in key]
+        profile = parse_profile(key)
         assert list(stage_payoffs(game, 0, profile)) == formula_payoffs(key)
 
 
@@ -148,36 +154,36 @@ def test_block_lottery_consumes_one_draw():
 
 
 def test_strategy_kind_payload_rules():
-    StrategyKind.meta_investor(0.5, 0)
+    StrategyKind(StrategyTag.META_INVESTOR, 0.5, 0)
     with pytest.raises(ConfigurationError):
-        StrategyKind.meta_investor(1.5, 0)
+        StrategyKind(StrategyTag.META_INVESTOR, 1.5, 0)
     with pytest.raises(ConfigurationError):
-        StrategyKind(StrategyKind.honest().tag, meta_budget=0.5)
+        StrategyKind(StrategyTag.HONEST, meta_budget=0.5)
     with pytest.raises(ConfigurationError):
-        StrategyKind(StrategyKind.meta_investor(0.5, 0).tag)
+        StrategyKind(StrategyTag.META_INVESTOR)
 
 
 def test_resolve_fixed_strategies():
     strategies = [
-        StrategyKind.honest(),
-        StrategyKind.withhold(),
-        StrategyKind.collude(),
-        StrategyKind.always_defect(),
-        StrategyKind.meta_investor(0.2, 0),
+        HONEST,
+        WITHHOLD,
+        COLLUDE,
+        ALWAYS_DEFECT,
+        StrategyKind(StrategyTag.META_INVESTOR, 0.2, 0),
     ]
     history = PlayHistory(5)
     assert resolve_actions(strategies, history, 0) == [C, D, D, D, C]
 
 
 def test_resolve_all_grim_clean_history():
-    strategies = [StrategyKind.grim_trigger()] * 3
+    strategies = [GRIM] * 3
     profiles = [[C, C, C]] * 5
     history = PlayHistory.from_rounds(3, profiles)
     assert resolve_actions(strategies, history, 5) == [C, C, C]
 
 
 def test_grim_triggers_on_opponent_defect_and_absorbs():
-    strategies = [StrategyKind.grim_trigger(), StrategyKind.always_defect()]
+    strategies = [GRIM, ALWAYS_DEFECT]
     history = PlayHistory(2)
     for round_index in range(6):
         actions = resolve_actions(strategies, history, round_index)
@@ -189,14 +195,14 @@ def test_grim_triggers_on_opponent_defect_and_absorbs():
 
 
 def test_grim_ignores_mutation_without_flag():
-    strategies = [StrategyKind.grim_trigger()] * 2
+    strategies = [GRIM] * 2
     history = PlayHistory.from_rounds(2, [[C, C]], mutated_flags=[True])
     assert resolve_actions(strategies, history, 1) == [C, C]
     assert resolve_actions(strategies, history, 1, trigger_on_mutation=True) == [D, D]
 
 
 def test_tit_for_tat_against_always_defect():
-    strategies = [StrategyKind.tit_for_tat(), StrategyKind.always_defect()]
+    strategies = [TIT_FOR_TAT, ALWAYS_DEFECT]
     history = PlayHistory(2)
     seen = []
     for round_index in range(4):
@@ -207,7 +213,7 @@ def test_tit_for_tat_against_always_defect():
 
 
 def test_tit_for_tat_majority_and_tie():
-    strategies = [StrategyKind.tit_for_tat()] + [StrategyKind.honest()] * 4
+    strategies = [TIT_FOR_TAT] + [HONEST] * 4
     # 2 of 4 opponents defected: tie resolves to Cooperate
     history = PlayHistory.from_rounds(5, [[C, D, D, C, C]])
     assert resolve_actions(strategies, history, 1)[0] == C
@@ -222,7 +228,7 @@ def test_myopic_stage_argmax_defects_in_pd():
     by_hand = max(
         [(PD_TABLE["CC"][0], C), (PD_TABLE["DC"][0], D)], key=lambda item: item[0]
     )[1]
-    strategies = [StrategyKind.myopic_best_response(), StrategyKind.honest()]
+    strategies = [MYOPIC, HONEST]
     history = PlayHistory.from_rounds(2, [[C, C]])
     actions = resolve_actions(strategies, history, 1, game=game, state=0)
     assert actions[0] == by_hand == D
@@ -230,7 +236,7 @@ def test_myopic_stage_argmax_defects_in_pd():
 
 def test_myopic_with_discount_brackets_folk_threshold():
     game = pd_game()
-    strategies = [StrategyKind.myopic_best_response(), StrategyKind.grim_trigger()]
+    strategies = [MYOPIC, GRIM]
     history = PlayHistory(2)
     cooperate = resolve_actions(
         strategies, history, 0, game=game, state=0, discount=0.55
@@ -241,20 +247,20 @@ def test_myopic_with_discount_brackets_folk_threshold():
 
 
 def test_myopic_requires_game_context():
-    strategies = [StrategyKind.myopic_best_response()]
+    strategies = [MYOPIC]
     with pytest.raises(ConfigurationError):
         resolve_actions(strategies, PlayHistory(1), 0)
 
 
 def test_resolve_rejects_inconsistent_round():
-    strategies = [StrategyKind.honest()]
+    strategies = [HONEST]
     history = PlayHistory.from_rounds(1, [[C], [C]])
     with pytest.raises(ConfigurationError):
         resolve_actions(strategies, history, 5)
 
 
 def test_all_honest_stays_cooperative():
-    strategies = [StrategyKind.honest()] * 4
+    strategies = [HONEST] * 4
     history = PlayHistory(4)
     for round_index in range(10):
         actions = resolve_actions(strategies, history, round_index)

@@ -1,9 +1,11 @@
-"""Protocol dynamics: kernel validation, stepping, entropy, integrity, theta."""
+"""Protocol dynamics: kernel validation, entropy, integrity, theta, and the
+scalar reference's protocol step and theta draw (``tests/oracles.py``)."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import sample_theta, step_protocol
 
 from mutagame import (
     ConfigurationError,
@@ -12,9 +14,7 @@ from mutagame import (
     integrity,
     kernel_entropy,
     mutation_rate,
-    sample_theta,
     stationary_distribution,
-    step_protocol,
 )
 from mutagame.protocol import has_unique_stationary
 

@@ -1,32 +1,51 @@
-"""Monte Carlo engine: determinism, trace consistency, meta contest, spirals."""
+"""Monte Carlo engine: determinism, trace consistency, meta contest, spirals.
+
+The spiral-detection tests exercise the scalar reference in ``tests/oracles.py``.
+"""
+
+import itertools
 
 import numpy as np
 import pytest
+from oracles import (
+    PlayHistory,
+    _myopic_response,
+    cooperation_duration,
+    detect_spiral,
+    replica_fields,
+    resolve_actions,
+)
 
 from mutagame import (
     Action,
     MetaModelConfig,
     Miner,
     NoisePath,
-    ReplicaTrace,
+    NormalFormGame,
     Scenario,
     ScenarioValidationError,
     StageGameSpec,
     StrategyKind,
+    StrategyTag,
     ThetaProcess,
     TransitionKernel,
     apply_meta_influence,
-    cooperation_duration,
-    detect_spiral,
     discounted_utility,
     run_batch,
     run_replica,
-    stage_payoffs,
 )
-from mutagame.simulate import RoundRecord
+from mutagame.simulate import _myopic_defects
 
 C = Action.COOPERATE
 D = Action.DEFECT
+HONEST = StrategyKind(StrategyTag.HONEST)
+GRIM = StrategyKind(StrategyTag.GRIM_TRIGGER)
+MYOPIC = StrategyKind(StrategyTag.MYOPIC_BEST_RESPONSE)
+ALWAYS_DEFECT = StrategyKind(StrategyTag.ALWAYS_DEFECT)
+
+
+def meta_investor(budget, preferred_state):
+    return StrategyKind(StrategyTag.META_INVESTOR, budget, preferred_state)
 
 PD_TABLE = {"CC": [3.0, 3.0], "CD": [0.0, 5.0], "DC": [5.0, 0.0], "DD": [1.0, 1.0]}
 
@@ -64,51 +83,48 @@ def pd_scenario(strategies, *, kernel=None, num_states=1, delta=0.9, horizon=50,
 
 
 def synthetic_trace(fraction_pattern, n=4):
-    """Build a trace whose per-round cooperation fractions follow the pattern."""
-    records = []
-    for t, fraction in enumerate(fraction_pattern):
-        coop = round(fraction * n)
-        profile = tuple([C] * coop + [D] * (n - coop))
-        records.append(
-            RoundRecord(t=t, state=0, theta=None, profile=profile,
-                        payoffs=(0.0,) * n, mutated=False)
-        )
-    return ReplicaTrace(replica_index=0, records=records)
+    """Defect flags (H, n) whose per-round cooperation fractions follow the pattern."""
+    return np.array(
+        [[i >= round(fraction * n) for i in range(n)] for fraction in fraction_pattern]
+    )
 
 
 def test_all_honest_composition():
-    scenario = pd_scenario([StrategyKind.honest()] * 2, horizon=10)
+    scenario = pd_scenario([HONEST] * 2, horizon=10)
     trace = run_replica(scenario, 0)
-    assert all(r.profile == (C, C) for r in trace.records)
-    assert all(r.state == 0 for r in trace.records)
+    assert trace.defects.shape == (1, 10, 2) and not trace.defects.any()
+    assert trace.states.tolist() == [[0] * 10]
     expected = discounted_utility([3.0] * 10, 0.9)
-    assert trace.discounted_utility == (pytest.approx(expected), pytest.approx(expected))
+    assert tuple(trace.discounted_utility[0].tolist()) == (
+        pytest.approx(expected), pytest.approx(expected)
+    )
 
 
 def test_hand_traced_mutation_spiral():
     scenario = pd_scenario(
-        [StrategyKind.grim_trigger()] * 2,
+        [GRIM] * 2,
         kernel=TransitionKernel([[0.0, 1.0], [0.0, 1.0]]),
         num_states=2,
         horizon=5,
         trigger_on_mutation=True,
     )
     trace = run_replica(scenario, 0)
-    profiles = [r.profile for r in trace.records]
-    assert profiles == [(C, C), (C, C), (D, D), (D, D), (D, D)]
-    assert [r.state for r in trace.records] == [0, 1, 1, 1, 1]
-    assert [r.mutated for r in trace.records] == [False, True, False, False, False]
-    report = detect_spiral(trace)
+    assert trace.defects[0].tolist() == [[False] * 2] * 2 + [[True] * 2] * 3
+    assert trace.states[0].tolist() == [0, 1, 1, 1, 1]
+    changed = trace.states[0, 1:] != trace.states[0, :-1]
+    assert changed.tolist() == [True, False, False, False]  # round 1 mutated
+    assert trace.cooperation_duration.tolist() == [2]
+    report = detect_spiral(trace.defects[0])
     assert report.onset_round == 2
     assert report.final_cooperation_fraction == 0.0
     # 3 + 0.9*3 + (0.81 + 0.729 + 0.6561)*1
-    assert trace.discounted_utility[0] == pytest.approx(7.8951, rel=1e-12)
-    assert trace.mutation_count == 1
+    assert trace.discounted_utility[0, 0] == pytest.approx(7.8951, rel=1e-12)
+    assert trace.mutation_counts.tolist() == [1]
 
 
 def test_replica_determinism():
     scenario = pd_scenario(
-        [StrategyKind.grim_trigger()] * 2,
+        [GRIM] * 2,
         kernel=two_state_kernel(0.2),
         num_states=2,
         horizon=40,
@@ -118,25 +134,25 @@ def test_replica_determinism():
     )
     first = run_replica(scenario, 3)
     second = run_replica(scenario, 3)
-    assert first == second
+    assert repr(replica_fields(first, 0)) == repr(replica_fields(second, 0))
 
 
 def test_replica_streams_differ():
     scenario = pd_scenario(
-        [StrategyKind.grim_trigger()] * 2,
+        [GRIM] * 2,
         kernel=two_state_kernel(0.3),
         num_states=2,
         horizon=40,
         seed=11,
     )
-    states_a = [r.state for r in run_replica(scenario, 0).records]
-    states_b = [r.state for r in run_replica(scenario, 1).records]
+    states_a = run_replica(scenario, 0).states.tolist()
+    states_b = run_replica(scenario, 1).states.tolist()
     assert states_a != states_b
 
 
 def test_trace_payoff_consistency_with_all_scalings():
     scenario = pd_scenario(
-        [StrategyKind.grim_trigger(), StrategyKind.meta_investor(0.3, 0)],
+        [GRIM, meta_investor(0.3, 0)],
         kernel=two_state_kernel(0.15),
         num_states=2,
         horizon=60,
@@ -147,73 +163,72 @@ def test_trace_payoff_consistency_with_all_scalings():
     )
     trace = run_replica(scenario, 2)
     budgets = [0.0, 0.3]
-    for record in trace.records:
-        base = stage_payoffs(scenario.game, record.state, record.profile)
-        scale = max(0.0, record.theta)
+    rounds = zip(trace.states[0].tolist(), trace.defects[0].tolist(),
+                 trace.theta[0].tolist(), trace.winner[0].tolist(),
+                 trace.payoffs[0].tolist())
+    for state, defects, theta, winner, payoffs in rounds:
+        base = scenario.game[state].tensor[tuple(map(int, defects))]
+        scale = max(0.0, theta)
         expected = [
-            base[i] * scale * (1.0 - budgets[i])
-            * (1.0 if record.lottery_winner == i else 0.0)
+            base[i] * scale * (1.0 - budgets[i]) * (1.0 if winner == i else 0.0)
             for i in range(2)
         ]
-        assert list(record.payoffs) == expected
+        assert payoffs == expected
 
 
 def test_state_constant_when_kernel_is_identity():
     scenario = pd_scenario(
-        [StrategyKind.honest()] * 2, num_states=3, horizon=50, replicas=5,
+        [HONEST] * 2, num_states=3, horizon=50, replicas=5,
         kernel=TransitionKernel.identity(3),
     )
-    _, traces = run_batch(scenario)
-    for trace in traces:
-        assert all(r.state == 0 for r in trace.records)
-        assert trace.mutation_count == 0
+    _, batch = run_batch(scenario)
+    assert batch.states.tolist() == [[0] * 50] * 5
+    assert batch.mutation_counts.tolist() == [0] * 5
 
 
 def test_grim_folk_regime_zero_defections():
     # epsilon = 0, delta above the PD threshold 0.5: nobody ever defects.
     scenario = pd_scenario(
-        [StrategyKind.grim_trigger()] * 2, delta=0.9, horizon=300,
+        [GRIM] * 2, delta=0.9, horizon=300,
         trigger_on_mutation=True,
     )
     trace = run_replica(scenario, 0)
-    assert all(a is C for r in trace.records for a in r.profile)
+    assert trace.defects.shape == (1, 300, 2) and not trace.defects.any()
 
 
 @pytest.mark.parametrize("delta,expected_first_action", [(0.45, D), (0.55, C)])
 def test_myopic_deviator_brackets_threshold(delta, expected_first_action):
     scenario = pd_scenario(
-        [StrategyKind.grim_trigger(), StrategyKind.myopic_best_response()],
+        [GRIM, MYOPIC],
         delta=delta, horizon=100,
     )
     trace = run_replica(scenario, 0)
-    assert trace.records[0].profile[1] is expected_first_action
+    assert trace.defects[0, 0, 1] == (expected_first_action is D)
     if expected_first_action is C:
-        assert all(a is C for r in trace.records for a in r.profile)
+        assert not trace.defects.any()
 
 
 def test_meta_budget_reduces_investor_payoff():
-    plain = pd_scenario([StrategyKind.honest(), StrategyKind.meta_investor(0.4, 0)],
-                        horizon=5)
-    charged = pd_scenario([StrategyKind.honest(), StrategyKind.meta_investor(0.4, 0)],
-                          horizon=5,
+    plain = pd_scenario([HONEST, meta_investor(0.4, 0)], horizon=5)
+    charged = pd_scenario([HONEST, meta_investor(0.4, 0)], horizon=5,
                           meta=MetaModelConfig(enabled=True, influence_strength=0.2))
     free_trace = run_replica(plain, 0)
     paid_trace = run_replica(charged, 0)
-    assert all(r.payoffs == (3.0, 3.0) for r in free_trace.records)
-    assert all(r.payoffs == (3.0, pytest.approx(3.0 * 0.6)) for r in paid_trace.records)
+    assert free_trace.payoffs[0].tolist() == [[3.0, 3.0]] * 5
+    assert paid_trace.payoffs[0].tolist() == [[3.0, pytest.approx(3.0 * 0.6)]] * 5
 
 
 def test_theta_clamping_floor_and_optout():
     process = ThetaProcess(mean=-5.0, variance=0.0)
-    clamped = pd_scenario([StrategyKind.honest()] * 2, horizon=3, theta=process)
+    clamped = pd_scenario([HONEST] * 2, horizon=3, theta=process)
     trace = run_replica(clamped, 0)
-    assert all(r.payoffs == (0.0, 0.0) for r in trace.records)
+    assert trace.payoffs[0].tolist() == [[0.0, 0.0]] * 3
     unclamped = pd_scenario(
-        [StrategyKind.honest()] * 2, horizon=3,
+        [HONEST] * 2, horizon=3,
         theta=ThetaProcess(mean=-5.0, variance=0.0, clamp=False),
     )
     trace = run_replica(unclamped, 0)
-    assert all(r.payoffs == (-15.0, -15.0) for r in trace.records)
+    assert trace.payoffs[0].tolist() == [[-15.0, -15.0]] * 3
 
 
 def test_apply_meta_influence_unchanged_cases():
@@ -272,7 +287,7 @@ def test_apply_meta_influence_underflowed_weights_leave_row():
 
 def test_grim_absorbing_across_random_replicas():
     scenario = pd_scenario(
-        [StrategyKind.grim_trigger(), StrategyKind.grim_trigger()],
+        [GRIM, GRIM],
         kernel=two_state_kernel(0.25),
         num_states=2,
         horizon=60,
@@ -282,15 +297,15 @@ def test_grim_absorbing_across_random_replicas():
     for replica in range(20):
         trace = run_replica(scenario, replica)
         for miner in range(2):
-            actions = [r.profile[miner] for r in trace.records]
-            if D in actions:
-                first = actions.index(D)
-                assert all(a is D for a in actions[first:])
+            actions = trace.defects[0, :, miner].tolist()
+            if True in actions:
+                first = actions.index(True)
+                assert all(actions[first:])
 
 
 def test_trace_utilities_match_discounting_module():
     scenario = pd_scenario(
-        [StrategyKind.grim_trigger()] * 2,
+        [GRIM] * 2,
         kernel=two_state_kernel(0.2),
         num_states=2,
         horizon=80,
@@ -300,21 +315,47 @@ def test_trace_utilities_match_discounting_module():
     )
     trace = run_replica(scenario, 1)
     for miner in range(2):
-        stream = [r.payoffs[miner] for r in trace.records]
-        assert trace.discounted_utility[miner] == discounted_utility(stream, scenario.delta)
+        stream = trace.payoffs[0, :, miner].tolist()
+        assert trace.discounted_utility[0, miner] == discounted_utility(stream, scenario.delta)
 
 
 def test_myopic_keeps_defecting_during_punishment():
     # Opponent defected last round: the continuation no longer rewards
     # cooperation, so even a patient deviator plays the stage best response.
-    from mutagame import PlayHistory, resolve_actions
-
-    strategies = [StrategyKind.myopic_best_response(), StrategyKind.always_defect()]
+    strategies = [MYOPIC, ALWAYS_DEFECT]
     history = PlayHistory.from_rounds(2, [[C, D]])
     actions = resolve_actions(
         strategies, history, 1, game=pd_game(), state=0, discount=0.95
     )
     assert actions[0] is D
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, 0.9])
+def test_myopic_table_matches_scalar_response(delta):
+    # Small integer payoffs, so the two sides of the comparison often tie.
+    rng = np.random.default_rng(int(delta * 10))
+    for _ in range(60):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        game = StageGameSpec(
+            [f"s{state}" for state in range(k)],
+            [NormalFormGame(rng.integers(-2, 3, size=(2,) * n + (n,))) for _ in range(k)],
+        )
+        miners = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+        tables = np.stack([stage.tensor.reshape(-1, n) for stage in game])
+        table = _myopic_defects(tables, delta, miners)
+        assert table.shape == (len(miners), k, 2**n)
+        profiles = itertools.product((C, D), repeat=n)
+        histories = [PlayHistory.from_rounds(n, [profile]) for profile in profiles]
+        for mask, history in enumerate(histories):
+            for state in range(k):
+                for j, miner in enumerate(miners):
+                    action = _myopic_response(miner, history, game, state, delta)
+                    assert table[j, state, mask] == (action is D)
+        # Round 0 has no last profile and reads mask 0.
+        for state in range(k):
+            for j, miner in enumerate(miners):
+                action = _myopic_response(miner, PlayHistory(n), game, state, delta)
+                assert table[j, state, 0] == (action is D)
 
 
 def test_detect_spiral_all_cooperate():
@@ -347,10 +388,10 @@ def test_cooperation_duration():
 
 
 def test_single_replica_summary():
-    scenario = pd_scenario([StrategyKind.honest()] * 2, horizon=20, replicas=1)
-    summary, traces = run_batch(scenario)
+    scenario = pd_scenario([HONEST] * 2, horizon=20, replicas=1)
+    summary, batch = run_batch(scenario)
     assert summary.replica_count == 1
-    assert summary.mean_utility == traces[0].discounted_utility
+    assert summary.mean_utility == tuple(batch.discounted_utility[0].tolist())
     assert summary.std_utility == (0.0, 0.0)
     assert summary.spiral_frequency == 0.0
     assert summary.mean_final_cooperation_fraction == 1.0
@@ -362,7 +403,7 @@ def test_epsilon_sweep_duration_monotone():
     spiral_freqs = {}
     for eps in (0.0, 0.05, 0.2):
         scenario = pd_scenario(
-            [StrategyKind.grim_trigger()] * 2,
+            [GRIM] * 2,
             kernel=two_state_kernel(eps),
             num_states=2,
             delta=0.9,
@@ -371,12 +412,9 @@ def test_epsilon_sweep_duration_monotone():
             seed=2024,
             trigger_on_mutation=True,
         )
-        _, traces = run_batch(scenario)
-        values = [cooperation_duration(t) for t in traces]
-        durations[eps] = np.mean(values)
-        spiral_freqs[eps] = np.mean(
-            [detect_spiral(t).onset_round is not None for t in traces]
-        )
+        _, batch = run_batch(scenario)
+        durations[eps] = np.mean(batch.cooperation_duration)
+        spiral_freqs[eps] = np.mean(batch.cooperation_duration < scenario.horizon)
     assert durations[0.0] >= durations[0.05] >= durations[0.2]
     assert durations[0.0] > durations[0.2]
     assert spiral_freqs[0.0] == 0.0
@@ -390,7 +428,7 @@ def test_grim_mutation_spirals_match_closed_form(epsilon):
     # cooperation duration is D = min(M + 1, H) and a spiral means D < H.
     horizon, replicas = 60, 4000
     scenario = pd_scenario(
-        [StrategyKind.grim_trigger()] * 2,
+        [GRIM] * 2,
         kernel=two_state_kernel(epsilon),
         num_states=2,
         horizon=horizon,
@@ -413,12 +451,12 @@ def test_grim_mutation_spirals_match_closed_form(epsilon):
 
 def test_noise_adds_endogenous_utilities():
     noise = NoisePath(baseline_rate=0.05, segments=((0, 0.0), (5, 0.1)))
-    scenario = pd_scenario([StrategyKind.honest()] * 2, horizon=10, noise=noise)
+    scenario = pd_scenario([HONEST] * 2, horizon=10, noise=noise)
     trace = run_replica(scenario, 0)
     assert trace.endogenous_utility is not None
     weights = np.exp(-np.array([noise.cumulative_rate(t) for t in range(10)]))
     expected = float(weights.sum() * 3.0)
-    assert trace.endogenous_utility[0] == pytest.approx(expected, rel=1e-12)
+    assert trace.endogenous_utility[0, 0] == pytest.approx(expected, rel=1e-12)
     summary, _ = run_batch(scenario)
     assert summary.mean_endogenous_utility is not None
 
@@ -426,7 +464,7 @@ def test_noise_adds_endogenous_utilities():
 def test_scenario_validation_collects_errors():
     with pytest.raises(ScenarioValidationError) as excinfo:
         Scenario(
-            miners=(Miner(0.7, StrategyKind.honest()), Miner(0.7, StrategyKind.honest())),
+            miners=(Miner(0.7, HONEST), Miner(0.7, HONEST)),
             game=pd_game(),
             kernel=TransitionKernel.identity(2),
             initial_state=5,
@@ -445,4 +483,4 @@ def test_scenario_validation_collects_errors():
 
 def test_scenario_rejects_bad_preferred_state():
     with pytest.raises(ScenarioValidationError, match="preferred_state"):
-        pd_scenario([StrategyKind.honest(), StrategyKind.meta_investor(0.5, 3)])
+        pd_scenario([HONEST, meta_investor(0.5, 3)])

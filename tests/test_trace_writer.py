@@ -17,9 +17,11 @@ from test_engine_oracle import scenarios
 
 from mutagame import (
     Miner,
+    NormalFormGame,
     Scenario,
     StageGameSpec,
     StrategyKind,
+    StrategyTag,
     ThetaProcess,
     TransitionKernel,
     parse_document,
@@ -45,13 +47,13 @@ def test_writer_matches_csv_writer_oracle(tmp_path_factory, scenario):
 
 
 def two_state_scenario(n, horizon, replicas, theta):
-    tables = [
-        np.arange((2**n) * n, dtype=float).reshape((2,) * n + (n,)) - 1.5,
-        np.full((2,) * n + (n,), 2.0),
+    games = [
+        NormalFormGame(np.arange((2**n) * n, dtype=float).reshape((2,) * n + (n,)) - 1.5),
+        NormalFormGame(np.full((2,) * n + (n,), 2.0)),
     ]
     return Scenario(
-        miners=tuple(Miner(1.0 / n, StrategyKind.tit_for_tat()) for _ in range(n)),
-        game=StageGameSpec(["a", "b"], tables, lottery_mode=True),
+        miners=(Miner(1.0 / n, StrategyKind(StrategyTag.TIT_FOR_TAT)),) * n,
+        game=StageGameSpec(["a", "b"], games, lottery_mode=True),
         kernel=TransitionKernel([[0.7, 0.3], [0.4, 0.6]]),
         initial_state=0,
         horizon=horizon,

@@ -229,7 +229,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         all_hold = all_hold and verdict.holds
         profiles = (
-            " ".join("".join(a.symbol for a in profile) for profile in nash)
+            " ".join("".join(a.value for a in profile) for profile in nash)
             if nash
             else "(none)"
         )

@@ -25,10 +25,6 @@ class Action(Enum):
     DEFECT = "D"
 
     @property
-    def symbol(self) -> str:
-        return self.value
-
-    @property
     def index(self) -> int:
         return 0 if self is Action.COOPERATE else 1
 
@@ -180,6 +176,9 @@ class StageGameSpec(tuple):
         self.state_labels = tuple(state_labels)
         self.lottery_mode = bool(lottery_mode)
         return self
+
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__
+        return self.state_labels, tuple(self), self.lottery_mode
 
     @classmethod
     def from_profile_maps(

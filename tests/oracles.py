@@ -65,11 +65,6 @@ def random_profile_map(rng: np.random.Generator, n: int) -> dict[str, list[float
     }
 
 
-def parse_profile(key: str) -> tuple[Action, ...]:
-    """Joint action profile of a C/D string, miner 0 first."""
-    return tuple(map(Action, key))
-
-
 def stage_payoffs(
     game: StageGameSpec, state: int, profile: Sequence[Action]
 ) -> np.ndarray:

@@ -170,7 +170,7 @@ def test_c05_nash_oracle_equivalence():
         for _ in range(200):
             profile_map = random_profile_map(rng, n)
             game = NormalFormGame.from_profile_map(profile_map)
-            found = {"".join(a.symbol for a in p) for p in pure_nash(game)}
+            found = {"".join(a.value for a in p) for p in pure_nash(game)}
             assert found == nash_oracle(profile_map)
     _pass(5, "pure Nash sets equal the exhaustive oracle on 200 games "
              "for each n in {2, 3, 4}")

@@ -30,7 +30,7 @@ from oracles import nash_oracle, random_profile_map  # noqa: E402
 
 
 def as_keys(profiles) -> set[str]:
-    return {"".join(a.symbol for a in profile) for profile in profiles}
+    return {"".join(a.value for a in profile) for profile in profiles}
 
 
 PD = {"CC": [3.0, 3.0], "CD": [0.0, 5.0], "DC": [5.0, 0.0], "DD": [1.0, 1.0]}
@@ -48,7 +48,7 @@ def test_pure_nash_matching_pennies_empty():
 def test_pure_nash_results_are_lexicographic():
     # A degenerate game where every profile is an equilibrium.
     flat = {"".join(p): [0.0, 0.0] for p in itertools.product("CD", repeat=2)}
-    keys = ["".join(a.symbol for a in profile)
+    keys = ["".join(a.value for a in profile)
             for profile in pure_nash(NormalFormGame.from_profile_map(flat))]
     assert keys == sorted(keys) == ["CC", "CD", "DC", "DD"]
 

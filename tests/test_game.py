@@ -1,11 +1,13 @@
 """Stage game: payoff tables and shares, plus the scalar reference's payoff
 lookups, block lottery and strategy resolution (``tests/oracles.py``)."""
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
-from oracles import PlayHistory, block_lottery, parse_profile, resolve_actions, stage_payoffs
+from oracles import PlayHistory, block_lottery, resolve_actions, stage_payoffs
 
 from mutagame import (
     Action,
@@ -19,8 +21,6 @@ from mutagame import (
 C = Action.COOPERATE
 D = Action.DEFECT
 HONEST = StrategyKind(StrategyTag.HONEST)
-WITHHOLD = StrategyKind(StrategyTag.WITHHOLD)
-COLLUDE = StrategyKind(StrategyTag.COLLUDE)
 GRIM = StrategyKind(StrategyTag.GRIM_TRIGGER)
 TIT_FOR_TAT = StrategyKind(StrategyTag.TIT_FOR_TAT)
 ALWAYS_DEFECT = StrategyKind(StrategyTag.ALWAYS_DEFECT)
@@ -61,7 +61,7 @@ def test_stage_payoffs_matches_formula_oracle():
     rng = np.random.default_rng(11)
     for _ in range(50):
         key = "".join(rng.choice(["C", "D"]) for _ in range(3))
-        profile = parse_profile(key)
+        profile = [Action(ch) for ch in key]
         assert list(stage_payoffs(game, 0, profile)) == formula_payoffs(key)
 
 
@@ -93,6 +93,13 @@ def test_table_validation():
         StageGameSpec.from_profile_maps(
             ["s0"], {"s0": {**PD_TABLE, "CC": [np.inf, 3.0]}}
         )
+
+
+def test_stage_game_survives_pickle_and_deepcopy():
+    game = pd_game(lottery_mode=True)
+    for clone in (pickle.loads(pickle.dumps(game)), copy.deepcopy(game)):
+        assert clone.state_labels == ("s0",) and clone.lottery_mode is True
+        assert len(clone) == 1 and np.array_equal(clone[0].tensor, game[0].tensor)
 
 
 def test_share_validation():
@@ -166,8 +173,8 @@ def test_strategy_kind_payload_rules():
 def test_resolve_fixed_strategies():
     strategies = [
         HONEST,
-        WITHHOLD,
-        COLLUDE,
+        StrategyKind(StrategyTag.WITHHOLD),
+        StrategyKind(StrategyTag.COLLUDE),
         ALWAYS_DEFECT,
         StrategyKind(StrategyTag.META_INVESTOR, 0.2, 0),
     ]

@@ -1,7 +1,4 @@
-"""Monte Carlo engine: determinism, trace consistency, meta contest, spirals.
-
-The spiral-detection tests exercise the scalar reference in ``tests/oracles.py``.
-"""
+"""Monte Carlo engine: determinism, trace consistency, meta contest, spirals."""
 
 import itertools
 
@@ -42,10 +39,6 @@ HONEST = StrategyKind(StrategyTag.HONEST)
 GRIM = StrategyKind(StrategyTag.GRIM_TRIGGER)
 MYOPIC = StrategyKind(StrategyTag.MYOPIC_BEST_RESPONSE)
 ALWAYS_DEFECT = StrategyKind(StrategyTag.ALWAYS_DEFECT)
-
-
-def meta_investor(budget, preferred_state):
-    return StrategyKind(StrategyTag.META_INVESTOR, budget, preferred_state)
 
 PD_TABLE = {"CC": [3.0, 3.0], "CD": [0.0, 5.0], "DC": [5.0, 0.0], "DD": [1.0, 1.0]}
 
@@ -152,7 +145,7 @@ def test_replica_streams_differ():
 
 def test_trace_payoff_consistency_with_all_scalings():
     scenario = pd_scenario(
-        [GRIM, meta_investor(0.3, 0)],
+        [GRIM, StrategyKind(StrategyTag.META_INVESTOR, 0.3, 0)],
         kernel=two_state_kernel(0.15),
         num_states=2,
         horizon=60,
@@ -209,8 +202,8 @@ def test_myopic_deviator_brackets_threshold(delta, expected_first_action):
 
 
 def test_meta_budget_reduces_investor_payoff():
-    plain = pd_scenario([HONEST, meta_investor(0.4, 0)], horizon=5)
-    charged = pd_scenario([HONEST, meta_investor(0.4, 0)], horizon=5,
+    plain = pd_scenario([HONEST, StrategyKind(StrategyTag.META_INVESTOR, 0.4, 0)], horizon=5)
+    charged = pd_scenario([HONEST, StrategyKind(StrategyTag.META_INVESTOR, 0.4, 0)], horizon=5,
                           meta=MetaModelConfig(enabled=True, influence_strength=0.2))
     free_trace = run_replica(plain, 0)
     paid_trace = run_replica(charged, 0)
@@ -483,4 +476,4 @@ def test_scenario_validation_collects_errors():
 
 def test_scenario_rejects_bad_preferred_state():
     with pytest.raises(ScenarioValidationError, match="preferred_state"):
-        pd_scenario([HONEST, meta_investor(0.5, 3)])
+        pd_scenario([HONEST, StrategyKind(StrategyTag.META_INVESTOR, 0.5, 3)])

@@ -1,8 +1,8 @@
 """Command-line front end: validate, run, sweep, analyze, preset.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or parse failure,
-3 capacity error. All file outputs are deterministic functions of the
-scenario file, the overrides, and the master seed.
+3 capacity error or out of memory. All file outputs are deterministic
+functions of the scenario file, the overrides, and the master seed.
 """
 
 from __future__ import annotations
@@ -346,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:  # e.g. numpy refusing an array larger than memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except MutagameError as exc:
         print(f"error: {exc}", file=sys.stderr)

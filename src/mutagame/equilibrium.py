@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -84,11 +83,7 @@ def pure_nash(game: NormalFormGame) -> list[tuple[Action, ...]]:
     return equilibria
 
 
-def grim_trigger_threshold(
-    game: NormalFormGame,
-    coop_profile: Sequence[Action] | None = None,
-    punish_profile: Sequence[Action] | None = None,
-) -> GrimThreshold:
+def grim_trigger_threshold(game: NormalFormGame) -> GrimThreshold:
     """Minimum discount factor at which grim punishment sustains cooperation.
 
     Per player: delta_star = (T - R) / (T - P) when T > R > P; the player is
@@ -97,12 +92,8 @@ def grim_trigger_threshold(
     no-temptation case). The overall threshold is the max over players; one
     never-sustainable player makes the whole profile unsustainable.
     """
-    coop = tuple(coop_profile) if coop_profile is not None else (Action.COOPERATE,) * game.n
-    punish = tuple(punish_profile) if punish_profile is not None else (Action.DEFECT,) * game.n
-    if len(coop) != game.n or len(punish) != game.n:
-        raise ConfigurationError("profiles must have one action per player")
-    coop_idx = tuple(a.index for a in coop)
-    punish_idx = tuple(a.index for a in punish)
+    coop_idx = (0,) * game.n  # every miner cooperates
+    punish_idx = (1,) * game.n  # every miner defects
     statuses: list[PlayerGrimStatus] = []
     for player in range(game.n):
         reward = float(game.tensor[coop_idx][player])

@@ -75,7 +75,8 @@ class StrategyKind:
                 )
         elif self.meta_budget is not None or self.preferred_state is not None:
             raise ConfigurationError(
-                f"{self.tag.value} carries no meta_budget/preferred_state payload"
+                "meta_budget and preferred_state are only valid for MetaInvestor, "
+                f"not {self.tag.value}"
             )
 
 

@@ -22,7 +22,12 @@ class TransitionKernel:
     """Row-stochastic k x k matrix of per-round state transition probabilities."""
 
     def __init__(self, matrix) -> None:
-        arr = np.array(matrix, dtype=float)
+        try:
+            arr = np.array(matrix, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # ragged rows, entries not numbers
+            raise ConfigurationError(
+                "transition kernel must be a square matrix of numbers"
+            ) from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise ConfigurationError(
                 f"transition kernel must be a square matrix, got shape {arr.shape}"
@@ -35,7 +40,7 @@ class TransitionKernel:
         for p, total in enumerate(sums):
             if abs(total - 1.0) > ROW_TOLERANCE:
                 raise ConfigurationError(
-                    f"kernel row {p} sums to {total!r}, must equal 1 within {ROW_TOLERANCE}"
+                    f"kernel row {p} sums to {float(total)!r}, must equal 1 within {ROW_TOLERANCE}"
                 )
         arr.setflags(write=False)
         self._matrix = arr

@@ -8,8 +8,10 @@ with its key path, so a failing ``validate`` run lists all problems.
 from __future__ import annotations
 
 import copy
+import math
+import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import yaml
 
@@ -21,225 +23,132 @@ from .simulate import MetaModelConfig, Miner, Scenario
 
 SCHEMA_VERSION = 1
 
-_TOP_KEYS = {
-    "schema_version", "name", "horizon", "replica_count", "master_seed",
-    "initial_state", "trigger_on_mutation", "spiral_threshold",
-    "post_mutation_value", "miners", "game", "kernel", "discount",
-    "risk_aversion", "noise", "theta", "meta", "investment",
+_REQUIRED = object()  # a schema default: the key must be present
+
+# A schema kind is a scalar check, a table {key: (kind, default)}, a
+# one-item list [kind] for "a non-empty list of these", or {str: kind} for a
+# table with any string keys. A missing key takes its default, which is
+# checked and filled like a value; a None default stands for an absent block.
+# Value ranges are the constructors' business, not the schema's.
+
+
+def _is_number(value: Any) -> bool:
+    """A YAML int or float that a float can hold: not a bool, not an int past 1.8e308."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _scalar(expected: str, test: Callable[[Any], bool], convert: Callable = lambda v: v):
+    def check(value: Any, path: str, errors: list) -> Any:
+        if test(value):
+            return convert(value)
+        errors.append((path, f"expected {expected}, got {value!r}"))
+    return check
+
+
+_INT = _scalar("an integer", lambda v: type(v) is int)
+_BOOL = _scalar("a boolean", lambda v: isinstance(v, bool))
+_TEXT = _scalar("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_NUMBER = _scalar("a number", _is_number)
+_REAL = _scalar("a finite number", lambda v: _is_number(v) and math.isfinite(v), float)
+_STRATEGIES = {tag.value: tag for tag in StrategyTag}
+
+
+def _strategy(value: Any, path: str, errors: list) -> StrategyTag | None:
+    if isinstance(value, str) and value in _STRATEGIES:
+        return _STRATEGIES[value]
+    errors.append((path, f"unknown strategy {value!r}; valid: {sorted(_STRATEGIES)}"))
+
+
+_SCHEMA = {
+    "schema_version": (_INT, _REQUIRED),
+    "name": (_TEXT, None),
+    "horizon": (_INT, _REQUIRED),
+    "replica_count": (_INT, _REQUIRED),
+    "master_seed": (_INT, _REQUIRED),
+    "initial_state": (_INT, _REQUIRED),
+    "trigger_on_mutation": (_BOOL, False),
+    "spiral_threshold": (_REAL, 0.5),
+    "post_mutation_value": (_REAL, 0.0),
+    "miners": ([{
+        "share": (_REAL, _REQUIRED),
+        "strategy": (_strategy, _REQUIRED),
+        "meta_budget": (_REAL, None),
+        "preferred_state": (_INT, None),
+    }], _REQUIRED),
+    "game": ({
+        "lottery_mode": (_BOOL, False),
+        "states": ([{"id": (_INT, _REQUIRED), "label": (_TEXT, _REQUIRED)}], _REQUIRED),
+        "payoffs": ({str: {str: [_NUMBER]}}, _REQUIRED),
+    }, _REQUIRED),
+    "kernel": ({"matrix": ([[_NUMBER]], _REQUIRED)}, _REQUIRED),
+    "discount": ({"delta": (_REAL, _REQUIRED)}, _REQUIRED),
+    "risk_aversion": ({"eta": (_REAL, _REQUIRED)}, {"eta": 0.0}),
+    "noise": ({
+        "baseline_rate": (_REAL, _REQUIRED),
+        "segments": ([{"start": (_INT, _REQUIRED), "value": (_REAL, _REQUIRED)}], _REQUIRED),
+    }, None),
+    "theta": ({
+        "mean": (_REAL, _REQUIRED),
+        "variance": (_REAL, _REQUIRED),
+        "clamp": (_BOOL, True),
+    }, None),
+    "meta": ({
+        "enabled": (_BOOL, False),
+        "influence_strength": (_REAL, 0.0),
+        "contest_exponent": (_REAL, 1.0),
+    }, {}),
+    "investment": ({
+        "upfront_cost": (_REAL, _REQUIRED),
+        "expected_returns": ([_NUMBER], _REQUIRED),
+    }, None),
 }
-_REQUIRED_TOP_KEYS = {
-    "schema_version", "horizon", "replica_count", "master_seed",
-    "initial_state", "miners", "game", "kernel", "discount",
-}
-_MINER_KEYS = {"share", "strategy", "meta_budget", "preferred_state"}
-_GAME_KEYS = {"lottery_mode", "states", "payoffs"}
-_STATE_KEYS = {"id", "label"}
-_KERNEL_KEYS = {"matrix"}
-_DISCOUNT_KEYS = {"delta"}
-_RISK_KEYS = {"eta"}
-_NOISE_KEYS = {"baseline_rate", "segments"}
-_SEGMENT_KEYS = {"start", "value"}
-_THETA_KEYS = {"mean", "variance", "clamp"}
-_META_KEYS = {"enabled", "influence_strength", "contest_exponent"}
-_INVESTMENT_KEYS = {"upfront_cost", "expected_returns"}
-
-_STRATEGY_NAMES = {tag.value: tag for tag in StrategyTag}
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _walk(kind: Any, value: Any, path: str, errors: list) -> Any:
+    """Check ``value`` against ``kind``, appending (path, message) per violation.
 
-
-def _is_real(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-class _Collector:
-    def __init__(self) -> None:
-        self.errors: list[str] = []
-
-    def error(self, path: str, message: str) -> None:
-        self.errors.append(f"{path}: {message}")
-
-    def check_keys(self, path: str, mapping: Mapping, allowed: set[str]) -> None:
-        for key in mapping:
-            if key not in allowed:
-                self.error(f"{path}.{key}" if path else str(key), "unknown key")
-
-    def mapping(self, path: str, value: Any) -> dict | None:
-        if not isinstance(value, dict):
-            self.error(path, f"expected a mapping, got {type(value).__name__}")
+    Returns the value with defaults filled in; a part that fails its type
+    check comes back as None.
+    """
+    if not isinstance(kind, (list, dict)):
+        return kind(value, path, errors)
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            got = "an empty list" if value == [] else type(value).__name__
+            errors.append((path, f"expected a non-empty list, got {got}"))
             return None
-        return value
-
-    def integer(self, path: str, value: Any) -> int | None:
-        if not _is_int(value):
-            self.error(path, f"expected an integer, got {value!r}")
-            return None
-        return value
-
-    def real(self, path: str, value: Any) -> float | None:
-        if not _is_real(value):
-            self.error(path, f"expected a number, got {value!r}")
-            return None
-        return float(value)
-
-    def boolean(self, path: str, value: Any) -> bool | None:
-        if not isinstance(value, bool):
-            self.error(path, f"expected a boolean, got {value!r}")
-            return None
-        return value
-
-
-def _parse_miners(col: _Collector, raw: Any) -> list[Miner] | None:
-    if not isinstance(raw, list) or not raw:
-        col.error("miners", "expected a non-empty list")
+        return [_walk(kind[0], item, f"{path}[{i}]", errors) for i, item in enumerate(value)]
+    if not isinstance(value, dict):
+        errors.append((path or "(document)", f"expected a mapping, got {type(value).__name__}"))
         return None
-    miners: list[Miner] = []
-    ok = True
-    for i, entry in enumerate(raw):
-        path = f"miners[{i}]"
-        block = col.mapping(path, entry)
-        if block is None:
-            ok = False
-            continue
-        col.check_keys(path, block, _MINER_KEYS)
-        if "share" not in block or "strategy" not in block:
-            col.error(path, "share and strategy are required")
-            ok = False
-            continue
-        share = col.real(f"{path}.share", block["share"])
-        name = block["strategy"]
-        tag = _STRATEGY_NAMES.get(name)
-        if tag is None:
-            col.error(
-                f"{path}.strategy",
-                f"unknown strategy {name!r}; valid: {sorted(_STRATEGY_NAMES)}",
-            )
-            ok = False
-            continue
-        meta_budget = None
-        preferred = None
-        if tag is StrategyTag.META_INVESTOR:
-            if "meta_budget" not in block or "preferred_state" not in block:
-                col.error(path, "MetaInvestor requires meta_budget and preferred_state")
-                ok = False
-                continue
-            meta_budget = col.real(f"{path}.meta_budget", block["meta_budget"])
-            preferred = col.integer(f"{path}.preferred_state", block["preferred_state"])
+    prefix = f"{path}." if path else ""
+    if str in kind:
+        for key in value:
+            if not isinstance(key, str):
+                errors.append((f"{prefix}{key}", f"expected a string key, got {key!r}"))
+        return {key: _walk(kind[str], item, prefix + key, errors)
+                for key, item in value.items() if isinstance(key, str)}
+    errors.extend((f"{prefix}{key}", "unknown key") for key in value if key not in kind)
+    out = {}
+    for key, (sub, default) in kind.items():
+        if key in value:
+            out[key] = _walk(sub, value[key], prefix + key, errors)
+        elif default is _REQUIRED:
+            errors.append((prefix + key, "required key missing"))
         else:
-            for key in ("meta_budget", "preferred_state"):
-                if key in block:
-                    col.error(f"{path}.{key}", f"only valid for MetaInvestor, not {name}")
-                    ok = False
-        if share is None or (tag is StrategyTag.META_INVESTOR and (meta_budget is None or preferred is None)):
-            ok = False
-            continue
-        try:
-            strategy = StrategyKind(tag, meta_budget, preferred)
-            miners.append(Miner(share=share, strategy=strategy))
-        except ConfigurationError as exc:
-            col.error(path, str(exc))
-            ok = False
-    return miners if ok else None
+            out[key] = None if default is None else _walk(sub, default, prefix + key, errors)
+    return out
 
 
-def _parse_game(col: _Collector, raw: Any) -> StageGameSpec | None:
-    block = col.mapping("game", raw)
-    if block is None:
-        return None
-    col.check_keys("game", block, _GAME_KEYS)
-    lottery = False
-    if "lottery_mode" in block:
-        lottery = col.boolean("game.lottery_mode", block["lottery_mode"]) or False
-    states_raw = block.get("states")
-    if not isinstance(states_raw, list) or not states_raw:
-        col.error("game.states", "expected a non-empty list of {id, label} entries")
-        return None
-    labels: list[str] = []
-    for i, entry in enumerate(states_raw):
-        path = f"game.states[{i}]"
-        state_block = col.mapping(path, entry)
-        if state_block is None:
-            return None
-        col.check_keys(path, state_block, _STATE_KEYS)
-        state_id = col.integer(f"{path}.id", state_block.get("id"))
-        label = state_block.get("label")
-        if not isinstance(label, str) or not label:
-            col.error(f"{path}.label", "expected a non-empty string")
-            return None
-        if state_id != i:
-            col.error(f"{path}.id", f"expected sequential id {i}, got {state_id}")
-            return None
-        labels.append(label)
-    payoffs_raw = col.mapping("game.payoffs", block.get("payoffs"))
-    if payoffs_raw is None:
-        return None
-    for label, table in payoffs_raw.items():
-        if col.mapping(f"game.payoffs.{label}", table) is None:
-            return None
-        for key, values in table.items():
-            if not isinstance(values, list) or not all(_is_real(v) for v in values):
-                col.error(
-                    f"game.payoffs.{label}.{key}", "expected a list of numbers"
-                )
-                return None
-    try:
-        return StageGameSpec.from_profile_maps(labels, payoffs_raw, lottery_mode=lottery)
-    except ConfigurationError as exc:
-        col.error("game.payoffs", str(exc))
-        return None
+def _within(path: str, outer: str) -> bool:
+    return path == outer or path.startswith((f"{outer}.", f"{outer}["))
 
 
-def _parse_kernel(col: _Collector, raw: Any) -> TransitionKernel | None:
-    block = col.mapping("kernel", raw)
-    if block is None:
-        return None
-    col.check_keys("kernel", block, _KERNEL_KEYS)
-    matrix = block.get("matrix")
-    if not isinstance(matrix, list) or not matrix:
-        col.error("kernel.matrix", "expected a non-empty list of rows")
-        return None
-    for i, row in enumerate(matrix):
-        if not isinstance(row, list) or not all(_is_real(v) for v in row):
-            col.error(f"kernel.matrix[{i}]", "expected a list of numbers")
-            return None
-    try:
-        return TransitionKernel(matrix)
-    except ConfigurationError as exc:
-        col.error("kernel.matrix", str(exc))
-        return None
-
-
-def _parse_noise(col: _Collector, raw: Any) -> NoisePath | None:
-    block = col.mapping("noise", raw)
-    if block is None:
-        return None
-    col.check_keys("noise", block, _NOISE_KEYS)
-    rate = col.real("noise.baseline_rate", block.get("baseline_rate"))
-    segments_raw = block.get("segments")
-    if not isinstance(segments_raw, list) or not segments_raw:
-        col.error("noise.segments", "expected a non-empty list of {start, value}")
-        return None
-    segments = []
-    for i, entry in enumerate(segments_raw):
-        path = f"noise.segments[{i}]"
-        seg = col.mapping(path, entry)
-        if seg is None:
-            return None
-        col.check_keys(path, seg, _SEGMENT_KEYS)
-        start = col.integer(f"{path}.start", seg.get("start"))
-        value = col.real(f"{path}.value", seg.get("value"))
-        if start is None or value is None:
-            return None
-        segments.append((start, value))
-    if rate is None:
-        return None
-    try:
-        return NoisePath(baseline_rate=rate, segments=tuple(segments))
-    except ConfigurationError as exc:
-        col.error("noise", str(exc))
-        return None
+def _state_labels(states: list[dict]) -> list[str]:
+    ids = [state["id"] for state in states]
+    if ids != list(range(len(ids))):
+        raise ConfigurationError(f"state ids must be sequential from 0, got {ids}")
+    return [state["label"] for state in states]
 
 
 def parse_document(doc: Any, name: str = "scenario") -> Scenario:
@@ -247,144 +156,65 @@ def parse_document(doc: Any, name: str = "scenario") -> Scenario:
 
     Raises ScenarioValidationError carrying every violation found.
     """
-    col = _Collector()
-    top = col.mapping("(document)", doc)
-    if top is None:
-        raise ScenarioValidationError(col.errors)
-    col.check_keys("", top, _TOP_KEYS)
-    for key in sorted(_REQUIRED_TOP_KEYS):
-        if key not in top:
-            col.error(key, "required key missing")
-    if col.errors:
-        raise ScenarioValidationError(col.errors)
+    errors: list[tuple[str, str]] = []
+    doc = _walk(_SCHEMA, doc, "", errors)
 
-    version = col.integer("schema_version", top["schema_version"])
-    if version is not None and version != SCHEMA_VERSION:
-        col.error("schema_version", f"unsupported version {version}, expected {SCHEMA_VERSION}")
+    def failure() -> ScenarioValidationError:
+        return ScenarioValidationError([f"{path}: {message}" for path, message in errors])
 
-    if "name" in top:
-        if isinstance(top["name"], str) and top["name"]:
-            name = top["name"]
-        else:
-            col.error("name", "expected a non-empty string")
+    if doc is None:
+        raise failure()
 
-    horizon = col.integer("horizon", top["horizon"])
-    replica_count = col.integer("replica_count", top["replica_count"])
-    master_seed = col.integer("master_seed", top["master_seed"])
-    initial_state = col.integer("initial_state", top["initial_state"])
-    trigger = False
-    if "trigger_on_mutation" in top:
-        trigger = col.boolean("trigger_on_mutation", top["trigger_on_mutation"]) or False
-    spiral_threshold = 0.5
-    if "spiral_threshold" in top:
-        spiral_threshold = col.real("spiral_threshold", top["spiral_threshold"])
-    post_mutation_value = 0.0
-    if "post_mutation_value" in top:
-        post_mutation_value = col.real("post_mutation_value", top["post_mutation_value"])
+    def build(path: str, make: Callable[[], Any], at: str | None = None) -> Any:
+        """``make()`` unless the document failed at, above or below ``path``;
+        its ConfigurationError is recorded under ``at`` (default ``path``)."""
+        if any(_within(bad, path) or _within(path, bad) for bad, _ in errors):
+            return None
+        try:
+            return make()
+        except ConfigurationError as exc:
+            errors.append((at or path, str(exc)))
 
-    discount_block = col.mapping("discount", top["discount"])
-    delta = None
-    if discount_block is not None:
-        col.check_keys("discount", discount_block, _DISCOUNT_KEYS)
-        delta = col.real("discount.delta", discount_block.get("delta"))
-
-    eta = 0.0
-    if "risk_aversion" in top:
-        risk_block = col.mapping("risk_aversion", top["risk_aversion"])
-        if risk_block is not None:
-            col.check_keys("risk_aversion", risk_block, _RISK_KEYS)
-            eta = col.real("risk_aversion.eta", risk_block.get("eta"))
-
-    game = _parse_game(col, top["game"])
-    kernel = _parse_kernel(col, top["kernel"])
-    miners = _parse_miners(col, top["miners"])
-
-    noise = None
-    if "noise" in top:
-        noise = _parse_noise(col, top["noise"])
-
-    theta = None
-    if "theta" in top:
-        theta_block = col.mapping("theta", top["theta"])
-        if theta_block is not None:
-            col.check_keys("theta", theta_block, _THETA_KEYS)
-            mean = col.real("theta.mean", theta_block.get("mean"))
-            variance = col.real("theta.variance", theta_block.get("variance"))
-            clamp = True
-            if "clamp" in theta_block:
-                clamp = col.boolean("theta.clamp", theta_block["clamp"])
-            if mean is not None and variance is not None and clamp is not None:
-                try:
-                    theta = ThetaProcess(mean=mean, variance=variance, clamp=clamp)
-                except ConfigurationError as exc:
-                    col.error("theta", str(exc))
-
-    meta = MetaModelConfig()
-    if "meta" in top:
-        meta_block = col.mapping("meta", top["meta"])
-        if meta_block is not None:
-            col.check_keys("meta", meta_block, _META_KEYS)
-            enabled = meta_block.get("enabled", False)
-            strength = meta_block.get("influence_strength", 0.0)
-            exponent = meta_block.get("contest_exponent", 1.0)
-            enabled_ok = col.boolean("meta.enabled", enabled)
-            strength_ok = col.real("meta.influence_strength", strength)
-            exponent_ok = col.real("meta.contest_exponent", exponent)
-            if None not in (enabled_ok, strength_ok, exponent_ok):
-                try:
-                    meta = MetaModelConfig(
-                        enabled=enabled_ok,
-                        influence_strength=strength_ok,
-                        contest_exponent=exponent_ok,
-                    )
-                except ConfigurationError as exc:
-                    col.error("meta", str(exc))
-
-    investment = None
-    if "investment" in top:
-        inv_block = col.mapping("investment", top["investment"])
-        if inv_block is not None:
-            col.check_keys("investment", inv_block, _INVESTMENT_KEYS)
-            cost = col.real("investment.upfront_cost", inv_block.get("upfront_cost"))
-            returns = inv_block.get("expected_returns")
-            if not isinstance(returns, list) or not all(_is_real(v) for v in returns):
-                col.error("investment.expected_returns", "expected a list of numbers")
-            elif cost is not None:
-                try:
-                    investment = InvestmentPlan(
-                        upfront_cost=cost, expected_returns=tuple(returns)
-                    )
-                except ConfigurationError as exc:
-                    col.error("investment", str(exc))
-
-    if col.errors or None in (horizon, replica_count, master_seed, initial_state, delta,
-                              spiral_threshold, post_mutation_value, eta) \
-            or game is None or kernel is None or miners is None:
-        raise ScenarioValidationError(col.errors or ["invalid scenario document"])
-
-    try:
-        return Scenario(
-            miners=tuple(miners),
-            game=game,
-            kernel=kernel,
-            initial_state=initial_state,
-            horizon=horizon,
-            delta=delta,
-            risk_aversion=eta,
-            meta=meta,
-            replica_count=replica_count,
-            master_seed=master_seed,
-            trigger_on_mutation=trigger,
-            noise=noise,
-            theta=theta,
-            spiral_threshold=spiral_threshold,
-            post_mutation_value=post_mutation_value,
-            investment=investment,
-            name=name,
-        )
-    except ScenarioValidationError as exc:
-        col.errors.extend(exc.errors)
-        raise ScenarioValidationError(col.errors) from None
+    if doc.get("schema_version") not in (None, SCHEMA_VERSION):
+        errors.append(("schema_version", f"unsupported version {doc['schema_version']}, "
+                                         f"expected {SCHEMA_VERSION}"))
+    labels = build("game.states", lambda: _state_labels(doc["game"]["states"]))
+    game = build("game", lambda: StageGameSpec.from_profile_maps(
+        labels, doc["game"]["payoffs"], doc["game"]["lottery_mode"]), at="game.payoffs")
+    kernel = build("kernel.matrix", lambda: TransitionKernel(doc["kernel"]["matrix"]))
+    miners = [
+        build(f"miners[{i}]", lambda m=m: Miner(
+            m["share"], StrategyKind(m["strategy"], m["meta_budget"], m["preferred_state"])))
+        for i, m in enumerate(doc.get("miners") or ())
+    ]
+    noise = build("noise", lambda: doc["noise"] and NoisePath(
+        doc["noise"]["baseline_rate"],
+        tuple((segment["start"], segment["value"]) for segment in doc["noise"]["segments"])))
+    theta = build("theta", lambda: doc["theta"] and ThetaProcess(**doc["theta"]))
+    meta = build("meta", lambda: MetaModelConfig(**doc["meta"]))
+    investment = build(
+        "investment", lambda: doc["investment"] and InvestmentPlan(**doc["investment"]))
+    if errors:
+        raise failure()
+    return Scenario(
+        miners=tuple(miners),
+        game=game,
+        kernel=kernel,
+        initial_state=doc["initial_state"],
+        horizon=doc["horizon"],
+        delta=doc["discount"]["delta"],
+        risk_aversion=doc["risk_aversion"]["eta"],
+        meta=meta,
+        replica_count=doc["replica_count"],
+        master_seed=doc["master_seed"],
+        trigger_on_mutation=doc["trigger_on_mutation"],
+        noise=noise,
+        theta=theta,
+        spiral_threshold=doc["spiral_threshold"],
+        post_mutation_value=doc["post_mutation_value"],
+        investment=investment,
+        name=doc["name"] or name,
+    )
 
 
 def load_document(path: str | Path) -> Any:
@@ -457,7 +287,7 @@ def apply_overrides(doc: Any, overrides: Mapping[str, str]) -> Any:
                 [f"override {raw_path}: only scalar values are allowed"]
             )
         if raw_path == "kernel.epsilon":
-            if not _is_real(value):
+            if not _is_number(value):
                 raise ScenarioValidationError(
                     [f"override {raw_path}: expected a number, got {raw_value!r}"]
                 )

@@ -43,7 +43,9 @@ def test_validate_kernel_row_failure(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     assert main(["validate", str(path)]) == EXIT_VALIDATION
-    assert "row 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: kernel.matrix: kernel row 0 sums to 0.9, must equal 1 within 1e-12\n"
+    )
 
 
 def test_validate_share_failure(tmp_path, capsys):
@@ -100,6 +102,23 @@ BAD_PAYOFF_TABLES = {
     ),
 }
 
+# Malformed document shapes: each gives one pinned error line, never a traceback.
+BAD_DOCUMENTS = {
+    "non_string_profile_key": (
+        lambda doc: doc["game"]["payoffs"]["baseline"].update({11: [1.0, 1.0]}),
+        "error: game.payoffs.baseline.11: expected a string key, got 11",
+    ),
+    "list_strategy": (
+        lambda doc: doc["miners"][0].update(strategy=["x"]),
+        "error: miners[0].strategy: unknown strategy ['x']; valid: ['AlwaysDefect', 'Collude', "
+        "'GrimTrigger', 'Honest', 'MetaInvestor', 'MyopicBestResponse', 'TitForTat', 'Withhold']",
+    ),
+    "ragged_kernel": (
+        lambda doc: doc["kernel"].update(matrix=[[1.0], [0.0, 1.0]]),
+        "error: kernel.matrix: transition kernel must be a square matrix of numbers",
+    ),
+}
+
 
 @pytest.mark.parametrize("case", sorted(BAD_PAYOFF_TABLES))
 def test_validate_pins_payoff_table_errors(case, tmp_path, capsys):
@@ -110,6 +129,27 @@ def test_validate_pins_payoff_table_errors(case, tmp_path, capsys):
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     assert main(["validate", str(path)]) == EXIT_VALIDATION
     assert capsys.readouterr().err == expected + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
+def test_validate_pins_malformed_document_errors(case, tmp_path, capsys):
+    corrupt, expected = BAD_DOCUMENTS[case]
+    doc = yaml.safe_load(FIXED_RULES)
+    corrupt(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == expected + "\n"
+
+
+def test_run_beyond_memory_is_capacity_error(fixed_rules_file, tmp_path, capsys):
+    # numpy refuses the 7 PiB draw array up front, so nothing is allocated.
+    overrides = ["--replicas", "1", "--set", "horizon=1000000000000000"]
+    assert main(["validate", str(fixed_rules_file), *overrides]) == EXIT_OK
+    out = str(tmp_path / "out")
+    assert main(["run", str(fixed_rules_file), "--out", out, *overrides]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

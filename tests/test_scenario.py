@@ -1,6 +1,7 @@
 """Scenario documents: schema validation, error accumulation, overrides."""
 
 import copy
+from pathlib import Path
 
 import pytest
 import yaml
@@ -134,6 +135,41 @@ def test_state_ids_must_be_sequential(base_doc):
     base_doc["game"]["states"] = [{"id": 1, "label": "baseline"}]
     with pytest.raises(ScenarioValidationError, match="sequential"):
         parse_document(base_doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("risk_aversion.eta", float("nan")),
+        ("theta.mean", float("nan")),
+        ("theta.variance", float("inf")),
+        ("meta.contest_exponent", float("nan")),
+        ("post_mutation_value", float("inf")),
+        ("noise.baseline_rate", float("nan")),
+    ],
+)
+def test_non_finite_scalar_fields_rejected(path, value):
+    doc = yaml.safe_load(MUTABLE_CORE)
+    doc["theta"] = {"mean": 1.0, "variance": 0.04}
+    *blocks, leaf = path.split(".")
+    target = doc
+    for block in blocks:
+        target = target[block]
+    target[leaf] = value
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        parse_document(doc)
+    assert excinfo.value.errors == [f"{path}: expected a finite number, got {value!r}"]
+
+
+def test_readme_scenario_example_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Scenario files", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    scenario = parse_document(yaml.safe_load(example))
+    assert scenario.name == "my_experiment"
+    assert scenario.meta.enabled and scenario.meta_investors() == [(0.25, 0, 0.5)]
+    assert scenario.noise is not None and scenario.theta is not None
+    assert scenario.investment is not None and scenario.investment.horizon == 3
 
 
 def test_payoff_profiles_must_be_complete(base_doc):

@@ -8,13 +8,18 @@ functions of the scenario file, the overrides, and the master seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import gc
 import itertools
 import json
 import math
+import os
 import sys
+import warnings
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 import yaml
@@ -60,8 +65,11 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
-def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
-    """Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}.
+def _write_rows(
+    handle: TextIO, scenario: Scenario, batch: BatchTrace, masks: np.ndarray, rows: range
+) -> None:
+    """Write the trace lines of the replicas at positions ``rows`` of ``batch``;
+    ``masks`` is ``batch.profile_masks()``.
 
     Written one replica at a time, column by column: floats are their
     ``repr``, so every payoff and theta round-trips, ``-0.0`` included.
@@ -71,27 +79,166 @@ def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
     """
     profile_keys = ["".join(p) for p in itertools.product("CD", repeat=scenario.n)]
     state_keys = list(map(str, range(len(scenario.game))))
-    masks = batch.profile_masks()
     rounds = list(map(str, range(scenario.horizon)))
     no_theta = [""] * scenario.horizon
+    for r in rows:
+        thetas = no_theta if batch.theta is None else map(repr, batch.theta[r].tolist())
+        bits, inverse = np.unique(batch.payoffs[r].T.view(np.uint64), return_inverse=True)
+        values = list(map(repr, bits.view(np.float64).tolist()))
+        payoff_columns = inverse.reshape(scenario.n, scenario.horizon).tolist()
+        columns = [
+            itertools.repeat(str(batch.replicas[r])),
+            rounds,
+            map(state_keys.__getitem__, batch.states[r].tolist()),
+            thetas,
+            map(profile_keys.__getitem__, masks[r].tolist()),
+            *(map(values.__getitem__, column) for column in payoff_columns),
+        ]
+        handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
+# At most this many processes format one trace.csv: two is the only count
+# measured to pay (on a 2-vCPU host). Raise it with pairs from a larger host.
+_MAX_WRITERS = 2
+# A worker's fork, temporary file, reap and append cost 3-10 ms on that host,
+# what one process takes to format 3,000-10,000 lines, so a range gets a
+# worker only when each range holds at least this many lines.
+_MIN_LINES_PER_WRITER = 10_000
+
+
+def _replica_ranges(count: int, horizon: int) -> list[range]:
+    """Contiguous ranges that cover ``range(count)`` in order, one per writing
+    process: as many as the CPUs this process may run on where it can fork,
+    but at most ``_MAX_WRITERS`` and with ``_MIN_LINES_PER_WRITER`` trace
+    lines (``horizon`` per replica) or more in each; else one."""
+    cpus = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    parts = max(1, min(count, cpus, _MAX_WRITERS, count * horizon // _MIN_LINES_PER_WRITER))
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+# A trace worker's exit status when it ran out of memory, and when it met an
+# error that is neither that nor an OSError (a bug; its traceback goes to
+# stderr). Any other nonzero status is the errno of the OSError it met;
+# errno values stay below both.
+_WORKER_OUT_OF_MEMORY = 255
+_WORKER_FAILED = 254
+
+
+def _fork_writer(
+    part: TextIO, scenario: Scenario, batch: BatchTrace, masks: np.ndarray, rows: range
+) -> int | None:
+    """Fork a worker that writes the replicas ``rows`` into ``part``; return
+    its pid, or None if the host refuses the fork (``EAGAIN``, ``ENOMEM``).
+    The worker always leaves by ``os._exit``: it never returns into the
+    caller, and it reports failure through its exit status."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork() in a multi-threaded process, and
+        # numpy's idle BLAS thread pool makes this one so. The worker calls no
+        # BLAS routine and leaves by os._exit, so it never waits on a lock
+        # held by a thread it did not inherit.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:
+            return None
+    if pid:
+        return pid
+    status = _WORKER_FAILED
+    try:
+        _write_rows(part, scenario, batch, masks, rows)
+        part.flush()
+        status = EXIT_OK
+    except MemoryError:
+        status = _WORKER_OUT_OF_MEMORY
+    except OSError as exc:
+        status = exc.errno or errno.EIO
+    except BaseException:
+        import traceback  # only a failing worker needs it
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _reap(pids: list[int]) -> list[int]:
+    """Wait for every worker in ``pids``, even when waiting for one of them
+    fails (say, a KeyboardInterrupt); return their wait statuses."""
+    statuses, error = [], None
+    for pid in pids:
+        try:
+            statuses.append(os.waitpid(pid, 0)[1])
+        except BaseException as exc:
+            error = error or exc
+    if error is not None:
+        raise error
+    return statuses
+
+
+def _raise_for_worker(status: int, path: Path) -> None:
+    """Raise the error that a trace worker's wait status reports, if any."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == _WORKER_OUT_OF_MEMORY:
+        raise MemoryError(f"a worker writing {path} ran out of memory")
+    if code == _WORKER_FAILED:
+        raise RuntimeError(f"a worker writing {path} failed; its traceback is above")
+    if code < 0:
+        raise OSError(f"a worker writing {path} was killed by signal {-code}")
+    if code:
+        raise OSError(code, os.strerror(code), str(path))
+
+
+def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
+    """Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}.
+
+    Rows are formatted by ``_write_rows``, over contiguous replica ranges:
+    where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), one range
+    for each CPU this process may use, at most ``_MAX_WRITERS`` of them and
+    one while the batch has fewer than ``2 * _MIN_LINES_PER_WRITER`` lines;
+    elsewhere one. This process writes the header and the first range into
+    ``path``; a forked worker writes each other range into an anonymous
+    temporary file in the same directory (this process does, if the fork is
+    refused), and those are appended in range order once every worker has
+    exited. The bytes never depend on the number of ranges.
+    """
+    import shutil  # only `run` needs these, so `validate` does not import them here
+    import tempfile
+
     header = ["replica", "t", "state", "theta", "actions"]
     header += [f"payoff_{i}" for i in range(scenario.n)]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    masks = batch.profile_masks()
+    first, *others = _replica_ranges(len(batch.replicas), scenario.horizon)
+    with open(path, "w", encoding="utf-8", newline="") as handle, contextlib.ExitStack() as stack:
         handle.write(",".join(header) + "\n")
-        for r, replica_index in enumerate(batch.replicas):
-            thetas = no_theta if batch.theta is None else map(repr, batch.theta[r].tolist())
-            bits, inverse = np.unique(batch.payoffs[r].T.view(np.uint64), return_inverse=True)
-            values = list(map(repr, bits.view(np.float64).tolist()))
-            payoff_columns = inverse.reshape(scenario.n, scenario.horizon).tolist()
-            columns = [
-                itertools.repeat(str(replica_index)),
-                rounds,
-                map(state_keys.__getitem__, batch.states[r].tolist()),
-                thetas,
-                map(profile_keys.__getitem__, masks[r].tolist()),
-                *(map(values.__getitem__, column) for column in payoff_columns),
-            ]
-            handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        parts = [
+            stack.enter_context(
+                tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=path.parent)
+            )
+            for _ in others
+        ]
+        # Flushed before the fork, no buffer a worker inherits holds bytes it could write again.
+        for stream in (handle, sys.stdout, sys.stderr):
+            stream.flush()
+        pids = []
+        try:
+            for part, rows in zip(parts, others):
+                pid = _fork_writer(part, scenario, batch, masks, rows)
+                if pid is None:
+                    _write_rows(part, scenario, batch, masks, rows)
+                else:
+                    pids.append(pid)
+            _write_rows(handle, scenario, batch, masks, first)
+        finally:
+            statuses = _reap(pids)
+        for status in statuses:
+            _raise_for_worker(status, path)
+        handle.flush()
+        for part in parts:
+            part.seek(0)
+            shutil.copyfileobj(part.buffer, handle.buffer)
 
 
 def write_summary_json(path: Path, scenario: Scenario, summary: BatchSummary) -> None:

@@ -297,6 +297,8 @@ def apply_overrides(doc: Any, overrides: Mapping[str, str]) -> Any:
                 raise ScenarioValidationError(
                     ["override kernel.epsilon: document has no kernel.matrix"]
                 )
+            if not all(isinstance(row, list) and all(map(_is_number, row)) for row in matrix):
+                continue  # left as it is for parse_document to report
             try:
                 kernel["matrix"] = scale_kernel_epsilon(matrix, float(value))
             except ConfigurationError as exc:

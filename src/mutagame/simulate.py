@@ -26,7 +26,7 @@ from .discounting import (
     endogenous_discount_path,
     validate_discount,
 )
-from .errors import ConfigurationError, ScenarioValidationError
+from .errors import CapacityError, ConfigurationError, ScenarioValidationError
 from .game import (
     _ALWAYS_DEFECT,
     StageGameSpec,
@@ -326,7 +326,14 @@ def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
     """
     horizon, normal = scenario.horizon, scenario.theta is not None
     per_round = 1 + normal + scenario.game.lottery_mode
-    draws = np.empty((len(replicas), horizon, per_round))
+    shape = (len(replicas), horizon, per_round)
+    # Past this numpy raises ValueError, not MemoryError: 8 bytes per float64.
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise CapacityError(
+            f"{shape[0]} replicas x horizon {horizon} x {per_round} draws per round "
+            "exceed the largest array numpy can index"
+        )
+    draws = np.empty(shape)
     for start in range(0, len(replicas), _CHUNK):
         chunk = replicas[start:start + _CHUNK]
         out = draws[start:start + len(chunk)]

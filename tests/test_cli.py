@@ -102,20 +102,38 @@ BAD_PAYOFF_TABLES = {
     ),
 }
 
+EPSILON = ["--set", "kernel.epsilon=0.0"]
+
 # Malformed document shapes: each gives one pinned error line, never a traceback.
+# Each entry: (corrupt the document, extra CLI arguments, the stderr line).
 BAD_DOCUMENTS = {
     "non_string_profile_key": (
         lambda doc: doc["game"]["payoffs"]["baseline"].update({11: [1.0, 1.0]}),
+        [],
         "error: game.payoffs.baseline.11: expected a string key, got 11",
     ),
     "list_strategy": (
         lambda doc: doc["miners"][0].update(strategy=["x"]),
+        [],
         "error: miners[0].strategy: unknown strategy ['x']; valid: ['AlwaysDefect', 'Collude', "
         "'GrimTrigger', 'Honest', 'MetaInvestor', 'MyopicBestResponse', 'TitForTat', 'Withhold']",
     ),
     "ragged_kernel": (
         lambda doc: doc["kernel"].update(matrix=[[1.0], [0.0, 1.0]]),
+        [],
         "error: kernel.matrix: transition kernel must be a square matrix of numbers",
+    ),
+    # kernel.epsilon rescales the raw matrix before validation, so it must
+    # leave a matrix it cannot rescale for the schema to report.
+    "epsilon_on_number_row": (
+        lambda doc: doc["kernel"].update(matrix=[1]),
+        EPSILON,
+        "error: kernel.matrix[0]: expected a non-empty list, got int",
+    ),
+    "epsilon_on_string_entry": (
+        lambda doc: doc["kernel"].update(matrix=[[1.0, "x"]]),
+        EPSILON,
+        "error: kernel.matrix[0][1]: expected a number, got 'x'",
     ),
 }
 
@@ -133,12 +151,12 @@ def test_validate_pins_payoff_table_errors(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", sorted(BAD_DOCUMENTS))
 def test_validate_pins_malformed_document_errors(case, tmp_path, capsys):
-    corrupt, expected = BAD_DOCUMENTS[case]
+    corrupt, args, expected = BAD_DOCUMENTS[case]
     doc = yaml.safe_load(FIXED_RULES)
     corrupt(doc)
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-    assert main(["validate", str(path)]) == EXIT_VALIDATION
+    assert main(["validate", str(path), *args]) == EXIT_VALIDATION
     assert capsys.readouterr().err == expected + "\n"
 
 
@@ -150,6 +168,18 @@ def test_run_beyond_memory_is_capacity_error(fixed_rules_file, tmp_path, capsys)
     assert main(["run", str(fixed_rules_file), "--out", out, *overrides]) == EXIT_CAPACITY
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+def test_run_past_numpy_dimension_limit_is_capacity_error(fixed_rules_file, tmp_path, capsys):
+    # 1e20 rounds do not fit numpy's index type, so no allocation is tried.
+    overrides = ["--replicas", "1", "--set", "horizon=100000000000000000000"]
+    assert main(["validate", str(fixed_rules_file), *overrides]) == EXIT_OK
+    out = str(tmp_path / "out")
+    assert main(["run", str(fixed_rules_file), "--out", out, *overrides]) == EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        "error: 1 replicas x horizon 100000000000000000000 x 1 draws per round "
+        "exceed the largest array numpy can index\n"
+    )
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ depend on play, so they are computed before the actions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -309,6 +310,14 @@ def _cooperating_fraction(defects: np.ndarray) -> np.ndarray:
 _CHUNK = 64
 # PCG64's LCG multiplier: state <- state * _PCG64_MULTIPLIER + inc (mod 2**128).
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+# SeedSequence's hash constants (numpy's ``bit_generator.pyx``, after
+# O'Neill's ``seed_seq``).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# numpy's ziggurat tail: the base layer's right edge and its inverse.
+_TAIL_R, _TAIL_INV_R = 3.6541528853610088, 0.27366123732975828
+# The ziggurat tables as Python numbers, for the scalar slow path.
+_WI, _KI, _FI = (table.tolist() for table in (_ziggurat.WI, _ziggurat.KI, _ziggurat.FI))
 
 
 def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
@@ -318,31 +327,35 @@ def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
     enabled, then the lottery uniform when enabled: the values that scalar
     ``random()`` and ``standard_normal()`` calls on
     ``replica_rng(master_seed, i)`` return in that order. They are computed
-    in bulk from the stream's raw 64-bit words, chunk by chunk of replicas.
-    A uniform takes one word w, ``(w >> 11) * 2**-53``. A normal takes one
-    word on numpy's ziggurat fast path (``_ziggurat``). Off it (about 1.5% of
-    normals) numpy's own ``standard_normal`` runs from that word, and every
-    later draw of the replica moves down by the extra words it used.
+    in bulk, chunk by chunk of replicas. ``_seed_states`` seeds every stream
+    of a chunk at once, and each stream's raw 64-bit words are drawn in one
+    call: H*d words, plus ``_slack`` when normals are drawn. A uniform takes
+    one word w, ``(w >> 11) * 2**-53``. A normal takes one word on numpy's
+    ziggurat fast path (``_ziggurat``). Off it (about 1.5% of normals)
+    ``_slow_normal`` runs numpy's algorithm on the words that follow, and
+    every later draw of the replica moves down by the extra words it used.
     """
     horizon, normal = scenario.horizon, scenario.theta is not None
     per_round = 1 + normal + scenario.game.lottery_mode
-    shape = (len(replicas), horizon, per_round)
-    # Past this numpy raises ValueError, not MemoryError: 8 bytes per float64.
-    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+    count = replicas.stop - replicas.start  # len() overflows past sys.maxsize
+    width = horizon * per_round + (_slack(horizon) if normal else 0)
+    # Past this numpy raises ValueError, not MemoryError: 8 bytes per
+    # float64 draw or uint64 word.
+    if count * width * 8 > np.iinfo(np.intp).max:
         raise CapacityError(
-            f"{shape[0]} replicas x horizon {horizon} x {per_round} draws per round "
+            f"{count} replicas x horizon {horizon} x {per_round} draws per round "
             "exceed the largest array numpy can index"
         )
-    draws = np.empty(shape)
-    for start in range(0, len(replicas), _CHUNK):
+    draws = np.empty((count, horizon, per_round))
+    stream = np.random.PCG64(0)
+    for start in range(0, count, _CHUNK):
         chunk = replicas[start:start + _CHUNK]
         out = draws[start:start + len(chunk)]
-        streams = [replica_rng(scenario.master_seed, i).bit_generator for i in chunk]
-        seeds = [stream.state for stream in streams] if normal else []
-        words = np.stack([stream.random_raw(horizon * per_round) for stream in streams])
+        seeds = _seed_states(scenario.master_seed, chunk)
+        words = np.stack([_raw_words(stream, seed, width) for seed in seeds])
         slow = {}
         if normal:
-            words, slow = _skip_slow_normals(words, seeds, streams, per_round)
+            words, slow = _skip_slow_normals(words, seeds, stream, horizon, per_round)
         words = words.reshape(out.shape)
         np.multiply(words >> 11, 2.0**-53, out=out)
         if normal:
@@ -352,43 +365,168 @@ def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
     return draws
 
 
+def _slack(normals: int) -> int:
+    """Words drawn past H*d for a row with this many normals. A slow normal
+    takes one to a few extra words; this covers several times the mean
+    extra, and a row that needs more draws them."""
+    return 8 + normals // 16
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: 32-bit words, least
+    significant first; 0 is one word."""
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hash_constants(init: int, multiplier: int, count: int) -> np.ndarray:
+    """SeedSequence's successive hash constants: ``init`` times
+    ``multiplier`` to the power 0..count, mod 2**32."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * multiplier & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of row k of uint32 ``values`` under hash
+    constant ``consts[k]``, whose successor is ``consts[k + 1]``."""
+    values = (values ^ consts[:-1, None]) * consts[1:, None]  # uint32 wraps, as in C
+    return values ^ values >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of uint32 words."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+def _seed_states(master_seed: int, replicas: range) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) once seeded from ``SeedSequence([master_seed,
+    i])``, for each replica i.
+
+    numpy's algorithm, run for every replica whose entropy has the same
+    word count at once, on uint32 arrays with one column per replica. The
+    4-word pool is filled, mixed, and mixed with the entropy words past 4
+    (``mix_entropy``); ``generate_state(4, uint64)`` gives v0..v3; PCG64's
+    ``set_seed`` takes seed ``v0 << 64 | v1`` and sequence ``v2 << 64 | v3``.
+    """
+    seed_words = _uint32_words(master_seed)
+    entropies = (seed_words + _uint32_words(i) for i in replicas)
+    states = []
+    for _, group in itertools.groupby(entropies, key=len):
+        entropy = np.array(list(group), dtype=np.uint32).T  # (words, replicas)
+        pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+        pool[:len(entropy)] = entropy[:4]
+        consts = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * len(entropy[4:]))
+        pool, k = _hashmix(pool, consts[:5]), 4
+        for src in range(4):
+            others = [dst for dst in range(4) if dst != src]
+            pool[others] = _mix(pool[others], _hashmix(pool[src], consts[k:k + 4]))
+            k += 3
+        for word in entropy[4:]:
+            pool = _mix(pool, _hashmix(word, consts[k:k + 5]))
+            k += 4
+        halves = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
+        halves = halves.astype(np.uint64)
+        v0, v1, v2, v3 = (halves[0::2] | halves[1::2] << 32).tolist()
+        for seed_hi, seed_lo, seq_hi, seq_lo in zip(v0, v1, v2, v3):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % 2**128
+            # Two LCG steps: from state 0, and after adding the seed.
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc) % 2**128
+            states.append((state, inc))
+    return states
+
+
+def _raw_words(stream: np.random.PCG64, seed: tuple[int, int], count: int) -> np.ndarray:
+    """The first ``count`` raw words of the PCG64 stream whose (state, inc)
+    is ``seed``, drawn by ``stream``."""
+    state, inc = seed
+    stream.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return stream.random_raw(count)
+
+
 def _skip_slow_normals(
-    words: np.ndarray, seeds: list[dict], streams: list, per_round: int
+    words: np.ndarray, seeds: list[tuple[int, int]], stream: np.random.PCG64,
+    horizon: int, per_round: int,
 ) -> tuple[np.ndarray, dict[tuple[int, int], float]]:
     """The word each draw starts from, (C, H*d), and the normals that miss
     the ziggurat fast path, by (row, round).
 
-    ``words`` holds the first H*d words of each of the C ``streams``, whose
-    initial states are ``seeds``; normals sit in column 1 of each round. A
-    row's first miss is drawn by ``_slow_normal`` and its later draws shift;
-    then the row is searched again from the round after, until no row
-    misses. A row that needs words past its end draws them from its stream.
+    ``words`` holds the first words of each of the C streams seeded by
+    ``seeds``; normals sit in column 1 of each round. The fast path is
+    tested on every word once, and each row's misses are walked in order
+    by ``_row_slow_normals``. A row that runs out of words is drawn again
+    from its seed, twice as long. A row keeps its first H*d + shift words
+    but the extra words of its slow normals, shift being their count.
     """
-    count, horizon = len(streams), words.shape[1] // per_round
-    positions = np.tile(np.arange(horizon * per_round), (count, 1))
-    normals = positions[:, 1::per_round]  # a view: the shifts reach it
-    drawn = np.full(count, words.shape[1])
-    unchecked = np.zeros(count, dtype=np.int64)  # first round not yet searched
-    scratch = np.random.Generator(np.random.PCG64(0))
+    count, width = words.shape
+    rows, columns = np.divmod(np.flatnonzero(~_fast_path(words)), width)
+    bounds = np.searchsorted(rows, np.arange(count + 1)).tolist()
+    columns = columns.tolist()
+    walked, grown = {}, {}
+    for row in range(count):
+        row_words, misses = words[row], columns[bounds[row]:bounds[row + 1]]
+        while (found := _row_slow_normals(row_words, misses, horizon, per_round)) is None:
+            row_words = _raw_words(stream, seeds[row], 2 * len(row_words))
+            misses = np.flatnonzero(~_fast_path(row_words)).tolist()
+            grown[row] = row_words
+        walked[row] = found
+    if grown:
+        words = np.pad(words, ((0, 0), (0, max(map(len, grown.values())) - width)))
+        for row, row_words in grown.items():
+            words[row, :len(row_words)] = row_words
+    keep = np.zeros(words.shape, dtype=bool)
+    keep[:, :horizon * per_round] = True
     slow = {}
-    rows = np.arange(count)
-    while len(rows):
-        words = _extend_words(words, drawn, positions[:, -1] + 1, streams)
-        first = words[rows[:, None], normals[rows]]
-        missed = ~_fast_path(first) & (np.arange(horizon) >= unchecked[rows, None])
-        hit = missed.any(axis=1)
-        rows = rows[hit]
-        for row, t in zip(rows.tolist(), np.argmax(missed[hit], axis=1).tolist()):
-            value, used = _slow_normal(scratch, seeds[row], int(normals[row, t]))
+    for row, found in walked.items():
+        keep[row, :horizon * per_round + sum(used - 1 for *_, used in found)] = True
+        for miss, t, value, used in found:
             slow[row, t] = value
-            positions[row, t * per_round + 2:] += used - 1
-            unchecked[row] = t + 1
-    return np.take_along_axis(words, positions, axis=1), slow
+            keep[row, miss + 1:miss + used] = False
+    return words[keep].reshape(count, horizon * per_round), slow
+
+
+def _row_slow_normals(
+    words: np.ndarray, misses: list[int], horizon: int, per_round: int
+) -> list[tuple[int, int, float, int]] | None:
+    """(first word, round, value, words used) of each normal of one row
+    that misses the fast path, in order; None when the row needs more than
+    its ``words``.
+
+    ``misses`` are the indices of the words that miss, ascending. One
+    counts when it lies where the row's next normal starts, ``t*d + 1 +
+    shift`` for a round t not yet walked, shift being the extra words of
+    the slow normals before it.
+    """
+    found, shift, next_normal = [], 0, 1
+    for miss in misses:
+        if miss < next_normal or (miss - next_normal) % per_round:
+            continue
+        t = (miss - 1 - shift) // per_round
+        if t >= horizon:
+            break
+        try:
+            value, used = _slow_normal(words[miss:])
+        except IndexError:
+            return None
+        found.append((miss, t, value, used))
+        shift += used - 1
+        next_normal = miss + per_round + used - 1
+    if horizon * per_round + shift > len(words):
+        return None
+    return found
 
 
 def _fast_path(words: np.ndarray) -> np.ndarray:
     """Whether numpy's ziggurat fast path accepts each word as a normal."""
-    return (words >> 9) & (2**52 - 1) < _ziggurat.KI[words & 0xFF]
+    rabs = words >> 9
+    rabs &= 2**52 - 1
+    return rabs < _ziggurat.KI[(words & 0xFF).astype(np.uint8)]
 
 
 def _fast_normals(words: np.ndarray) -> np.ndarray:
@@ -398,36 +536,39 @@ def _fast_normals(words: np.ndarray) -> np.ndarray:
     return np.negative(normals, out=normals, where=(words & 0x100).astype(bool))
 
 
-def _slow_normal(scratch: np.random.Generator, seed: dict, position: int) -> tuple[float, int]:
-    """``standard_normal()`` of the stream whose initial state is ``seed``,
-    started at word ``position``, and the number of words it used."""
-    stream = scratch.bit_generator
-    stream.state = seed
-    stream.advance(position)
-    lcg = stream.state["state"]
-    state, inc = lcg["state"], lcg["inc"]
-    value = scratch.standard_normal()
-    end = stream.state["state"]["state"]
+def _slow_normal(words: np.ndarray) -> tuple[float, int]:
+    """numpy's ``random_standard_normal`` run on ``words``, the stream's
+    words from the normal's first: the value and the number of words used.
+    Raises IndexError when it needs more words than there are.
+
+    A word off the fast path in layer 0 goes to the tail, two uniforms a
+    try. In any other layer one uniform u decides the wedge: x is accepted
+    when ``(FI[i-1] - FI[i]) * u + FI[i] < exp(-x*x/2)``, and otherwise the
+    next word starts over. ``math.exp`` and ``math.log1p`` call the same
+    libm functions as numpy, whose ``random_standard_normal`` fuses no
+    multiply-add, so every decision is numpy's.
+    """
     used = 0
-    while state != end:
-        state = (state * _PCG64_MULTIPLIER + inc) % 2**128
+    while True:
+        word = int(words[used])
         used += 1
-    return value, used
-
-
-def _extend_words(
-    words: np.ndarray, drawn: np.ndarray, needed: np.ndarray, streams: list
-) -> np.ndarray:
-    """``words`` with row r holding the first ``needed[r]`` words of
-    ``streams[r]``: a row short of them takes its stream's next words.
-    ``drawn`` counts each row's words and is updated in place."""
-    width = needed.max()
-    if width > words.shape[1]:
-        words = np.pad(words, ((0, 0), (0, width - words.shape[1])))
-    for row in np.flatnonzero(needed > drawn):
-        words[row, drawn[row]:needed[row]] = streams[row].random_raw(needed[row] - drawn[row])
-        drawn[row] = needed[row]
-    return words
+        layer, rabs = word & 0xFF, (word >> 9) & (2**52 - 1)
+        x = rabs * _WI[layer]
+        if word & 0x100:
+            x = -x
+        if rabs < _KI[layer]:
+            return x, used
+        if layer == 0:
+            while True:
+                xx = -_TAIL_INV_R * math.log1p(-((int(words[used]) >> 11) * 2.0**-53))
+                yy = -math.log1p(-((int(words[used + 1]) >> 11) * 2.0**-53))
+                used += 2
+                if yy + yy > xx * xx:  # the tail's sign is bit 8 of rabs
+                    return (-(_TAIL_R + xx) if rabs & 0x100 else _TAIL_R + xx), used
+        u = (int(words[used]) >> 11) * 2.0**-53
+        used += 1
+        if (_FI[layer - 1] - _FI[layer]) * u + _FI[layer] < math.exp(-0.5 * x * x):
+            return x, used
 
 
 def _myopic_defects(tables: np.ndarray, delta: float, miners: list[int]) -> np.ndarray:
@@ -512,9 +653,9 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
     fraction while the meta game is enabled, and zeroed for lottery losers
     in lottery mode, multiplied in that order.
     """
+    draws = _draws(scenario, replicas)  # first: it refuses what len() cannot count
     count, horizon, n = len(replicas), scenario.horizon, scenario.n
     game, kernel = scenario.game, scenario.kernel
-    draws = _draws(scenario, replicas)
 
     # MetaInvestors always cooperate with fixed budgets, so the adjusted
     # kernel row depends on the state alone.

@@ -182,6 +182,18 @@ def test_run_past_numpy_dimension_limit_is_capacity_error(fixed_rules_file, tmp_
     )
 
 
+def test_run_past_sys_maxsize_replicas_is_capacity_error(fixed_rules_file, tmp_path, capsys):
+    # len() of so long a range overflows; the check counts without it.
+    overrides = ["--replicas", "100000000000000000000"]
+    assert main(["validate", str(fixed_rules_file), *overrides]) == EXIT_OK
+    out = str(tmp_path / "out")
+    assert main(["run", str(fixed_rules_file), "--out", out, *overrides]) == EXIT_CAPACITY
+    assert capsys.readouterr().err == (
+        "error: 100000000000000000000 replicas x horizon 200 x 1 draws per round "
+        "exceed the largest array numpy can index\n"
+    )
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.yaml")]) == EXIT_IO
 

@@ -1,17 +1,22 @@
 """The bulk draw path against numpy's own scalar draws.
 
-``_ziggurat`` copies numpy's fast-path constants; (a) re-derives each of
-them by feeding ``Generator.standard_normal`` one chosen 64-bit word. (b)
+``_ziggurat`` copies numpy's ziggurat constants; (a) re-derives WI and KI
+by feeding ``Generator.standard_normal`` one chosen 64-bit word. (b) checks
+``simulate._slow_normal`` against numpy on the wedge decision at every
+layer, on both sides of its threshold, and on slow-path words from real
+streams. (c) checks ``simulate._seed_states`` against numpy's seeding. (d)
 checks ``simulate._draws`` against the documented scalar loop, bit for bit,
 and counts that the idx-0 tail, layer 1 (which always leaves the fast path)
 and the word-growth path each ran.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
 
-from mutagame import _ziggurat, parse_document, replica_rng, simulate
+from mutagame import CapacityError, _ziggurat, parse_document, replica_rng, run_replica, simulate
 from mutagame.presets import FIXED_RULES
 
 # PCG64's 128-bit LCG multiplier (O'Neill 2014, the default for 128-bit state).
@@ -92,6 +97,113 @@ def test_fast_path_matches_numpy_at_every_layer_boundary():
             assert normal.hex() == value.hex()
 
 
+def lcg_steps(start, end, inc):
+    """LCG steps from state ``start`` to state ``end``: the words drawn."""
+    steps = 0
+    while start != end:
+        start = (start * MULTIPLIER + inc) % MODULUS
+        steps += 1
+    return steps
+
+
+class Stream:
+    """numpy's ``standard_normal`` and raw words from a chosen LCG state."""
+
+    def __init__(self):
+        self.stream = np.random.PCG64(0)
+        self.generator = np.random.Generator(self.stream)
+
+    def set(self, state, inc):
+        self.stream.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+
+    def normal(self, state, inc):
+        """numpy's value, the words it used, and the stream's first 32 words."""
+        self.set(state, inc)
+        words = self.stream.random_raw(32)
+        self.set(state, inc)
+        value = self.generator.standard_normal()
+        return value, lcg_steps(state, self.stream.state["state"]["state"], inc), words
+
+
+def two_word_state(first, second):
+    """(state, inc) whose next two outputs are ``first`` and ``second``:
+    both LCG states that follow have hi = 0. ``inc`` is odd when the two
+    words differ in their low bit."""
+    inc = (second - MULTIPLIER * first) % MODULUS
+    return (first - inc) * pow(MULTIPLIER, -1, MODULUS) % MODULUS, inc
+
+
+def test_wedge_decision_matches_numpy_at_every_layer():
+    stream = Stream()
+    for layer in range(1, 256):
+        # Off the fast path, with exp(-x*x/2) strictly inside the wedge.
+        rabs = (_ziggurat.KI.tolist()[layer] + 2**52) // 2
+        first = rabs << 9 | layer
+
+        def state(u_bits):
+            # Its u is u_bits * 2**-53; the low bit keeps inc odd.
+            return two_word_state(first, u_bits << 11 | (first & 1 ^ 1))
+
+        # numpy accepts x with the second word iff u lies below a threshold;
+        # find the least u_bits it rejects.
+        low, high = 0, 2**53
+        while low < high:
+            mid = (low + high) // 2
+            if stream.normal(*state(mid))[1] == 2:
+                low = mid + 1
+            else:
+                high = mid
+        assert 0 < low < 2**53
+        for u_bits in (low - 1, low):
+            value, used, words = stream.normal(*state(u_bits))
+            got, got_used = simulate._slow_normal(words)
+            assert (got.hex(), got_used) == (value.hex(), used)
+            assert (used == 2) == (u_bits < low)
+
+
+def test_slow_normals_of_real_streams_match_numpy():
+    # 2,000 idx-0 misses (the tail) and 2,000 misses in the other layers
+    # (the wedge), each evaluated from its own stream position.
+    stream, probe = np.random.PCG64(7), Stream()
+    found = {"tail": 0, "wedge": 0}
+    while min(found.values()) < 2000:
+        start = stream.state["state"]
+        words = stream.random_raw(2**20)
+        misses = np.flatnonzero(~simulate._fast_path(words[:-64]))
+        for position in misses.tolist():
+            kind = "wedge" if int(words[position]) & 0xFF else "tail"
+            if found[kind] == 2000:
+                continue
+            found[kind] += 1
+            probe.set(start["state"], start["inc"])
+            probe.stream.advance(position)
+            lcg = probe.stream.state["state"]
+            value, used, _ = probe.normal(lcg["state"], lcg["inc"])
+            got, got_used = simulate._slow_normal(words[position:])
+            assert (got.hex(), got_used) == (value.hex(), used)
+
+
+def test_slow_normal_needs_its_words():
+    # A layer-1 word always goes to the wedge test, which needs one more word.
+    with pytest.raises(IndexError):
+        simulate._slow_normal(np.array([1 << 9 | 1], dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "master_seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 77]
+)
+def test_bulk_seeding_matches_numpy(master_seed):
+    for replicas in (range(0, 70), range(2**32 - 40, 2**32 + 40)):
+        expected = []
+        for i in replicas:
+            lcg = np.random.PCG64(np.random.SeedSequence([master_seed, i])).state["state"]
+            expected.append((lcg["state"], lcg["inc"]))
+        assert simulate._seed_states(master_seed, replicas) == expected
+
+
 def scalar_draws(scenario, replicas):
     """The documented draw order, one scalar call per draw."""
     out = []
@@ -103,30 +215,34 @@ def scalar_draws(scenario, replicas):
     return np.array(out)
 
 
-@pytest.mark.parametrize("lottery", [False, True], ids=["d2", "d3"])
-def test_bulk_draws_match_scalar_stream(lottery, monkeypatch):
+def theta_scenario(lottery):
     doc = yaml.safe_load(FIXED_RULES)
     doc["game"]["lottery_mode"] = lottery
     doc["theta"] = {"mean": 0.0, "variance": 1.0}
-    scenario = parse_document(doc)
+    return parse_document(doc)
+
+
+@pytest.mark.parametrize("lottery", [False, True], ids=["d2", "d3"])
+def test_bulk_draws_match_scalar_stream(lottery, monkeypatch):
+    scenario = theta_scenario(lottery)
     replicas = range(3, 1003)
     layers = []
     grown = []
 
-    def counting_slow_normal(scratch, seed, position):
-        probe = np.random.PCG64(0)
-        probe.state = seed
-        probe.advance(position)
-        layers.append(int(probe.random_raw()) & 0xFF)
-        return slow_normal(scratch, seed, position)
+    def counting_slow_normal(words):
+        layers.append(int(words[0]) & 0xFF)
+        return slow_normal(words)
 
-    def counting_extend_words(words, drawn, needed, streams):
-        grown.append(int(np.count_nonzero(needed > drawn)))
-        return extend_words(words, drawn, needed, streams)
+    def counting_row_slow_normals(words, misses, horizon, per_round):
+        found = row_slow_normals(words, misses, horizon, per_round)
+        grown.append(found is None)
+        return found
 
-    slow_normal, extend_words = simulate._slow_normal, simulate._extend_words
+    slow_normal, row_slow_normals = simulate._slow_normal, simulate._row_slow_normals
     monkeypatch.setattr(simulate, "_slow_normal", counting_slow_normal)
-    monkeypatch.setattr(simulate, "_extend_words", counting_extend_words)
+    monkeypatch.setattr(simulate, "_row_slow_normals", counting_row_slow_normals)
+    # No words past H*d: every row whose slow normals use extra words grows.
+    monkeypatch.setattr(simulate, "_slack", lambda normals: 0)
     draws = simulate._draws(scenario, replicas)
 
     expected = scalar_draws(scenario, replicas)
@@ -137,12 +253,28 @@ def test_bulk_draws_match_scalar_stream(lottery, monkeypatch):
     assert sum(grown) >= 1  # a row ran past its first H*d words
 
 
+def test_replica_index_past_uint32_draws_its_own_stream(monkeypatch):
+    scenario = theta_scenario(lottery=True)
+    seen = []
+    draws = simulate._draws
+    monkeypatch.setattr(simulate, "_draws", lambda *args: seen.append(draws(*args)) or seen[-1])
+    trace = run_replica(scenario, 2**32 + 3)
+    expected = scalar_draws(scenario, [2**32 + 3])
+    assert np.array_equal(seen[0].view(np.uint64), expected.view(np.uint64))
+    assert trace.replicas == range(2**32 + 3, 2**32 + 4)
+
+
 def test_draws_do_not_depend_on_chunk_size(monkeypatch):
-    doc = yaml.safe_load(FIXED_RULES)
-    doc["game"]["lottery_mode"] = True
-    doc["theta"] = {"mean": 0.0, "variance": 1.0}
-    scenario = parse_document(doc)
+    scenario = theta_scenario(lottery=True)
     draws = simulate._draws(scenario, range(150))
     monkeypatch.setattr(simulate, "_CHUNK", 7)
     rechunked = simulate._draws(scenario, range(150))
     assert np.array_equal(draws.view(np.uint64), rechunked.view(np.uint64))
+
+
+def test_word_array_past_numpy_index_limit_is_capacity_error():
+    # The (1, H, 2) draws take 2**63 - 16 bytes, within numpy's index type;
+    # the H*d + slack words of the row do not fit it.
+    scenario = dataclasses.replace(theta_scenario(lottery=False), horizon=2**59 - 1)
+    with pytest.raises(CapacityError, match="^1 replicas x horizon 576460752303423487 x 2 "):
+        simulate._draws(scenario, range(1))

@@ -140,7 +140,7 @@ def test_wedge_decision_matches_numpy_at_every_layer():
     stream = Stream()
     for layer in range(1, 256):
         # Off the fast path, with exp(-x*x/2) strictly inside the wedge.
-        rabs = (_ziggurat.KI.tolist()[layer] + 2**52) // 2
+        rabs = (int(_ziggurat.KI[layer]) + 2**52) // 2
         first = rabs << 9 | layer
 
         def state(u_bits):

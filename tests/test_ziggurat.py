@@ -265,7 +265,10 @@ def test_replica_index_past_uint32_draws_its_own_stream(monkeypatch):
 
 
 def test_draws_do_not_depend_on_chunk_size(monkeypatch):
-    scenario = theta_scenario(lottery=True)
+    doc = yaml.safe_load(FIXED_RULES)
+    doc["game"]["lottery_mode"] = True
+    doc["theta"] = {"mean": 0.0, "variance": 1.0}
+    scenario = parse_document(doc)
     draws = simulate._draws(scenario, range(150))
     monkeypatch.setattr(simulate, "_CHUNK", 7)
     rechunked = simulate._draws(scenario, range(150))

@@ -8,9 +8,7 @@ functions of the scenario file, the overrides, and the master seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import errno
 import gc
 import itertools
 import json
@@ -97,34 +95,24 @@ def _write_rows(
         handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-# At most this many processes format one trace.csv: two is the only count
-# measured to pay (on a 2-vCPU host). Raise it with pairs from a larger host.
-_MAX_WRITERS = 2
-# A worker's fork, temporary file, reap and append cost 3-10 ms on that host,
-# what one process takes to format 3,000-10,000 lines, so a range gets a
-# worker only when each range holds at least this many lines.
+# A worker's fork, temporary file, wait and append cost 3-10 ms on a 2-vCPU
+# host, what one process takes to format 3,000-10,000 lines, so the batch is
+# split only when each half holds at least this many lines.
 _MIN_LINES_PER_WRITER = 10_000
 
 
-def _replica_ranges(count: int, horizon: int) -> list[range]:
-    """Contiguous ranges that cover ``range(count)`` in order, one per writing
-    process: as many as the CPUs this process may run on where it can fork,
-    but at most ``_MAX_WRITERS`` and with ``_MIN_LINES_PER_WRITER`` trace
-    lines (``horizon`` per replica) or more in each; else one."""
-    cpus = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    parts = max(1, min(count, cpus, _MAX_WRITERS, count * horizon // _MIN_LINES_PER_WRITER))
-    bounds = [count * i // parts for i in range(parts + 1)]
-    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
-# A trace worker's exit status when it ran out of memory, and when it met an
-# error that is neither that nor an OSError (a bug; its traceback goes to
-# stderr). Any other nonzero status is the errno of the OSError it met;
-# errno values stay below both.
-_WORKER_OUT_OF_MEMORY = 255
-_WORKER_FAILED = 254
+def _worker_split(count: int, horizon: int) -> int:
+    """The first replica that a forked worker formats: ``count // 2``, or
+    ``count`` for no worker. There is a worker only where this process can
+    fork and may run on two CPUs or more (its ``sched_getaffinity`` set), and
+    only for two replicas or more with ``_MIN_LINES_PER_WRITER`` trace lines
+    (``horizon`` per replica) in each half. Two processes are the only count
+    measured to pay, on a 2-vCPU host."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return count
+    if len(os.sched_getaffinity(0)) < 2 or count < 2:
+        return count
+    return count // 2 if count * horizon >= 2 * _MIN_LINES_PER_WRITER else count
 
 
 def _fork_writer(
@@ -132,8 +120,9 @@ def _fork_writer(
 ) -> int | None:
     """Fork a worker that writes the replicas ``rows`` into ``part``; return
     its pid, or None if the host refuses the fork (``EAGAIN``, ``ENOMEM``).
-    The worker always leaves by ``os._exit``: it never returns into the
-    caller, and it reports failure through its exit status."""
+    The worker always leaves by ``os._exit``, never returning into the
+    caller: with status 0 once ``part`` holds every row, else nonzero, and it
+    reports nothing more. The caller writes the rows itself on any failure."""
     with warnings.catch_warnings():
         # Python 3.12+ warns on fork() in a multi-threaded process, and
         # numpy's idle BLAS thread pool makes this one so. The worker calls no
@@ -146,63 +135,26 @@ def _fork_writer(
             return None
     if pid:
         return pid
-    status = _WORKER_FAILED
+    status = 1
     try:
         _write_rows(part, scenario, batch, masks, rows)
         part.flush()
         status = EXIT_OK
-    except MemoryError:
-        status = _WORKER_OUT_OF_MEMORY
-    except OSError as exc:
-        status = exc.errno or errno.EIO
-    except BaseException:
-        import traceback  # only a failing worker needs it
-
-        traceback.print_exc()
-        sys.stderr.flush()
     finally:
         os._exit(status)
-
-
-def _reap(pids: list[int]) -> list[int]:
-    """Wait for every worker in ``pids``, even when waiting for one of them
-    fails (say, a KeyboardInterrupt); return their wait statuses."""
-    statuses, error = [], None
-    for pid in pids:
-        try:
-            statuses.append(os.waitpid(pid, 0)[1])
-        except BaseException as exc:
-            error = error or exc
-    if error is not None:
-        raise error
-    return statuses
-
-
-def _raise_for_worker(status: int, path: Path) -> None:
-    """Raise the error that a trace worker's wait status reports, if any."""
-    code = os.waitstatus_to_exitcode(status)
-    if code == _WORKER_OUT_OF_MEMORY:
-        raise MemoryError(f"a worker writing {path} ran out of memory")
-    if code == _WORKER_FAILED:
-        raise RuntimeError(f"a worker writing {path} failed; its traceback is above")
-    if code < 0:
-        raise OSError(f"a worker writing {path} was killed by signal {-code}")
-    if code:
-        raise OSError(code, os.strerror(code), str(path))
 
 
 def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
     """Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}.
 
-    Rows are formatted by ``_write_rows``, over contiguous replica ranges:
-    where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), one range
-    for each CPU this process may use, at most ``_MAX_WRITERS`` of them and
-    one while the batch has fewer than ``2 * _MIN_LINES_PER_WRITER`` lines;
-    elsewhere one. This process writes the header and the first range into
-    ``path``; a forked worker writes each other range into an anonymous
-    temporary file in the same directory (this process does, if the fork is
-    refused), and those are appended in range order once every worker has
-    exited. The bytes never depend on the number of ranges.
+    Rows are formatted by ``_write_rows``. Where ``_worker_split`` gives a
+    split, a forked worker writes the replicas from it on into an anonymous
+    temporary file in the same directory while this process writes the
+    header and the replicas before it into ``path``; the temporary file is
+    appended once the worker has exited. If the fork is refused, or the
+    worker does not exit 0 (an error, or a signal such as the OOM killer's),
+    this process empties that file and writes those replicas itself, so an
+    error they raise is raised here. The bytes never depend on the split.
     """
     import shutil  # only `run` needs these, so `validate` does not import them here
     import tempfile
@@ -210,33 +162,27 @@ def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
     header = ["replica", "t", "state", "theta", "actions"]
     header += [f"payoff_{i}" for i in range(scenario.n)]
     masks = batch.profile_masks()
-    first, *others = _replica_ranges(len(batch.replicas), scenario.horizon)
-    with open(path, "w", encoding="utf-8", newline="") as handle, contextlib.ExitStack() as stack:
+    count = len(batch.replicas)
+    split = _worker_split(count, scenario.horizon)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        parts = [
-            stack.enter_context(
-                tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=path.parent)
-            )
-            for _ in others
-        ]
-        # Flushed before the fork, no buffer a worker inherits holds bytes it could write again.
-        for stream in (handle, sys.stdout, sys.stderr):
-            stream.flush()
-        pids = []
-        try:
-            for part, rows in zip(parts, others):
-                pid = _fork_writer(part, scenario, batch, masks, rows)
-                if pid is None:
-                    _write_rows(part, scenario, batch, masks, rows)
-                else:
-                    pids.append(pid)
-            _write_rows(handle, scenario, batch, masks, first)
-        finally:
-            statuses = _reap(pids)
-        for status in statuses:
-            _raise_for_worker(status, path)
-        handle.flush()
-        for part in parts:
+        if split == count:
+            _write_rows(handle, scenario, batch, masks, range(count))
+            return
+        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=path.parent) as part:
+            # Flushed before the fork, no buffer the worker inherits holds bytes it could write again.
+            for stream in (handle, sys.stdout, sys.stderr):
+                stream.flush()
+            pid = _fork_writer(part, scenario, batch, masks, range(split, count))
+            try:
+                _write_rows(handle, scenario, batch, masks, range(split))
+            finally:
+                status = None if pid is None else os.waitpid(pid, 0)[1]
+            if status != 0:
+                part.seek(0)
+                part.truncate()
+                _write_rows(part, scenario, batch, masks, range(split, count))
+            handle.flush()
             part.seek(0)
             shutil.copyfileobj(part.buffer, handle.buffer)
 
@@ -487,9 +433,6 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioValidationError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -176,22 +176,7 @@ class BatchSummary:
     mean_endogenous_utility: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "replica_count": self.replica_count,
-            "mean_utility": list(self.mean_utility),
-            "std_utility": list(self.std_utility),
-            "risk_adjusted_utility": list(self.risk_adjusted_utility),
-            "mean_cooperation_duration": self.mean_cooperation_duration,
-            "spiral_frequency": self.spiral_frequency,
-            "mean_final_cooperation_fraction": self.mean_final_cooperation_fraction,
-            "mutation_count_mean": self.mutation_count_mean,
-            "mutation_count_std": self.mutation_count_std,
-            "mutation_count_min": self.mutation_count_min,
-            "mutation_count_max": self.mutation_count_max,
-        }
-        if self.mean_endogenous_utility is not None:
-            out["mean_endogenous_utility"] = list(self.mean_endogenous_utility)
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True, eq=False)

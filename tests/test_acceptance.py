@@ -268,7 +268,7 @@ def test_c09_protocol_dynamics():
              "= ln 4; integrity is 1 at identity and antitone under mutation mass")
 
 
-def test_c10_cli_determinism_across_threads(tmp_path):
+def test_c10_cli_determinism_across_runs(tmp_path):
     scenario_paths = []
     for preset in ("fixed_rules", "mutable_core"):
         scenario_path = tmp_path / f"{preset}.yaml"

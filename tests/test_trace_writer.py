@@ -1,7 +1,7 @@
 """The columnar trace writer against the row-at-a-time reference writer.
 
 Both must write the same bytes: every float as its ``repr``, ``-0.0``
-included, whatever the number of worker processes. The memory guard pins
+included, with or without a worker process. The memory guard pins
 the per-replica conversion, which keeps a run's peak memory flat as the
 batch grows.
 """
@@ -34,7 +34,8 @@ from mutagame import (
     run_batch,
 )
 from mutagame import cli
-from mutagame.cli import EXIT_CAPACITY, EXIT_IO, main, write_trace_csv
+from mutagame.cli import EXIT_CAPACITY, EXIT_IO, EXIT_OK, main, write_trace_csv
+from mutagame.scenario import load_scenario
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE
 
 
@@ -112,27 +113,39 @@ def usable_cpus(monkeypatch, count):
 
 
 def split_small_batches(monkeypatch, cpus):
-    """One range per usable CPU, however small the batch and however many CPUs."""
+    """A worker wherever ``cpus`` allows one, however small the batch."""
     usable_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(cli, "_MAX_WRITERS", cpus)
     monkeypatch.setattr(cli, "_MIN_LINES_PER_WRITER", 1)
+
+
+def count_forks(monkeypatch):
+    fork = os.fork
+    calls = []
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 @needs_fork
-def test_range_count_is_capped_and_floored(monkeypatch):
+def test_worker_split_is_capped_and_floored(monkeypatch):
     usable_cpus(monkeypatch, 9)
-    assert cli._replica_ranges(1000, 200) == [range(0, 500), range(500, 1000)]
-    assert cli._replica_ranges(99, 200) == [range(0, 99)]  # 19,800 lines: one writer
-    assert cli._replica_ranges(100, 200) == [range(0, 50), range(50, 100)]
-    assert cli._replica_ranges(1, 10**6) == [range(0, 1)]
+    assert cli._worker_split(1000, 200) == 500
+    assert cli._worker_split(99, 200) == 99  # 19,800 lines: no worker
+    assert cli._worker_split(100, 200) == 50
+    assert cli._worker_split(1, 10**6) == 1  # one replica never forks
+    assert cli._worker_split(3, 10**6) == 1
     usable_cpus(monkeypatch, 1)
-    assert cli._replica_ranges(1000, 200) == [range(0, 1000)]
+    assert cli._worker_split(1000, 200) == 1000
     usable_cpus(monkeypatch, 9)
     monkeypatch.delattr(os, "fork")
-    assert cli._replica_ranges(1000, 200) == [range(0, 1000)]
+    assert cli._worker_split(1000, 200) == 1000
 
 
 @needs_fork
@@ -141,29 +154,41 @@ def test_bytes_do_not_depend_on_worker_count(monkeypatch, tmp_path, cpus):
     lottery_theta = lottery_theta_document()
     lottery_theta.update(replica_count=7, horizon=40)
     split_small_batches(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
     for scenario in (parse_document(lottery_theta), EDGE_CASES["theta_clamp_off"]):
-        ranges = cli._replica_ranges(scenario.replica_count, scenario.horizon)
-        assert len(ranges) == min(cpus, scenario.replica_count)
+        count = scenario.replica_count
+        split = cli._worker_split(count, scenario.horizon)
+        assert split == (count // 2 if cpus >= 2 else count)
         assert_same_bytes(scenario, tmp_path)
+    assert len(forks) == (2 if cpus >= 2 else 0)  # one worker per write at most
+
+
+@needs_fork
+def test_large_batch_forks_once_on_many_cpus(monkeypatch, tmp_path):
+    usable_cpus(monkeypatch, 9)
+    forks = count_forks(monkeypatch)
+    lottery_theta = lottery_theta_document()
+    lottery_theta.update(replica_count=100, horizon=200)  # 20,000 lines: one worker
+    assert_same_bytes(parse_document(lottery_theta), tmp_path)
+    assert forks == [os.getpid()]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
 def test_refused_fork_is_written_in_this_process(monkeypatch, tmp_path):
-    fork = os.fork
     calls = []
 
-    def refuse_first(*args):
+    def refuse(*args):
         calls.append(args)
-        if len(calls) == 1:
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return fork(*args)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     split_small_batches(monkeypatch, 3)
-    monkeypatch.setattr(os, "fork", refuse_first)
+    monkeypatch.setattr(os, "fork", refuse)
     lottery_theta = lottery_theta_document()
     lottery_theta.update(replica_count=7, horizon=40)
     assert_same_bytes(parse_document(lottery_theta), tmp_path)
-    assert len(calls) == 2  # range 1 written here, range 2 by a worker
+    assert len(calls) == 1  # the worker's replicas were written here
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -180,85 +205,102 @@ def killed():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-WORKER_FAILURES = {
-    "full_disk": (full_disk, EXIT_IO, "error: [Errno 28] No space left on device: '{}'"),
-    "out_of_memory": (
-        out_of_memory,
-        EXIT_CAPACITY,
-        "error: out of memory: a worker writing {} ran out of memory",
-    ),
-    "killed": (killed, EXIT_IO, "error: a worker writing {} was killed by signal 9"),
+def bug():
+    [][0]
+
+
+WRITER_FAILURES = {
+    "full_disk": (full_disk, EXIT_IO, "error: [Errno 28] No space left on device\n"),
+    "out_of_memory": (out_of_memory, EXIT_CAPACITY, "error: out of memory: \n"),
 }
 
 
-def fail_after_range_zero(monkeypatch, fail):
+def fail_from(monkeypatch, fail, first):
+    """Fail every replica range that starts at ``first`` or later: the
+    worker's, in the worker and again when ``run`` writes it itself, and
+    with ``first`` 0 also ``run``'s own, before it waits for the worker."""
     write_rows = cli._write_rows
 
     def failing(handle, scenario, batch, masks, rows):
-        if rows.start:
+        if rows.start >= first:
             fail()
         write_rows(handle, scenario, batch, masks, rows)
 
-    split_small_batches(monkeypatch, 3)
+    split_small_batches(monkeypatch, 2)
     monkeypatch.setattr(cli, "_write_rows", failing)
 
 
-def run_args(tmp_path):
+def run_args(tmp_path, out="out"):
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(lottery_theta_document()), encoding="utf-8")
-    return ["run", str(path), "--out", str(tmp_path / "out"), "--replicas", "6",
+    return ["run", str(path), "--out", str(tmp_path / out), "--replicas", "6",
             "--set", "horizon=20"]
 
 
-def assert_no_worker_or_stray_file(out):
-    with pytest.raises(ChildProcessError):  # every worker was reaped
+def assert_no_worker_or_stray_file(out, names=("trace.csv",)):
+    with pytest.raises(ChildProcessError):  # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
-    assert [entry.name for entry in out.iterdir()] == ["trace.csv"]
+    assert sorted(entry.name for entry in out.iterdir()) == sorted(names)
 
 
 @needs_fork
-@pytest.mark.parametrize("case", sorted(WORKER_FAILURES))
+@pytest.mark.parametrize("case", sorted(WRITER_FAILURES))
 def test_worker_failure_reaches_exit_code(monkeypatch, tmp_path, capsys, case):
-    fail, code, expected = WORKER_FAILURES[case]
-    fail_after_range_zero(monkeypatch, fail)
-    assert main(run_args(tmp_path)) == code
-    out = tmp_path / "out"
-    assert capsys.readouterr().err == expected.format(out / "trace.csv") + "\n"
-    assert_no_worker_or_stray_file(out)
+    fail, code, expected = WRITER_FAILURES[case]
+    for first in (1, 0):
+        with monkeypatch.context() as patch:
+            fail_from(patch, fail, first)
+            forks = count_forks(patch)
+            assert main(run_args(tmp_path, f"out{first}")) == code
+        assert len(forks) == 1
+        assert capsys.readouterr().err == expected
+        assert_no_worker_or_stray_file(tmp_path / f"out{first}")
 
 
 @needs_fork
 def test_worker_bug_is_not_reported_as_io_error(monkeypatch, tmp_path, capfd):
-    fail_after_range_zero(monkeypatch, lambda: [][0])
-    with pytest.raises(RuntimeError, match=r"a worker writing .* failed; its traceback is above"):
-        main(run_args(tmp_path))
-    # Each of the two workers printed its own traceback.
-    assert capfd.readouterr().err.count("IndexError: list index out of range") == 2
-    assert_no_worker_or_stray_file(tmp_path / "out")
+    for first in (1, 0):
+        with monkeypatch.context() as patch:
+            fail_from(patch, bug, first)
+            forks = count_forks(patch)
+            with pytest.raises(IndexError, match="list index out of range"):
+                main(run_args(tmp_path, f"out{first}"))
+        assert len(forks) == 1
+        # The worker failed silently; only this process's exception reports the bug.
+        assert capfd.readouterr().err == ""
+        assert_no_worker_or_stray_file(tmp_path / f"out{first}")
 
 
 @needs_fork
-def test_every_worker_is_reaped_when_a_wait_is_interrupted(monkeypatch, tmp_path):
-    waitpid = os.waitpid
-    interrupted = []
+@pytest.mark.parametrize("fail", [killed, full_disk, out_of_memory, bug], ids=lambda f: f.__name__)
+def test_failure_confined_to_worker_is_written_by_run(monkeypatch, tmp_path, capfd, fail):
+    parent = os.getpid()
+    write_rows = cli._write_rows
+    written_here = []
 
-    def interrupted_once(pid, options):
-        if not interrupted:
-            interrupted.append(pid)
-            raise KeyboardInterrupt
-        return waitpid(pid, options)
+    def failing_in_worker(handle, scenario, batch, masks, rows):
+        write_rows(handle, scenario, batch, masks, rows)
+        if os.getpid() != parent:
+            handle.write("9,a partial line")
+            handle.flush()  # bytes that run must discard
+            fail()
+        written_here.append(rows)
 
-    split_small_batches(monkeypatch, 3)
-    monkeypatch.setattr(os, "waitpid", interrupted_once)
-    lottery_theta = lottery_theta_document()
-    lottery_theta.update(replica_count=6, horizon=20)
-    scenario = parse_document(lottery_theta)
+    split_small_batches(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_write_rows", failing_in_worker)
+    forks = count_forks(monkeypatch)
+    args = run_args(tmp_path)
+    assert main(args) == EXIT_OK
+    assert len(forks) == 1
+    # Its own replicas, then the worker's, after the worker exited.
+    assert written_here == [range(0, 3), range(3, 6)]
+    assert capfd.readouterr().err == ""  # the worker reported nothing
+    scenario = load_scenario(args[1], {"replica_count": "6", "horizon": "20"})
     _, batch = run_batch(scenario)
-    with pytest.raises(KeyboardInterrupt):
-        write_trace_csv(tmp_path / "trace.csv", scenario, batch)
-    waitpid(interrupted[0], 0)  # the one wait that was cut short
-    with pytest.raises(ChildProcessError):  # the other worker was reaped
-        waitpid(-1, os.WNOHANG)
+    csv_trace_writer(tmp_path / "reference.csv", scenario, batch)
+    out = tmp_path / "out"
+    assert (out / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert_no_worker_or_stray_file(out, ("summary.json", "trace.csv"))
 
 
 def test_run_child_stderr_is_clean(tmp_path):

@@ -39,7 +39,7 @@ class NoisePath:
     segments: tuple[tuple[int, float], ...] = ((0, 0.0),)
 
     def __post_init__(self) -> None:
-        if self.baseline_rate < 0.0:
+        if not self.baseline_rate >= 0.0:
             raise ConfigurationError(
                 f"baseline rate must be >= 0, got {self.baseline_rate}"
             )
@@ -53,7 +53,7 @@ class NoisePath:
                 raise ConfigurationError(
                     "noise segment starts must be strictly increasing"
                 )
-            if value < 0.0:
+            if not value >= 0.0:
                 raise ConfigurationError(f"noise value must be >= 0, got {value}")
             previous = start
         object.__setattr__(self, "segments", tuple((int(s), float(v)) for s, v in self.segments))
@@ -97,7 +97,7 @@ class InvestmentPlan:
     expected_returns: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.upfront_cost < 0.0:
+        if not self.upfront_cost >= 0.0:
             raise ConfigurationError(
                 f"upfront cost must be >= 0, got {self.upfront_cost}"
             )
@@ -123,17 +123,24 @@ class PayoffVariance:
     degenerate: bool = False
 
 
-def discounted_utility(payoffs: Sequence[float], delta: float) -> float:
-    """Sum of delta**t * payoff[t] over the truncated horizon, t from 0.
+def discounted_utility(
+    payoffs: Sequence[float] | np.ndarray, delta: float
+) -> float | np.ndarray:
+    """Sum of delta**t * payoffs[t] over the first axis, t from 0.
 
-    Accumulates iteratively with the same scheme as risk_adjusted_utility so
-    the two agree exactly when the volatility penalty vanishes.
+    A 1-D sequence gives a float; an array of shape (H, ...) gives an array
+    of shape (...), each element summed left to right over t exactly as
+    its own 1-D column would be.
     """
     validate_discount(delta)
-    total = 0.0
+    payoffs = np.asarray(payoffs, dtype=float)
+    if payoffs.ndim == 1:
+        rows, total = payoffs.tolist(), 0.0
+    else:
+        rows, total = payoffs, np.zeros(payoffs.shape[1:])
     factor = 1.0
-    for value in payoffs:
-        total += factor * float(value)
+    for row in rows:
+        total += factor * row
         factor *= delta
     return total
 
@@ -142,7 +149,7 @@ def truncation_horizon(delta: float, payoff_scale: float, tol: float = 1e-9) -> 
     """Horizon T such that the tail beyond T of a constant stream of magnitude
     ``payoff_scale`` contributes less than ``tol`` to the discounted sum."""
     validate_discount(delta)
-    if payoff_scale <= 0.0 or tol <= 0.0:
+    if not (payoff_scale > 0.0 and tol > 0.0):
         raise ConfigurationError("payoff_scale and tol must be positive")
     return max(1, math.ceil(math.log(tol * (1.0 - delta) / payoff_scale) / math.log(delta)))
 
@@ -168,19 +175,15 @@ def risk_adjusted_utility(
     stays well defined at any horizon; with eta_risk = 0 or zero variance it
     reduces to the discounted utility of the round means.
     """
-    validate_discount(delta)
-    if eta_risk < 0.0:
+    if not eta_risk >= 0.0:
         raise ConfigurationError(f"risk aversion must be >= 0, got {eta_risk}")
-    total = 0.0
-    factor = 1.0
+    penalised = []
     for t, samples in enumerate(samples_by_round):
         arr = np.asarray(samples, dtype=float)
         if arr.size == 0:
             raise ConfigurationError(f"round {t} has an empty payoff sample set")
-        penalty = eta_risk * payoff_variance(arr).sigma
-        total += factor * (float(arr.mean()) - penalty)
-        factor *= delta
-    return total
+        penalised.append(float(arr.mean()) - eta_risk * payoff_variance(arr).sigma)
+    return discounted_utility(penalised, delta)
 
 
 def endogenous_discount_path(noise: NoisePath, horizon: int) -> np.ndarray:
@@ -213,11 +216,11 @@ def breakeven_horizon(
     max_horizon: int = 1000,
 ) -> int | None:
     """Smallest horizon T <= max_horizon with nonnegative NPV, or None."""
-    if per_period_return <= 0.0:
+    if not per_period_return > 0.0:
         raise ConfigurationError(
             f"per-period return must be positive, got {per_period_return}"
         )
-    if upfront_cost < 0.0:
+    if not upfront_cost >= 0.0:
         raise ConfigurationError(f"upfront cost must be >= 0, got {upfront_cost}")
     running = -float(upfront_cost)
     for t in range(1, max_horizon + 1):

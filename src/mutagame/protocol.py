@@ -93,7 +93,7 @@ class ThetaProcess:
     clamp: bool = True
 
     def __post_init__(self) -> None:
-        if self.variance < 0.0:
+        if not self.variance >= 0.0:
             raise ConfigurationError(f"theta variance must be >= 0, got {self.variance}")
 
 

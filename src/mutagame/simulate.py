@@ -24,6 +24,7 @@ from . import _ziggurat
 from .discounting import (
     NoisePath,
     InvestmentPlan,
+    discounted_utility,
     endogenous_discount_path,
     validate_discount,
 )
@@ -57,7 +58,7 @@ class MetaModelConfig:
             raise ConfigurationError(
                 f"influence_strength must lie in [0, 1], got {self.influence_strength}"
             )
-        if self.contest_exponent <= 0.0:
+        if not self.contest_exponent > 0.0:
             raise ConfigurationError(
                 f"contest_exponent must be positive, got {self.contest_exponent}"
             )
@@ -130,7 +131,7 @@ class Scenario:
             validate_discount(self.delta)
         except ConfigurationError as exc:
             errors.append(f"discount.delta: {exc}")
-        if self.risk_aversion < 0.0:
+        if not self.risk_aversion >= 0.0:
             errors.append(
                 f"risk_aversion.eta: must be >= 0, got {self.risk_aversion}"
             )
@@ -145,6 +146,11 @@ class Scenario:
                     f"miners[{i}]: preferred_state {preferred} out of range "
                     f"[0, {self.kernel.size})"
                 )
+        if self.investment is not None and not self.investment.expected_returns[0] > 0.0:
+            errors.append(
+                "investment.expected_returns[0]: per-period return must be positive, "
+                f"got {self.investment.expected_returns[0]}"
+            )
         return errors
 
     @property
@@ -222,41 +228,43 @@ def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
 
 
 def apply_meta_influence(
-    kernel_row,
+    kernel_rows,
     investors: list[tuple[float, int, float]],
     config: MetaModelConfig,
 ) -> np.ndarray:
-    """Blend the kernel row toward the contest outcome of meta investors.
+    """Blend a kernel row, or every row of a (k, k) matrix, toward the
+    contest outcome of meta investors.
 
     Contest weights are hash-weighted budgets raised to the contest exponent
     and normalized over states actually receiving effort. The blend
     coefficient is beta times total invested effort (capped at 1), so the
-    adjusted row stays a convex combination of two distributions.
+    adjusted row stays a convex combination of two distributions. Neither
+    depends on the row, so each row of a matrix is blended as it would be
+    alone.
     """
-    row = np.array(kernel_row, dtype=float)
+    rows = np.array(kernel_rows, dtype=float)
     if not config.enabled or not investors or config.influence_strength == 0.0:
-        return row
-    efforts = np.zeros(len(row))
+        return rows
+    k = rows.shape[-1]
+    efforts = np.zeros(k)
     total = 0.0
     for budget, preferred, share in investors:
         if not 0.0 <= budget <= 1.0:
             raise ConfigurationError(f"meta budget must lie in [0, 1], got {budget}")
-        if not 0 <= preferred < len(row):
-            raise ConfigurationError(
-                f"preferred state {preferred} out of range [0, {len(row)})"
-            )
+        if not 0 <= preferred < k:
+            raise ConfigurationError(f"preferred state {preferred} out of range [0, {k})")
         effort = share * budget
         efforts[preferred] += effort
         total += effort
     if total <= 0.0:
-        return row
+        return rows
     weights = efforts ** config.contest_exponent
     weight_sum = weights.sum()
     if weight_sum <= 0.0:  # exponent underflowed every effort
-        return row
+        return rows
     weights /= weight_sum
     lam = min(config.influence_strength * min(total, 1.0), 1.0)
-    return (1.0 - lam) * row + lam * weights
+    return (1.0 - lam) * rows + lam * weights
 
 
 def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:
@@ -645,10 +653,7 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
     # MetaInvestors always cooperate with fixed budgets, so the adjusted
     # kernel row depends on the state alone.
     investors = scenario.meta_investors()
-    cumulative = np.cumsum(
-        [apply_meta_influence(kernel.row(s), investors, scenario.meta) for s in range(kernel.size)],
-        axis=1,
-    )
+    cumulative = np.cumsum(apply_meta_influence(kernel.matrix, investors, scenario.meta), axis=1)
     states = np.empty((count, horizon), dtype=np.int64)
     states[:, 0] = scenario.initial_state
     for t in range(horizon - 1):
@@ -677,12 +682,7 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
         winner = np.minimum(np.searchsorted(cuts, draws[:, :, -1], side="right"), n - 1)
         payoffs = payoffs * (winner[:, :, None] == np.arange(n))  # one-hot
 
-    # Left to right over rounds, as ``discounting.discounted_utility`` sums.
-    discounted = np.zeros((count, n))
-    factor = 1.0
-    for t in range(horizon):
-        discounted += factor * payoffs[:, t]
-        factor *= scenario.delta
+    discounted = discounted_utility(payoffs.swapaxes(0, 1), scenario.delta)
     endogenous = None
     if scenario.noise is not None:
         path = endogenous_discount_path(scenario.noise, horizon - 1)
@@ -713,18 +713,14 @@ def summarize_batch(scenario: Scenario, batch: BatchTrace) -> BatchSummary:
     else:
         std_utility = np.zeros(n)
     # Cross-replica per-round samples give the volatility penalty its
-    # Monte Carlo meaning; within one replica it is degenerate. The sum runs
-    # left to right, as ``discounting.risk_adjusted_utility`` adds it.
+    # Monte Carlo meaning; within one replica it is degenerate.
     risk_adjusted = []
     for i in range(n):
         rounds = np.ascontiguousarray(batch.payoffs[:, :, i].T)  # (H, R), one miner
-        means = rounds.mean(axis=1).tolist()
+        means = rounds.mean(axis=1)
         sds = np.sqrt(rounds.var(axis=1, ddof=1)) if count > 1 else np.zeros(len(means))
-        total, factor = 0.0, 1.0
-        for mean, sd in zip(means, sds.tolist()):
-            total += factor * (mean - scenario.risk_aversion * sd)
-            factor *= scenario.delta
-        risk_adjusted.append(total)
+        risk_adjusted.append(
+            discounted_utility(means - scenario.risk_aversion * sds, scenario.delta))
     durations = batch.cooperation_duration
     mutations = batch.mutation_counts
     endogenous_mean: tuple[float, ...] | None = None

@@ -411,6 +411,20 @@ def test_analyze_mutable_core_reports_investment(tmp_path, capsys):
     assert "fails" in out  # delta 0.5 sits below every state threshold
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_nonpositive_first_investment_return_is_a_violation(command, tmp_path, capsys):
+    doc = yaml.safe_load(MUTABLE_CORE)
+    doc["investment"]["expected_returns"][0] = 0.0
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: investment.expected_returns[0]: per-period return must be positive, got 0.0\n"
+    )
+
+
 def test_exit_code_constants_are_distinct():
     assert len({EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_CAPACITY}) == 4
 

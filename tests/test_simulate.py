@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, trace consistency, meta contest, spirals."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,6 +16,8 @@ from oracles import (
 
 from mutagame import (
     Action,
+    ConfigurationError,
+    InvestmentPlan,
     MetaModelConfig,
     Miner,
     NoisePath,
@@ -27,9 +30,12 @@ from mutagame import (
     ThetaProcess,
     TransitionKernel,
     apply_meta_influence,
+    breakeven_horizon,
     discounted_utility,
+    risk_adjusted_utility,
     run_batch,
     run_replica,
+    truncation_horizon,
 )
 from mutagame.simulate import _myopic_defects
 
@@ -268,6 +274,9 @@ def test_apply_meta_influence_row_sums_over_grid():
                 count += 1
                 assert abs(adjusted.sum() - 1.0) <= 1e-12
                 assert np.all(adjusted >= -1e-15)
+                matrix = np.stack([np.roll(row, shift) for shift in range(4)])
+                blended = np.stack([apply_meta_influence(r, investors, config) for r in matrix])
+                assert apply_meta_influence(matrix, investors, config).tobytes() == blended.tobytes()
     assert count >= 500
 
 
@@ -472,6 +481,27 @@ def test_scenario_validation_collects_errors():
     assert "delta" in text
     assert "replica_count" in text
     assert "kernel" in text  # 2 kernel states vs 1 game state
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ThetaProcess(mean=1.0, variance=NAN), "theta variance"),
+    (lambda: NoisePath(NAN), "baseline rate"),
+    (lambda: NoisePath(0.0, ((0, 0.0), (5, NAN))), "noise value"),
+    (lambda: InvestmentPlan(upfront_cost=NAN, expected_returns=(1.0,)), "upfront cost"),
+    (lambda: MetaModelConfig(contest_exponent=NAN), "contest_exponent"),
+    (lambda: risk_adjusted_utility([[1.0, 2.0]], 0.9, eta_risk=NAN), "risk aversion"),
+    (lambda: breakeven_horizon(NAN, 1.0), "per-period return"),
+    (lambda: breakeven_horizon(1.0, NAN), "upfront cost"),
+    (lambda: truncation_horizon(0.9, NAN), "payoff_scale"),
+    (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), risk_aversion=NAN),
+     "risk_aversion.eta:"),
+])
+def test_nan_fails_range_checks(make, message):
+    with pytest.raises((ConfigurationError, ScenarioValidationError), match=message):
+        make()
 
 
 def test_scenario_rejects_bad_preferred_state():

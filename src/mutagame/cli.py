@@ -63,11 +63,8 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
-def _write_rows(
-    handle: TextIO, scenario: Scenario, batch: BatchTrace, masks: np.ndarray, rows: range
-) -> None:
-    """Write the trace lines of the replicas at positions ``rows`` of ``batch``;
-    ``masks`` is ``batch.profile_masks()``.
+def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace, rows: range) -> None:
+    """Write the trace lines of the replicas at positions ``rows`` of ``batch``.
 
     Written one replica at a time, column by column: floats are their
     ``repr``, so every payoff and theta round-trips, ``-0.0`` included.
@@ -89,7 +86,7 @@ def _write_rows(
             rounds,
             map(state_keys.__getitem__, batch.states[r].tolist()),
             thetas,
-            map(profile_keys.__getitem__, masks[r].tolist()),
+            map(profile_keys.__getitem__, batch.profiles[r].tolist()),
             *(map(values.__getitem__, column) for column in payoff_columns),
         ]
         handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
@@ -115,9 +112,7 @@ def _worker_split(count: int, horizon: int) -> int:
     return count // 2 if count * horizon >= 2 * _MIN_LINES_PER_WRITER else count
 
 
-def _fork_writer(
-    part: TextIO, scenario: Scenario, batch: BatchTrace, masks: np.ndarray, rows: range
-) -> int | None:
+def _fork_writer(part: TextIO, scenario: Scenario, batch: BatchTrace, rows: range) -> int | None:
     """Fork a worker that writes the replicas ``rows`` into ``part``; return
     its pid, or None if the host refuses the fork (``EAGAIN``, ``ENOMEM``).
     The worker always leaves by ``os._exit``, never returning into the
@@ -137,7 +132,7 @@ def _fork_writer(
         return pid
     status = 1
     try:
-        _write_rows(part, scenario, batch, masks, rows)
+        _write_rows(part, scenario, batch, rows)
         part.flush()
         status = EXIT_OK
     finally:
@@ -161,27 +156,26 @@ def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
 
     header = ["replica", "t", "state", "theta", "actions"]
     header += [f"payoff_{i}" for i in range(scenario.n)]
-    masks = batch.profile_masks()
     count = len(batch.replicas)
     split = _worker_split(count, scenario.horizon)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         if split == count:
-            _write_rows(handle, scenario, batch, masks, range(count))
+            _write_rows(handle, scenario, batch, range(count))
             return
         with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=path.parent) as part:
             # Flushed before the fork, no buffer the worker inherits holds bytes it could write again.
             for stream in (handle, sys.stdout, sys.stderr):
                 stream.flush()
-            pid = _fork_writer(part, scenario, batch, masks, range(split, count))
+            pid = _fork_writer(part, scenario, batch, range(split, count))
             try:
-                _write_rows(handle, scenario, batch, masks, range(split))
+                _write_rows(handle, scenario, batch, range(split))
             finally:
                 status = None if pid is None else os.waitpid(pid, 0)[1]
             if status != 0:
                 part.seek(0)
                 part.truncate()
-                _write_rows(part, scenario, batch, masks, range(split, count))
+                _write_rows(part, scenario, batch, range(split, count))
             handle.flush()
             part.seek(0)
             shutil.copyfileobj(part.buffer, handle.buffer)

@@ -93,8 +93,12 @@ class ThetaProcess:
     clamp: bool = True
 
     def __post_init__(self) -> None:
-        if not self.variance >= 0.0:
-            raise ConfigurationError(f"theta variance must be >= 0, got {self.variance}")
+        if not math.isfinite(self.mean):
+            raise ConfigurationError(f"theta mean must be finite, got {self.mean}")
+        if not 0.0 <= self.variance < math.inf:
+            raise ConfigurationError(
+                f"theta variance must be finite and >= 0, got {self.variance}"
+            )
 
 
 def mutation_rate(kernel: TransitionKernel) -> MutationRate:
@@ -110,46 +114,17 @@ def row_entropies(kernel: TransitionKernel) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _positive_adjacency(kernel: TransitionKernel) -> np.ndarray:
-    return kernel.matrix > 0.0
-
-
-def _strongly_connected(adj: np.ndarray) -> bool:
-    k = adj.shape[0]
-    reach = np.logical_or(adj, np.eye(k, dtype=bool))
-    for _ in range(max(1, math.ceil(math.log2(k)))):
-        reach = reach @ reach
-    return bool(reach.all())
-
-
-def _period(adj: np.ndarray) -> int:
-    """Period of an irreducible chain via gcd over BFS level mismatches."""
-    k = adj.shape[0]
-    depth = [-1] * k
-    depth[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        u = queue.pop()
-        for v in range(k):
-            if not adj[u, v]:
-                continue
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                queue.append(v)
-            else:
-                g = math.gcd(g, abs(depth[u] + 1 - depth[v]))
-    return g
-
-
 def has_unique_stationary(kernel: TransitionKernel) -> bool:
-    """True when the chain is irreducible and aperiodic."""
-    adj = _positive_adjacency(kernel)
-    if kernel.size == 1:
-        return True
-    if not _strongly_connected(adj):
-        return False
-    return _period(adj) == 1
+    """True when the chain is irreducible and aperiodic, that is when its
+    adjacency matrix is primitive: some power of it is positive. By
+    Wielandt's bound a primitive k x k matrix has a positive power at every
+    exponent from (k-1)**2 + 1 on, so the matrix is squared until its
+    exponent reaches that."""
+    k = kernel.size
+    power, exponent = kernel.matrix > 0.0, 1
+    while exponent < (k - 1) ** 2 + 1:
+        power, exponent = power @ power, 2 * exponent
+    return bool(power.all())
 
 
 def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:

@@ -131,10 +131,10 @@ class Scenario:
             validate_discount(self.delta)
         except ConfigurationError as exc:
             errors.append(f"discount.delta: {exc}")
-        if not self.risk_aversion >= 0.0:
-            errors.append(
-                f"risk_aversion.eta: must be >= 0, got {self.risk_aversion}"
-            )
+        if not 0.0 <= self.risk_aversion < math.inf:
+            errors.append(f"risk_aversion.eta: must be finite and >= 0, got {self.risk_aversion}")
+        if not math.isfinite(self.post_mutation_value):
+            errors.append(f"post_mutation_value: must be finite, got {self.post_mutation_value}")
         if not 0.0 < self.spiral_threshold < 1.0:
             errors.append(
                 f"spiral_threshold: must lie in (0, 1), got {self.spiral_threshold}"
@@ -189,17 +189,17 @@ class BatchSummary:
 class BatchTrace:
     """Every round of a batch as arrays, one row per replica.
 
-    ``states`` (R, H) holds the state in force each round, ``defects``
-    (R, H, n) marks Defect actions and ``payoffs`` (R, H, n) holds the
-    realized payoffs. ``theta`` and ``winner`` (R, H) exist only when the
-    scenario draws them. Per replica: ``discounted_utility`` and
-    ``endogenous_utility`` (R, n), and ``cooperation_duration`` (R,), the
-    rounds before the spiral onset, or H when the replica does not spiral.
+    ``states`` (R, H) holds the state in force each round, ``profiles`` (R,
+    H) the joint profiles as bitmasks (see ``_defect_flags``) and ``payoffs``
+    (R, H, n) the realized payoffs. ``theta`` and ``winner`` (R, H) exist
+    only when the scenario draws them. Per replica: ``discounted_utility``
+    and ``endogenous_utility`` (R, n), and ``cooperation_duration`` (R,),
+    the rounds before the spiral onset, or H when the replica does not spiral.
     """
 
     replicas: range
     states: np.ndarray
-    defects: np.ndarray
+    profiles: np.ndarray
     payoffs: np.ndarray
     theta: np.ndarray | None
     winner: np.ndarray | None
@@ -215,9 +215,10 @@ class BatchTrace:
         """Rule changes per replica: rounds whose state differs from the round before."""
         return np.count_nonzero(self.states[:, 1:] != self.states[:, :-1], axis=1)
 
-    def profile_masks(self) -> np.ndarray:
-        """(R, H) joint profiles as bitmasks, miner 0 in the highest bit."""
-        return _profile_masks(self.defects)
+    @property
+    def defects(self) -> np.ndarray:
+        """(R, H, n) Defect flags of ``profiles``, derived on each access."""
+        return _defect_flags(self.profiles, self.payoffs.shape[-1])
 
 
 def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
@@ -280,23 +281,17 @@ def run_replica(scenario: Scenario, replica_index: int) -> BatchTrace:
     return _simulate(scenario, range(replica_index, replica_index + 1))
 
 
-def _profile_masks(defects: np.ndarray) -> np.ndarray:
-    """Defect flags (..., n) as profile bitmasks (...), miner 0 highest, so a
-    mask indexes a payoff table reshaped to (2**n, n) and the profiles of
-    ``itertools.product("CD", repeat=n)`` in order. Built in place, one
-    miner at a time, in the smallest unsigned dtype that holds 2**n - 1, so
-    no wider temporary is made."""
-    n = defects.shape[-1]
-    masks = np.zeros(defects.shape[:-1], dtype=np.min_scalar_type(2**n - 1))
-    for i in range(n):
-        masks <<= 1
-        masks |= defects[..., i]
-    return masks
+def _defect_flags(masks: np.ndarray, n: int) -> np.ndarray:
+    """Profile bitmasks (...) as Defect flags (..., n). Miner 0 is the highest
+    bit, so a mask indexes a payoff table reshaped to (2**n, n) and the
+    profiles of ``itertools.product("CD", repeat=n)`` in order. Masks are
+    kept in the smallest unsigned dtype that holds 2**n - 1."""
+    return (masks[..., None] >> np.arange(n - 1, -1, -1, dtype=masks.dtype) & 1).astype(bool)
 
 
-def _cooperating_fraction(defects: np.ndarray) -> np.ndarray:
-    n = defects.shape[-1]
-    return (n - np.count_nonzero(defects, axis=-1)) / n
+def _cooperation_table(n: int) -> np.ndarray:
+    """The fraction of miners that Cooperate, per profile mask (2**n,)."""
+    return (n - np.count_nonzero(_defect_flags(np.arange(2**n), n), axis=1)) / n
 
 
 # Replicas whose words are converted together; results do not depend on it.
@@ -564,12 +559,11 @@ def _slow_normal(words: np.ndarray) -> tuple[float, int]:
             return x, used
 
 
-def _myopic_defects(tables: np.ndarray, delta: float, miners: list[int]) -> np.ndarray:
-    """Defect flag of each listed MyopicBestResponse miner per state and
-    last-profile bitmask, shape (len(miners), k, 2**n), from the (k, 2**n, n)
-    payoff tables.
+def _myopic_defects(tables: np.ndarray, delta: float, miner: int) -> np.ndarray:
+    """Defect flag of a MyopicBestResponse miner per state and last-profile
+    bitmask, shape (k, 2**n), from the (k, 2**n, n) payoff tables.
 
-    A miner compares its payoff with its own bit of the mask cleared
+    The miner compares its payoff with its own bit of the mask cleared
     (Cooperate) and set (Defect), opponents held at the mask. When every
     opponent cooperated it also prices the grim continuation: delta/(1-delta)
     times the all-Cooperate payoff for Cooperate, times the all-Defect payoff
@@ -578,61 +572,64 @@ def _myopic_defects(tables: np.ndarray, delta: float, miners: list[int]) -> np.n
     """
     n = tables.shape[-1]
     masks = np.arange(2**n)
+    bit = 1 << (n - 1 - miner)
     weight = delta / (1.0 - delta)
-    flags = []
-    for miner in miners:
-        bit = 1 << (n - 1 - miner)
-        cooperate = tables[:, masks & ~bit, miner]
-        defect = tables[:, masks | bit, miner]
-        threatened = (masks & ~bit) == 0
-        cooperate[:, threatened] += weight * tables[:, :1, miner]
-        defect[:, threatened] += weight * tables[:, -1:, miner]
-        flags.append(cooperate < defect)
-    return np.stack(flags)
+    cooperate = tables[:, masks & ~bit, miner]
+    defect = tables[:, masks | bit, miner]
+    threatened = (masks & ~bit) == 0
+    cooperate[:, threatened] += weight * tables[:, :1, miner]
+    defect[:, threatened] += weight * tables[:, -1:, miner]
+    return cooperate < defect
 
 
-def _resolve_defects(
-    scenario: Scenario, states: np.ndarray, tables: np.ndarray
-) -> np.ndarray:
-    """Defect flags (R, H, n) under the strategy rules, one round at a time
-    over all replicas; ``tables`` are the (k, 2**n, n) payoff tables. The
-    scalar reference is ``resolve_actions`` in ``tests/oracles.py``."""
-    replicas, horizon = states.shape
+def _strategy_tables(scenario: Scenario, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strategy rules as two profile-mask tables, from the (k, 2**n, n)
+    payoff tables. ``respond`` (k, 2**n) holds the Defect bits of the
+    always-Defect tags, TitForTat and MyopicBestResponse, by state in force
+    and last profile (mask 0 in round 0). ``grim`` (2, 2**n) holds the
+    GrimTrigger bits, by whether a rule change is on record and the mask of
+    miners that ever Defected. A round's profile is ``respond[state, last]
+    | grim[seen, ever]``; the scalar reference is ``tests/oracles.py``'s
+    ``resolve_actions``.
+    """
     n = scenario.n
-    tags = [m.strategy.tag for m in scenario.miners]
+    dtype = np.min_scalar_type(2**n - 1)
+    flags = _defect_flags(np.arange(2**n), n)
+    opponents = np.count_nonzero(flags, axis=1)[:, None] - flags  # (2**n, n)
+    respond = np.zeros(tables.shape[:2], dtype=dtype)
+    grim = np.zeros((2, 2**n), dtype=dtype)
+    for i, miner in enumerate(scenario.miners):
+        tag, bit = miner.strategy.tag, 1 << (n - 1 - i)
+        if tag in _ALWAYS_DEFECT:
+            respond |= bit
+        elif tag is StrategyTag.TIT_FOR_TAT:  # the opponents' majority; ties Cooperate
+            respond[:, 2 * opponents[:, i] > n - 1] |= bit
+        elif tag is StrategyTag.MYOPIC_BEST_RESPONSE:
+            respond[_myopic_defects(tables, scenario.delta, i)] |= bit
+        elif tag is StrategyTag.GRIM_TRIGGER:
+            grim[:, opponents[:, i] > 0] |= bit
+            if scenario.trigger_on_mutation:
+                grim[1] |= bit
+    return respond, grim
 
-    def miners(*wanted: StrategyTag) -> list[int]:
-        return [i for i, tag in enumerate(tags) if tag in wanted]
 
-    defects = np.zeros((replicas, horizon, n), dtype=bool)
-    defects[:, :, miners(*_ALWAYS_DEFECT)] = True
-    grim = miners(StrategyTag.GRIM_TRIGGER)
-    tit_for_tat = miners(StrategyTag.TIT_FOR_TAT)
-    myopic = miners(StrategyTag.MYOPIC_BEST_RESPONSE)
-    if myopic:
-        myopic_table = _myopic_defects(tables, scenario.delta, myopic)
-    # Round t's flag marks a rule change entering it; strategies see it from
-    # round t + 1 on.
-    mutation_seen = np.zeros((replicas, horizon), dtype=bool)
-    mutation_seen[:, 1:] = np.logical_or.accumulate(states[:, 1:] != states[:, :-1], axis=1)
-
-    ever_defected = np.zeros((replicas, n), dtype=bool)
-    previous = np.zeros((replicas, n), dtype=bool)  # round 0 reads as all Cooperate
+def _resolve_profiles(scenario: Scenario, states: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Joint profiles (R, H) as bitmasks under the strategy rules, one round
+    at a time over all replicas, by the tables of ``_strategy_tables``."""
+    respond, grim = _strategy_tables(scenario, tables)
+    replicas, horizon = states.shape
+    # Round t sees the rule changes entering rounds 1..t-1. uint8, not bool:
+    # an index, not a mask.
+    seen = np.zeros((replicas, horizon), dtype=np.uint8)
+    seen[:, 2:] = np.logical_or.accumulate(states[:, 1:-1] != states[:, :-2], axis=1)
+    profiles = np.empty((replicas, horizon), dtype=respond.dtype)
+    last = np.zeros(replicas, dtype=respond.dtype)  # round 0 reads as all Cooperate
+    ever = np.zeros(replicas, dtype=respond.dtype)
     for t in range(horizon):
-        now = defects[:, t]
-        if grim:
-            triggered = ever_defected.sum(axis=1, keepdims=True) - ever_defected[:, grim] > 0
-            if scenario.trigger_on_mutation and t > 0:
-                triggered |= mutation_seen[:, t - 1, None]
-            now[:, grim] = triggered
-        if tit_for_tat:
-            opponents = previous.sum(axis=1, keepdims=True) - previous[:, tit_for_tat]
-            now[:, tit_for_tat] = 2 * opponents > n - 1
-        if myopic:
-            now[:, myopic] = myopic_table[:, states[:, t], _profile_masks(previous)].T
-        ever_defected |= now
-        previous = now
-    return defects
+        last = respond[states[:, t], last] | grim[seen[:, t], ever]
+        ever |= last
+        profiles[:, t] = last
+    return profiles
 
 
 def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
@@ -640,8 +637,10 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
 
     Per round t the state in force is P_t; the protocol step taken during
     round t yields P_{t+1}, whose change is observable to strategies from
-    round t+2 on (mutation flags describe completed rounds). Payoffs are the
-    table row at (P_t, profile), scaled by the clamped theta draw when a
+    round t+2 on (mutation flags describe completed rounds). A round's joint
+    profile is kept only as its bitmask, from ``_resolve_profiles``; the
+    payoff row and the cooperating fraction are looked up by it. Payoffs are
+    the table row at (P_t, profile), scaled by the clamped theta draw when a
     perturbation process is attached, reduced by each MetaInvestor's budget
     fraction while the meta game is enabled, and zeroed for lottery losers
     in lottery mode, multiplied in that order.
@@ -661,8 +660,8 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
         np.minimum(below.sum(axis=1), kernel.size - 1, out=states[:, t + 1])
 
     tables = np.stack([stage.tensor.reshape(-1, n) for stage in game])
-    defects = _resolve_defects(scenario, states, tables)
-    payoffs = tables[states, _profile_masks(defects)]
+    profiles = _resolve_profiles(scenario, states, tables)
+    payoffs = tables[states, profiles]
     theta = None
     if scenario.theta is not None:
         process = scenario.theta
@@ -689,12 +688,12 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
         # One product per replica: a batched product would reorder the sums.
         endogenous = np.array([path @ replica for replica in payoffs])
 
-    cooperating = _cooperating_fraction(defects) >= scenario.spiral_threshold
+    cooperating = (_cooperation_table(n) >= scenario.spiral_threshold)[profiles]
     last_cooperating = horizon - np.argmax(cooperating[:, ::-1], axis=1)
     return BatchTrace(
         replicas=replicas,
         states=states,
-        defects=defects,
+        profiles=profiles,
         payoffs=payoffs,
         theta=theta,
         winner=winner,
@@ -735,8 +734,7 @@ def summarize_batch(scenario: Scenario, batch: BatchTrace) -> BatchSummary:
         mean_cooperation_duration=float(np.mean(durations)),
         spiral_frequency=int(np.count_nonzero(durations < scenario.horizon)) / count,
         mean_final_cooperation_fraction=float(
-            np.mean(_cooperating_fraction(batch.defects[:, -1]))
-        ),
+            np.mean(_cooperation_table(n)[batch.profiles[:, -1]])),
         mutation_count_mean=float(mutations.mean()),
         mutation_count_std=float(mutations.std(ddof=1)) if count > 1 else 0.0,
         mutation_count_min=int(mutations.min()),

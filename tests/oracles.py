@@ -6,9 +6,10 @@ so it stays an independent check of the enumeration code paths. The scalar
 engine plays one replica round by round through the single-round functions
 below (strategy resolution, protocol step, theta, stage payoffs, block
 lottery, spiral detection); it is the reference for the replica-vectorized
-batch engine and returns the same ``BatchTrace`` arrays. The row-at-a-time
-``csv.writer`` trace writer is the reference for the columnar one in
-``mutagame.cli``.
+batch engine and returns the same ``BatchTrace`` arrays. Strong
+connectivity plus a BFS period is the reference for the primitivity test
+of ``has_unique_stationary``. The row-at-a-time ``csv.writer`` trace
+writer is the reference for the columnar one in ``mutagame.cli``.
 """
 
 import csv
@@ -260,6 +261,49 @@ def resolve_actions(
     return actions
 
 
+def _positive_adjacency(kernel: TransitionKernel) -> np.ndarray:
+    return kernel.matrix > 0.0
+
+
+def _strongly_connected(adj: np.ndarray) -> bool:
+    k = adj.shape[0]
+    reach = np.logical_or(adj, np.eye(k, dtype=bool))
+    for _ in range(max(1, math.ceil(math.log2(k)))):
+        reach = reach @ reach
+    return bool(reach.all())
+
+
+def _period(adj: np.ndarray) -> int:
+    """Period of an irreducible chain via gcd over BFS level mismatches."""
+    k = adj.shape[0]
+    depth = [-1] * k
+    depth[0] = 0
+    queue = [0]
+    g = 0
+    while queue:
+        u = queue.pop()
+        for v in range(k):
+            if not adj[u, v]:
+                continue
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+            else:
+                g = math.gcd(g, abs(depth[u] + 1 - depth[v]))
+    return g
+
+
+def irreducible_and_aperiodic(kernel: TransitionKernel) -> bool:
+    """Reference for ``has_unique_stationary``: strong connectivity of the
+    positive entries, then a period of 1."""
+    adj = _positive_adjacency(kernel)
+    if kernel.size == 1:
+        return True
+    if not _strongly_connected(adj):
+        return False
+    return _period(adj) == 1
+
+
 @dataclass(frozen=True)
 class SpiralReport:
     """Permanent-collapse onset: the first round from which the cooperating
@@ -331,7 +375,7 @@ def scalar_replica(scenario, replica_index) -> BatchTrace:
                 budget_keep[i] = 1.0 - miner.strategy.meta_budget
 
     history = PlayHistory(n)
-    states, profiles, thetas, winners = [], [], [], []
+    states, flags, profiles, thetas, winners = [], [], [], [], []
     payoff_matrix = np.empty((scenario.horizon, n))
     state = scenario.initial_state
     previous_state: int | None = None
@@ -370,7 +414,8 @@ def scalar_replica(scenario, replica_index) -> BatchTrace:
             winners.append(winner)
 
         states.append(state)
-        profiles.append([a is Action.DEFECT for a in profile])
+        flags.append([a is Action.DEFECT for a in profile])
+        profiles.append(int("".join(str(a.index) for a in profile), 2))  # miner 0 highest
         thetas.append(theta)
         payoff_matrix[t] = payoffs
         history.append(profile, mutated)
@@ -385,14 +430,14 @@ def scalar_replica(scenario, replica_index) -> BatchTrace:
     return BatchTrace(
         replicas=range(replica_index, replica_index + 1),
         states=np.array([states]),
-        defects=np.array([profiles], dtype=bool),
+        profiles=np.array([profiles]),
         payoffs=payoff_matrix[None],
         theta=None if scenario.theta is None else np.array([thetas]),
         winner=np.array([winners]) if game.lottery_mode else None,
         discounted_utility=np.array([discounted]),
         endogenous_utility=endogenous,
         cooperation_duration=np.array(
-            [cooperation_duration(profiles, scenario.spiral_threshold)]
+            [cooperation_duration(flags, scenario.spiral_threshold)]
         ),
     )
 
@@ -456,7 +501,6 @@ def csv_trace_writer(path, scenario, batch) -> None:
     Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}.
     """
     profile_keys = ["".join(p) for p in itertools.product("CD", repeat=scenario.n)]
-    masks = batch.profile_masks()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
@@ -469,7 +513,8 @@ def csv_trace_writer(path, scenario, batch) -> None:
             else:
                 thetas = [repr(theta) for theta in batch.theta[r].tolist()]
             rows = zip(
-                batch.states[r].tolist(), thetas, masks[r].tolist(), batch.payoffs[r].tolist()
+                batch.states[r].tolist(), thetas, batch.profiles[r].tolist(),
+                batch.payoffs[r].tolist(),
             )
             for t, (state, theta, mask, payoffs) in enumerate(rows):
                 writer.writerow(

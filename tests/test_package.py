@@ -46,3 +46,4 @@ def test_public_names_resolve_and_retired_names_are_gone():
     assert not hasattr(mutagame.Action, "from_symbol")
     assert not hasattr(mutagame.NormalFormGame, "from_stage_game")
     assert not hasattr(mutagame.StrategyKind, "honest")
+    assert not hasattr(mutagame.BatchTrace, "profile_masks")

@@ -1,11 +1,12 @@
 """Protocol dynamics: kernel validation, entropy, integrity, theta, and the
 scalar reference's protocol step and theta draw (``tests/oracles.py``)."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from oracles import sample_theta, step_protocol
+from oracles import irreducible_and_aperiodic, sample_theta, step_protocol
 
 from mutagame import (
     ConfigurationError,
@@ -130,6 +131,20 @@ def test_unique_stationary_detection():
     assert has_unique_stationary(TransitionKernel(TWO_STATE))
     assert not has_unique_stationary(TransitionKernel.identity(2))  # reducible
     assert not has_unique_stationary(TransitionKernel([[0.0, 1.0], [1.0, 0.0]]))  # periodic
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_primitivity_matches_connectivity_and_period(k):
+    # Every zero pattern of a k-state kernel: each row needs a positive entry.
+    checked = 0
+    for pattern in itertools.product([0.0, 1.0], repeat=k * k):
+        adjacency = np.array(pattern).reshape(k, k)
+        if not adjacency.any(axis=1).all():
+            continue
+        kernel = TransitionKernel(adjacency / adjacency.sum(axis=1, keepdims=True))
+        assert has_unique_stationary(kernel) == irreducible_and_aperiodic(kernel), pattern
+        checked += 1
+    assert checked == (2**k - 1) ** k
 
 
 def test_stationary_distribution_value():

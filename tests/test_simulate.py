@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from oracles import (
     PlayHistory,
-    _myopic_response,
     cooperation_duration,
     detect_spiral,
     replica_fields,
@@ -37,7 +36,7 @@ from mutagame import (
     run_replica,
     truncation_horizon,
 )
-from mutagame.simulate import _myopic_defects
+from mutagame.simulate import _strategy_tables
 
 C = Action.COOPERATE
 D = Action.DEFECT
@@ -332,9 +331,16 @@ def test_myopic_keeps_defecting_during_punishment():
     assert actions[0] is D
 
 
+def strategy_kind(tag):
+    return StrategyKind(tag, 0.5, 0) if tag is StrategyTag.META_INVESTOR else StrategyKind(tag)
+
+
 @pytest.mark.parametrize("delta", [0.1, 0.5, 0.9])
 def test_myopic_table_matches_scalar_response(delta):
-    # Small integer payoffs, so the two sides of the comparison often tie.
+    # Every tag through the strategy tables that the engine reads, with a
+    # random nonempty set of MyopicBestResponse miners and random tags for
+    # the rest. Small integer payoffs, so the two sides of the Myopic
+    # comparison often tie.
     rng = np.random.default_rng(int(delta * 10))
     for _ in range(60):
         n, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
@@ -342,22 +348,38 @@ def test_myopic_table_matches_scalar_response(delta):
             [f"s{state}" for state in range(k)],
             [NormalFormGame(rng.integers(-2, 3, size=(2,) * n + (n,))) for _ in range(k)],
         )
-        miners = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
+        tags = rng.choice(list(StrategyTag), n)
+        tags[rng.permutation(n)[: rng.integers(1, n + 1)]] = StrategyTag.MYOPIC_BEST_RESPONSE
+        strategies = [strategy_kind(tag) for tag in tags]
         tables = np.stack([stage.tensor.reshape(-1, n) for stage in game])
-        table = _myopic_defects(tables, delta, miners)
-        assert table.shape == (len(miners), k, 2**n)
-        profiles = itertools.product((C, D), repeat=n)
-        histories = [PlayHistory.from_rounds(n, [profile]) for profile in profiles]
-        for mask, history in enumerate(histories):
+        profiles = list(itertools.product((C, D), repeat=n))
+
+        def mask(actions):
+            return profiles.index(tuple(actions))
+
+        for trigger in (False, True):
+            scenario = Scenario(
+                miners=tuple(Miner(1.0 / n, strategy) for strategy in strategies),
+                game=game, kernel=TransitionKernel.identity(k), initial_state=0,
+                horizon=1, delta=delta, trigger_on_mutation=trigger,
+            )
+            respond, grim = _strategy_tables(scenario, tables)
+            assert respond.shape == (k, 2**n) and grim.shape == (2, 2**n)
+            for last, ever, seen in itertools.product(range(2**n), range(2**n), (0, 1)):
+                history = PlayHistory(
+                    n, rounds=1, last_profile=profiles[last],
+                    defect_counts=[int(a is D) for a in profiles[ever]],
+                    total_defects=profiles[ever].count(D), mutation_seen=bool(seen),
+                )
+                for state in range(k):
+                    actions = resolve_actions(strategies, history, 1, game=game, state=state,
+                                              trigger_on_mutation=trigger, discount=delta)
+                    assert respond[state, last] | grim[seen, ever] == mask(actions)
+            # Round 0 has no last profile and nothing on record: it reads mask 0.
             for state in range(k):
-                for j, miner in enumerate(miners):
-                    action = _myopic_response(miner, history, game, state, delta)
-                    assert table[j, state, mask] == (action is D)
-        # Round 0 has no last profile and reads mask 0.
-        for state in range(k):
-            for j, miner in enumerate(miners):
-                action = _myopic_response(miner, PlayHistory(n), game, state, delta)
-                assert table[j, state, 0] == (action is D)
+                actions = resolve_actions(strategies, PlayHistory(n), 0, game=game, state=state,
+                                          trigger_on_mutation=trigger, discount=delta)
+                assert respond[state, 0] | grim[0, 0] == mask(actions)
 
 
 def test_detect_spiral_all_cooperate():
@@ -484,6 +506,7 @@ def test_scenario_validation_collects_errors():
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("make, message", [
@@ -498,6 +521,16 @@ NAN = float("nan")
     (lambda: truncation_horizon(0.9, NAN), "payoff_scale"),
     (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), risk_aversion=NAN),
      "risk_aversion.eta:"),
+    (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), risk_aversion=INF),
+     "risk_aversion.eta: must be finite"),
+    (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), post_mutation_value=NAN),
+     "post_mutation_value: must be finite, got nan"),
+    (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), post_mutation_value=-INF),
+     "post_mutation_value: must be finite, got -inf"),
+    (lambda: ThetaProcess(mean=NAN, variance=1.0, clamp=False),
+     "theta mean must be finite, got nan"),
+    (lambda: ThetaProcess(mean=INF, variance=1.0), "theta mean must be finite, got inf"),
+    (lambda: ThetaProcess(mean=1.0, variance=INF), "theta variance must be finite"),
 ])
 def test_nan_fails_range_checks(make, message):
     with pytest.raises((ConfigurationError, ScenarioValidationError), match=message):

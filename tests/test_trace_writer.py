@@ -36,6 +36,7 @@ from mutagame import (
 from mutagame import cli
 from mutagame.cli import EXIT_CAPACITY, EXIT_IO, EXIT_OK, main, write_trace_csv
 from mutagame.scenario import load_scenario
+from mutagame.simulate import _resolve_profiles
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE
 
 
@@ -221,10 +222,10 @@ def fail_from(monkeypatch, fail, first):
     with ``first`` 0 also ``run``'s own, before it waits for the worker."""
     write_rows = cli._write_rows
 
-    def failing(handle, scenario, batch, masks, rows):
+    def failing(handle, scenario, batch, rows):
         if rows.start >= first:
             fail()
-        write_rows(handle, scenario, batch, masks, rows)
+        write_rows(handle, scenario, batch, rows)
 
     split_small_batches(monkeypatch, 2)
     monkeypatch.setattr(cli, "_write_rows", failing)
@@ -278,8 +279,8 @@ def test_failure_confined_to_worker_is_written_by_run(monkeypatch, tmp_path, cap
     write_rows = cli._write_rows
     written_here = []
 
-    def failing_in_worker(handle, scenario, batch, masks, rows):
-        write_rows(handle, scenario, batch, masks, rows)
+    def failing_in_worker(handle, scenario, batch, rows):
+        write_rows(handle, scenario, batch, rows)
         if os.getpid() != parent:
             handle.write("9,a partial line")
             handle.flush()  # bytes that run must discard
@@ -337,18 +338,21 @@ def test_writer_peak_memory_stays_per_replica(monkeypatch, tmp_path):
         assert peak < 4_000_000
 
 
-def test_profile_masks_peak_stays_under_twice_their_size():
+def test_resolve_profiles_peak_stays_under_eight_times_the_masks():
     doc = yaml.safe_load(MUTABLE_CORE)
     doc.update(replica_count=250, horizon=200)
-    _, batch = run_batch(parse_document(doc))
+    scenario = parse_document(doc)
+    _, batch = run_batch(scenario)
+    tables = np.stack([stage.tensor.reshape(-1, scenario.n) for stage in scenario.game])
     tracemalloc.start()
     try:
-        masks = batch.profile_masks()
+        profiles = _resolve_profiles(scenario, batch.states, tables)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # An (R, H, n) bool @ int64 bits product peaks at 40x the uint8 masks.
-    assert masks.dtype == np.uint8
-    assert peak < 2 * masks.nbytes
+    # A step on (R, H, n) Defect flags plus the masks built from them peaks at 8.6x.
+    assert batch.profiles.dtype == np.uint8
+    assert np.array_equal(profiles, batch.profiles)
+    assert peak < 8 * profiles.nbytes
     bits = 1 << np.arange(batch.defects.shape[2] - 1, -1, -1)
-    assert np.array_equal(masks, batch.defects @ bits)
+    assert np.array_equal(batch.profiles, batch.defects @ bits)

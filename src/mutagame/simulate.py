@@ -189,12 +189,12 @@ class BatchSummary:
 class BatchTrace:
     """Every round of a batch as arrays, one row per replica.
 
-    ``states`` (R, H) holds the state in force each round, ``profiles`` (R,
-    H) the joint profiles as bitmasks (see ``_defect_flags``) and ``payoffs``
-    (R, H, n) the realized payoffs. ``theta`` and ``winner`` (R, H) exist
-    only when the scenario draws them. Per replica: ``discounted_utility``
-    and ``endogenous_utility`` (R, n), and ``cooperation_duration`` (R,),
-    the rounds before the spiral onset, or H when the replica does not spiral.
+    ``states`` (R, H) holds the state in force each round, ``profiles``
+    (R, H) each round's joint profile as a bitmask (``_defect_flags``), and
+    ``payoffs`` (R, H, n) the realized payoffs. ``theta`` and ``winner``
+    (R, H) exist only when the scenario draws them. Per replica:
+    ``discounted_utility`` and ``endogenous_utility`` (R, n), and
+    ``cooperation_duration`` (R,), the rounds before the spiral onset (H with none).
     """
 
     replicas: range

@@ -241,50 +241,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if len(values) < 2:
         raise ConfigurationError("sweep needs at least two values")
-    doc = load_document(args.scenario)
-    base_overrides = _collect_overrides(args)
+    doc, overrides = load_document(args.scenario), _collect_overrides(args)
+    name = Path(args.scenario).stem  # every point is validated before any runs
+    scenarios = [parse_document(apply_overrides(doc, {**overrides, args.param: v}), name=name)
+                 for v in values]
     rows = []
-    for value in values:
-        overrides = dict(base_overrides)
-        overrides[args.param] = value
-        point_doc = apply_overrides(doc, overrides)
-        scenario = parse_document(point_doc, name=Path(args.scenario).stem)
+    for value, scenario in zip(values, scenarios):
         summary, batch = run_batch(scenario)
         durations = batch.cooperation_duration.astype(float)
         utilities = batch.discounted_utility.mean(axis=1)
         del batch  # free this point's trace before the next point runs
-        rows.append(
-            [
-                args.param,
-                value,
-                repr(float(durations.mean())),
-                repr(_ci_half_width(durations)),
-                repr(summary.spiral_frequency),
-                repr(float(utilities.mean())),
-                repr(_ci_half_width(utilities)),
-            ]
-        )
+        rows.append([args.param, value, float(durations.mean()), _ci_half_width(durations),
+                     summary.spiral_frequency, float(utilities.mean()), _ci_half_width(utilities)])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / SWEEP_FILENAME, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            [
-                "param",
-                "value",
-                "mean_cooperation_duration",
-                "cooperation_duration_ci95",
-                "spiral_frequency",
-                "mean_utility",
-                "mean_utility_ci95",
-            ]
-        )
-        writer.writerows(rows)
-    for row in rows:
+        writer.writerow(["param", "value", "mean_cooperation_duration", "cooperation_duration_ci95",
+                         "spiral_frequency", "mean_utility", "mean_utility_ci95"])
+        writer.writerows([*row[:2], *map(repr, row[2:])] for row in rows)
+    for param, value, duration, duration_ci, spiral, utility, utility_ci in rows:
         print(
-            f"{row[0]}={row[1]}: coop_duration={float(row[2]):.4f}"
-            f" (ci {float(row[3]):.4f}) spiral_freq={float(row[4]):.4f}"
-            f" mean_utility={float(row[5]):.6f} (ci {float(row[6]):.6f})"
+            f"{param}={value}: coop_duration={duration:.4f} (ci {duration_ci:.4f})"
+            f" spiral_freq={spiral:.4f} mean_utility={utility:.6f} (ci {utility_ci:.6f})"
         )
     return EXIT_OK
 

@@ -222,7 +222,7 @@ class BatchTrace:
 
 
 def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
-    """Stream splitting rule: PCG64 seeded by SeedSequence([master_seed, index])."""
+    """Stream splitting rule, PCG64(SeedSequence([master_seed, index])): what _draws computes."""
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([master_seed, replica_index]))
     )
@@ -302,6 +302,8 @@ _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 # O'Neill's ``seed_seq``).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# uint64 shift and mask operands: numpy 1.x's value-based casting can turn uint64 into float64.
+_U1, _U32, _U58, _U63, _U64, _LOW32 = map(np.uint64, (1, 32, 58, 63, 64, 2**32 - 1))
 # numpy's ziggurat tail: the base layer's right edge and its inverse.
 _TAIL_R, _TAIL_INV_R = 3.6541528853610088, 0.27366123732975828
 # The ziggurat tables as Python numbers, for the scalar slow path.
@@ -314,14 +316,14 @@ def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
     Column 0 is the protocol step, then theta's standard normal when
     enabled, then the lottery uniform when enabled: the values that scalar
     ``random()`` and ``standard_normal()`` calls on
-    ``replica_rng(master_seed, i)`` return in that order. They are computed
-    in bulk, chunk by chunk of replicas. ``_seed_states`` seeds every stream
-    of a chunk at once, and each stream's raw 64-bit words are drawn in one
-    call: H*d words, plus ``_slack`` when normals are drawn. A uniform takes
-    one word w, ``(w >> 11) * 2**-53``. A normal takes one word on numpy's
-    ziggurat fast path (``_ziggurat``). Off it (about 1.5% of normals)
-    ``_slow_normal`` runs numpy's algorithm on the words that follow, and
-    every later draw of the replica moves down by the extra words it used.
+    ``replica_rng(master_seed, i)`` return in that order, computed chunk by
+    chunk of replicas on uint64 arrays. ``_seed_states`` seeds a
+    chunk's streams, ``_RawWords`` gives each its first H*d words (plus
+    ``_slack`` with normals). A uniform takes one word w, ``(w >> 11) *
+    2**-53``. A normal takes one word on numpy's ziggurat fast path
+    (``_ziggurat``). Off it (about 1.5% of normals) ``_slow_normal`` runs
+    numpy's algorithm on the words that follow, and every later draw of the
+    replica moves down by the extra words it used.
     """
     horizon, normal = scenario.horizon, scenario.theta is not None
     per_round = 1 + normal + scenario.game.lottery_mode
@@ -335,15 +337,15 @@ def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
             "exceed the largest array numpy can index"
         )
     draws = np.empty((count, horizon, per_round))
-    stream = np.random.PCG64(0)
+    raw_words = _RawWords(width, min(count, _CHUNK))  # after the allocation that bounds width
     for start in range(0, count, _CHUNK):
         chunk = replicas[start:start + _CHUNK]
         out = draws[start:start + len(chunk)]
         seeds = _seed_states(scenario.master_seed, chunk)
-        words = np.stack([_raw_words(stream, seed, width) for seed in seeds])
+        words = raw_words(seeds)
         slow = {}
         if normal:
-            words, slow = _skip_slow_normals(words, seeds, stream, horizon, per_round)
+            words, slow = _skip_slow_normals(words, seeds, horizon, per_round)
         words = words.reshape(out.shape)
         np.multiply(words >> 11, 2.0**-53, out=out)
         if normal:
@@ -388,19 +390,21 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
-def _seed_states(master_seed: int, replicas: range) -> list[tuple[int, int]]:
+def _seed_states(master_seed: int, replicas: range) -> np.ndarray:
     """PCG64's (state, inc) once seeded from ``SeedSequence([master_seed,
-    i])``, for each replica i.
+    i])``, for each replica i, as a (C, 4) uint64 array: the high and low
+    halves of state, then of inc.
 
     numpy's algorithm, run for every replica whose entropy has the same
     word count at once, on uint32 arrays with one column per replica. The
     4-word pool is filled, mixed, and mixed with the entropy words past 4
-    (``mix_entropy``); ``generate_state(4, uint64)`` gives v0..v3; PCG64's
-    ``set_seed`` takes seed ``v0 << 64 | v1`` and sequence ``v2 << 64 | v3``.
+    (``mix_entropy``); ``generate_state(4, uint64)`` gives v0..v3. PCG64's
+    ``set_seed`` (seed v0:v1, sequence v2:v3) is two LCG steps on arrays:
+    state 0 to inc, then inc + seed to M*seed + (M*inc + inc).
     """
     seed_words = _uint32_words(master_seed)
     entropies = (seed_words + _uint32_words(i) for i in replicas)
-    states = []
+    generated = []
     for _, group in itertools.groupby(entropies, key=len):
         entropy = np.array(list(group), dtype=np.uint32).T  # (words, replicas)
         pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
@@ -415,32 +419,90 @@ def _seed_states(master_seed: int, replicas: range) -> list[tuple[int, int]]:
             pool = _mix(pool, _hashmix(word, consts[k:k + 5]))
             k += 4
         halves = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
-        halves = halves.astype(np.uint64)
-        v0, v1, v2, v3 = (halves[0::2] | halves[1::2] << 32).tolist()
-        for seed_hi, seed_lo, seq_hi, seq_lo in zip(v0, v1, v2, v3):
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % 2**128
-            # Two LCG steps: from state 0, and after adding the seed.
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc) % 2**128
-            states.append((state, inc))
-    return states
+        generated.append(halves.astype(np.uint64))
+    halves = np.concatenate(generated, axis=1)
+    seed, seq = np.split(halves[0::2] | halves[1::2] << _U32, 2)  # v0, v1 and v2, v3
+    inc = np.stack([seq[0] << _U1 | seq[1] >> _U63, seq[1] << _U1 | _U1])
+    multiplier = np.array(_jump(1)[:2], dtype=np.uint64)[:, None]
+    return np.concatenate([_mul_add(multiplier, seed, _mul_add(multiplier, inc, inc)), inc]).T
 
 
-def _raw_words(stream: np.random.PCG64, seed: tuple[int, int], count: int) -> np.ndarray:
-    """The first ``count`` raw words of the PCG64 stream whose (state, inc)
-    is ``seed``, drawn by ``stream``."""
-    state, inc = seed
-    stream.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return stream.random_raw(count)
+def _mul_add(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``a*b + c`` mod 2**128 on broadcast (2, ...) uint64 (high, low) halves,
+    into ``out[:2]`` (``out[2:]`` is scratch) or a new array. From 32-bit
+    halves, no partial sum wrapping: t = a0*b0 + c0, mid = a1*b0 + (t >> 32)
+    + c1, cross = a0*b1 + (mid & LOW32); low = cross << 32 | t & LOW32, and
+    high = a1*b1 + (mid >> 32) + (cross >> 32) + a_hi*b_lo + a_lo*b_hi + c_hi.
+    """
+    (a_hi, a_lo), (b_hi, b_lo), (c_hi, c_lo) = a, b, c
+    if out is None:
+        out = np.empty((4, *np.broadcast_shapes(a.shape, b.shape, c.shape)[1:]), dtype=np.uint64)
+    high, low, part, product = out
+    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _U32, b_lo & _LOW32, b_lo >> _U32
+    np.add(np.multiply(a0, b0, out=low), c_lo & _LOW32, out=low)
+    np.add(np.multiply(a1, b0, out=high), c_lo >> _U32, out=high)
+    high += np.right_shift(low, _U32, out=part)
+    np.bitwise_and(high, _LOW32, out=part)
+    part += np.multiply(a0, b1, out=product)
+    low &= _LOW32
+    low |= np.left_shift(part, _U32, out=product)
+    high >>= _U32
+    high += np.right_shift(part, _U32, out=part)
+    for x, y in ((a1, b1), (a_hi, b_lo), (a_lo, b_hi)):
+        high += np.multiply(x, y, out=product)
+    high += c_hi
+    return out[:2]
+
+
+def _jump(steps: int) -> tuple[int, int, int, int]:
+    """(A, C) of ``steps`` LCG steps, s to A*s + C*inc mod 2**128 (Brown 1994), as the high and
+    low 64-bit halves of A = M**steps and of C = (M**steps - 1) / (M - 1); the division is
+    exact on the power taken mod (M - 1) * 2**128."""
+    power = pow(_PCG64_MULTIPLIER, steps, (_PCG64_MULTIPLIER - 1) << 128)
+    mult, incr = power % 2**128, (power - 1) // (_PCG64_MULTIPLIER - 1)
+    return mult >> 64, mult & 2**64 - 1, incr >> 64, incr & 2**64 - 1
+
+
+class _RawWords:
+    """PCG64's first ``count`` raw words, (C, count), of each stream of a
+    chunk of up to ``rows`` streams given as ``_seed_states``' array.
+
+    PCG64 steps its LCG, then outputs ``rotr64(hi ^ lo, hi >> 58)``, so
+    word j comes from A_j*s + C_j*inc (``_jump(j)``). With j = q*B + r, r
+    in 1..B and B about 2*sqrt(count) (longer inner loops than sqrt), that
+    is A_r*S_q + C_r*inc, S_q being the state after q*B steps: (Q,) and (B,)
+    tables of (A, C) built once, then one 128-bit multiply-add per word, in
+    buffers the next chunk reuses.
+    """
+
+    def __init__(self, count: int, rows: int):
+        block = 1 + 2 * math.isqrt(max(count - 1, 0))
+        starts, steps = range(0, count, block), range(1, block + 1)
+        self.count, self.grid = count, (len(starts), block)
+        jumps = np.array(list(zip(*map(_jump, [*starts, *steps]))), dtype=np.uint64)[:, None]
+        self.start_mults, self.incrs = jumps[:2, :, :len(starts)], jumps[2:]  # A_qB; C_qB, C_r
+        self.step_mults = jumps[:2, 0, len(starts):]  # A_r
+        self.buffers = np.empty((4, rows, len(starts) * block), dtype=np.uint64)
+
+    def __call__(self, seeds: np.ndarray) -> np.ndarray:
+        rows, (starts, block) = len(seeds), self.grid
+        buffers = self.buffers[:, :rows].reshape(4, rows, starts, block)
+        offsets = _mul_add(self.incrs, seeds.T[2:, :, None], np.zeros((2, 1, 1), dtype=np.uint64))
+        states = _mul_add(self.start_mults, seeds.T[:2, :, None], offsets[..., :starts])
+        _mul_add(self.step_mults, states[..., None], offsets[:, :, None, starts:], buffers)
+        high, words, right, _ = buffers.reshape(4, rows, -1)
+        words ^= high
+        high >>= _U58  # the rotation
+        np.right_shift(words, high, out=right)
+        words <<= np.bitwise_and(np.subtract(_U64, high, out=high), _U63, out=high)
+        words |= right
+        return words[:, :self.count]
 
 
 def _skip_slow_normals(
-    words: np.ndarray, seeds: list[tuple[int, int]], stream: np.random.PCG64,
-    horizon: int, per_round: int,
+    words: np.ndarray, seeds: np.ndarray, horizon: int, per_round: int,
 ) -> tuple[np.ndarray, dict[tuple[int, int], float]]:
     """The word each draw starts from, (C, H*d), and the normals that miss
     the ziggurat fast path, by (row, round).
@@ -460,7 +522,7 @@ def _skip_slow_normals(
     for row in range(count):
         row_words, misses = words[row], columns[bounds[row]:bounds[row + 1]]
         while (found := _row_slow_normals(row_words, misses, horizon, per_round)) is None:
-            row_words = _raw_words(stream, seeds[row], 2 * len(row_words))
+            row_words = _RawWords(2 * len(row_words), 1)(seeds[row:row + 1])[0]
             misses = np.flatnonzero(~_fast_path(row_words)).tolist()
             grown[row] = row_words
         walked[row] = found

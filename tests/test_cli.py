@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from mutagame import apply_overrides, parse_document, run_batch
+from mutagame import apply_overrides, cli, parse_document, run_batch
 from mutagame.cli import (
     EXIT_CAPACITY,
     EXIT_IO,
@@ -296,6 +296,23 @@ def test_sweep_rejects_unknown_path(fixed_rules_file, tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_sweep_checks_every_point_before_simulating(
+    fixed_rules_file, tmp_path, monkeypatch, capsys
+):
+    # The invalid point comes last: no point may run before it is refused.
+    batches = []
+    monkeypatch.setattr(cli, "run_batch", lambda scenario: batches.append(scenario))
+    code = main(
+        ["sweep", str(fixed_rules_file), "--param", "discount.delta",
+         "--values", "0.5,1.0", "--replicas", "20000", "--out", str(tmp_path / "sweep")]
+    )
+    assert (code, batches) == (EXIT_VALIDATION, [])
+    assert capsys.readouterr().err.splitlines() == [
+        "error: discount.delta: discount factor must lie strictly inside (0, 1), got 1.0"
+    ]
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_delta_brackets_threshold(tmp_path):
     # Myopic deviator in a grim population: defects immediately at delta 0.3,
     # cooperates for the whole horizon at delta 0.7 (threshold 0.5).
@@ -460,3 +477,28 @@ def test_program_entries_freeze_the_import_time_heap(fixed_rules_file):
         assert result.returncode == 0, result.stderr
         exit_code, frozen = result.stdout.split()[-2:]
         assert exit_code == str(EXIT_OK) and int(frozen) > 0, launcher
+
+
+def test_cli_commands_never_load_numpy_random(tmp_path):
+    # The draws compute PCG64 themselves; only replica_rng, the documented
+    # reference of the stream, loads numpy.random.
+    code = (
+        "import sys\n"
+        "from mutagame.cli import main\n"
+        "out, path = sys.argv[1], sys.argv[1] + '/mutable_core.yaml'\n"
+        "small = ['--replicas', '3', '--set', 'horizon=20']\n"
+        "codes = [\n"
+        "    main(['preset', 'mutable_core', '--out', path]),\n"
+        "    main(['run', path, '--out', out + '/run', *small]),\n"
+        "    main(['sweep', path, '--param', 'kernel.epsilon', '--values', '0,0.1',\n"
+        "          '--out', out + '/sweep', *small]),\n"
+        "    main(['validate', path]),\n"
+        "    main(['analyze', path]),\n"
+        "]\n"
+        "print(*codes, 'numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-6:] == [str(EXIT_OK)] * 5 + ["False"]

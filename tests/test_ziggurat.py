@@ -4,10 +4,11 @@
 by feeding ``Generator.standard_normal`` one chosen 64-bit word. (b) checks
 ``simulate._slow_normal`` against numpy on the wedge decision at every
 layer, on both sides of its threshold, and on slow-path words from real
-streams. (c) checks ``simulate._seed_states`` against numpy's seeding. (d)
-checks ``simulate._draws`` against the documented scalar loop, bit for bit,
-and counts that the idx-0 tail, layer 1 (which always leaves the fast path)
-and the word-growth path each ran.
+streams. (c) checks ``simulate._seed_states`` against numpy's seeding, and
+``simulate._RawWords`` against numpy's PCG64 down to the 128-bit
+multiply-add under it. (d) checks ``simulate._draws`` against the
+documented scalar loop, bit for bit, and counts that the idx-0 tail, layer
+1 (which always leaves the fast path) and the word-growth path each ran.
 """
 
 import dataclasses
@@ -15,6 +16,8 @@ import dataclasses
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutagame import CapacityError, _ziggurat, parse_document, replica_rng, run_replica, simulate
 from mutagame.presets import FIXED_RULES
@@ -200,8 +203,60 @@ def test_bulk_seeding_matches_numpy(master_seed):
         expected = []
         for i in replicas:
             lcg = np.random.PCG64(np.random.SeedSequence([master_seed, i])).state["state"]
-            expected.append((lcg["state"], lcg["inc"]))
-        assert simulate._seed_states(master_seed, replicas) == expected
+            expected.append(split_state(lcg["state"], lcg["inc"]))
+        seeds = simulate._seed_states(master_seed, replicas)
+        assert seeds.dtype == np.uint64 and seeds.shape == (len(replicas), 4)
+        assert seeds.tolist() == expected
+
+
+def split_state(state, inc):
+    """A (state, inc) pair as a ``_seed_states`` row: each 128-bit value as
+    its high and low 64-bit halves."""
+    return [state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 16, 17, 620])
+def test_raw_words_match_numpy_at_edge_states(width):
+    # State 0 and 2**128 - 1, inc 1 and 2**128 - 1 (the largest odd inc):
+    # the extremes of each operand of the 128-bit multiply-add; widths
+    # square, non-square and prime, so the last block is full or partial.
+    edges = [(state, inc) for state in (0, MODULUS - 1) for inc in (1, MODULUS - 1)]
+    seeds = np.array([split_state(*edge) for edge in edges], dtype=np.uint64)
+    words = simulate._RawWords(width, len(edges))(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(edges), width)
+    stream = Stream()
+    for (state, inc), row in zip(edges, words):
+        stream.set(state, inc)
+        assert row.tolist() == stream.stream.random_raw(width).tolist()
+
+
+def test_jump_matches_repeated_lcg_steps():
+    mult, incr = 1, 0
+    for steps in range(700):
+        a_hi, a_lo, c_hi, c_lo = simulate._jump(steps)
+        assert (a_hi << 64 | a_lo, c_hi << 64 | c_lo) == (mult, incr)
+        mult, incr = mult * MULTIPLIER % MODULUS, (incr * MULTIPLIER + 1) % MODULUS
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(st.integers(0, MODULUS - 1), min_size=3, max_size=3),
+    st.lists(st.integers(0, MODULUS - 1), min_size=1, max_size=5),
+)
+def test_mul_add_matches_int_arithmetic(scalars, values):
+    # A scalar (2, 1) multiplier and addend broadcast against a (2, V) array,
+    # as the word tables and block states are.
+    a, c, b0 = scalars
+    b = [b0] + values
+
+    def halves(ints):
+        return np.array([[v >> 64 for v in ints], [v & 2**64 - 1 for v in ints]], dtype=np.uint64)
+
+    got = simulate._mul_add(halves([a]), halves(b), halves([c]))
+    assert got.dtype == np.uint64
+    assert [high << 64 | low for high, low in zip(*got.tolist())] == [
+        (a * v + c) % MODULUS for v in b
+    ]
 
 
 def scalar_draws(scenario, replicas):

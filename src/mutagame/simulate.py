@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -278,6 +279,8 @@ def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:
 def run_replica(scenario: Scenario, replica_index: int) -> BatchTrace:
     """Run one replica as a one-replica batch; identical (scenario,
     replica_index) gives an identical trace."""
+    if replica_index < 0:  # SeedSequence takes no negative entropy
+        raise ConfigurationError(f"replica_index must be >= 0, got {replica_index}")
     return _simulate(scenario, range(replica_index, replica_index + 1))
 
 
@@ -294,16 +297,26 @@ def _cooperation_table(n: int) -> np.ndarray:
     return (n - np.count_nonzero(_defect_flags(np.arange(2**n), n), axis=1)) / n
 
 
-# Replicas whose words are converted together; results do not depend on it.
-_CHUNK = 64
+# Replicas seeded together; results do not depend on it.
+_CHUNK = 1024
 # PCG64's LCG multiplier: state <- state * _PCG64_MULTIPLIER + inc (mod 2**128).
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 # SeedSequence's hash constants (numpy's ``bit_generator.pyx``, after
 # O'Neill's ``seed_seq``).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-# uint64 shift and mask operands: numpy 1.x's value-based casting can turn uint64 into float64.
-_U1, _U32, _U58, _U63, _U64, _LOW32 = map(np.uint64, (1, 32, 58, 63, 64, 2**32 - 1))
+# uint64 operands, as 0-d arrays: numpy 1.x's value-based casting can turn
+# uint64 into float64, and numpy converts a scalar operand on every call
+# (``_draws`` at R=750 ran 12% slower with np.uint64 scalars, numpy 2.4 on
+# 2 vCPUs). Then the multiplier's 64-bit halves, and the 32-bit halves of
+# its low half.
+_U1, _U11, _U32, _U58, _U63, _U64, _LOW32, _M_HI, _M_LO, _M1, _M0 = (
+    np.array(value, dtype=np.uint64) for value in (
+        1, 11, 32, 58, 63, 64, 2**32 - 1, _PCG64_MULTIPLIER >> 64,
+        _PCG64_MULTIPLIER & 2**64 - 1, _PCG64_MULTIPLIER >> 32 & 2**32 - 1,
+        _PCG64_MULTIPLIER & 2**32 - 1,
+    )
+)
 # numpy's ziggurat tail: the base layer's right edge and its inverse.
 _TAIL_R, _TAIL_INV_R = 3.6541528853610088, 0.27366123732975828
 # The ziggurat tables as Python numbers, for the scalar slow path.
@@ -316,50 +329,65 @@ def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
     Column 0 is the protocol step, then theta's standard normal when
     enabled, then the lottery uniform when enabled: the values that scalar
     ``random()`` and ``standard_normal()`` calls on
-    ``replica_rng(master_seed, i)`` return in that order, computed chunk by
-    chunk of replicas on uint64 arrays. ``_seed_states`` seeds a
-    chunk's streams, ``_RawWords`` gives each its first H*d words (plus
-    ``_slack`` with normals). A uniform takes one word w, ``(w >> 11) *
+    ``replica_rng(master_seed, i)`` return in that order. Every replica's
+    PCG64 is one lane of the (4, R) array of ``_seed_states``, and
+    ``_step`` gives all lanes their next word at once, draw column by draw
+    column, round by round. A uniform takes one word w, ``(w >> 11) *
     2**-53``. A normal takes one word on numpy's ziggurat fast path
-    (``_ziggurat``). Off it (about 1.5% of normals) ``_slow_normal`` runs
-    numpy's algorithm on the words that follow, and every later draw of the
-    replica moves down by the extra words it used.
+    (``_ziggurat``). Off it (about 1.5% of normals) ``_lane_normals`` runs
+    numpy's algorithm on that lane's further words, so the lane alone moves
+    on by the extra words it used.
     """
     horizon, normal = scenario.horizon, scenario.theta is not None
     per_round = 1 + normal + scenario.game.lottery_mode
     count = replicas.stop - replicas.start  # len() overflows past sys.maxsize
-    width = horizon * per_round + (_slack(horizon) if normal else 0)
-    # Past this numpy raises ValueError, not MemoryError: 8 bytes per
-    # float64 draw or uint64 word.
-    if count * width * 8 > np.iinfo(np.intp).max:
+    # Past this numpy raises ValueError, not MemoryError: 8 bytes per draw.
+    if count * horizon * per_round * 8 > np.iinfo(np.intp).max:
         raise CapacityError(
             f"{count} replicas x horizon {horizon} x {per_round} draws per round "
             "exceed the largest array numpy can index"
         )
     draws = np.empty((count, horizon, per_round))
-    raw_words = _RawWords(width, min(count, _CHUNK))  # after the allocation that bounds width
+    lanes = np.empty((4, count), dtype=np.uint64)
     for start in range(0, count, _CHUNK):
         chunk = replicas[start:start + _CHUNK]
-        out = draws[start:start + len(chunk)]
-        seeds = _seed_states(scenario.master_seed, chunk)
-        words = raw_words(seeds)
-        slow = {}
-        if normal:
-            words, slow = _skip_slow_normals(words, seeds, horizon, per_round)
-        words = words.reshape(out.shape)
-        np.multiply(words >> 11, 2.0**-53, out=out)
-        if normal:
-            out[:, :, 1] = _fast_normals(words[:, :, 1])
-            for (row, t), value in slow.items():
-                out[row, t, 1] = value
+        lanes[:, start:start + len(chunk)] = _seed_states(scenario.master_seed, chunk)
+    for t in range(horizon):
+        for column in range(per_round):
+            words = _step(lanes)
+            if normal and column == 1:
+                draws[:, t, 1] = _fast_normals(words)
+                misses = np.flatnonzero(~_fast_path(words))
+                draws[misses, t, 1] = _lane_normals(lanes, misses, words[misses])
+            else:
+                np.multiply(words >> _U11, 2.0**-53, out=draws[:, t, column])
     return draws
 
 
-def _slack(normals: int) -> int:
-    """Words drawn past H*d for a row with this many normals. A slow normal
-    takes one to a few extra words; this covers several times the mean
-    extra, and a row that needs more draws them."""
-    return 8 + normals // 16
+def _step(lanes: np.ndarray) -> np.ndarray:
+    """One PCG64 step of every lane of ``lanes``, a (4, R) uint64 array of
+    the high and low halves of each stream's LCG state, then of its inc.
+
+    The state becomes M*state + inc (mod 2**128) in place, and the words
+    PCG64 outputs for the new states, ``rotr64(hi ^ lo, hi >> 58)``, are
+    returned. M's low half times the state's low half is taken from 32-bit
+    halves with inc's low half folded in, so that no partial sum wraps: t =
+    m0*s0 + c0, mid = m1*s0 + (t >> 32) + c1, cross = m0*s1 + (mid &
+    LOW32). The new low half is cross << 32 | t & LOW32; the high half is
+    m1*s1 + (mid >> 32) + (cross >> 32) + M_hi*lo + M_lo*hi + inc_hi.
+    """
+    high, low, inc_high, inc_low = lanes
+    s0, s1 = low & _LOW32, low >> _U32
+    t = s0 * _M0 + (inc_low & _LOW32)
+    mid = s0 * _M1 + (t >> _U32) + (inc_low >> _U32)
+    cross = s1 * _M0 + (mid & _LOW32)
+    high *= _M_LO
+    high += low * _M_HI
+    high += s1 * _M1 + (mid >> _U32) + (cross >> _U32) + inc_high
+    np.bitwise_or(cross << _U32, t & _LOW32, out=low)
+    words = high ^ low
+    rotation = high >> _U58
+    return words >> rotation | words << ((_U64 - rotation) & _U63)
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -392,15 +420,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _seed_states(master_seed: int, replicas: range) -> np.ndarray:
     """PCG64's (state, inc) once seeded from ``SeedSequence([master_seed,
-    i])``, for each replica i, as a (C, 4) uint64 array: the high and low
-    halves of state, then of inc.
+    i])``, for each replica i, as ``_step``'s (4, C) uint64 lanes: the high
+    and low halves of state, then of inc.
 
     numpy's algorithm, run for every replica whose entropy has the same
     word count at once, on uint32 arrays with one column per replica. The
     4-word pool is filled, mixed, and mixed with the entropy words past 4
     (``mix_entropy``); ``generate_state(4, uint64)`` gives v0..v3. PCG64's
-    ``set_seed`` (seed v0:v1, sequence v2:v3) is two LCG steps on arrays:
-    state 0 to inc, then inc + seed to M*seed + (M*inc + inc).
+    ``set_seed`` (seed v0:v1, sequence v2:v3) sets inc to 2*sequence + 1
+    and the state to seed + inc (its first step, from state 0, gives inc),
+    then takes one ``_step``.
     """
     seed_words = _uint32_words(master_seed)
     entropies = (seed_words + _uint32_words(i) for i in replicas)
@@ -421,155 +450,34 @@ def _seed_states(master_seed: int, replicas: range) -> np.ndarray:
         halves = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
         generated.append(halves.astype(np.uint64))
     halves = np.concatenate(generated, axis=1)
-    seed, seq = np.split(halves[0::2] | halves[1::2] << _U32, 2)  # v0, v1 and v2, v3
-    inc = np.stack([seq[0] << _U1 | seq[1] >> _U63, seq[1] << _U1 | _U1])
-    multiplier = np.array(_jump(1)[:2], dtype=np.uint64)[:, None]
-    return np.concatenate([_mul_add(multiplier, seed, _mul_add(multiplier, inc, inc)), inc]).T
+    (seed_high, seed_low), (seq_high, seq_low) = np.split(halves[0::2] | halves[1::2] << _U32, 2)
+    inc_high, inc_low = seq_high << _U1 | seq_low >> _U63, seq_low << _U1 | _U1
+    low = inc_low + seed_low
+    lanes = np.stack([inc_high + seed_high + (low < seed_low), low, inc_high, inc_low])
+    _step(lanes)
+    return lanes
 
 
-def _mul_add(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``a*b + c`` mod 2**128 on broadcast (2, ...) uint64 (high, low) halves,
-    into ``out[:2]`` (``out[2:]`` is scratch) or a new array. From 32-bit
-    halves, no partial sum wrapping: t = a0*b0 + c0, mid = a1*b0 + (t >> 32)
-    + c1, cross = a0*b1 + (mid & LOW32); low = cross << 32 | t & LOW32, and
-    high = a1*b1 + (mid >> 32) + (cross >> 32) + a_hi*b_lo + a_lo*b_hi + c_hi.
-    """
-    (a_hi, a_lo), (b_hi, b_lo), (c_hi, c_lo) = a, b, c
-    if out is None:
-        out = np.empty((4, *np.broadcast_shapes(a.shape, b.shape, c.shape)[1:]), dtype=np.uint64)
-    high, low, part, product = out
-    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _U32, b_lo & _LOW32, b_lo >> _U32
-    np.add(np.multiply(a0, b0, out=low), c_lo & _LOW32, out=low)
-    np.add(np.multiply(a1, b0, out=high), c_lo >> _U32, out=high)
-    high += np.right_shift(low, _U32, out=part)
-    np.bitwise_and(high, _LOW32, out=part)
-    part += np.multiply(a0, b1, out=product)
-    low &= _LOW32
-    low |= np.left_shift(part, _U32, out=product)
-    high >>= _U32
-    high += np.right_shift(part, _U32, out=part)
-    for x, y in ((a1, b1), (a_hi, b_lo), (a_lo, b_hi)):
-        high += np.multiply(x, y, out=product)
-    high += c_hi
-    return out[:2]
+def _lane_normals(lanes: np.ndarray, misses: np.ndarray, words: np.ndarray) -> list[float]:
+    """numpy's normals from ``words``, which missed the ziggurat fast path,
+    on lanes ``misses`` of ``_step``'s lanes. Each normal's further words
+    come from its lane's own LCG state as a Python int, which is then
+    written back."""
+    values, states = [], []
+    state = inc = 0
 
+    def next_word() -> int:
+        nonlocal state
+        state = (state * _PCG64_MULTIPLIER + inc) % 2**128
+        rotation, folded = state >> 122, (state >> 64 ^ state) & 2**64 - 1
+        return (folded >> rotation | folded << (64 - rotation)) & 2**64 - 1
 
-def _jump(steps: int) -> tuple[int, int, int, int]:
-    """(A, C) of ``steps`` LCG steps, s to A*s + C*inc mod 2**128 (Brown 1994), as the high and
-    low 64-bit halves of A = M**steps and of C = (M**steps - 1) / (M - 1); the division is
-    exact on the power taken mod (M - 1) * 2**128."""
-    power = pow(_PCG64_MULTIPLIER, steps, (_PCG64_MULTIPLIER - 1) << 128)
-    mult, incr = power % 2**128, (power - 1) // (_PCG64_MULTIPLIER - 1)
-    return mult >> 64, mult & 2**64 - 1, incr >> 64, incr & 2**64 - 1
-
-
-class _RawWords:
-    """PCG64's first ``count`` raw words, (C, count), of each stream of a
-    chunk of up to ``rows`` streams given as ``_seed_states``' array.
-
-    PCG64 steps its LCG, then outputs ``rotr64(hi ^ lo, hi >> 58)``, so
-    word j comes from A_j*s + C_j*inc (``_jump(j)``). With j = q*B + r, r
-    in 1..B and B about 2*sqrt(count) (longer inner loops than sqrt), that
-    is A_r*S_q + C_r*inc, S_q being the state after q*B steps: (Q,) and (B,)
-    tables of (A, C) built once, then one 128-bit multiply-add per word, in
-    buffers the next chunk reuses.
-    """
-
-    def __init__(self, count: int, rows: int):
-        block = 1 + 2 * math.isqrt(max(count - 1, 0))
-        starts, steps = range(0, count, block), range(1, block + 1)
-        self.count, self.grid = count, (len(starts), block)
-        jumps = np.array(list(zip(*map(_jump, [*starts, *steps]))), dtype=np.uint64)[:, None]
-        self.start_mults, self.incrs = jumps[:2, :, :len(starts)], jumps[2:]  # A_qB; C_qB, C_r
-        self.step_mults = jumps[:2, 0, len(starts):]  # A_r
-        self.buffers = np.empty((4, rows, len(starts) * block), dtype=np.uint64)
-
-    def __call__(self, seeds: np.ndarray) -> np.ndarray:
-        rows, (starts, block) = len(seeds), self.grid
-        buffers = self.buffers[:, :rows].reshape(4, rows, starts, block)
-        offsets = _mul_add(self.incrs, seeds.T[2:, :, None], np.zeros((2, 1, 1), dtype=np.uint64))
-        states = _mul_add(self.start_mults, seeds.T[:2, :, None], offsets[..., :starts])
-        _mul_add(self.step_mults, states[..., None], offsets[:, :, None, starts:], buffers)
-        high, words, right, _ = buffers.reshape(4, rows, -1)
-        words ^= high
-        high >>= _U58  # the rotation
-        np.right_shift(words, high, out=right)
-        words <<= np.bitwise_and(np.subtract(_U64, high, out=high), _U63, out=high)
-        words |= right
-        return words[:, :self.count]
-
-
-def _skip_slow_normals(
-    words: np.ndarray, seeds: np.ndarray, horizon: int, per_round: int,
-) -> tuple[np.ndarray, dict[tuple[int, int], float]]:
-    """The word each draw starts from, (C, H*d), and the normals that miss
-    the ziggurat fast path, by (row, round).
-
-    ``words`` holds the first words of each of the C streams seeded by
-    ``seeds``; normals sit in column 1 of each round. The fast path is
-    tested on every word once, and each row's misses are walked in order
-    by ``_row_slow_normals``. A row that runs out of words is drawn again
-    from its seed, twice as long. A row keeps its first H*d + shift words
-    but the extra words of its slow normals, shift being their count.
-    """
-    count, width = words.shape
-    rows, columns = np.divmod(np.flatnonzero(~_fast_path(words)), width)
-    bounds = np.searchsorted(rows, np.arange(count + 1)).tolist()
-    columns = columns.tolist()
-    walked, grown = {}, {}
-    for row in range(count):
-        row_words, misses = words[row], columns[bounds[row]:bounds[row + 1]]
-        while (found := _row_slow_normals(row_words, misses, horizon, per_round)) is None:
-            row_words = _RawWords(2 * len(row_words), 1)(seeds[row:row + 1])[0]
-            misses = np.flatnonzero(~_fast_path(row_words)).tolist()
-            grown[row] = row_words
-        walked[row] = found
-    if grown:
-        words = np.pad(words, ((0, 0), (0, max(map(len, grown.values())) - width)))
-        for row, row_words in grown.items():
-            words[row, :len(row_words)] = row_words
-    keep = np.zeros(words.shape, dtype=bool)
-    keep[:, :horizon * per_round] = True
-    slow = {}
-    for row, found in walked.items():
-        keep[row, :horizon * per_round + sum(used - 1 for *_, used in found)] = True
-        for miss, t, value, used in found:
-            slow[row, t] = value
-            keep[row, miss + 1:miss + used] = False
-    return words[keep].reshape(count, horizon * per_round), slow
-
-
-def _row_slow_normals(
-    words: np.ndarray, misses: list[int], horizon: int, per_round: int
-) -> list[tuple[int, int, float, int]] | None:
-    """(first word, round, value, words used) of each normal of one row
-    that misses the fast path, in order; None when the row needs more than
-    its ``words``.
-
-    ``misses`` are the indices of the words that miss, ascending. One
-    counts when it lies where the row's next normal starts, ``t*d + 1 +
-    shift`` for a round t not yet walked, shift being the extra words of
-    the slow normals before it.
-    """
-    found, shift, next_normal = [], 0, 1
-    for miss in misses:
-        if miss < next_normal or (miss - next_normal) % per_round:
-            continue
-        t = (miss - 1 - shift) // per_round
-        if t >= horizon:
-            break
-        try:
-            value, used = _slow_normal(words[miss:])
-        except IndexError:
-            return None
-        found.append((miss, t, value, used))
-        shift += used - 1
-        next_normal = miss + per_round + used - 1
-    if horizon * per_round + shift > len(words):
-        return None
-    return found
+    for word, (high, low, inc_high, inc_low) in zip(words.tolist(), lanes[:, misses].T.tolist()):
+        state, inc = high << 64 | low, inc_high << 64 | inc_low
+        values.append(_slow_normal(word, next_word))
+        states += state >> 64, state & 2**64 - 1
+    lanes[:2, misses] = np.array(states, dtype=np.uint64).reshape(-1, 2).T
+    return values
 
 
 def _fast_path(words: np.ndarray) -> np.ndarray:
@@ -586,10 +494,9 @@ def _fast_normals(words: np.ndarray) -> np.ndarray:
     return np.negative(normals, out=normals, where=(words & 0x100).astype(bool))
 
 
-def _slow_normal(words: np.ndarray) -> tuple[float, int]:
-    """numpy's ``random_standard_normal`` run on ``words``, the stream's
-    words from the normal's first: the value and the number of words used.
-    Raises IndexError when it needs more words than there are.
+def _slow_normal(word: int, next_word: Callable[[], int]) -> float:
+    """numpy's ``random_standard_normal`` from its first word ``word``,
+    taking each further word of the stream from ``next_word()``.
 
     A word off the fast path in layer 0 goes to the tail, two uniforms a
     try. In any other layer one uniform u decides the wedge: x is accepted
@@ -598,27 +505,23 @@ def _slow_normal(words: np.ndarray) -> tuple[float, int]:
     libm functions as numpy, whose ``random_standard_normal`` fuses no
     multiply-add, so every decision is numpy's.
     """
-    used = 0
     while True:
-        word = int(words[used])
-        used += 1
         layer, rabs = word & 0xFF, (word >> 9) & (2**52 - 1)
         x = rabs * _WI[layer]
         if word & 0x100:
             x = -x
         if rabs < _KI[layer]:
-            return x, used
+            return x
         if layer == 0:
             while True:
-                xx = -_TAIL_INV_R * math.log1p(-((int(words[used]) >> 11) * 2.0**-53))
-                yy = -math.log1p(-((int(words[used + 1]) >> 11) * 2.0**-53))
-                used += 2
+                xx = -_TAIL_INV_R * math.log1p(-((next_word() >> 11) * 2.0**-53))
+                yy = -math.log1p(-((next_word() >> 11) * 2.0**-53))
                 if yy + yy > xx * xx:  # the tail's sign is bit 8 of rabs
-                    return (-(_TAIL_R + xx) if rabs & 0x100 else _TAIL_R + xx), used
-        u = (int(words[used]) >> 11) * 2.0**-53
-        used += 1
+                    return -(_TAIL_R + xx) if rabs & 0x100 else _TAIL_R + xx
+        u = (next_word() >> 11) * 2.0**-53
         if (_FI[layer - 1] - _FI[layer]) * u + _FI[layer] < math.exp(-0.5 * x * x):
-            return x, used
+            return x
+        word = next_word()
 
 
 def _myopic_defects(tables: np.ndarray, delta: float, miner: int) -> np.ndarray:

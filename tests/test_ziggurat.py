@@ -1,14 +1,16 @@
-"""The bulk draw path against numpy's own scalar draws.
+"""The lockstep draw path against numpy's own scalar draws.
 
 ``_ziggurat`` copies numpy's ziggurat constants; (a) re-derives WI and KI
 by feeding ``Generator.standard_normal`` one chosen 64-bit word. (b) checks
 ``simulate._slow_normal`` against numpy on the wedge decision at every
 layer, on both sides of its threshold, and on slow-path words from real
-streams. (c) checks ``simulate._seed_states`` against numpy's seeding, and
-``simulate._RawWords`` against numpy's PCG64 down to the 128-bit
-multiply-add under it. (d) checks ``simulate._draws`` against the
-documented scalar loop, bit for bit, and counts that the idx-0 tail, layer
-1 (which always leaves the fast path) and the word-growth path each ran.
+streams, counting its ``next_word`` calls as the words it used. (c) checks
+``simulate._seed_states`` against numpy's seeding, and ``simulate._step``,
+one PCG64 step of every lane, against numpy's words at edge states and
+against 128-bit int arithmetic. (d) checks ``simulate._draws`` against the
+documented scalar loop, bit for bit, over many replicas and over a long
+horizon, and counts that the idx-0 tail and layer 1 (which always leaves
+the fast path) each ran.
 """
 
 import dataclasses
@@ -19,7 +21,16 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutagame import CapacityError, _ziggurat, parse_document, replica_rng, run_replica, simulate
+from mutagame import (
+    CapacityError,
+    ConfigurationError,
+    _ziggurat,
+    parse_document,
+    replica_rng,
+    run_replica,
+    simulate,
+)
+from mutagame.cli import EXIT_CAPACITY, main
 from mutagame.presets import FIXED_RULES
 
 # PCG64's 128-bit LCG multiplier (O'Neill 2014, the default for 128-bit state).
@@ -109,6 +120,20 @@ def lcg_steps(start, end, inc):
     return steps
 
 
+def slow_normal(words):
+    """``simulate._slow_normal`` on a stream's words from the normal's
+    first: the value and the words it used, one plus its ``next_word``
+    calls."""
+    rest, calls = map(int, words[1:]), 0
+
+    def next_word():
+        nonlocal calls
+        calls += 1
+        return next(rest)
+
+    return simulate._slow_normal(int(words[0]), next_word), 1 + calls
+
+
 class Stream:
     """numpy's ``standard_normal`` and raw words from a chosen LCG state."""
 
@@ -162,7 +187,7 @@ def test_wedge_decision_matches_numpy_at_every_layer():
         assert 0 < low < 2**53
         for u_bits in (low - 1, low):
             value, used, words = stream.normal(*state(u_bits))
-            got, got_used = simulate._slow_normal(words)
+            got, got_used = slow_normal(words)
             assert (got.hex(), got_used) == (value.hex(), used)
             assert (used == 2) == (u_bits < low)
 
@@ -185,14 +210,8 @@ def test_slow_normals_of_real_streams_match_numpy():
             probe.stream.advance(position)
             lcg = probe.stream.state["state"]
             value, used, _ = probe.normal(lcg["state"], lcg["inc"])
-            got, got_used = simulate._slow_normal(words[position:])
+            got, got_used = slow_normal(words[position:])
             assert (got.hex(), got_used) == (value.hex(), used)
-
-
-def test_slow_normal_needs_its_words():
-    # A layer-1 word always goes to the wedge test, which needs one more word.
-    with pytest.raises(IndexError):
-        simulate._slow_normal(np.array([1 << 9 | 1], dtype=np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -204,59 +223,61 @@ def test_bulk_seeding_matches_numpy(master_seed):
         for i in replicas:
             lcg = np.random.PCG64(np.random.SeedSequence([master_seed, i])).state["state"]
             expected.append(split_state(lcg["state"], lcg["inc"]))
-        seeds = simulate._seed_states(master_seed, replicas)
-        assert seeds.dtype == np.uint64 and seeds.shape == (len(replicas), 4)
-        assert seeds.tolist() == expected
+        lanes = simulate._seed_states(master_seed, replicas)
+        assert lanes.dtype == np.uint64 and lanes.shape == (4, len(replicas))
+        assert lanes.T.tolist() == expected
 
 
 def split_state(state, inc):
-    """A (state, inc) pair as a ``_seed_states`` row: each 128-bit value as
-    its high and low 64-bit halves."""
+    """A (state, inc) pair as a lane of ``_step``'s (4, R) array: each
+    128-bit value as its high and low 64-bit halves."""
     return [state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1]
+
+
+def lanes_of(streams):
+    """(state, inc) pairs as ``_step``'s (4, R) uint64 lanes."""
+    return np.array([split_state(*stream) for stream in streams], dtype=np.uint64).T.copy()
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 16, 17, 620])
 def test_raw_words_match_numpy_at_edge_states(width):
     # State 0 and 2**128 - 1, inc 1 and 2**128 - 1 (the largest odd inc):
-    # the extremes of each operand of the 128-bit multiply-add; widths
-    # square, non-square and prime, so the last block is full or partial.
+    # the extremes of each operand of the 128-bit multiply-add, stepped
+    # ``width`` times in lockstep.
     edges = [(state, inc) for state in (0, MODULUS - 1) for inc in (1, MODULUS - 1)]
-    seeds = np.array([split_state(*edge) for edge in edges], dtype=np.uint64)
-    words = simulate._RawWords(width, len(edges))(seeds)
+    lanes = lanes_of(edges)
+    words = np.stack([simulate._step(lanes) for _ in range(width)], axis=1)
     assert words.dtype == np.uint64 and words.shape == (len(edges), width)
     stream = Stream()
-    for (state, inc), row in zip(edges, words):
+    for (state, inc), row, lane in zip(edges, words, lanes.T.tolist()):
         stream.set(state, inc)
         assert row.tolist() == stream.stream.random_raw(width).tolist()
+        lcg = stream.stream.state["state"]
+        assert lane == split_state(lcg["state"], lcg["inc"])
 
 
-def test_jump_matches_repeated_lcg_steps():
-    mult, incr = 1, 0
-    for steps in range(700):
-        a_hi, a_lo, c_hi, c_lo = simulate._jump(steps)
-        assert (a_hi << 64 | a_lo, c_hi << 64 | c_lo) == (mult, incr)
-        mult, incr = mult * MULTIPLIER % MODULUS, (incr * MULTIPLIER + 1) % MODULUS
+def xsl_rr(state):
+    """PCG64's output word for a 128-bit LCG state."""
+    rotation, word = state >> 122, (state >> 64 ^ state) & 2**64 - 1
+    return (word >> rotation | word << (64 - rotation)) & 2**64 - 1
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(
-    st.lists(st.integers(0, MODULUS - 1), min_size=3, max_size=3),
-    st.lists(st.integers(0, MODULUS - 1), min_size=1, max_size=5),
+    st.lists(
+        st.tuples(st.integers(0, MODULUS - 1), st.integers(0, MODULUS - 1)),
+        min_size=1, max_size=6,
+    )
 )
-def test_mul_add_matches_int_arithmetic(scalars, values):
-    # A scalar (2, 1) multiplier and addend broadcast against a (2, V) array,
-    # as the word tables and block states are.
-    a, c, b0 = scalars
-    b = [b0] + values
-
-    def halves(ints):
-        return np.array([[v >> 64 for v in ints], [v & 2**64 - 1 for v in ints]], dtype=np.uint64)
-
-    got = simulate._mul_add(halves([a]), halves(b), halves([c]))
-    assert got.dtype == np.uint64
-    assert [high << 64 | low for high, low in zip(*got.tolist())] == [
-        (a * v + c) % MODULUS for v in b
-    ]
+def test_step_matches_int_arithmetic(streams):
+    # Any state and any inc, odd or not: the step is plain 128-bit
+    # arithmetic, lane by lane.
+    lanes = lanes_of(streams)
+    words = simulate._step(lanes)
+    after = [((state * MULTIPLIER + inc) % MODULUS, inc) for state, inc in streams]
+    assert words.dtype == np.uint64 and lanes.dtype == np.uint64
+    assert lanes.T.tolist() == [split_state(*stream) for stream in after]
+    assert words.tolist() == [xsl_rr(state) for state, _ in after]
 
 
 def scalar_draws(scenario, replicas):
@@ -277,27 +298,25 @@ def theta_scenario(lottery):
     return parse_document(doc)
 
 
+def counting_slow_normals(monkeypatch):
+    """The layer of the first word of every normal ``_draws`` takes off the
+    fast path, in order."""
+    layers = []
+    slow_normal = simulate._slow_normal
+
+    def counting_slow_normal(word, next_word):
+        layers.append(word & 0xFF)
+        return slow_normal(word, next_word)
+
+    monkeypatch.setattr(simulate, "_slow_normal", counting_slow_normal)
+    return layers
+
+
 @pytest.mark.parametrize("lottery", [False, True], ids=["d2", "d3"])
 def test_bulk_draws_match_scalar_stream(lottery, monkeypatch):
     scenario = theta_scenario(lottery)
     replicas = range(3, 1003)
-    layers = []
-    grown = []
-
-    def counting_slow_normal(words):
-        layers.append(int(words[0]) & 0xFF)
-        return slow_normal(words)
-
-    def counting_row_slow_normals(words, misses, horizon, per_round):
-        found = row_slow_normals(words, misses, horizon, per_round)
-        grown.append(found is None)
-        return found
-
-    slow_normal, row_slow_normals = simulate._slow_normal, simulate._row_slow_normals
-    monkeypatch.setattr(simulate, "_slow_normal", counting_slow_normal)
-    monkeypatch.setattr(simulate, "_row_slow_normals", counting_row_slow_normals)
-    # No words past H*d: every row whose slow normals use extra words grows.
-    monkeypatch.setattr(simulate, "_slack", lambda normals: 0)
+    layers = counting_slow_normals(monkeypatch)
     draws = simulate._draws(scenario, replicas)
 
     expected = scalar_draws(scenario, replicas)
@@ -305,7 +324,18 @@ def test_bulk_draws_match_scalar_stream(lottery, monkeypatch):
     assert np.array_equal(draws.view(np.uint64), expected.view(np.uint64))
     assert layers.count(0) >= 1  # the idx-0 tail
     assert layers.count(1) >= 1  # layer 1, where KI is 0
-    assert sum(grown) >= 1  # a row ran past its first H*d words
+
+
+def test_long_horizon_draws_match_scalar_stream(monkeypatch):
+    # Thousands of rounds: each lane's slow normals shift all its later
+    # draws, dozens of times per replica.
+    scenario = dataclasses.replace(theta_scenario(lottery=True), horizon=5000)
+    layers = counting_slow_normals(monkeypatch)
+    draws = simulate._draws(scenario, range(5))
+    expected = scalar_draws(scenario, range(5))
+    assert draws.shape == expected.shape == (5, 5000, 3)
+    assert np.array_equal(draws.view(np.uint64), expected.view(np.uint64))
+    assert len(layers) >= 5 * 20
 
 
 def test_replica_index_past_uint32_draws_its_own_stream(monkeypatch):
@@ -319,20 +349,38 @@ def test_replica_index_past_uint32_draws_its_own_stream(monkeypatch):
     assert trace.replicas == range(2**32 + 3, 2**32 + 4)
 
 
+def test_negative_replica_index_is_configuration_error():
+    # SeedSequence refuses negative entropy; the index must not wrap to
+    # another replica's stream.
+    with pytest.raises(ValueError):
+        replica_rng(0, -1)
+    with pytest.raises(ConfigurationError, match="^replica_index must be >= 0, got -1$"):
+        run_replica(theta_scenario(lottery=True), -1)
+
+
 def test_draws_do_not_depend_on_chunk_size(monkeypatch):
-    doc = yaml.safe_load(FIXED_RULES)
-    doc["game"]["lottery_mode"] = True
-    doc["theta"] = {"mean": 0.0, "variance": 1.0}
-    scenario = parse_document(doc)
+    # Chunks of one, of a prime size and of more than the batch, the last
+    # partial or not.
+    scenario = theta_scenario(lottery=True)
     draws = simulate._draws(scenario, range(150))
-    monkeypatch.setattr(simulate, "_CHUNK", 7)
-    rechunked = simulate._draws(scenario, range(150))
-    assert np.array_equal(draws.view(np.uint64), rechunked.view(np.uint64))
+    for chunk in (1, 7, 50, 4096):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        rechunked = simulate._draws(scenario, range(150))
+        assert np.array_equal(draws.view(np.uint64), rechunked.view(np.uint64))
 
 
-def test_word_array_past_numpy_index_limit_is_capacity_error():
-    # The (1, H, 2) draws take 2**63 - 16 bytes, within numpy's index type;
-    # the H*d + slack words of the row do not fit it.
-    scenario = dataclasses.replace(theta_scenario(lottery=False), horizon=2**59 - 1)
-    with pytest.raises(CapacityError, match="^1 replicas x horizon 576460752303423487 x 2 "):
+def test_draws_array_past_numpy_index_limit_is_capacity_error(tmp_path, capsys):
+    # (1, H, 2) float64 draws: at H = 2**59 they take 2**63 bytes, one past
+    # numpy's index type, and are refused up front. One round fewer fits
+    # the index type, so numpy tries the allocation and fails for memory.
+    scenario = dataclasses.replace(theta_scenario(lottery=False), horizon=2**59)
+    with pytest.raises(CapacityError, match="^1 replicas x horizon 576460752303423488 x 2 "):
         simulate._draws(scenario, range(1))
+    doc = yaml.safe_load(FIXED_RULES)
+    doc["theta"] = {"mean": 0.0, "variance": 1.0}
+    path = tmp_path / "theta.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    args = ["--replicas", "1", "--set", f"horizon={2**59 - 1}", "--out", str(tmp_path / "out")]
+    assert main(["run", str(path), *args]) == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1

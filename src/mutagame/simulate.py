@@ -7,16 +7,19 @@ action resolution (no draws), meta influence on the kernel row (no draws),
 protocol step (one draw), payoff-scale perturbation (one draw, when
 enabled), block lottery (one draw, when enabled).
 
-A batch advances all its replicas together, one round at a time, with array
-operations. The protocol state path, theta and the lottery winner never
-depend on play, so they are computed before the actions.
+A batch advances all its replicas together with array operations, in one
+loop over rounds that takes each round in the order above. Each replica's
+record (the state in force, the last profile, the miners that ever
+defected, whether a rule change is on record) is a vector with one entry
+per replica. Theta and the lottery winner never depend on play: their
+draws are kept round by round and turned into values after the last round.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -323,45 +326,37 @@ _TAIL_R, _TAIL_INV_R = 3.6541528853610088, 0.27366123732975828
 _WI, _KI, _FI = (table.tolist() for table in (_ziggurat.WI, _ziggurat.KI, _ziggurat.FI))
 
 
-def _draws(scenario: Scenario, replicas: range) -> np.ndarray:
-    """Every replica's draws, shape (R, H, d), in per-round draw order.
+def _draws(scenario: Scenario, replicas: range) -> Iterator[np.ndarray]:
+    """Every replica's draws, yielded round by round as a fresh (d, R) array.
 
-    Column 0 is the protocol step, then theta's standard normal when
-    enabled, then the lottery uniform when enabled: the values that scalar
-    ``random()`` and ``standard_normal()`` calls on
-    ``replica_rng(master_seed, i)`` return in that order. Every replica's
-    PCG64 is one lane of the (4, R) array of ``_seed_states``, and
-    ``_step`` gives all lanes their next word at once, draw column by draw
-    column, round by round. A uniform takes one word w, ``(w >> 11) *
-    2**-53``. A normal takes one word on numpy's ziggurat fast path
-    (``_ziggurat``). Off it (about 1.5% of normals) ``_lane_normals`` runs
-    numpy's algorithm on that lane's further words, so the lane alone moves
-    on by the extra words it used.
+    Row 0 is the protocol step, then theta's standard normal when enabled,
+    then the lottery uniform when enabled: the values that scalar
+    ``random()`` and ``standard_normal()`` calls on ``replica_rng(master_seed,
+    i)`` return in that order. Every replica's PCG64 is one lane of the (4,
+    R) array of ``_seed_states``, seeded before the first round, and
+    ``_step`` gives all lanes their next word at once, draw by draw. A
+    uniform takes one word w, ``(w >> 11) * 2**-53``. A normal takes one
+    word on numpy's ziggurat fast path (``_fast_normals``). Off it (about
+    1.5% of normals) ``_lane_normals`` runs numpy's algorithm on that lane's
+    further words, so the lane alone moves on by the extra words it used.
     """
-    horizon, normal = scenario.horizon, scenario.theta is not None
+    count, normal = replicas.stop - replicas.start, scenario.theta is not None
     per_round = 1 + normal + scenario.game.lottery_mode
-    count = replicas.stop - replicas.start  # len() overflows past sys.maxsize
-    # Past this numpy raises ValueError, not MemoryError: 8 bytes per draw.
-    if count * horizon * per_round * 8 > np.iinfo(np.intp).max:
-        raise CapacityError(
-            f"{count} replicas x horizon {horizon} x {per_round} draws per round "
-            "exceed the largest array numpy can index"
-        )
-    draws = np.empty((count, horizon, per_round))
     lanes = np.empty((4, count), dtype=np.uint64)
     for start in range(0, count, _CHUNK):
         chunk = replicas[start:start + _CHUNK]
         lanes[:, start:start + len(chunk)] = _seed_states(scenario.master_seed, chunk)
-    for t in range(horizon):
-        for column in range(per_round):
+    for _ in range(scenario.horizon):
+        draws = np.empty((per_round, count))
+        for row in range(per_round):
             words = _step(lanes)
-            if normal and column == 1:
-                draws[:, t, 1] = _fast_normals(words)
-                misses = np.flatnonzero(~_fast_path(words))
-                draws[misses, t, 1] = _lane_normals(lanes, misses, words[misses])
+            if normal and row == 1:
+                draws[1], accepted = _fast_normals(words)
+                misses = np.flatnonzero(~accepted)
+                draws[1, misses] = _lane_normals(lanes, misses, words[misses])
             else:
-                np.multiply(words >> _U11, 2.0**-53, out=draws[:, t, column])
-    return draws
+                np.multiply(words >> _U11, 2.0**-53, out=draws[row])
+        yield draws
 
 
 def _step(lanes: np.ndarray) -> np.ndarray:
@@ -480,18 +475,15 @@ def _lane_normals(lanes: np.ndarray, misses: np.ndarray, words: np.ndarray) -> l
     return values
 
 
-def _fast_path(words: np.ndarray) -> np.ndarray:
-    """Whether numpy's ziggurat fast path accepts each word as a normal."""
-    rabs = words >> 9
+def _fast_normals(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat fast path on each word: the normal it makes,
+    ``+-rabs * WI[layer]``, and whether it accepts the word. The normal is
+    numpy's only where it is accepted."""
+    rabs, layer = words >> 9, words & 0xFF
     rabs &= 2**52 - 1
-    return rabs < _ziggurat.KI[(words & 0xFF).astype(np.uint8)]
-
-
-def _fast_normals(words: np.ndarray) -> np.ndarray:
-    """The normal numpy's ziggurat fast path makes of each word:
-    ``+-rabs * WI[layer]``, right only where ``_fast_path`` accepts it."""
-    normals = ((words >> 9) & (2**52 - 1)) * _ziggurat.WI[words & 0xFF]
-    return np.negative(normals, out=normals, where=(words & 0x100).astype(bool))
+    normals = rabs * _ziggurat.WI[layer]
+    np.negative(normals, out=normals, where=(words & 0x100).astype(bool))
+    return normals, rabs < _ziggurat.KI[layer]
 
 
 def _slow_normal(word: int, next_word: Callable[[], int]) -> float:
@@ -578,59 +570,56 @@ def _strategy_tables(scenario: Scenario, tables: np.ndarray) -> tuple[np.ndarray
     return respond, grim
 
 
-def _resolve_profiles(scenario: Scenario, states: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Joint profiles (R, H) as bitmasks under the strategy rules, one round
-    at a time over all replicas, by the tables of ``_strategy_tables``."""
-    respond, grim = _strategy_tables(scenario, tables)
-    replicas, horizon = states.shape
-    # Round t sees the rule changes entering rounds 1..t-1. uint8, not bool:
-    # an index, not a mask.
-    seen = np.zeros((replicas, horizon), dtype=np.uint8)
-    seen[:, 2:] = np.logical_or.accumulate(states[:, 1:-1] != states[:, :-2], axis=1)
-    profiles = np.empty((replicas, horizon), dtype=respond.dtype)
-    last = np.zeros(replicas, dtype=respond.dtype)  # round 0 reads as all Cooperate
-    ever = np.zeros(replicas, dtype=respond.dtype)
-    for t in range(horizon):
-        last = respond[states[:, t], last] | grim[seen[:, t], ever]
-        ever |= last
-        profiles[:, t] = last
-    return profiles
-
-
 def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
     """Advance the given replicas together, round by round.
 
     Per round t the state in force is P_t; the protocol step taken during
     round t yields P_{t+1}, whose change is observable to strategies from
     round t+2 on (mutation flags describe completed rounds). A round's joint
-    profile is kept only as its bitmask, from ``_resolve_profiles``; the
-    payoff row and the cooperating fraction are looked up by it. Payoffs are
-    the table row at (P_t, profile), scaled by the clamped theta draw when a
+    profile is ``respond[P_t, last] | grim[seen, ever]`` by the tables of
+    ``_strategy_tables``, and is kept only as its bitmask; the payoff row
+    and the cooperating fraction are looked up by it. Payoffs are the table
+    row at (P_t, profile), scaled by the clamped theta draw when a
     perturbation process is attached, reduced by each MetaInvestor's budget
     fraction while the meta game is enabled, and zeroed for lottery losers
     in lottery mode, multiplied in that order.
     """
-    draws = _draws(scenario, replicas)  # first: it refuses what len() cannot count
-    count, horizon, n = len(replicas), scenario.horizon, scenario.n
+    count, horizon, n = replicas.stop - replicas.start, scenario.horizon, scenario.n
+    # len() overflows past sys.maxsize. The (R, H, n) float64 payoffs are the
+    # largest array; past numpy's index type it is ValueError, not MemoryError.
+    if count * horizon * n * 8 > np.iinfo(np.intp).max:
+        raise CapacityError(
+            f"{count} replicas x horizon {horizon} x {n} miners "
+            "exceed the largest array numpy can index"
+        )
     game, kernel = scenario.game, scenario.kernel
 
     # MetaInvestors always cooperate with fixed budgets, so the adjusted
     # kernel row depends on the state alone.
     investors = scenario.meta_investors()
     cumulative = np.cumsum(apply_meta_influence(kernel.matrix, investors, scenario.meta), axis=1)
-    states = np.empty((count, horizon), dtype=np.int64)
-    states[:, 0] = scenario.initial_state
-    for t in range(horizon - 1):
-        below = cumulative[states[:, t]] <= draws[:, t, :1]
-        np.minimum(below.sum(axis=1), kernel.size - 1, out=states[:, t + 1])
-
     tables = np.stack([stage.tensor.reshape(-1, n) for stage in game])
-    profiles = _resolve_profiles(scenario, states, tables)
+    respond, grim = _strategy_tables(scenario, tables)
+    states = np.empty((count, horizon), dtype=np.int64)
+    profiles = np.empty((count, horizon), dtype=respond.dtype)
+    # Theta's normal and the lottery uniform of every round, when drawn.
+    kept = np.empty(((scenario.theta is not None) + game.lottery_mode, count, horizon))
+    state = previous = np.full(count, scenario.initial_state, dtype=np.int64)
+    last, ever = np.zeros((2, count), dtype=respond.dtype)  # round 0 reads as all Cooperate
+    seen = np.zeros(count, dtype=np.uint8)  # uint8, not bool: an index, not a mask
+    for t, draws in enumerate(_draws(scenario, replicas)):
+        last = respond[state, last] | grim[seen, ever]
+        ever |= last
+        seen |= state != previous  # the change entering round t, seen from t + 1
+        states[:, t], profiles[:, t], previous = state, last, state
+        kept[:, :, t] = draws[1:]
+        state = np.minimum((cumulative[state] <= draws[0][:, None]).sum(axis=1), kernel.size - 1)
+
     payoffs = tables[states, profiles]
     theta = None
     if scenario.theta is not None:
         process = scenario.theta
-        theta = process.mean + math.sqrt(process.variance) * draws[:, :, 1]
+        theta = process.mean + math.sqrt(process.variance) * kept[0]
         scale = np.where(theta > 0.0, theta, 0.0) if process.clamp else theta
         payoffs = payoffs * scale[:, :, None]
     if scenario.meta.enabled and investors:
@@ -643,7 +632,7 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
     winner = None
     if game.lottery_mode:
         cuts = np.cumsum([m.share for m in scenario.miners])
-        winner = np.minimum(np.searchsorted(cuts, draws[:, :, -1], side="right"), n - 1)
+        winner = np.minimum(np.searchsorted(cuts, kept[-1], side="right"), n - 1)
         payoffs = payoffs * (winner[:, :, None] == np.arange(n))  # one-hot
 
     discounted = discounted_utility(payoffs.swapaxes(0, 1), scenario.delta)

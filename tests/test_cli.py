@@ -161,7 +161,7 @@ def test_validate_pins_malformed_document_errors(case, tmp_path, capsys):
 
 
 def test_run_beyond_memory_is_capacity_error(fixed_rules_file, tmp_path, capsys):
-    # numpy refuses the 7 PiB draw array up front, so nothing is allocated.
+    # numpy refuses the 7 PiB states array up front, so nothing is allocated.
     overrides = ["--replicas", "1", "--set", "horizon=1000000000000000"]
     assert main(["validate", str(fixed_rules_file), *overrides]) == EXIT_OK
     out = str(tmp_path / "out")
@@ -177,7 +177,7 @@ def test_run_past_numpy_dimension_limit_is_capacity_error(fixed_rules_file, tmp_
     out = str(tmp_path / "out")
     assert main(["run", str(fixed_rules_file), "--out", out, *overrides]) == EXIT_CAPACITY
     assert capsys.readouterr().err == (
-        "error: 1 replicas x horizon 100000000000000000000 x 1 draws per round "
+        "error: 1 replicas x horizon 100000000000000000000 x 2 miners "
         "exceed the largest array numpy can index\n"
     )
 
@@ -189,7 +189,7 @@ def test_run_past_sys_maxsize_replicas_is_capacity_error(fixed_rules_file, tmp_p
     out = str(tmp_path / "out")
     assert main(["run", str(fixed_rules_file), "--out", out, *overrides]) == EXIT_CAPACITY
     assert capsys.readouterr().err == (
-        "error: 100000000000000000000 replicas x horizon 200 x 1 draws per round "
+        "error: 100000000000000000000 replicas x horizon 200 x 2 miners "
         "exceed the largest array numpy can index\n"
     )
 

@@ -98,26 +98,31 @@ def test_all_honest_composition():
     )
 
 
-def test_hand_traced_mutation_spiral():
+@pytest.mark.parametrize("horizon", [1, 2, 3, 5])
+def test_hand_traced_mutation_spiral(horizon):
+    # Every horizon plays a prefix of the same 5 rounds: round 0 steps the
+    # state to 1, the change entering round 1 is seen from round 2 on, and
+    # the last round's state step is drawn but recorded nowhere.
     scenario = pd_scenario(
         [GRIM] * 2,
         kernel=TransitionKernel([[0.0, 1.0], [0.0, 1.0]]),
         num_states=2,
-        horizon=5,
+        horizon=horizon,
         trigger_on_mutation=True,
     )
     trace = run_replica(scenario, 0)
-    assert trace.defects[0].tolist() == [[False] * 2] * 2 + [[True] * 2] * 3
-    assert trace.states[0].tolist() == [0, 1, 1, 1, 1]
+    assert trace.defects[0].tolist() == ([[False] * 2] * 2 + [[True] * 2] * 3)[:horizon]
+    assert trace.states[0].tolist() == [0, 1, 1, 1, 1][:horizon]
     changed = trace.states[0, 1:] != trace.states[0, :-1]
-    assert changed.tolist() == [True, False, False, False]  # round 1 mutated
-    assert trace.cooperation_duration.tolist() == [2]
+    assert changed.tolist() == [True, False, False, False][:horizon - 1]  # round 1 mutated
+    assert trace.cooperation_duration.tolist() == [min(horizon, 2)]
     report = detect_spiral(trace.defects[0])
-    assert report.onset_round == 2
-    assert report.final_cooperation_fraction == 0.0
-    # 3 + 0.9*3 + (0.81 + 0.729 + 0.6561)*1
-    assert trace.discounted_utility[0, 0] == pytest.approx(7.8951, rel=1e-12)
-    assert trace.mutation_counts.tolist() == [1]
+    assert report.onset_round == (2 if horizon > 2 else None)
+    assert report.final_cooperation_fraction == (0.0 if horizon > 2 else 1.0)
+    # 3 + 0.9*3 + (0.81 + 0.729 + 0.6561)*1, to the horizon
+    expected = sum([3.0, 2.7, 0.81, 0.729, 0.6561][:horizon])
+    assert trace.discounted_utility[0, 0] == pytest.approx(expected, rel=1e-12)
+    assert trace.mutation_counts.tolist() == [min(horizon - 1, 1)]
 
 
 def test_replica_determinism():

@@ -33,10 +33,9 @@ from mutagame import (
     parse_document,
     run_batch,
 )
-from mutagame import cli
+from mutagame import cli, simulate
 from mutagame.cli import EXIT_CAPACITY, EXIT_IO, EXIT_OK, main, write_trace_csv
 from mutagame.scenario import load_scenario
-from mutagame.simulate import _resolve_profiles
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE
 
 
@@ -338,21 +337,35 @@ def test_writer_peak_memory_stays_per_replica(monkeypatch, tmp_path):
         assert peak < 4_000_000
 
 
-def test_resolve_profiles_peak_stays_under_eight_times_the_masks():
+def test_simulate_peak_never_holds_defect_flags(monkeypatch):
     doc = yaml.safe_load(MUTABLE_CORE)
     doc.update(replica_count=250, horizon=200)
     scenario = parse_document(doc)
     _, batch = run_batch(scenario)
-    tables = np.stack([stage.tensor.reshape(-1, scenario.n) for stage in scenario.game])
+    loop_peaks = []
+    draws = simulate._draws
+
+    def draws_then_peak(*args):
+        yield from draws(*args)
+        loop_peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(simulate, "_draws", draws_then_peak)
     tracemalloc.start()
     try:
-        profiles = _resolve_profiles(scenario, batch.states, tables)
+        traced = simulate._simulate(scenario, batch.replicas)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # A step on (R, H, n) Defect flags plus the masks built from them peaks at 8.6x.
     assert batch.profiles.dtype == np.uint8
-    assert np.array_equal(profiles, batch.profiles)
-    assert peak < 8 * profiles.nbytes
+    assert np.array_equal(traced.profiles, batch.profiles)
+    # The loop over rounds holds the (R, H) states and masks and (R,)
+    # vectors: it peaked at 553 KB, 103 KB over the two arrays. (R, H, n)
+    # Defect flags would add 4x the masks (200 KB), and an (R, H, 1) float64
+    # draws array 8x, so the bound, states plus 4x the masks (600 KB), lies
+    # between. The whole call adds the (R, H, n) payoffs and one product of
+    # them: it peaked at 3.73 MB, and at 4.13 MB with an (R, H, 1) draws array.
+    masks, states = batch.profiles.nbytes, batch.states.nbytes
+    assert loop_peaks and loop_peaks[-1] < states + 4 * masks
+    assert peak < 2 * batch.payoffs.nbytes + states + 4 * masks
     bits = 1 << np.arange(batch.defects.shape[2] - 1, -1, -1)
     assert np.array_equal(batch.profiles, batch.defects @ bits)

@@ -7,10 +7,11 @@ layer, on both sides of its threshold, and on slow-path words from real
 streams, counting its ``next_word`` calls as the words it used. (c) checks
 ``simulate._seed_states`` against numpy's seeding, and ``simulate._step``,
 one PCG64 step of every lane, against numpy's words at edge states and
-against 128-bit int arithmetic. (d) checks ``simulate._draws`` against the
-documented scalar loop, bit for bit, over many replicas and over a long
-horizon, and counts that the idx-0 tail and layer 1 (which always leaves
-the fast path) each ran.
+against 128-bit int arithmetic. (d) checks the rounds that the
+``simulate._draws`` generator yields, stacked into one (R, H, d) array
+here, against the documented scalar loop, bit for bit, over many replicas
+and over a long horizon, and counts that the idx-0 tail and layer 1 (which
+always leaves the fast path) each ran.
 """
 
 import dataclasses
@@ -102,8 +103,7 @@ def test_fast_path_matches_numpy_at_every_layer_boundary():
         for rabs in {0, max(ki - 1, 0), ki, 2**52 - 1} - {2**52}
         for sign in (0, 1)
     ]
-    accepted = simulate._fast_path(np.array(words, dtype=np.uint64))
-    normals = simulate._fast_normals(np.array(words, dtype=np.uint64))
+    normals, accepted = simulate._fast_normals(np.array(words, dtype=np.uint64))
     for word, fast, normal in zip(words, accepted.tolist(), normals.tolist()):
         value, one_word = probe.normal(word)
         assert fast == one_word
@@ -200,7 +200,7 @@ def test_slow_normals_of_real_streams_match_numpy():
     while min(found.values()) < 2000:
         start = stream.state["state"]
         words = stream.random_raw(2**20)
-        misses = np.flatnonzero(~simulate._fast_path(words[:-64]))
+        misses = np.flatnonzero(~simulate._fast_normals(words[:-64])[1])
         for position in misses.tolist():
             kind = "wedge" if int(words[position]) & 0xFF else "tail"
             if found[kind] == 2000:
@@ -291,6 +291,12 @@ def scalar_draws(scenario, replicas):
     return np.array(out)
 
 
+def stacked(rounds):
+    """The (d, R) rounds that ``simulate._draws`` yields, as one (R, H, d)
+    array in ``scalar_draws``' layout."""
+    return np.stack(list(rounds)).transpose(2, 0, 1)
+
+
 def theta_scenario(lottery):
     doc = yaml.safe_load(FIXED_RULES)
     doc["game"]["lottery_mode"] = lottery
@@ -317,7 +323,7 @@ def test_bulk_draws_match_scalar_stream(lottery, monkeypatch):
     scenario = theta_scenario(lottery)
     replicas = range(3, 1003)
     layers = counting_slow_normals(monkeypatch)
-    draws = simulate._draws(scenario, replicas)
+    draws = stacked(simulate._draws(scenario, replicas))
 
     expected = scalar_draws(scenario, replicas)
     assert draws.shape == expected.shape == (1000, scenario.horizon, 2 + lottery)
@@ -331,7 +337,7 @@ def test_long_horizon_draws_match_scalar_stream(monkeypatch):
     # draws, dozens of times per replica.
     scenario = dataclasses.replace(theta_scenario(lottery=True), horizon=5000)
     layers = counting_slow_normals(monkeypatch)
-    draws = simulate._draws(scenario, range(5))
+    draws = stacked(simulate._draws(scenario, range(5)))
     expected = scalar_draws(scenario, range(5))
     assert draws.shape == expected.shape == (5, 5000, 3)
     assert np.array_equal(draws.view(np.uint64), expected.view(np.uint64))
@@ -342,10 +348,16 @@ def test_replica_index_past_uint32_draws_its_own_stream(monkeypatch):
     scenario = theta_scenario(lottery=True)
     seen = []
     draws = simulate._draws
-    monkeypatch.setattr(simulate, "_draws", lambda *args: seen.append(draws(*args)) or seen[-1])
+
+    def recording_draws(*args):
+        for rounds in draws(*args):
+            seen.append(rounds)
+            yield rounds
+
+    monkeypatch.setattr(simulate, "_draws", recording_draws)
     trace = run_replica(scenario, 2**32 + 3)
     expected = scalar_draws(scenario, [2**32 + 3])
-    assert np.array_equal(seen[0].view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(stacked(seen).view(np.uint64), expected.view(np.uint64))
     assert trace.replicas == range(2**32 + 3, 2**32 + 4)
 
 
@@ -362,20 +374,23 @@ def test_draws_do_not_depend_on_chunk_size(monkeypatch):
     # Chunks of one, of a prime size and of more than the batch, the last
     # partial or not.
     scenario = theta_scenario(lottery=True)
-    draws = simulate._draws(scenario, range(150))
+    draws = stacked(simulate._draws(scenario, range(150)))
     for chunk in (1, 7, 50, 4096):
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        rechunked = simulate._draws(scenario, range(150))
+        rechunked = stacked(simulate._draws(scenario, range(150)))
         assert np.array_equal(draws.view(np.uint64), rechunked.view(np.uint64))
 
 
-def test_draws_array_past_numpy_index_limit_is_capacity_error(tmp_path, capsys):
-    # (1, H, 2) float64 draws: at H = 2**59 they take 2**63 bytes, one past
-    # numpy's index type, and are refused up front. One round fewer fits
-    # the index type, so numpy tries the allocation and fails for memory.
+def test_payoffs_array_past_numpy_index_limit_is_capacity_error(tmp_path, capsys, monkeypatch):
+    # (1, H, 2) float64 payoffs, the largest array: at H = 2**59 they take
+    # 2**63 bytes, one past numpy's index type, and are refused before any
+    # draw is taken. One round fewer fits the index type, so numpy tries an
+    # allocation and fails for memory.
     scenario = dataclasses.replace(theta_scenario(lottery=False), horizon=2**59)
-    with pytest.raises(CapacityError, match="^1 replicas x horizon 576460752303423488 x 2 "):
-        simulate._draws(scenario, range(1))
+    monkeypatch.setattr(simulate, "_draws", None)  # never reached
+    with pytest.raises(CapacityError, match="^1 replicas x horizon 576460752303423488 x 2 miners "):
+        simulate._simulate(scenario, range(1))
+    monkeypatch.undo()
     doc = yaml.safe_load(FIXED_RULES)
     doc["theta"] = {"mean": 0.0, "variance": 1.0}
     path = tmp_path / "theta.yaml"

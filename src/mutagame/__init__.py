@@ -3,22 +3,18 @@
 A seedable Monte Carlo engine for a repeated miner game whose payoff tables
 are indexed by a protocol state evolving under a Markov transition kernel,
 plus the analytic toolkit around it: pure Nash enumeration, grim-trigger
-thresholds, mutation-adjusted cooperation conditions, risk-adjusted and
-endogenous discounting, and NPV/breakeven valuation.
+thresholds, mutation-adjusted cooperation conditions, endogenous
+discounting, and NPV/breakeven valuation.
 """
 
 from .discounting import (
     InvestmentPlan,
     NoisePath,
-    PayoffVariance,
     ZERO_NOISE,
     breakeven_horizon,
     discounted_utility,
     endogenous_discount_path,
     npv,
-    payoff_variance,
-    risk_adjusted_utility,
-    truncation_horizon,
 )
 from .equilibrium import (
     CooperationCondition,
@@ -67,7 +63,7 @@ from .simulate import (
     run_replica,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Action",
@@ -85,7 +81,6 @@ __all__ = [
     "MutationRate",
     "NoisePath",
     "NormalFormGame",
-    "PayoffVariance",
     "Scenario",
     "ScenarioValidationError",
     "StageGameSpec",
@@ -110,13 +105,10 @@ __all__ = [
     "mutation_rate",
     "npv",
     "parse_document",
-    "payoff_variance",
     "pure_nash",
     "replica_rng",
-    "risk_adjusted_utility",
     "run_batch",
     "run_replica",
     "stationary_distribution",
-    "truncation_horizon",
     "validate_shares",
 ]

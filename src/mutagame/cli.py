@@ -78,7 +78,7 @@ def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace, rows: ran
     no_theta = [""] * scenario.horizon
     for r in rows:
         thetas = no_theta if batch.theta is None else map(repr, batch.theta[r].tolist())
-        bits, inverse = np.unique(batch.payoffs[r].T.view(np.uint64), return_inverse=True)
+        bits, inverse = np.unique(batch.replica_payoffs(r).T.view(np.uint64), return_inverse=True)
         values = list(map(repr, bits.view(np.float64).tolist()))
         payoff_columns = inverse.reshape(scenario.n, scenario.horizon).tolist()
         columns = [

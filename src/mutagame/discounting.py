@@ -1,5 +1,5 @@
-"""Intertemporal valuation: discounted and risk-adjusted utility, endogenous
-discount paths, payoff variance, NPV and breakeven horizons.
+"""Intertemporal valuation: discounted utility, endogenous discount paths,
+NPV and breakeven horizons.
 
 Two discount conventions coexist on purpose and are never unified:
 game utilities use multiplicative factors (delta ** t, or the exponential
@@ -114,15 +114,6 @@ class InvestmentPlan:
         return len(self.expected_returns)
 
 
-@dataclass(frozen=True)
-class PayoffVariance:
-    """Unbiased sample variance; degenerate marks single-sample inputs."""
-
-    sigma2: float
-    sigma: float
-    degenerate: bool = False
-
-
 def discounted_utility(
     payoffs: Sequence[float] | np.ndarray, delta: float
 ) -> float | np.ndarray:
@@ -143,47 +134,6 @@ def discounted_utility(
         total += factor * row
         factor *= delta
     return total
-
-
-def truncation_horizon(delta: float, payoff_scale: float, tol: float = 1e-9) -> int:
-    """Horizon T such that the tail beyond T of a constant stream of magnitude
-    ``payoff_scale`` contributes less than ``tol`` to the discounted sum."""
-    validate_discount(delta)
-    if not (payoff_scale > 0.0 and tol > 0.0):
-        raise ConfigurationError("payoff_scale and tol must be positive")
-    return max(1, math.ceil(math.log(tol * (1.0 - delta) / payoff_scale) / math.log(delta)))
-
-
-def payoff_variance(samples: Sequence[float]) -> PayoffVariance:
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ConfigurationError("variance of an empty sample set is undefined")
-    if arr.size == 1:
-        return PayoffVariance(sigma2=0.0, sigma=0.0, degenerate=True)
-    sigma2 = float(np.var(arr, ddof=1))
-    return PayoffVariance(sigma2=sigma2, sigma=math.sqrt(sigma2))
-
-
-def risk_adjusted_utility(
-    samples_by_round: Sequence[Sequence[float]],
-    delta: float,
-    eta_risk: float,
-) -> float:
-    """Discounted sum of per-round (mean - eta_risk * sample std) penalties.
-
-    The volatility penalty sits inside the per-round sum so the quantity
-    stays well defined at any horizon; with eta_risk = 0 or zero variance it
-    reduces to the discounted utility of the round means.
-    """
-    if not eta_risk >= 0.0:
-        raise ConfigurationError(f"risk aversion must be >= 0, got {eta_risk}")
-    penalised = []
-    for t, samples in enumerate(samples_by_round):
-        arr = np.asarray(samples, dtype=float)
-        if arr.size == 0:
-            raise ConfigurationError(f"round {t} has an empty payoff sample set")
-        penalised.append(float(arr.mean()) - eta_risk * payoff_variance(arr).sigma)
-    return discounted_utility(penalised, delta)
 
 
 def endogenous_discount_path(noise: NoisePath, horizon: int) -> np.ndarray:

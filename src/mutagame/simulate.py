@@ -11,8 +11,9 @@ A batch advances all its replicas together with array operations, in one
 loop over rounds that takes each round in the order above. Each replica's
 record (the state in force, the last profile, the miners that ever
 defected, whether a rule change is on record) is a vector with one entry
-per replica. Theta and the lottery winner never depend on play: their
-draws are kept round by round and turned into values after the last round.
+per replica. Theta and the lottery winner are made each round from that
+round's draws. Each round's payoffs are reduced into the summary within the
+loop and then dropped; the trace keeps the record they derive from.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from . import _ziggurat
 from .discounting import (
     NoisePath,
     InvestmentPlan,
-    discounted_utility,
     endogenous_discount_path,
     validate_discount,
 )
@@ -191,22 +191,25 @@ class BatchSummary:
 
 @dataclass(frozen=True, eq=False)
 class BatchTrace:
-    """Every round of a batch as arrays, one row per replica.
+    """The record of every round of a batch as arrays, one row per replica.
 
-    ``states`` (R, H) holds the state in force each round, ``profiles``
-    (R, H) each round's joint profile as a bitmask (``_defect_flags``), and
-    ``payoffs`` (R, H, n) the realized payoffs. ``theta`` and ``winner``
-    (R, H) exist only when the scenario draws them. Per replica:
+    ``states`` (R, H) holds the state in force each round, in the smallest
+    unsigned dtype that holds k - 1, and ``profiles`` (R, H) each round's
+    joint profile as a bitmask (``_defect_flags``). ``theta`` (R, H) and
+    ``winner`` (R, H), the latter in the smallest unsigned dtype that holds
+    n - 1, exist only when the scenario draws them. Per replica:
     ``discounted_utility`` and ``endogenous_utility`` (R, n), and
-    ``cooperation_duration`` (R,), the rounds before the spiral onset (H with none).
+    ``cooperation_duration`` (R,), the rounds before the spiral onset (H with
+    none). Payoffs are not stored: ``payoffs`` and ``replica_payoffs`` derive
+    them from the record by ``payoff_rule``, on each access.
     """
 
     replicas: range
     states: np.ndarray
     profiles: np.ndarray
-    payoffs: np.ndarray
     theta: np.ndarray | None
     winner: np.ndarray | None
+    payoff_rule: Callable[..., np.ndarray] = field(repr=False)
     discounted_utility: np.ndarray
     endogenous_utility: np.ndarray | None
     cooperation_duration: np.ndarray
@@ -222,7 +225,17 @@ class BatchTrace:
     @property
     def defects(self) -> np.ndarray:
         """(R, H, n) Defect flags of ``profiles``, derived on each access."""
-        return _defect_flags(self.profiles, self.payoffs.shape[-1])
+        return _defect_flags(self.profiles, self.discounted_utility.shape[-1])
+
+    @property
+    def payoffs(self) -> np.ndarray:
+        """(R, H, n) realized payoffs, derived on each access."""
+        return self.payoff_rule(self.states, self.profiles, self.theta, self.winner)
+
+    def replica_payoffs(self, r: int) -> np.ndarray:
+        """(H, n) realized payoffs of the replica at position ``r``, derived on each access."""
+        theta, winner = (None if a is None else a[r] for a in (self.theta, self.winner))
+        return self.payoff_rule(self.states[r], self.profiles[r], theta, winner)
 
 
 def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
@@ -275,8 +288,7 @@ def apply_meta_influence(
 def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:
     """Run every replica and aggregate; replica i always draws from its own
     stream, so its rounds match ``run_replica(scenario, i)``."""
-    batch = _simulate(scenario, range(scenario.replica_count))
-    return summarize_batch(scenario, batch), batch
+    return _simulate(scenario, range(scenario.replica_count))
 
 
 def run_replica(scenario: Scenario, replica_index: int) -> BatchTrace:
@@ -284,7 +296,7 @@ def run_replica(scenario: Scenario, replica_index: int) -> BatchTrace:
     replica_index) gives an identical trace."""
     if replica_index < 0:  # SeedSequence takes no negative entropy
         raise ConfigurationError(f"replica_index must be >= 0, got {replica_index}")
-    return _simulate(scenario, range(replica_index, replica_index + 1))
+    return _simulate(scenario, range(replica_index, replica_index + 1))[1]
 
 
 def _defect_flags(masks: np.ndarray, n: int) -> np.ndarray:
@@ -570,41 +582,73 @@ def _strategy_tables(scenario: Scenario, tables: np.ndarray) -> tuple[np.ndarray
     return respond, grim
 
 
-def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
-    """Advance the given replicas together, round by round.
+def _payoff_rule(scenario: Scenario, tables: np.ndarray) -> Callable[..., np.ndarray]:
+    """Payoffs (..., n) as a function of ``(states, profiles, theta, winner)``
+    of any one shape (...), theta and winner None where not drawn: the row
+    of the (k, 2**n, n) tables at (state, mask), scaled by the clamped theta,
+    by each MetaInvestor's kept budget while the meta game is enabled, and
+    zeroed for lottery losers, multiplied in that order."""
+    clamp = scenario.theta is not None and scenario.theta.clamp
+    keep = np.array([  # all ones with the meta game off: x * 1.0 is x, bit for bit
+        1.0 - m.strategy.meta_budget
+        if scenario.meta.enabled and m.strategy.tag is StrategyTag.META_INVESTOR else 1.0
+        for m in scenario.miners
+    ])
+    miners = np.arange(scenario.n)
+
+    def payoffs(states, profiles, theta, winner) -> np.ndarray:
+        values = tables[states, profiles]
+        if theta is not None:
+            values = values * (np.where(theta > 0.0, theta, 0.0) if clamp else theta)[..., None]
+        values = values * keep
+        if winner is not None:
+            values = values * (winner[..., None] == miners)  # one-hot
+        return values
+
+    return payoffs
+
+
+def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchTrace]:
+    """Advance the given replicas together, round by round, reducing the summary.
 
     Per round t the state in force is P_t; the protocol step taken during
     round t yields P_{t+1}, whose change is observable to strategies from
     round t+2 on (mutation flags describe completed rounds). A round's joint
     profile is ``respond[P_t, last] | grim[seen, ever]`` by the tables of
-    ``_strategy_tables``, and is kept only as its bitmask; the payoff row
-    and the cooperating fraction are looked up by it. Payoffs are the table
-    row at (P_t, profile), scaled by the clamped theta draw when a
-    perturbation process is attached, reduced by each MetaInvestor's budget
-    fraction while the meta game is enabled, and zeroed for lottery losers
-    in lottery mode, multiplied in that order.
+    ``_strategy_tables``, kept only as its bitmask. The round's (R, n)
+    payoffs are reduced into the discounted and risk-adjusted utilities and
+    the last cooperating round, then dropped. The endogenous utility is one
+    ``path @ payoffs`` per replica after the loop: a batched or running
+    product would reorder the sums.
     """
     count, horizon, n = replicas.stop - replicas.start, scenario.horizon, scenario.n
-    # len() overflows past sys.maxsize. The (R, H, n) float64 payoffs are the
-    # largest array; past numpy's index type it is ValueError, not MemoryError.
+    # len() overflows past sys.maxsize. The (R, H, n) float64 payoffs that
+    # ``BatchTrace.payoffs`` derives are the largest array; past numpy's
+    # index type it is ValueError, not MemoryError.
     if count * horizon * n * 8 > np.iinfo(np.intp).max:
         raise CapacityError(
             f"{count} replicas x horizon {horizon} x {n} miners "
             "exceed the largest array numpy can index"
         )
-    game, kernel = scenario.game, scenario.kernel
+    game, kernel, process, delta = scenario.game, scenario.kernel, scenario.theta, scenario.delta
 
     # MetaInvestors always cooperate with fixed budgets, so the adjusted
     # kernel row depends on the state alone.
-    investors = scenario.meta_investors()
-    cumulative = np.cumsum(apply_meta_influence(kernel.matrix, investors, scenario.meta), axis=1)
+    cumulative = np.cumsum(
+        apply_meta_influence(kernel.matrix, scenario.meta_investors(), scenario.meta), axis=1)
     tables = np.stack([stage.tensor.reshape(-1, n) for stage in game])
     respond, grim = _strategy_tables(scenario, tables)
-    states = np.empty((count, horizon), dtype=np.int64)
+    rule = _payoff_rule(scenario, tables)
+    cuts = np.cumsum([m.share for m in scenario.miners])
+    cooperates = _cooperation_table(n) >= scenario.spiral_threshold
+    states = np.empty((count, horizon), dtype=np.min_scalar_type(kernel.size - 1))
     profiles = np.empty((count, horizon), dtype=respond.dtype)
-    # Theta's normal and the lottery uniform of every round, when drawn.
-    kept = np.empty(((scenario.theta is not None) + game.lottery_mode, count, horizon))
-    state = previous = np.full(count, scenario.initial_state, dtype=np.int64)
+    theta = None if process is None else np.empty((count, horizon))
+    winner = np.empty((count, horizon), np.min_scalar_type(n - 1)) if game.lottery_mode else None
+    discounted, risk_adjusted = np.zeros((count, n)), np.zeros(n)
+    duration = np.zeros(count, dtype=np.intp)  # the last cooperating round + 1; 0 with none
+    factor = 1.0
+    state = previous = np.full(count, scenario.initial_state, dtype=np.intp)
     last, ever = np.zeros((2, count), dtype=respond.dtype)  # round 0 reads as all Cooperate
     seen = np.zeros(count, dtype=np.uint8)  # uint8, not bool: an index, not a mask
     for t, draws in enumerate(_draws(scenario, replicas)):
@@ -612,86 +656,46 @@ def _simulate(scenario: Scenario, replicas: range) -> BatchTrace:
         ever |= last
         seen |= state != previous  # the change entering round t, seen from t + 1
         states[:, t], profiles[:, t], previous = state, last, state
-        kept[:, :, t] = draws[1:]
+        theta_t = winner_t = None
+        if process is not None:
+            theta[:, t] = theta_t = process.mean + math.sqrt(process.variance) * draws[1]
+        if game.lottery_mode:
+            winner_t = np.minimum(np.searchsorted(cuts, draws[-1], side="right"), n - 1)
+            winner[:, t] = winner_t
+        row = rule(state, last, theta_t, winner_t)
+        discounted += factor * row
+        # Cross-replica per-round samples give the volatility penalty its
+        # Monte Carlo meaning; within one replica it is degenerate.
+        rounds = np.ascontiguousarray(row.T)  # (n, R)
+        spread = np.sqrt(rounds.var(axis=1, ddof=1)) if count > 1 else np.zeros(n)
+        risk_adjusted += factor * (rounds.mean(axis=1) - scenario.risk_aversion * spread)
+        factor *= delta
+        duration[cooperates[last]] = t + 1
         state = np.minimum((cumulative[state] <= draws[0][:, None]).sum(axis=1), kernel.size - 1)
 
-    payoffs = tables[states, profiles]
-    theta = None
-    if scenario.theta is not None:
-        process = scenario.theta
-        theta = process.mean + math.sqrt(process.variance) * kept[0]
-        scale = np.where(theta > 0.0, theta, 0.0) if process.clamp else theta
-        payoffs = payoffs * scale[:, :, None]
-    if scenario.meta.enabled and investors:
-        budget_keep = np.array([
-            1.0 - m.strategy.meta_budget if m.strategy.tag is StrategyTag.META_INVESTOR
-            else 1.0
-            for m in scenario.miners
-        ])
-        payoffs = payoffs * budget_keep
-    winner = None
-    if game.lottery_mode:
-        cuts = np.cumsum([m.share for m in scenario.miners])
-        winner = np.minimum(np.searchsorted(cuts, kept[-1], side="right"), n - 1)
-        payoffs = payoffs * (winner[:, :, None] == np.arange(n))  # one-hot
-
-    discounted = discounted_utility(payoffs.swapaxes(0, 1), scenario.delta)
-    endogenous = None
+    trace = BatchTrace(
+        replicas=replicas, states=states, profiles=profiles, theta=theta, winner=winner,
+        payoff_rule=rule, discounted_utility=discounted, endogenous_utility=None,
+        cooperation_duration=duration,
+    )
     if scenario.noise is not None:
         path = endogenous_discount_path(scenario.noise, horizon - 1)
-        # One product per replica: a batched product would reorder the sums.
-        endogenous = np.array([path @ replica for replica in payoffs])
-
-    cooperating = (_cooperation_table(n) >= scenario.spiral_threshold)[profiles]
-    last_cooperating = horizon - np.argmax(cooperating[:, ::-1], axis=1)
-    return BatchTrace(
-        replicas=replicas,
-        states=states,
-        profiles=profiles,
-        payoffs=payoffs,
-        theta=theta,
-        winner=winner,
-        discounted_utility=discounted,
-        endogenous_utility=endogenous,
-        cooperation_duration=np.where(cooperating.any(axis=1), last_cooperating, 0),
-    )
-
-
-def summarize_batch(scenario: Scenario, batch: BatchTrace) -> BatchSummary:
-    """Aggregate statistics over a batch (all recomputable from its arrays)."""
-    count, n = len(batch), scenario.n
-    utility = batch.discounted_utility
-    if count > 1:
-        std_utility = utility.std(axis=0, ddof=1)
-    else:
-        std_utility = np.zeros(n)
-    # Cross-replica per-round samples give the volatility penalty its
-    # Monte Carlo meaning; within one replica it is degenerate.
-    risk_adjusted = []
-    for i in range(n):
-        rounds = np.ascontiguousarray(batch.payoffs[:, :, i].T)  # (H, R), one miner
-        means = rounds.mean(axis=1)
-        sds = np.sqrt(rounds.var(axis=1, ddof=1)) if count > 1 else np.zeros(len(means))
-        risk_adjusted.append(
-            discounted_utility(means - scenario.risk_aversion * sds, scenario.delta))
-    durations = batch.cooperation_duration
-    mutations = batch.mutation_counts
-    endogenous_mean: tuple[float, ...] | None = None
-    if batch.endogenous_utility is not None:
-        endogenous_mean = tuple(batch.endogenous_utility.mean(axis=0).tolist())
-
-    return BatchSummary(
+        trace = replace(trace, endogenous_utility=np.array(
+            [path @ trace.replica_payoffs(r) for r in range(count)]))
+    mutations = trace.mutation_counts
+    summary = BatchSummary(
         replica_count=count,
-        mean_utility=tuple(utility.mean(axis=0).tolist()),
-        std_utility=tuple(std_utility.tolist()),
-        risk_adjusted_utility=tuple(risk_adjusted),
-        mean_cooperation_duration=float(np.mean(durations)),
-        spiral_frequency=int(np.count_nonzero(durations < scenario.horizon)) / count,
-        mean_final_cooperation_fraction=float(
-            np.mean(_cooperation_table(n)[batch.profiles[:, -1]])),
+        mean_utility=tuple(discounted.mean(axis=0).tolist()),
+        std_utility=tuple((discounted.std(axis=0, ddof=1) if count > 1 else np.zeros(n)).tolist()),
+        risk_adjusted_utility=tuple(risk_adjusted.tolist()),
+        mean_cooperation_duration=float(np.mean(duration)),
+        spiral_frequency=int(np.count_nonzero(duration < horizon)) / count,
+        mean_final_cooperation_fraction=float(np.mean(_cooperation_table(n)[last])),
         mutation_count_mean=float(mutations.mean()),
         mutation_count_std=float(mutations.std(ddof=1)) if count > 1 else 0.0,
         mutation_count_min=int(mutations.min()),
         mutation_count_max=int(mutations.max()),
-        mean_endogenous_utility=endogenous_mean,
+        mean_endogenous_utility=None if trace.endogenous_utility is None
+        else tuple(trace.endogenous_utility.mean(axis=0).tolist()),
     )
+    return summary, trace

@@ -6,7 +6,10 @@ so it stays an independent check of the enumeration code paths. The scalar
 engine plays one replica round by round through the single-round functions
 below (strategy resolution, protocol step, theta, stage payoffs, block
 lottery, spiral detection); it is the reference for the replica-vectorized
-batch engine and returns the same ``BatchTrace`` arrays. Strong
+batch engine and returns its own record under ``BatchTrace``'s names. The
+per-round sample statistics (``payoff_variance``, ``risk_adjusted_utility``)
+are the reference for the risk-adjusted summary the engine reduces round by
+round. Strong
 connectivity plus a BFS period is the reference for the primitivity test
 of ``has_unique_stationary``. The row-at-a-time ``csv.writer`` trace
 writer is the reference for the columnar one in ``mutagame.cli``.
@@ -24,7 +27,6 @@ import numpy as np
 from mutagame import (
     Action,
     BatchSummary,
-    BatchTrace,
     ConfigurationError,
     StageGameSpec,
     StrategyKind,
@@ -35,7 +37,6 @@ from mutagame import (
     discounted_utility,
     endogenous_discount_path,
     replica_rng,
-    risk_adjusted_utility,
     validate_shares,
 )
 
@@ -339,11 +340,31 @@ def cooperation_duration(defects, threshold: float = 0.5) -> int:
     return report.onset_round if report.onset_round is not None else len(defects)
 
 
-def replica_fields(batch: BatchTrace, r: int) -> dict:
-    """Replica ``r``'s entry of every ``BatchTrace`` field as plain Python
-    values, so that ``repr`` compares floats bit for bit, ``-0.0`` included."""
+@dataclass(frozen=True)
+class ScalarReplica:
+    """One replica's record from the scalar engine, under ``BatchTrace``'s
+    names and with a leading axis of one replica. Unlike ``BatchTrace`` it
+    stores its Defect flags and payoffs as they were played and paid."""
+
+    replicas: range
+    states: np.ndarray
+    profiles: np.ndarray
+    defects: np.ndarray
+    payoffs: np.ndarray
+    theta: np.ndarray | None
+    winner: np.ndarray | None
+    discounted_utility: np.ndarray
+    endogenous_utility: np.ndarray | None
+    cooperation_duration: np.ndarray
+
+
+def replica_fields(batch, r: int) -> dict:
+    """Replica ``r``'s entry of every ``ScalarReplica`` field, read by name
+    from a ``ScalarReplica`` or a ``BatchTrace`` (whose ``defects`` and
+    ``payoffs`` are derived), as plain Python values, so that ``repr``
+    compares floats bit for bit, ``-0.0`` included."""
     fields = {}
-    for item in dataclasses.fields(batch):
+    for item in dataclasses.fields(ScalarReplica):
         value = getattr(batch, item.name)
         if isinstance(value, np.ndarray):
             value = value[r].tolist()
@@ -353,12 +374,12 @@ def replica_fields(batch: BatchTrace, r: int) -> dict:
     return fields
 
 
-def scalar_replica(scenario, replica_index) -> BatchTrace:
+def scalar_replica(scenario, replica_index) -> ScalarReplica:
     """Reference engine: the per-round scalar loop, one replica at a time.
 
     It resolves actions, steps the protocol, draws theta and the lottery
     winner and pays each round through the single-round functions above, in
-    the documented draw order, and returns a one-replica ``BatchTrace``. The
+    the documented draw order, and returns its record, payoffs included. The
     batch engine must reproduce it bit for bit.
     """
     rng = replica_rng(scenario.master_seed, replica_index)
@@ -427,10 +448,11 @@ def scalar_replica(scenario, replica_index) -> BatchTrace:
     if scenario.noise is not None:
         path = endogenous_discount_path(scenario.noise, scenario.horizon - 1)
         endogenous = np.array([path @ payoff_matrix])
-    return BatchTrace(
+    return ScalarReplica(
         replicas=range(replica_index, replica_index + 1),
         states=np.array([states]),
         profiles=np.array([profiles]),
+        defects=np.array([flags]),
         payoffs=payoff_matrix[None],
         theta=None if scenario.theta is None else np.array([thetas]),
         winner=np.array([winners]) if game.lottery_mode else None,
@@ -442,8 +464,49 @@ def scalar_replica(scenario, replica_index) -> BatchTrace:
     )
 
 
+@dataclass(frozen=True)
+class PayoffVariance:
+    """Unbiased sample variance; degenerate marks single-sample inputs."""
+
+    sigma2: float
+    sigma: float
+    degenerate: bool = False
+
+
+def payoff_variance(samples: Sequence[float]) -> PayoffVariance:
+    arr = np.asarray(samples, dtype=float)
+    if arr.size == 0:
+        raise ConfigurationError("variance of an empty sample set is undefined")
+    if arr.size == 1:
+        return PayoffVariance(sigma2=0.0, sigma=0.0, degenerate=True)
+    sigma2 = float(np.var(arr, ddof=1))
+    return PayoffVariance(sigma2=sigma2, sigma=math.sqrt(sigma2))
+
+
+def risk_adjusted_utility(
+    samples_by_round: Sequence[Sequence[float]],
+    delta: float,
+    eta_risk: float,
+) -> float:
+    """Discounted sum of per-round (mean - eta_risk * sample std) penalties.
+
+    The volatility penalty sits inside the per-round sum so the quantity
+    stays well defined at any horizon; with eta_risk = 0 or zero variance it
+    reduces to the discounted utility of the round means.
+    """
+    if not eta_risk >= 0.0:
+        raise ConfigurationError(f"risk aversion must be >= 0, got {eta_risk}")
+    penalised = []
+    for t, samples in enumerate(samples_by_round):
+        arr = np.asarray(samples, dtype=float)
+        if arr.size == 0:
+            raise ConfigurationError(f"round {t} has an empty payoff sample set")
+        penalised.append(float(arr.mean()) - eta_risk * payoff_variance(arr).sigma)
+    return discounted_utility(penalised, delta)
+
+
 def scalar_summary(scenario, traces) -> BatchSummary:
-    """Reference aggregation over a list of one-replica traces."""
+    """Reference aggregation over a list of ``scalar_replica`` records."""
     n = scenario.n
     utility = np.array([t.discounted_utility[0] for t in traces])
     mean_utility = utility.mean(axis=0)
@@ -507,6 +570,7 @@ def csv_trace_writer(path, scenario, batch) -> None:
             ["replica", "t", "state", "theta", "actions"]
             + [f"payoff_{i}" for i in range(scenario.n)]
         )
+        batch_payoffs = batch.payoffs
         for r, replica_index in enumerate(batch.replicas):
             if batch.theta is None:
                 thetas = [""] * scenario.horizon
@@ -514,7 +578,7 @@ def csv_trace_writer(path, scenario, batch) -> None:
                 thetas = [repr(theta) for theta in batch.theta[r].tolist()]
             rows = zip(
                 batch.states[r].tolist(), thetas, batch.profiles[r].tolist(),
-                batch.payoffs[r].tolist(),
+                batch_payoffs[r].tolist(),
             )
             for t, (state, theta, mask, payoffs) in enumerate(rows):
                 writer.writerow(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import nash_oracle, random_profile_map
+from oracles import nash_oracle, random_profile_map, risk_adjusted_utility
 
 from mutagame import (
     MetaModelConfig,
@@ -36,10 +36,8 @@ from mutagame import (
     kernel_entropy,
     npv,
     pure_nash,
-    risk_adjusted_utility,
     run_batch,
     run_replica,
-    truncation_horizon,
 )
 
 PD_TABLE = {"CC": [3.0, 3.0], "CD": [0.0, 5.0], "DC": [5.0, 0.0], "DD": [1.0, 1.0]}
@@ -75,6 +73,12 @@ def grim_pd_scenario(*, epsilon, delta, horizon, replicas, seed,
         master_seed=seed,
         trigger_on_mutation=trigger_on_mutation,
     )
+
+
+def truncation_horizon(delta, payoff, tol):
+    """The horizon T from which a constant stream of ``payoff`` has a tail
+    delta**T * payoff / (1 - delta) of at most ``tol``."""
+    return max(1, math.ceil(math.log(tol * (1.0 - delta) / payoff) / math.log(delta)))
 
 
 def test_c01_geometric_utility_exactness():

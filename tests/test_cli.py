@@ -340,11 +340,13 @@ def test_sweep_delta_brackets_threshold(tmp_path):
 
 def test_sweep_frees_each_point_batch(tmp_path):
     # A point's trace must be freed before the next point runs, so a sweep
-    # peaks at about one point's run_batch: measured 0.89x that peak on
-    # mutable_core at R=200, H=200, against 1.31x while each batch lived on
-    # into the next point.
+    # peaks at about one point's run_batch. The sweep's own parsed documents
+    # and rows cost a fixed 35-55 KB, so R must make one point's record large
+    # beside them: on mutable_core at R=1000, H=200 the sweep measured 1.07x
+    # the largest point peak (856 KB), against 1.62x while each batch lived
+    # on into the next point.
     doc = yaml.safe_load(MUTABLE_CORE)
-    doc["replica_count"] = 200
+    doc["replica_count"] = 1000
     path = tmp_path / "mutable_core.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     values = ["0", "0.05", "0.2"]

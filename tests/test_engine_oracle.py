@@ -90,8 +90,9 @@ def scenarios(draw):
 
 
 def assert_same_replica(got, want):
-    """States, profiles and winners exactly; payoffs, theta, both utilities
-    and the cooperation duration by ``repr``, so bit for bit."""
+    """States, profiles, Defect flags and winners exactly; payoffs (derived
+    on the engine's side), theta, both utilities and the cooperation
+    duration by ``repr``, so bit for bit."""
     for name, value in got.items():
         assert repr(value) == repr(want[name]), name
 
@@ -104,6 +105,7 @@ def test_batch_engine_matches_scalar_oracle(scenario):
     assert len(batch) == len(expected)
     for r, want in enumerate(expected):
         assert_same_replica(replica_fields(batch, r), replica_fields(want, 0))
+        assert repr(batch.replica_payoffs(r).tolist()) == repr(want.payoffs[0].tolist())
     assert repr(summary) == repr(scalar_summary(scenario, expected))
     last = scenario.replica_count - 1
     assert_same_replica(

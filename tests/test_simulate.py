@@ -11,6 +11,7 @@ from oracles import (
     detect_spiral,
     replica_fields,
     resolve_actions,
+    risk_adjusted_utility,
 )
 
 from mutagame import (
@@ -31,10 +32,8 @@ from mutagame import (
     apply_meta_influence,
     breakeven_horizon,
     discounted_utility,
-    risk_adjusted_utility,
     run_batch,
     run_replica,
-    truncation_horizon,
 )
 from mutagame.simulate import _strategy_tables
 
@@ -523,7 +522,6 @@ INF = float("inf")
     (lambda: risk_adjusted_utility([[1.0, 2.0]], 0.9, eta_risk=NAN), "risk aversion"),
     (lambda: breakeven_horizon(NAN, 1.0), "per-period return"),
     (lambda: breakeven_horizon(1.0, NAN), "upfront cost"),
-    (lambda: truncation_horizon(0.9, NAN), "payoff_scale"),
     (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), risk_aversion=NAN),
      "risk_aversion.eta:"),
     (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), risk_aversion=INF),

@@ -352,20 +352,23 @@ def test_simulate_peak_never_holds_defect_flags(monkeypatch):
     monkeypatch.setattr(simulate, "_draws", draws_then_peak)
     tracemalloc.start()
     try:
-        traced = simulate._simulate(scenario, batch.replicas)
+        _, traced = simulate._simulate(scenario, batch.replicas)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert batch.profiles.dtype == np.uint8
     assert np.array_equal(traced.profiles, batch.profiles)
-    # The loop over rounds holds the (R, H) states and masks and (R,)
-    # vectors: it peaked at 553 KB, 103 KB over the two arrays. (R, H, n)
-    # Defect flags would add 4x the masks (200 KB), and an (R, H, 1) float64
-    # draws array 8x, so the bound, states plus 4x the masks (600 KB), lies
-    # between. The whole call adds the (R, H, n) payoffs and one product of
-    # them: it peaked at 3.73 MB, and at 4.13 MB with an (R, H, 1) draws array.
+    # The loop over rounds holds the (R, H) uint8 states and masks, (R,)
+    # vectors and one round's (R, n) payoffs: it peaked at 215 KB, 115 KB
+    # over the two arrays. (R, H, n) Defect flags would add 4x the masks
+    # (200 KB), and an (R, H, 1) float64 draws array 8x, so the bound, states
+    # plus 4x the masks (250 KB), lies between. The whole call adds one
+    # replica's derived payoffs at a time for the endogenous products: it
+    # peaked at 274 KB, so it never holds the (R, H, n) payoffs (1.6 MB) that
+    # ``batch.payoffs`` derives. Storing them peaked at 3.73 MB.
     masks, states = batch.profiles.nbytes, batch.states.nbytes
     assert loop_peaks and loop_peaks[-1] < states + 4 * masks
     assert peak < 2 * batch.payoffs.nbytes + states + 4 * masks
+    assert peak < batch.payoffs.nbytes
     bits = 1 << np.arange(batch.defects.shape[2] - 1, -1, -1)
     assert np.array_equal(batch.profiles, batch.defects @ bits)

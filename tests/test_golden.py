@@ -5,7 +5,9 @@ and lottery-free theta cases by the batch engine's one-draw-at-a-time theta
 loop, which reproduces it) and the row-at-a-time
 ``csv.writer`` trace writer. Any engine or writer change that alters a state,
 an action, a payoff bit, a float repr or the summary fails here, unlike
-run-vs-run determinism checks, which drift together.
+run-vs-run determinism checks, which drift together. The ``analyze``
+hashes were produced by the tuple-indexed Nash enumeration and grim
+thresholds; they fence the analytic report's every profile key and figure.
 """
 
 import hashlib
@@ -82,3 +84,47 @@ def test_sweep_output_matches_golden_hash(tmp_path):
          "--values", "0,0.05,0.2", "--out", str(out)]
     ) == EXIT_OK
     assert sha256(out / "sweep.csv") == SWEEP_SHA256
+
+
+def grim_pair_doc():
+    """A GrimTrigger pair under a symmetric 3-state kernel: a prisoner's
+    dilemma, a stag hunt (two pure Nash profiles, no temptation) and a
+    lopsided game whose one Nash profile and thresholds tell the miners apart."""
+    doc = yaml.safe_load(FIXED_RULES)
+    doc["name"] = "grim_pair"
+    doc["trigger_on_mutation"] = True
+    doc["game"]["states"] += [{"id": 1, "label": "stag_hunt"}, {"id": 2, "label": "lopsided"}]
+    doc["game"]["payoffs"]["stag_hunt"] = {
+        "CC": [4.0, 4.0], "CD": [0.0, 3.0], "DC": [3.0, 0.0], "DD": [2.0, 2.0],
+    }
+    doc["game"]["payoffs"]["lopsided"] = {
+        "CC": [4.0, 4.0], "CD": [2.0, 5.0], "DC": [3.0, 0.0], "DD": [1.0, 1.0],
+    }
+    doc["kernel"]["matrix"] = [[0.98, 0.01, 0.01], [0.01, 0.98, 0.01], [0.01, 0.01, 0.98]]
+    doc["discount"]["delta"] = 0.9
+    return doc
+
+
+ANALYZE_CASES = {
+    "fixed_rules": (
+        lambda: yaml.safe_load(FIXED_RULES),
+        "6e3706fbf56b14f7d733ae626b350051534ed3b41ca169fe436c16162c0f5c1f",
+    ),
+    "mutable_core": (
+        lambda: yaml.safe_load(MUTABLE_CORE),
+        "cce724c6157273b0768b8aa9f4afa02922592b7ab3e5802df58b57195bb0bd66",
+    ),
+    "grim_pair": (
+        grim_pair_doc,
+        "16f57001a0e6a80ef87647cf6b5d97f9064dc2363e2286a1ef62ef2ba4ae5785",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_CASES))
+def test_analyze_output_matches_golden_hash(case, tmp_path, capsys):
+    make_doc, stdout_sha = ANALYZE_CASES[case]
+    scenario = tmp_path / f"{case}.yaml"
+    scenario.write_text(yaml.safe_dump(make_doc()), encoding="utf-8")
+    assert main(["analyze", str(scenario)]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha

@@ -33,7 +33,6 @@ from .errors import (
     ScenarioValidationError,
 )
 from .game import (
-    Action,
     NormalFormGame,
     StageGameSpec,
     StrategyKind,
@@ -63,10 +62,9 @@ from .simulate import (
     run_replica,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
-    "Action",
     "BatchSummary",
     "BatchTrace",
     "CapacityError",

@@ -30,6 +30,7 @@ from .errors import (
     MutagameError,
     ScenarioValidationError,
 )
+from .game import _profile_key
 from .protocol import integrity, kernel_entropy, mutation_rate
 from .scenario import apply_overrides, load_document, load_scenario, parse_document
 from .simulate import BatchSummary, BatchTrace, Scenario, run_batch
@@ -72,7 +73,7 @@ def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace, rows: ran
     (so ``-0.0`` and ``0.0`` stay apart); theta differs every round and is
     formatted field by field.
     """
-    profile_keys = ["".join(p) for p in itertools.product("CD", repeat=scenario.n)]
+    profile_keys = [_profile_key(mask, scenario.n) for mask in range(2**scenario.n)]
     state_keys = list(map(str, range(len(scenario.game))))
     rounds = list(map(str, range(scenario.horizon)))
     no_theta = [""] * scenario.horizon
@@ -285,7 +286,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"  integrity: {integrity(scenario.kernel):.6f}")
     all_hold = True
     for state, (label, stage) in enumerate(zip(game.state_labels, game)):
-        nash = equilibrium.pure_nash(stage)
+        nash = " ".join(equilibrium.pure_nash(stage)) or "(none)"
         threshold = equilibrium.grim_trigger_threshold(stage)
         verdict = equilibrium.grim_cooperation_verdict(
             stage,
@@ -294,13 +295,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             scenario.post_mutation_value,
         )
         all_hold = all_hold and verdict.holds
-        profiles = (
-            " ".join("".join(a.value for a in profile) for profile in nash)
-            if nash
-            else "(none)"
-        )
         print(f"state {state} ({label})")
-        print(f"  pure Nash profiles: {profiles}")
+        print(f"  pure Nash profiles: {nash}")
         if threshold.always_sustainable:
             print("  grim delta_star: always sustainable (no temptation)")
         elif threshold.never_sustainable:
@@ -337,14 +333,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_preset(args: argparse.Namespace) -> int:
     if args.name not in presets.PRESETS:
-        print(
-            f"error: unknown preset {args.name!r}; available: "
-            f"{', '.join(presets.preset_names())}",
-            file=sys.stderr,
+        raise ConfigurationError(
+            f"unknown preset {args.name!r}; available: {', '.join(sorted(presets.PRESETS))}"
         )
-        return EXIT_VALIDATION
     out_path = Path(args.out) if args.out else Path(f"{args.name}.yaml")
-    out_path.write_text(presets.preset_text(args.name), encoding="utf-8")
+    out_path.write_text(presets.PRESETS[args.name], encoding="utf-8")
     print(f"wrote {out_path}")
     return EXIT_OK
 

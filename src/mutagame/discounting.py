@@ -114,24 +114,12 @@ class InvestmentPlan:
         return len(self.expected_returns)
 
 
-def discounted_utility(
-    payoffs: Sequence[float] | np.ndarray, delta: float
-) -> float | np.ndarray:
-    """Sum of delta**t * payoffs[t] over the first axis, t from 0.
-
-    A 1-D sequence gives a float; an array of shape (H, ...) gives an array
-    of shape (...), each element summed left to right over t exactly as
-    its own 1-D column would be.
-    """
+def discounted_utility(payoffs: Sequence[float] | np.ndarray, delta: float) -> float:
+    """Sum of delta**t * payoffs[t] over a 1-D sequence, t from 0, left to right."""
     validate_discount(delta)
-    payoffs = np.asarray(payoffs, dtype=float)
-    if payoffs.ndim == 1:
-        rows, total = payoffs.tolist(), 0.0
-    else:
-        rows, total = payoffs, np.zeros(payoffs.shape[1:])
-    factor = 1.0
-    for row in rows:
-        total += factor * row
+    total, factor = 0.0, 1.0
+    for payoff in np.asarray(payoffs, dtype=float).tolist():
+        total += factor * payoff
         factor *= delta
     return total
 

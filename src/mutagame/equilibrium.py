@@ -14,7 +14,7 @@ import numpy as np
 
 from .discounting import validate_discount
 from .errors import CapacityError, ConfigurationError
-from .game import Action, NormalFormGame
+from .game import NormalFormGame, _miner_bit, _profile_key
 
 MAX_NASH_PLAYERS = 20
 
@@ -56,31 +56,23 @@ class GrimThreshold:
     per_player: tuple[PlayerGrimStatus, ...]
 
 
-def pure_nash(game: NormalFormGame) -> list[tuple[Action, ...]]:
-    """All pure-strategy Nash profiles, in lexicographic order (C before D).
+def pure_nash(game: NormalFormGame) -> list[str]:
+    """The C/D keys of all pure-strategy Nash profiles, in lexicographic
+    order (C before D).
 
     A profile is Nash when no player strictly gains by unilaterally flipping
-    their action.
+    their action: one comparison per player over every profile mask.
     """
     if game.n > MAX_NASH_PLAYERS:
         raise CapacityError(
             f"pure_nash supports at most {MAX_NASH_PLAYERS} players, got {game.n}"
         )
-    equilibria: list[tuple[Action, ...]] = []
-    for profile in np.ndindex(*(2,) * game.n):
-        payoffs = game.tensor[profile]
-        stable = True
-        for player in range(game.n):
-            deviation = list(profile)
-            deviation[player] = 1 - deviation[player]
-            if game.tensor[tuple(deviation)][player] > payoffs[player]:
-                stable = False
-                break
-        if stable:
-            equilibria.append(
-                tuple(Action.COOPERATE if a == 0 else Action.DEFECT for a in profile)
-            )
-    return equilibria
+    n = game.n
+    rows, masks = game.tensor.reshape(-1, n), np.arange(2**n)
+    stable = np.ones(2**n, dtype=bool)
+    for player in range(n):
+        stable &= rows[masks ^ _miner_bit(n, player), player] <= rows[:, player]
+    return [_profile_key(mask, n) for mask in np.flatnonzero(stable).tolist()]
 
 
 def grim_trigger_threshold(game: NormalFormGame) -> GrimThreshold:
@@ -92,15 +84,13 @@ def grim_trigger_threshold(game: NormalFormGame) -> GrimThreshold:
     no-temptation case). The overall threshold is the max over players; one
     never-sustainable player makes the whole profile unsustainable.
     """
-    coop_idx = (0,) * game.n  # every miner cooperates
-    punish_idx = (1,) * game.n  # every miner defects
+    n = game.n
+    rows = game.tensor.reshape(-1, n)
     statuses: list[PlayerGrimStatus] = []
-    for player in range(game.n):
-        reward = float(game.tensor[coop_idx][player])
-        punishment = float(game.tensor[punish_idx][player])
-        deviation = list(coop_idx)
-        deviation[player] = 1 - deviation[player]
-        temptation = float(game.tensor[tuple(deviation)][player])
+    for player in range(n):
+        reward = float(rows[0, player])  # every miner cooperates
+        punishment = float(rows[-1, player])  # every miner defects
+        temptation = float(rows[_miner_bit(n, player), player])  # the player alone defects
         if temptation <= reward:
             statuses.append(
                 PlayerGrimStatus(player, temptation, reward, punishment, None,

@@ -1,8 +1,13 @@
-"""Stage game: actions, strategies, hash shares and state-indexed payoff tables.
+"""Stage game: strategies, hash shares, state-indexed payoff tables, and the
+joint-profile encoding.
 
-Each round every miner resolves to one of two actions (Cooperate/Defect);
-payoffs come from the normal-form game of the protocol state in force, over
-joint action profiles. All objects are immutable after construction.
+Each round every miner resolves to Cooperate or Defect; payoffs come from
+the normal-form game of the protocol state in force, over joint action
+profiles. A joint profile of n miners is an n-bit mask, miner 0 the highest
+bit and Defect a set bit, so masks 0..2**n - 1 run through the C/D keys in
+lexicographic order and index a payoff tensor reshaped to (2**n, n). This
+module alone writes that encoding. All objects are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -18,15 +23,24 @@ from .errors import ConfigurationError
 SHARE_TOLERANCE = 1e-12
 
 
-class Action(Enum):
-    """Per-round binary move a strategy resolves to."""
+def _miner_bit(n: int, miner: int) -> int:
+    """Miner ``miner``'s Defect bit in an n-miner profile mask."""
+    return 1 << (n - 1 - miner)
 
-    COOPERATE = "C"
-    DEFECT = "D"
 
-    @property
-    def index(self) -> int:
-        return 0 if self is Action.COOPERATE else 1
+def _defect_flags(masks: np.ndarray, n: int) -> np.ndarray:
+    """Profile masks (...) as Defect flags (..., n), in miner order."""
+    return (masks[..., None] >> np.arange(n - 1, -1, -1, dtype=masks.dtype) & 1).astype(bool)
+
+
+def _profile_key(mask: int, n: int) -> str:
+    """The C/D key of an n-miner profile mask, miner 0's letter first."""
+    return format(mask, f"0{n}b").replace("0", "C").replace("1", "D")
+
+
+def _profile_mask(key: str) -> int:
+    """The profile mask of a C/D key, the inverse of ``_profile_key``."""
+    return int(key.replace("C", "0").replace("D", "1") or "0", 2)
 
 
 class StrategyTag(Enum):
@@ -128,8 +142,7 @@ class NormalFormGame:
         if not profiles:
             raise ConfigurationError(at_state("empty profile map"))
         n = len(next(iter(profiles)))
-        arr = np.empty((2,) * n + (n,), dtype=float)
-        seen = set()
+        rows = np.empty((2**n, n), dtype=float)
         for key, values in profiles.items():
             if len(key) != n or any(c not in "CD" for c in key):
                 raise ConfigurationError(at_state(f"bad profile key {key!r} for {n} miners"))
@@ -137,12 +150,10 @@ class NormalFormGame:
                 raise ConfigurationError(at_state(
                     f"profile {key!r}: expected {n} payoffs, got {len(values)}", ", "
                 ))
-            idx = tuple(0 if c == "C" else 1 for c in key)
-            arr[idx] = values
-            seen.add(idx)
-        if len(seen) != 2 ** n:
-            raise ConfigurationError(at_state(f"{len(seen)} of {2 ** n} profiles defined"))
-        return cls(arr, state)
+            rows[_profile_mask(key)] = values
+        if len(profiles) != 2**n:  # distinct valid keys are distinct masks
+            raise ConfigurationError(at_state(f"{len(profiles)} of {2 ** n} profiles defined"))
+        return cls(rows.reshape((2,) * n + (n,)), state)
 
 
 class StageGameSpec(tuple):

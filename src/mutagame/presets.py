@@ -164,11 +164,3 @@ PRESETS: dict[str, str] = {
     "mutable_core": MUTABLE_CORE,
 }
 
-
-def preset_names() -> list[str]:
-    return sorted(PRESETS)
-
-
-def preset_text(name: str) -> str:
-    """Verbatim YAML for a named preset; KeyError for unknown names."""
-    return PRESETS[name]

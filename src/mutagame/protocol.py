@@ -53,15 +53,6 @@ class TransitionKernel:
     def matrix(self) -> np.ndarray:
         return self._matrix
 
-    def row(self, state: int) -> np.ndarray:
-        if not 0 <= state < self.size:
-            raise IndexError(f"protocol state {state} out of range [0, {self.size})")
-        return self._matrix[state]
-
-    @classmethod
-    def identity(cls, size: int) -> "TransitionKernel":
-        return cls(np.eye(size))
-
 
 @dataclass(frozen=True)
 class MutationRate:

@@ -182,11 +182,11 @@ def parse_document(doc: Any, name: str = "scenario") -> Scenario:
     game = build("game", lambda: StageGameSpec.from_profile_maps(
         labels, doc["game"]["payoffs"], doc["game"]["lottery_mode"]), at="game.payoffs")
     kernel = build("kernel.matrix", lambda: TransitionKernel(doc["kernel"]["matrix"]))
-    miners = [
+    miners = None if doc.get("miners") is None else tuple(
         build(f"miners[{i}]", lambda m=m: Miner(
             m["share"], StrategyKind(m["strategy"], m["meta_budget"], m["preferred_state"])))
-        for i, m in enumerate(doc.get("miners") or ())
-    ]
+        for i, m in enumerate(doc["miners"])
+    )
     noise = build("noise", lambda: doc["noise"] and NoisePath(
         doc["noise"]["baseline_rate"],
         tuple((segment["start"], segment["value"]) for segment in doc["noise"]["segments"])))
@@ -194,27 +194,32 @@ def parse_document(doc: Any, name: str = "scenario") -> Scenario:
     meta = build("meta", lambda: MetaModelConfig(**doc["meta"]))
     investment = build(
         "investment", lambda: doc["investment"] and InvestmentPlan(**doc["investment"]))
+    # A part that failed above is None, and Scenario skips every check that reads it.
+    try:
+        scenario = Scenario(
+            miners=miners,
+            game=game,
+            kernel=kernel,
+            initial_state=doc.get("initial_state"),
+            horizon=doc.get("horizon"),
+            delta=(doc.get("discount") or {}).get("delta"),
+            risk_aversion=(doc.get("risk_aversion") or {}).get("eta"),
+            meta=meta,
+            replica_count=doc.get("replica_count"),
+            master_seed=doc.get("master_seed"),
+            trigger_on_mutation=doc.get("trigger_on_mutation"),
+            noise=noise,
+            theta=theta,
+            spiral_threshold=doc.get("spiral_threshold"),
+            post_mutation_value=doc.get("post_mutation_value"),
+            investment=investment,
+            name=doc.get("name") or name,
+        )
+    except ScenarioValidationError as exc:
+        raise ScenarioValidationError(failure().errors + exc.errors) from None
     if errors:
         raise failure()
-    return Scenario(
-        miners=tuple(miners),
-        game=game,
-        kernel=kernel,
-        initial_state=doc["initial_state"],
-        horizon=doc["horizon"],
-        delta=doc["discount"]["delta"],
-        risk_aversion=doc["risk_aversion"]["eta"],
-        meta=meta,
-        replica_count=doc["replica_count"],
-        master_seed=doc["master_seed"],
-        trigger_on_mutation=doc["trigger_on_mutation"],
-        noise=noise,
-        theta=theta,
-        spiral_threshold=doc["spiral_threshold"],
-        post_mutation_value=doc["post_mutation_value"],
-        investment=investment,
-        name=doc["name"] or name,
-    )
+    return scenario
 
 
 def load_document(path: str | Path) -> Any:
@@ -233,10 +238,16 @@ def _load_yaml(text: str) -> Any:
 def load_scenario(
     path: str | Path, overrides: Mapping[str, str] | None = None
 ) -> Scenario:
-    doc = load_document(path)
-    if overrides:
-        doc = apply_overrides(doc, overrides)
-    return parse_document(doc, name=Path(path).stem)
+    """The scenario of a file after ``overrides``. A ScenarioValidationError
+    lists every bad override, then every violation of the overridden document."""
+    doc, errors = _overridden(load_document(path), overrides or {})
+    try:
+        scenario = parse_document(doc, name=Path(path).stem)
+    except ScenarioValidationError as exc:
+        raise ScenarioValidationError(errors + exc.errors) from None
+    if errors:
+        raise ScenarioValidationError(errors)
+    return scenario
 
 
 def scale_kernel_epsilon(matrix: list[list[float]], epsilon: float) -> list[list[float]]:
@@ -270,57 +281,60 @@ def apply_overrides(doc: Any, overrides: Mapping[str, str]) -> Any:
 
     Values are parsed as YAML scalars. Paths must name an existing scalar;
     the synthetic path ``kernel.epsilon`` rescales the whole kernel to the
-    given per-state mutation rate.
+    given per-state mutation rate. A ScenarioValidationError lists every bad
+    override.
     """
-    updated = copy.deepcopy(doc)
-    if not isinstance(updated, dict):
+    if not isinstance(doc, dict):
         raise ScenarioValidationError(["(document): expected a mapping"])
-    for raw_path, raw_value in overrides.items():
-        try:
-            value = _load_yaml(raw_value)
-        except yaml.YAMLError:
-            raise ScenarioValidationError(
-                [f"override {raw_path}: cannot parse value {raw_value!r}"]
-            ) from None
-        if isinstance(value, (dict, list)):
-            raise ScenarioValidationError(
-                [f"override {raw_path}: only scalar values are allowed"]
-            )
-        if raw_path == "kernel.epsilon":
-            if not _is_number(value):
-                raise ScenarioValidationError(
-                    [f"override {raw_path}: expected a number, got {raw_value!r}"]
-                )
-            kernel = updated.get("kernel")
-            matrix = kernel.get("matrix") if isinstance(kernel, dict) else None
-            if not isinstance(matrix, list):
-                raise ScenarioValidationError(
-                    ["override kernel.epsilon: document has no kernel.matrix"]
-                )
-            if not all(isinstance(row, list) and all(map(_is_number, row)) for row in matrix):
-                continue  # left as it is for parse_document to report
-            try:
-                kernel["matrix"] = scale_kernel_epsilon(matrix, float(value))
-            except ConfigurationError as exc:
-                raise ScenarioValidationError([f"override kernel.epsilon: {exc}"]) from None
-            continue
-        parts = raw_path.split(".")
-        target = updated
-        for part in parts[:-1]:
-            if isinstance(target, dict) and part in target:
-                target = target[part]
-            else:
-                raise ScenarioValidationError(
-                    [f"override {raw_path}: path component {part!r} not found"]
-                )
-        leaf = parts[-1]
-        if not isinstance(target, dict) or leaf not in target:
-            raise ScenarioValidationError(
-                [f"override {raw_path}: key {leaf!r} not found"]
-            )
-        if isinstance(target[leaf], (dict, list)):
-            raise ScenarioValidationError(
-                [f"override {raw_path}: target is not a scalar"]
-            )
-        target[leaf] = value
+    updated, errors = _overridden(doc, overrides)
+    if errors:
+        raise ScenarioValidationError(errors)
     return updated
+
+
+def _overridden(doc: Any, overrides: Mapping[str, str]) -> tuple[Any, list[str]]:
+    """A copy of ``doc`` with every good override applied, and one line per
+    bad one. A document that is not a mapping is left for ``parse_document``
+    to report."""
+    updated, errors = copy.deepcopy(doc), []
+    for raw_path, raw_value in overrides.items() if isinstance(updated, dict) else ():
+        error = _override(updated, raw_path, raw_value)
+        if error is not None:
+            errors.append(f"override {raw_path}: {error}")
+    return updated, errors
+
+
+def _override(doc: dict, raw_path: str, raw_value: str) -> str | None:
+    """Set one override in ``doc`` in place; what is wrong with it, or None."""
+    try:
+        value = _load_yaml(raw_value)
+    except yaml.YAMLError:
+        return f"cannot parse value {raw_value!r}"
+    if isinstance(value, (dict, list)):
+        return "only scalar values are allowed"
+    if raw_path == "kernel.epsilon":
+        if not _is_number(value):
+            return f"expected a number, got {raw_value!r}"
+        kernel = doc.get("kernel")
+        matrix = kernel.get("matrix") if isinstance(kernel, dict) else None
+        if not isinstance(matrix, list):
+            return "document has no kernel.matrix"
+        if not all(isinstance(row, list) and all(map(_is_number, row)) for row in matrix):
+            return None  # left as it is for parse_document to report
+        try:
+            kernel["matrix"] = scale_kernel_epsilon(matrix, float(value))
+        except ConfigurationError as exc:
+            return str(exc)
+        return None
+    *parents, leaf = raw_path.split(".")
+    target = doc
+    for part in parents:
+        if not (isinstance(target, dict) and part in target):
+            return f"path component {part!r} not found"
+        target = target[part]
+    if not isinstance(target, dict) or leaf not in target:
+        return f"key {leaf!r} not found"
+    if isinstance(target[leaf], (dict, list)):
+        return "target is not a scalar"
+    target[leaf] = value
+    return None

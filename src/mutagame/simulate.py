@@ -38,6 +38,8 @@ from .game import (
     StageGameSpec,
     StrategyKind,
     StrategyTag,
+    _defect_flags,
+    _miner_bit,
     validate_shares,
 )
 from .protocol import ThetaProcess, TransitionKernel
@@ -102,53 +104,59 @@ class Scenario:
             raise ScenarioValidationError(errors)
 
     def validate(self) -> list[str]:
+        """Every violation, one ``path: message`` line each. A check is
+        skipped where a field it reads is None: ``parse_document`` passes
+        None for each part of a document that failed to parse, and reports
+        that failure itself."""
         errors: list[str] = []
-        n = len(self.miners)
-        if n < 1:
+
+        def known(*fields) -> bool:
+            return all(field is not None for field in fields)
+
+        miners, game, kernel = self.miners, self.game, self.kernel
+        if known(miners) and len(miners) < 1:
             errors.append("miners: at least one miner required")
             return errors
-        try:
-            validate_shares([m.share for m in self.miners])
-        except ConfigurationError as exc:
-            errors.append(f"miners: {exc}")
-        if self.game.n != n:
+        if known(miners) and known(*miners):
+            try:
+                validate_shares([m.share for m in miners])
+            except ConfigurationError as exc:
+                errors.append(f"miners: {exc}")
+        if known(game, miners) and game.n != len(miners):
             errors.append(
-                f"game: payoff tables cover {self.game.n} miners but scenario has {n}"
+                f"game: payoff tables cover {game.n} miners but scenario has {len(miners)}"
             )
-        if self.kernel.size != len(self.game):
+        if known(kernel, game) and kernel.size != len(game):
+            errors.append(f"kernel: {kernel.size} states but game defines {len(game)}")
+        if known(kernel, self.initial_state) and not 0 <= self.initial_state < kernel.size:
             errors.append(
-                f"kernel: {self.kernel.size} states but game defines "
-                f"{len(self.game)}"
+                f"initial_state: {self.initial_state} out of range [0, {kernel.size})"
             )
-        if not 0 <= self.initial_state < self.kernel.size:
-            errors.append(
-                f"initial_state: {self.initial_state} out of range "
-                f"[0, {self.kernel.size})"
-            )
-        if self.horizon < 1:
+        if known(self.horizon) and self.horizon < 1:
             errors.append(f"horizon: must be >= 1, got {self.horizon}")
-        if self.replica_count < 1:
+        if known(self.replica_count) and self.replica_count < 1:
             errors.append(f"replica_count: must be >= 1, got {self.replica_count}")
-        if self.master_seed < 0:
+        if known(self.master_seed) and self.master_seed < 0:
             errors.append(f"master_seed: must be >= 0, got {self.master_seed}")
-        try:
-            validate_discount(self.delta)
-        except ConfigurationError as exc:
-            errors.append(f"discount.delta: {exc}")
-        if not 0.0 <= self.risk_aversion < math.inf:
+        if known(self.delta):
+            try:
+                validate_discount(self.delta)
+            except ConfigurationError as exc:
+                errors.append(f"discount.delta: {exc}")
+        if known(self.risk_aversion) and not 0.0 <= self.risk_aversion < math.inf:
             errors.append(f"risk_aversion.eta: must be finite and >= 0, got {self.risk_aversion}")
-        if not math.isfinite(self.post_mutation_value):
+        if known(self.post_mutation_value) and not math.isfinite(self.post_mutation_value):
             errors.append(f"post_mutation_value: must be finite, got {self.post_mutation_value}")
-        if not 0.0 < self.spiral_threshold < 1.0:
+        if known(self.spiral_threshold) and not 0.0 < self.spiral_threshold < 1.0:
             errors.append(
                 f"spiral_threshold: must lie in (0, 1), got {self.spiral_threshold}"
             )
-        for i, miner in enumerate(self.miners):
-            preferred = miner.strategy.preferred_state
-            if preferred is not None and preferred >= self.kernel.size:
+        for i, miner in enumerate(miners if known(kernel, miners) else ()):
+            preferred = None if miner is None else miner.strategy.preferred_state
+            if known(preferred) and preferred >= kernel.size:
                 errors.append(
                     f"miners[{i}]: preferred_state {preferred} out of range "
-                    f"[0, {self.kernel.size})"
+                    f"[0, {kernel.size})"
                 )
         if self.investment is not None and not self.investment.expected_returns[0] > 0.0:
             errors.append(
@@ -195,7 +203,8 @@ class BatchTrace:
 
     ``states`` (R, H) holds the state in force each round, in the smallest
     unsigned dtype that holds k - 1, and ``profiles`` (R, H) each round's
-    joint profile as a bitmask (``_defect_flags``). ``theta`` (R, H) and
+    joint profile as a mask (the ``game`` module's encoding), in the smallest
+    unsigned dtype that holds 2**n - 1. ``theta`` (R, H) and
     ``winner`` (R, H), the latter in the smallest unsigned dtype that holds
     n - 1, exist only when the scenario draws them. Per replica:
     ``discounted_utility`` and ``endogenous_utility`` (R, n), and
@@ -297,14 +306,6 @@ def run_replica(scenario: Scenario, replica_index: int) -> BatchTrace:
     if replica_index < 0:  # SeedSequence takes no negative entropy
         raise ConfigurationError(f"replica_index must be >= 0, got {replica_index}")
     return _simulate(scenario, range(replica_index, replica_index + 1))[1]
-
-
-def _defect_flags(masks: np.ndarray, n: int) -> np.ndarray:
-    """Profile bitmasks (...) as Defect flags (..., n). Miner 0 is the highest
-    bit, so a mask indexes a payoff table reshaped to (2**n, n) and the
-    profiles of ``itertools.product("CD", repeat=n)`` in order. Masks are
-    kept in the smallest unsigned dtype that holds 2**n - 1."""
-    return (masks[..., None] >> np.arange(n - 1, -1, -1, dtype=masks.dtype) & 1).astype(bool)
 
 
 def _cooperation_table(n: int) -> np.ndarray:
@@ -541,7 +542,7 @@ def _myopic_defects(tables: np.ndarray, delta: float, miner: int) -> np.ndarray:
     """
     n = tables.shape[-1]
     masks = np.arange(2**n)
-    bit = 1 << (n - 1 - miner)
+    bit = _miner_bit(n, miner)
     weight = delta / (1.0 - delta)
     cooperate = tables[:, masks & ~bit, miner]
     defect = tables[:, masks | bit, miner]
@@ -568,7 +569,7 @@ def _strategy_tables(scenario: Scenario, tables: np.ndarray) -> tuple[np.ndarray
     respond = np.zeros(tables.shape[:2], dtype=dtype)
     grim = np.zeros((2, 2**n), dtype=dtype)
     for i, miner in enumerate(scenario.miners):
-        tag, bit = miner.strategy.tag, 1 << (n - 1 - i)
+        tag, bit = miner.strategy.tag, _miner_bit(n, i)
         if tag in _ALWAYS_DEFECT:
             respond |= bit
         elif tag is StrategyTag.TIT_FOR_TAT:  # the opponents' majority; ties Cooperate
@@ -640,7 +641,9 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
     respond, grim = _strategy_tables(scenario, tables)
     rule = _payoff_rule(scenario, tables)
     cuts = np.cumsum([m.share for m in scenario.miners])
-    cooperates = _cooperation_table(n) >= scenario.spiral_threshold
+    cooperation = _cooperation_table(n)
+    cooperates = cooperation >= scenario.spiral_threshold
+    ddof = min(count - 1, 1)  # one replica has no spread: its std is 0
     states = np.empty((count, horizon), dtype=np.min_scalar_type(kernel.size - 1))
     profiles = np.empty((count, horizon), dtype=respond.dtype)
     theta = None if process is None else np.empty((count, horizon))
@@ -667,7 +670,7 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
         # Cross-replica per-round samples give the volatility penalty its
         # Monte Carlo meaning; within one replica it is degenerate.
         rounds = np.ascontiguousarray(row.T)  # (n, R)
-        spread = np.sqrt(rounds.var(axis=1, ddof=1)) if count > 1 else np.zeros(n)
+        spread = np.sqrt(rounds.var(axis=1, ddof=ddof))
         risk_adjusted += factor * (rounds.mean(axis=1) - scenario.risk_aversion * spread)
         factor *= delta
         duration[cooperates[last]] = t + 1
@@ -686,13 +689,13 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
     summary = BatchSummary(
         replica_count=count,
         mean_utility=tuple(discounted.mean(axis=0).tolist()),
-        std_utility=tuple((discounted.std(axis=0, ddof=1) if count > 1 else np.zeros(n)).tolist()),
+        std_utility=tuple(discounted.std(axis=0, ddof=ddof).tolist()),
         risk_adjusted_utility=tuple(risk_adjusted.tolist()),
         mean_cooperation_duration=float(np.mean(duration)),
         spiral_frequency=int(np.count_nonzero(duration < horizon)) / count,
-        mean_final_cooperation_fraction=float(np.mean(_cooperation_table(n)[last])),
+        mean_final_cooperation_fraction=float(np.mean(cooperation[last])),
         mutation_count_mean=float(mutations.mean()),
-        mutation_count_std=float(mutations.std(ddof=1)) if count > 1 else 0.0,
+        mutation_count_std=float(mutations.std(ddof=ddof)),
         mutation_count_min=int(mutations.min()),
         mutation_count_max=int(mutations.max()),
         mean_endogenous_utility=None if trace.endogenous_utility is None

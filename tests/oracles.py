@@ -20,12 +20,12 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from mutagame import (
-    Action,
     BatchSummary,
     ConfigurationError,
     StageGameSpec,
@@ -39,6 +39,18 @@ from mutagame import (
     replica_rng,
     validate_shares,
 )
+
+
+class Action(Enum):
+    """Per-round binary move a strategy resolves to, in the scalar reference."""
+
+    COOPERATE = "C"
+    DEFECT = "D"
+
+    @property
+    def index(self) -> int:
+        return 0 if self is Action.COOPERATE else 1
+
 
 _ALWAYS_COOPERATE = {StrategyTag.HONEST, StrategyTag.META_INVESTOR}
 _ALWAYS_DEFECT = {StrategyTag.WITHHOLD, StrategyTag.COLLUDE, StrategyTag.ALWAYS_DEFECT}
@@ -103,7 +115,7 @@ def sample_from_cumulative(cumulative_row: np.ndarray, rng: np.random.Generator)
 
 def step_protocol(kernel: TransitionKernel, current: int, rng: np.random.Generator) -> int:
     """Sample the next protocol state from the kernel row of the current one."""
-    return sample_from_cumulative(np.cumsum(kernel.row(current)), rng)
+    return sample_from_cumulative(np.cumsum(kernel.matrix[current]), rng)
 
 
 def sample_theta(process: ThetaProcess, rng: np.random.Generator) -> float:
@@ -414,7 +426,7 @@ def scalar_replica(scenario, replica_index) -> ScalarReplica:
         )
         if meta_enabled:
             effective_row = apply_meta_influence(
-                scenario.kernel.row(state), investors, scenario.meta
+                scenario.kernel.matrix[state], investors, scenario.meta
             )
             next_state = sample_from_cumulative(np.cumsum(effective_row), rng)
         else:

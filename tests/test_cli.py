@@ -68,6 +68,53 @@ def test_validate_lists_every_violation(tmp_path, capsys):
     assert "hash shares" in err and "horizon" in err
 
 
+def _every_range_violation(doc):
+    doc["noise"]["baseline_rate"] = -1
+    doc["theta"] = {"mean": 1.0, "variance": -1}
+    doc.update(horizon=0, replica_count=0)
+    doc["miners"][0]["share"] += 0.4  # shares sum to 1.4
+
+
+# Violations in overrides and in several parts of a document: every one is
+# listed, bad overrides first, and the exit code is 1.
+EVERY_VIOLATION = {
+    "bad_overrides_and_horizon": (
+        lambda doc: None,
+        ["--set", "foo=1", "--set", "bar.baz=2", "--set", "horizon=0"],
+        "error: override foo: key 'foo' not found\n"
+        "error: override bar.baz: path component 'bar' not found\n"
+        "error: horizon: must be >= 1, got 0\n",
+    ),
+    "type_error_and_replica_count": (
+        lambda doc: None,
+        ["--set", "horizon=abc", "--set", "replica_count=0"],
+        "error: horizon: expected an integer, got 'abc'\n"
+        "error: replica_count: must be >= 1, got 0\n",
+    ),
+    "parts_and_scenario_checks": (
+        _every_range_violation,
+        [],
+        "error: noise: baseline rate must be >= 0, got -1.0\n"
+        "error: theta: theta variance must be finite and >= 0, got -1.0\n"
+        "error: miners: hash shares sum to 1.4, must equal 1 within 1e-12\n"
+        "error: horizon: must be >= 1, got 0\n"
+        "error: replica_count: must be >= 1, got 0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVERY_VIOLATION))
+def test_validate_lists_every_override_and_document_violation(case, tmp_path, capsys):
+    corrupt, args, expected = EVERY_VIOLATION[case]
+    doc = yaml.safe_load(MUTABLE_CORE)
+    corrupt(doc)
+    path = tmp_path / "mc.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate", str(path), *args]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+
+
 def _second_state(doc):
     doc["game"]["states"].append({"id": 1, "label": "fork"})
     doc["kernel"]["matrix"] = [[1.0, 0.0], [0.0, 1.0]]
@@ -276,8 +323,9 @@ def test_mutable_core_default_seed_spirals(tmp_path):
 
 def test_preset_unknown_name(capsys):
     assert main(["preset", "golden_age"]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert "fixed_rules" in err and "mutable_core" in err
+    assert capsys.readouterr().err == (
+        "error: unknown preset 'golden_age'; available: fixed_rules, mutable_core\n"
+    )
 
 
 def test_sweep_rejects_single_value(fixed_rules_file, capsys):

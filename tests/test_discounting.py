@@ -36,15 +36,6 @@ def test_hand_evaluated_sum():
     assert discounted_utility([1.0, 2.0, 3.0], 0.5) == pytest.approx(2.75)
 
 
-def test_time_first_array_sums_each_column_as_alone():
-    payoffs = np.random.default_rng(41).normal(size=(30, 7, 3))  # (H, R, n)
-    totals = discounted_utility(payoffs, 0.93)
-    assert totals.shape == (7, 3)
-    for r in range(7):
-        for i in range(3):
-            assert totals[r, i].hex() == discounted_utility(payoffs[:, r, i], 0.93).hex()
-
-
 def test_empty_payoffs():
     assert discounted_utility([], 0.9) == 0.0
 

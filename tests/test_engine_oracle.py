@@ -54,7 +54,7 @@ def scenarios(draw):
     games = [
         NormalFormGame(rng.integers(-12, 21, size=(2,) * n + (n,)) / 4.0) for _ in range(k)
     ]
-    kernel = random_kernel(rng, k) if draw(st.booleans()) else TransitionKernel.identity(k)
+    kernel = random_kernel(rng, k) if draw(st.booleans()) else TransitionKernel(np.eye(k))
     theta = None
     if draw(st.booleans()):
         theta = ThetaProcess(

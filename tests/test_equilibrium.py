@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mutagame import (
-    Action,
     CapacityError,
     ConfigurationError,
     NormalFormGame,
@@ -20,17 +19,9 @@ from mutagame import (
     pure_nash,
 )
 
-C = Action.COOPERATE
-D = Action.DEFECT
-
-
 # Independent exhaustive oracle lives in oracles.py, written against the
 # dict representation before the module under test was consulted.
 from oracles import nash_oracle, random_profile_map  # noqa: E402
-
-
-def as_keys(profiles) -> set[str]:
-    return {"".join(a.value for a in profile) for profile in profiles}
 
 
 PD = {"CC": [3.0, 3.0], "CD": [0.0, 5.0], "DC": [5.0, 0.0], "DD": [1.0, 1.0]}
@@ -38,7 +29,7 @@ MATCHING_PENNIES = {"CC": [1.0, -1.0], "CD": [-1.0, 1.0], "DC": [-1.0, 1.0], "DD
 
 
 def test_pure_nash_pd_dominant_defection():
-    assert as_keys(pure_nash(NormalFormGame.from_profile_map(PD))) == {"DD"}
+    assert pure_nash(NormalFormGame.from_profile_map(PD)) == ["DD"]
 
 
 def test_pure_nash_matching_pennies_empty():
@@ -46,11 +37,11 @@ def test_pure_nash_matching_pennies_empty():
 
 
 def test_pure_nash_results_are_lexicographic():
-    # A degenerate game where every profile is an equilibrium.
-    flat = {"".join(p): [0.0, 0.0] for p in itertools.product("CD", repeat=2)}
-    keys = ["".join(a.value for a in profile)
-            for profile in pure_nash(NormalFormGame.from_profile_map(flat))]
-    assert keys == sorted(keys) == ["CC", "CD", "DC", "DD"]
+    # Degenerate games where every profile is an equilibrium.
+    for n in (1, 2, 3):
+        keys = ["".join(p) for p in itertools.product("CD", repeat=n)]
+        flat = {key: [0.0] * n for key in reversed(keys)}
+        assert pure_nash(NormalFormGame.from_profile_map(flat)) == keys == sorted(keys)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -59,7 +50,8 @@ def test_pure_nash_matches_oracle(n):
     for _ in range(60):
         profile_map = random_profile_map(rng, n)
         game = NormalFormGame.from_profile_map(profile_map)
-        assert as_keys(pure_nash(game)) == nash_oracle(profile_map)
+        nash = pure_nash(game)
+        assert nash == sorted(nash) and set(nash) == nash_oracle(profile_map)
 
 
 def test_pure_nash_capacity_limit():

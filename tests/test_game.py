@@ -7,10 +7,9 @@ import pickle
 
 import numpy as np
 import pytest
-from oracles import PlayHistory, block_lottery, resolve_actions, stage_payoffs
+from oracles import Action, PlayHistory, block_lottery, resolve_actions, stage_payoffs
 
 from mutagame import (
-    Action,
     ConfigurationError,
     StageGameSpec,
     StrategyKind,

@@ -14,8 +14,11 @@ import mutagame
 # tests/oracles.py) and the per-replica record views of a batch. Retired in
 # 0.3.0: the per-round sample statistics (now the risk-adjusted reference in
 # tests/oracles.py), the engine's separate summary pass and the uncalled
-# truncation horizon.
+# truncation horizon. Retired in 0.4.0: the Action enum (pure_nash returns
+# C/D keys; the scalar reference keeps its own in tests/oracles.py) and the
+# wrappers around the preset table.
 RETIRED = {
+    "Action",
     "PayoffVariance",
     "PlayHistory",
     "ReplicaTrace",
@@ -26,6 +29,8 @@ RETIRED = {
     "detect_spiral",
     "parse_profile",
     "payoff_variance",
+    "preset_names",
+    "preset_text",
     "profile_key",
     "resolve_actions",
     "risk_adjusted_utility",
@@ -42,7 +47,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.3.0"
+    assert mutagame.__version__ == project["version"] == "0.4.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -53,10 +58,11 @@ def test_public_names_resolve_and_retired_names_are_gone():
     for module in pkgutil.iter_modules(mutagame.__path__):
         namespace = vars(importlib.import_module(f"mutagame.{module.name}"))
         assert not RETIRED & set(namespace), module.name
-    assert not hasattr(mutagame.Action, "from_symbol")
     assert not hasattr(mutagame.NormalFormGame, "from_stage_game")
     assert not hasattr(mutagame.StrategyKind, "honest")
     assert not hasattr(mutagame.BatchTrace, "profile_masks")
+    assert not hasattr(mutagame.TransitionKernel, "row")
+    assert not hasattr(mutagame.TransitionKernel, "identity")
 
 
 FAILING_HYPOTHESIS_TEST = '''

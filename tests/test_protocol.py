@@ -43,7 +43,7 @@ def test_kernel_validation():
 
 
 def test_step_identity_kernel_is_constant():
-    kernel = TransitionKernel.identity(3)
+    kernel = TransitionKernel(np.eye(3))
     rng = np.random.default_rng(0)
     for state in range(3):
         assert all(step_protocol(kernel, state, rng) == state for _ in range(50))
@@ -80,7 +80,7 @@ def test_step_rejects_bad_state():
 
 
 def test_mutation_rate():
-    assert mutation_rate(TransitionKernel.identity(3)).per_state == (0.0, 0.0, 0.0)
+    assert mutation_rate(TransitionKernel(np.eye(3))).per_state == (0.0, 0.0, 0.0)
     rates = mutation_rate(TransitionKernel(TWO_STATE))
     assert rates.per_state == pytest.approx((0.1, 0.5))
     assert rates.maximum == pytest.approx(0.5)
@@ -89,7 +89,7 @@ def test_mutation_rate():
 
 
 def test_entropy_identity_is_exactly_zero():
-    assert kernel_entropy(TransitionKernel.identity(4)).value == 0.0
+    assert kernel_entropy(TransitionKernel(np.eye(4))).value == 0.0
 
 
 def test_entropy_uniform_is_log_k():
@@ -116,20 +116,20 @@ def test_entropy_stationary_weighting_matches_oracle():
 
 
 def test_entropy_stationary_falls_back_on_reducible_kernel():
-    result = kernel_entropy(TransitionKernel.identity(2), "stationary")
+    result = kernel_entropy(TransitionKernel(np.eye(2)), "stationary")
     assert result.fell_back_to_uniform
     assert result.value == 0.0
 
 
 def test_entropy_rejects_unknown_weighting():
     with pytest.raises(ConfigurationError):
-        kernel_entropy(TransitionKernel.identity(2), "harmonic")
+        kernel_entropy(TransitionKernel(np.eye(2)), "harmonic")
 
 
 def test_unique_stationary_detection():
     assert has_unique_stationary(TransitionKernel([[1.0]]))
     assert has_unique_stationary(TransitionKernel(TWO_STATE))
-    assert not has_unique_stationary(TransitionKernel.identity(2))  # reducible
+    assert not has_unique_stationary(TransitionKernel(np.eye(2)))  # reducible
     assert not has_unique_stationary(TransitionKernel([[0.0, 1.0], [1.0, 0.0]]))  # periodic
 
 
@@ -170,7 +170,7 @@ def test_long_run_frequencies_match_stationary():
 
 
 def test_integrity_values():
-    assert integrity(TransitionKernel.identity(3)) == 1.0
+    assert integrity(TransitionKernel(np.eye(3))) == 1.0
     assert integrity(TransitionKernel(TWO_STATE)) == 0.5
     assert integrity(TransitionKernel(np.full((4, 4), 0.25))) == 0.25
 

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from mutagame import ScenarioValidationError, parse_document
-from mutagame.presets import FIXED_RULES, MUTABLE_CORE, preset_names, preset_text
+from mutagame.presets import FIXED_RULES, MUTABLE_CORE, PRESETS
 from mutagame.scenario import (
     apply_overrides,
     load_document,
@@ -47,12 +47,12 @@ def test_load_scenario_round_trip(tmp_path):
     assert load_scenario(path).name == "scenario"
 
 
-@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("name", sorted(PRESETS))
 def test_load_document_matches_safe_load(name, tmp_path):
     path = tmp_path / f"{name}.yaml"
-    path.write_text(preset_text(name), encoding="utf-8")
+    path.write_text(PRESETS[name], encoding="utf-8")
     # repr also tells 1 from 1.0 and compares key order.
-    assert repr(load_document(path)) == repr(yaml.safe_load(preset_text(name)))
+    assert repr(load_document(path)) == repr(yaml.safe_load(PRESETS[name]))
 
 
 def test_unknown_top_level_key(base_doc):

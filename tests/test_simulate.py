@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 from oracles import (
+    Action,
     PlayHistory,
     cooperation_duration,
     detect_spiral,
@@ -15,7 +16,6 @@ from oracles import (
 )
 
 from mutagame import (
-    Action,
     ConfigurationError,
     InvestmentPlan,
     MetaModelConfig,
@@ -66,7 +66,7 @@ def pd_scenario(strategies, *, kernel=None, num_states=1, delta=0.9, horizon=50,
     return Scenario(
         miners=miners,
         game=pd_game(num_states, lottery_mode),
-        kernel=kernel if kernel is not None else TransitionKernel.identity(num_states),
+        kernel=kernel if kernel is not None else TransitionKernel(np.eye(num_states)),
         initial_state=0,
         horizon=horizon,
         delta=delta,
@@ -181,7 +181,7 @@ def test_trace_payoff_consistency_with_all_scalings():
 def test_state_constant_when_kernel_is_identity():
     scenario = pd_scenario(
         [HONEST] * 2, num_states=3, horizon=50, replicas=5,
-        kernel=TransitionKernel.identity(3),
+        kernel=TransitionKernel(np.eye(3)),
     )
     _, batch = run_batch(scenario)
     assert batch.states.tolist() == [[0] * 50] * 5
@@ -364,7 +364,7 @@ def test_myopic_table_matches_scalar_response(delta):
         for trigger in (False, True):
             scenario = Scenario(
                 miners=tuple(Miner(1.0 / n, strategy) for strategy in strategies),
-                game=game, kernel=TransitionKernel.identity(k), initial_state=0,
+                game=game, kernel=TransitionKernel(np.eye(k)), initial_state=0,
                 horizon=1, delta=delta, trigger_on_mutation=trigger,
             )
             respond, grim = _strategy_tables(scenario, tables)
@@ -494,7 +494,7 @@ def test_scenario_validation_collects_errors():
         Scenario(
             miners=(Miner(0.7, HONEST), Miner(0.7, HONEST)),
             game=pd_game(),
-            kernel=TransitionKernel.identity(2),
+            kernel=TransitionKernel(np.eye(2)),
             initial_state=5,
             horizon=0,
             delta=1.5,

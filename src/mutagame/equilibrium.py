@@ -84,13 +84,12 @@ def grim_trigger_threshold(game: NormalFormGame) -> GrimThreshold:
     no-temptation case). The overall threshold is the max over players; one
     never-sustainable player makes the whole profile unsustainable.
     """
-    n = game.n
-    rows = game.tensor.reshape(-1, n)
+    rows = game.tensor.reshape(-1, game.n)
     statuses: list[PlayerGrimStatus] = []
-    for player in range(n):
+    for player in range(game.n):
         reward = float(rows[0, player])  # every miner cooperates
         punishment = float(rows[-1, player])  # every miner defects
-        temptation = float(rows[_miner_bit(n, player), player])  # the player alone defects
+        temptation = float(rows[_miner_bit(game.n, player), player])  # the player alone defects
         if temptation <= reward:
             statuses.append(
                 PlayerGrimStatus(player, temptation, reward, punishment, None,

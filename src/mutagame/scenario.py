@@ -240,7 +240,9 @@ def load_scenario(
 ) -> Scenario:
     """The scenario of a file after ``overrides``. A ScenarioValidationError
     lists every bad override, then every violation of the overridden document."""
-    doc, errors = _overridden(load_document(path), overrides or {})
+    doc, errors = load_document(path), []
+    if overrides:
+        doc, errors = _overridden(doc, overrides)
     try:
         scenario = parse_document(doc, name=Path(path).stem)
     except ScenarioValidationError as exc:

@@ -108,15 +108,13 @@ class Scenario:
         skipped where a field it reads is None: ``parse_document`` passes
         None for each part of a document that failed to parse, and reports
         that failure itself."""
-        errors: list[str] = []
-
         def known(*fields) -> bool:
             return all(field is not None for field in fields)
 
         miners, game, kernel = self.miners, self.game, self.kernel
         if known(miners) and len(miners) < 1:
-            errors.append("miners: at least one miner required")
-            return errors
+            return ["miners: at least one miner required"]
+        errors: list[str] = []
         if known(miners) and known(*miners):
             try:
                 validate_shares([m.share for m in miners])

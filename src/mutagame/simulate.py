@@ -108,6 +108,7 @@ class Scenario:
         skipped where a field it reads is None: ``parse_document`` passes
         None for each part of a document that failed to parse, and reports
         that failure itself."""
+
         def known(*fields) -> bool:
             return all(field is not None for field in fields)
 

@@ -49,7 +49,7 @@ from .protocol import (
     mutation_rate,
     stationary_distribution,
 )
-from .scenario import apply_overrides, load_scenario, parse_document
+from .scenario import load_scenario, parse_document
 from .simulate import (
     BatchSummary,
     BatchTrace,
@@ -62,7 +62,7 @@ from .simulate import (
     run_replica,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "BatchSummary",
@@ -88,7 +88,6 @@ __all__ = [
     "TransitionKernel",
     "ZERO_NOISE",
     "apply_meta_influence",
-    "apply_overrides",
     "breakeven_horizon",
     "cooperation_condition",
     "discounted_utility",

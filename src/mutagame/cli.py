@@ -32,7 +32,7 @@ from .errors import (
 )
 from .game import _profile_key
 from .protocol import integrity, kernel_entropy, mutation_rate
-from .scenario import apply_overrides, load_document, load_scenario, parse_document
+from .scenario import load_document, load_scenario, parse_document
 from .simulate import BatchSummary, BatchTrace, Scenario, run_batch
 
 EXIT_OK = 0
@@ -56,10 +56,10 @@ def _parse_set_pairs(pairs: list[str]) -> dict[str, str]:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    overrides = _parse_set_pairs(getattr(args, "set", []) or [])
-    if getattr(args, "seed", None) is not None:
+    overrides = _parse_set_pairs(args.set)
+    if args.seed is not None:
         overrides["master_seed"] = str(args.seed)
-    if getattr(args, "replicas", None) is not None:
+    if args.replicas is not None:
         overrides["replica_count"] = str(args.replicas)
     return overrides
 
@@ -243,9 +243,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(values) < 2:
         raise ConfigurationError("sweep needs at least two values")
     doc, overrides = load_document(args.scenario), _collect_overrides(args)
-    name = Path(args.scenario).stem  # every point is validated before any runs
-    scenarios = [parse_document(apply_overrides(doc, {**overrides, args.param: v}), name=name)
-                 for v in values]
+    name = Path(args.scenario).stem
+    # Every point is checked before any runs, and each distinct line is listed once.
+    scenarios, errors = [], {}
+    for value in values:
+        try:
+            scenarios.append(parse_document(doc, {**overrides, args.param: value}, name))
+        except ScenarioValidationError as exc:
+            errors.update(dict.fromkeys(exc.errors))
+    if errors:
+        raise ScenarioValidationError(list(errors))
     rows = []
     for value, scenario in zip(values, scenarios):
         summary, batch = run_batch(scenario)

@@ -19,7 +19,7 @@ from .discounting import InvestmentPlan, NoisePath
 from .errors import ConfigurationError, ScenarioValidationError
 from .game import StageGameSpec, StrategyKind, StrategyTag
 from .protocol import ThetaProcess, TransitionKernel
-from .simulate import MetaModelConfig, Miner, Scenario
+from .simulate import MetaModelConfig, Miner, Scenario, _scenario_errors
 
 SCHEMA_VERSION = 1
 
@@ -151,16 +151,31 @@ def _state_labels(states: list[dict]) -> list[str]:
     return [state["label"] for state in states]
 
 
-def parse_document(doc: Any, name: str = "scenario") -> Scenario:
-    """Validate a parsed YAML document and assemble the Scenario.
+def parse_document(
+    doc: Any, overrides: Mapping[str, str] | None = None, name: str = "scenario"
+) -> Scenario:
+    """The Scenario of a parsed YAML document after dotted-path ``overrides``.
 
-    Raises ScenarioValidationError carrying every violation found.
+    Override values are parsed as YAML scalars, and a path must name an
+    existing scalar; a component in digits indexes a list. The synthetic path
+    ``kernel.epsilon`` rescales the whole kernel to the given per-state
+    mutation rate. ``doc`` itself is never changed. One
+    ScenarioValidationError lists every bad override, then every violation
+    of the overridden document.
     """
+    bad_overrides = []
+    if overrides and isinstance(doc, dict):  # any other document fails the schema
+        doc = copy.deepcopy(doc)
+        for path, value in overrides.items():
+            error = _override(doc, path, value)
+            if error is not None:
+                bad_overrides.append(f"override {path}: {error}")
     errors: list[tuple[str, str]] = []
     doc = _walk(_SCHEMA, doc, "", errors)
 
-    def failure() -> ScenarioValidationError:
-        return ScenarioValidationError([f"{path}: {message}" for path, message in errors])
+    def failure(*checks: str) -> ScenarioValidationError:
+        return ScenarioValidationError(
+            bad_overrides + [f"{path}: {message}" for path, message in errors] + list(checks))
 
     if doc is None:
         raise failure()
@@ -194,32 +209,29 @@ def parse_document(doc: Any, name: str = "scenario") -> Scenario:
     meta = build("meta", lambda: MetaModelConfig(**doc["meta"]))
     investment = build(
         "investment", lambda: doc["investment"] and InvestmentPlan(**doc["investment"]))
-    # A part that failed above is None, and Scenario skips every check that reads it.
-    try:
-        scenario = Scenario(
-            miners=miners,
-            game=game,
-            kernel=kernel,
-            initial_state=doc.get("initial_state"),
-            horizon=doc.get("horizon"),
-            delta=(doc.get("discount") or {}).get("delta"),
-            risk_aversion=(doc.get("risk_aversion") or {}).get("eta"),
-            meta=meta,
-            replica_count=doc.get("replica_count"),
-            master_seed=doc.get("master_seed"),
-            trigger_on_mutation=doc.get("trigger_on_mutation"),
-            noise=noise,
-            theta=theta,
-            spiral_threshold=doc.get("spiral_threshold"),
-            post_mutation_value=doc.get("post_mutation_value"),
-            investment=investment,
-            name=doc.get("name") or name,
-        )
-    except ScenarioValidationError as exc:
-        raise ScenarioValidationError(failure().errors + exc.errors) from None
-    if errors:
-        raise failure()
-    return scenario
+    fields = dict(
+        miners=miners,
+        game=game,
+        kernel=kernel,
+        initial_state=doc.get("initial_state"),
+        horizon=doc.get("horizon"),
+        delta=(doc.get("discount") or {}).get("delta"),
+        risk_aversion=(doc.get("risk_aversion") or {}).get("eta"),
+        meta=meta,
+        replica_count=doc.get("replica_count"),
+        master_seed=doc.get("master_seed"),
+        trigger_on_mutation=doc.get("trigger_on_mutation"),
+        noise=noise,
+        theta=theta,
+        spiral_threshold=doc.get("spiral_threshold"),
+        post_mutation_value=doc.get("post_mutation_value"),
+        investment=investment,
+        name=doc.get("name") or name,
+    )
+    if bad_overrides or errors:
+        # A part that failed above is None, and every check that reads it is skipped.
+        raise failure(*_scenario_errors(**fields))
+    return Scenario(**fields)
 
 
 def load_document(path: str | Path) -> Any:
@@ -235,21 +247,10 @@ def _load_yaml(text: str) -> Any:
     return yaml.load(text, Loader=loader)
 
 
-def load_scenario(
-    path: str | Path, overrides: Mapping[str, str] | None = None
-) -> Scenario:
-    """The scenario of a file after ``overrides``. A ScenarioValidationError
-    lists every bad override, then every violation of the overridden document."""
-    doc, errors = load_document(path), []
-    if overrides:
-        doc, errors = _overridden(doc, overrides)
-    try:
-        scenario = parse_document(doc, name=Path(path).stem)
-    except ScenarioValidationError as exc:
-        raise ScenarioValidationError(errors + exc.errors) from None
-    if errors:
-        raise ScenarioValidationError(errors)
-    return scenario
+def load_scenario(path: str | Path, overrides: Mapping[str, str] | None = None) -> Scenario:
+    """The scenario of a file after ``overrides``, as ``parse_document``
+    makes it; the file stem names a document without a ``name``."""
+    return parse_document(load_document(path), overrides, name=Path(path).stem)
 
 
 def scale_kernel_epsilon(matrix: list[list[float]], epsilon: float) -> list[list[float]]:
@@ -278,34 +279,6 @@ def scale_kernel_epsilon(matrix: list[list[float]], epsilon: float) -> list[list
     return scaled
 
 
-def apply_overrides(doc: Any, overrides: Mapping[str, str]) -> Any:
-    """Apply dotted-path scalar overrides to a raw document.
-
-    Values are parsed as YAML scalars. Paths must name an existing scalar;
-    the synthetic path ``kernel.epsilon`` rescales the whole kernel to the
-    given per-state mutation rate. A ScenarioValidationError lists every bad
-    override.
-    """
-    if not isinstance(doc, dict):
-        raise ScenarioValidationError(["(document): expected a mapping"])
-    updated, errors = _overridden(doc, overrides)
-    if errors:
-        raise ScenarioValidationError(errors)
-    return updated
-
-
-def _overridden(doc: Any, overrides: Mapping[str, str]) -> tuple[Any, list[str]]:
-    """A copy of ``doc`` with every good override applied, and one line per
-    bad one. A document that is not a mapping is left for ``parse_document``
-    to report."""
-    updated, errors = copy.deepcopy(doc), []
-    for raw_path, raw_value in overrides.items() if isinstance(updated, dict) else ():
-        error = _override(updated, raw_path, raw_value)
-        if error is not None:
-            errors.append(f"override {raw_path}: {error}")
-    return updated, errors
-
-
 def _override(doc: dict, raw_path: str, raw_value: str) -> str | None:
     """Set one override in ``doc`` in place; what is wrong with it, or None."""
     try:
@@ -331,12 +304,25 @@ def _override(doc: dict, raw_path: str, raw_value: str) -> str | None:
     *parents, leaf = raw_path.split(".")
     target = doc
     for part in parents:
-        if not (isinstance(target, dict) and part in target):
+        slot = _slot(target, part)
+        if slot is None:
             return f"path component {part!r} not found"
-        target = target[part]
-    if not isinstance(target, dict) or leaf not in target:
+        target = target[slot]
+    slot = _slot(target, leaf)
+    if slot is None:
         return f"key {leaf!r} not found"
-    if isinstance(target[leaf], (dict, list)):
+    if isinstance(target[slot], (dict, list)):
         return "target is not a scalar"
-    target[leaf] = value
+    target[slot] = value
+    return None
+
+
+def _slot(container: Any, part: str) -> str | int | None:
+    """Where ``part`` names an item of ``container``, its key in a mapping or
+    its index in a list (written in decimal digits, as ``str`` writes it);
+    else None."""
+    if isinstance(container, dict):
+        return part if part in container else None
+    if isinstance(container, list) and part in map(str, range(len(container))):
+        return int(part)
     return None

@@ -76,6 +76,63 @@ class Miner:
     strategy: StrategyKind
 
 
+def _scenario_errors(
+    *, miners, game, kernel, initial_state, horizon, delta, risk_aversion, replica_count,
+    master_seed, spiral_threshold, post_mutation_value, investment, **_unchecked
+) -> list[str]:
+    """Every violation among a Scenario's field values, one ``path: message``
+    line each. A check is skipped where a value it reads is None:
+    ``parse_document`` passes None for each part of a document that failed,
+    and reports that failure itself."""
+
+    def known(*fields) -> bool:
+        return all(field is not None for field in fields)
+
+    if known(miners) and len(miners) < 1:
+        return ["miners: at least one miner required"]
+    errors: list[str] = []
+    if known(miners) and known(*miners):
+        try:
+            validate_shares([m.share for m in miners])
+        except ConfigurationError as exc:
+            errors.append(f"miners: {exc}")
+    if known(game, miners) and game.n != len(miners):
+        errors.append(f"game: payoff tables cover {game.n} miners but scenario has {len(miners)}")
+    if known(kernel, game) and kernel.size != len(game):
+        errors.append(f"kernel: {kernel.size} states but game defines {len(game)}")
+    if known(kernel, initial_state) and not 0 <= initial_state < kernel.size:
+        errors.append(f"initial_state: {initial_state} out of range [0, {kernel.size})")
+    if known(horizon) and horizon < 1:
+        errors.append(f"horizon: must be >= 1, got {horizon}")
+    if known(replica_count) and replica_count < 1:
+        errors.append(f"replica_count: must be >= 1, got {replica_count}")
+    if known(master_seed) and master_seed < 0:
+        errors.append(f"master_seed: must be >= 0, got {master_seed}")
+    if known(delta):
+        try:
+            validate_discount(delta)
+        except ConfigurationError as exc:
+            errors.append(f"discount.delta: {exc}")
+    if known(risk_aversion) and not 0.0 <= risk_aversion < math.inf:
+        errors.append(f"risk_aversion.eta: must be finite and >= 0, got {risk_aversion}")
+    if known(post_mutation_value) and not math.isfinite(post_mutation_value):
+        errors.append(f"post_mutation_value: must be finite, got {post_mutation_value}")
+    if known(spiral_threshold) and not 0.0 < spiral_threshold < 1.0:
+        errors.append(f"spiral_threshold: must lie in (0, 1), got {spiral_threshold}")
+    for i, miner in enumerate(miners if known(kernel, miners) else ()):
+        preferred = None if miner is None else miner.strategy.preferred_state
+        if known(preferred) and preferred >= kernel.size:
+            errors.append(
+                f"miners[{i}]: preferred_state {preferred} out of range [0, {kernel.size})"
+            )
+    if investment is not None and not investment.expected_returns[0] > 0.0:
+        errors.append(
+            "investment.expected_returns[0]: per-period return must be positive, "
+            f"got {investment.expected_returns[0]}"
+        )
+    return errors
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete experiment description; immutable and validated on construction."""
@@ -99,70 +156,12 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self) -> None:
-        errors = self.validate()
+        fields = vars(self)
+        errors = [f"{name}: required" for name, value in fields.items()
+                  if value is None and name not in ("noise", "theta", "investment")]
+        errors += _scenario_errors(**fields)
         if errors:
             raise ScenarioValidationError(errors)
-
-    def validate(self) -> list[str]:
-        """Every violation, one ``path: message`` line each. A check is
-        skipped where a field it reads is None: ``parse_document`` passes
-        None for each part of a document that failed to parse, and reports
-        that failure itself."""
-
-        def known(*fields) -> bool:
-            return all(field is not None for field in fields)
-
-        miners, game, kernel = self.miners, self.game, self.kernel
-        if known(miners) and len(miners) < 1:
-            return ["miners: at least one miner required"]
-        errors: list[str] = []
-        if known(miners) and known(*miners):
-            try:
-                validate_shares([m.share for m in miners])
-            except ConfigurationError as exc:
-                errors.append(f"miners: {exc}")
-        if known(game, miners) and game.n != len(miners):
-            errors.append(
-                f"game: payoff tables cover {game.n} miners but scenario has {len(miners)}"
-            )
-        if known(kernel, game) and kernel.size != len(game):
-            errors.append(f"kernel: {kernel.size} states but game defines {len(game)}")
-        if known(kernel, self.initial_state) and not 0 <= self.initial_state < kernel.size:
-            errors.append(
-                f"initial_state: {self.initial_state} out of range [0, {kernel.size})"
-            )
-        if known(self.horizon) and self.horizon < 1:
-            errors.append(f"horizon: must be >= 1, got {self.horizon}")
-        if known(self.replica_count) and self.replica_count < 1:
-            errors.append(f"replica_count: must be >= 1, got {self.replica_count}")
-        if known(self.master_seed) and self.master_seed < 0:
-            errors.append(f"master_seed: must be >= 0, got {self.master_seed}")
-        if known(self.delta):
-            try:
-                validate_discount(self.delta)
-            except ConfigurationError as exc:
-                errors.append(f"discount.delta: {exc}")
-        if known(self.risk_aversion) and not 0.0 <= self.risk_aversion < math.inf:
-            errors.append(f"risk_aversion.eta: must be finite and >= 0, got {self.risk_aversion}")
-        if known(self.post_mutation_value) and not math.isfinite(self.post_mutation_value):
-            errors.append(f"post_mutation_value: must be finite, got {self.post_mutation_value}")
-        if known(self.spiral_threshold) and not 0.0 < self.spiral_threshold < 1.0:
-            errors.append(
-                f"spiral_threshold: must lie in (0, 1), got {self.spiral_threshold}"
-            )
-        for i, miner in enumerate(miners if known(kernel, miners) else ()):
-            preferred = None if miner is None else miner.strategy.preferred_state
-            if known(preferred) and preferred >= kernel.size:
-                errors.append(
-                    f"miners[{i}]: preferred_state {preferred} out of range "
-                    f"[0, {kernel.size})"
-                )
-        if self.investment is not None and not self.investment.expected_returns[0] > 0.0:
-            errors.append(
-                "investment.expected_returns[0]: per-period return must be positive, "
-                f"got {self.investment.expected_returns[0]}"
-            )
-        return errors
 
     @property
     def n(self) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from mutagame import apply_overrides, cli, parse_document, run_batch
+from mutagame import cli, parse_document, run_batch
 from mutagame.cli import (
     EXIT_CAPACITY,
     EXIT_IO,
@@ -361,6 +361,53 @@ def test_sweep_checks_every_point_before_simulating(
     assert not (tmp_path / "sweep").exists()
 
 
+OUTSIDE_UNIT = "discount factor must lie strictly inside (0, 1), got"
+
+# A sweep lists every violation of every point, each distinct line once, in
+# point order, and runs no point.
+SWEEP_VIOLATIONS = {
+    "bad_override_and_shared_horizon": (
+        ["--values", "0.5,0.6", "--set", "foo=1", "--set", "horizon=0"],
+        ["error: override foo: key 'foo' not found", "error: horizon: must be >= 1, got 0"],
+    ),
+    "two_bad_points": (
+        ["--values", "0.5,2,3"],
+        [f"error: discount.delta: {OUTSIDE_UNIT} 2.0", f"error: discount.delta: {OUTSIDE_UNIT} 3.0"],
+    ),
+    "shared_line_once": (
+        ["--values", "0.5,2", "--set", "horizon=0"],
+        ["error: horizon: must be >= 1, got 0", f"error: discount.delta: {OUTSIDE_UNIT} 2.0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_VIOLATIONS))
+def test_sweep_lists_every_violation_of_every_point(case, tmp_path, monkeypatch, capsys):
+    args, expected = SWEEP_VIOLATIONS[case]
+    path = tmp_path / "mc.yaml"
+    path.write_text(MUTABLE_CORE, encoding="utf-8")
+    batches = []
+    monkeypatch.setattr(cli, "run_batch", lambda scenario: batches.append(scenario))
+    code = main(["sweep", str(path), "--param", "discount.delta", *args,
+                 "--out", str(tmp_path / "sweep")])
+    assert (code, batches) == (EXIT_VALIDATION, [])
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == ("", expected)
+
+
+def test_sweep_over_a_list_element(tmp_path):
+    path = tmp_path / "mc.yaml"
+    path.write_text(MUTABLE_CORE, encoding="utf-8")
+    out = tmp_path / "sweep"
+    code = main(small(["sweep", str(path), "--param", "miners.3.meta_budget",
+                       "--values", "0,0.5,1", "--out", str(out)], replicas=2))
+    assert code == EXIT_OK
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [
+        ["miners.3.meta_budget", value] for value in ("0", "0.5", "1")
+    ]
+
+
 def test_sweep_delta_brackets_threshold(tmp_path):
     # Myopic deviator in a grim population: defects immediately at delta 0.3,
     # cooperates for the whole horizon at delta 0.7 (threshold 0.5).
@@ -400,7 +447,7 @@ def test_sweep_frees_each_point_batch(tmp_path):
     values = ["0", "0.05", "0.2"]
     point_peaks = []
     for value in values:
-        scenario = parse_document(apply_overrides(doc, {"kernel.epsilon": value}))
+        scenario = parse_document(doc, {"kernel.epsilon": value})
         tracemalloc.start()
         try:
             run_batch(scenario)

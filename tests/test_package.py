@@ -1,14 +1,17 @@
-"""The package's version and public names."""
+"""The package's version, public names, module imports and README example."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mutagame
+from mutagame.presets import PRESETS
 
 # Retired in 0.2.0: the scalar single-round API (now the reference engine in
 # tests/oracles.py) and the per-replica record views of a batch. Retired in
@@ -16,7 +19,8 @@ import mutagame
 # tests/oracles.py), the engine's separate summary pass and the uncalled
 # truncation horizon. Retired in 0.4.0: the Action enum (pure_nash returns
 # C/D keys; the scalar reference keeps its own in tests/oracles.py) and the
-# wrappers around the preset table.
+# wrappers around the preset table. Retired in 0.5.0: apply_overrides
+# (parse_document takes the overrides).
 RETIRED = {
     "Action",
     "PayoffVariance",
@@ -24,6 +28,7 @@ RETIRED = {
     "ReplicaTrace",
     "RoundRecord",
     "SpiralReport",
+    "apply_overrides",
     "block_lottery",
     "cooperation_duration",
     "detect_spiral",
@@ -47,7 +52,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.4.0"
+    assert mutagame.__version__ == project["version"] == "0.5.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -63,6 +68,54 @@ def test_public_names_resolve_and_retired_names_are_gone():
     assert not hasattr(mutagame.BatchTrace, "profile_masks")
     assert not hasattr(mutagame.TransitionKernel, "row")
     assert not hasattr(mutagame.TransitionKernel, "identity")
+    assert not hasattr(mutagame.Scenario, "validate")
+
+
+def test_every_module_level_import_is_used():
+    # No linter runs on this project, so an import whose last user was
+    # deleted is caught here. __init__ imports to re-export, so it is skipped.
+    unused = []
+    for path in sorted(Path(mutagame.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "mutable_core.yaml").write_text(PRESETS["mutable_core"], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace, values = {}, []
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            code = compile(ast.Expression(statement.value), "README.md", "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    nash, delta_star, coop_value, utility, states, profiles, defects, payoffs, replica = values
+    assert nash == ["DD"]
+    assert delta_star == 0.5
+    assert str(coop_value).startswith("4.2631")
+    assert utility == pytest.approx(8.13, abs=1e-12)
+    scenario = namespace["scenario"]
+    shape = (scenario.replica_count, scenario.horizon)
+    assert (states.shape, states.dtype) == (shape, np.uint8)
+    assert profiles.shape == (3,) and defects.shape == (3, scenario.n)
+    assert (payoffs.shape, payoffs.dtype) == ((*shape, scenario.n), np.float64)
+    assert replica.tolist() == payoffs[0].tolist()
 
 
 FAILING_HYPOTHESIS_TEST = '''

@@ -8,12 +8,7 @@ import yaml
 
 from mutagame import ScenarioValidationError, parse_document
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE, PRESETS
-from mutagame.scenario import (
-    apply_overrides,
-    load_document,
-    load_scenario,
-    scale_kernel_epsilon,
-)
+from mutagame.scenario import load_document, load_scenario, scale_kernel_epsilon
 
 
 @pytest.fixture
@@ -179,8 +174,7 @@ def test_payoff_profiles_must_be_complete(base_doc):
 
 
 def test_override_scalar(base_doc):
-    doc = apply_overrides(base_doc, {"discount.delta": "0.7", "replica_count": "3"})
-    scenario = parse_document(doc)
+    scenario = parse_document(base_doc, {"discount.delta": "0.7", "replica_count": "3"})
     assert scenario.delta == 0.7
     assert scenario.replica_count == 3
     # source document untouched
@@ -188,32 +182,29 @@ def test_override_scalar(base_doc):
 
 
 def test_override_bool_and_seed(base_doc):
-    doc = apply_overrides(
-        base_doc, {"trigger_on_mutation": "true", "master_seed": "99"}
-    )
-    scenario = parse_document(doc)
+    scenario = parse_document(base_doc, {"trigger_on_mutation": "true", "master_seed": "99"})
     assert scenario.trigger_on_mutation is True
     assert scenario.master_seed == 99
 
 
 def test_override_unknown_path(base_doc):
     with pytest.raises(ScenarioValidationError, match="not found"):
-        apply_overrides(base_doc, {"discount.gamma": "0.5"})
+        parse_document(base_doc, {"discount.gamma": "0.5"})
     with pytest.raises(ScenarioValidationError, match="not found"):
-        apply_overrides(base_doc, {"nowhere.delta": "0.5"})
+        parse_document(base_doc, {"nowhere.delta": "0.5"})
 
 
 def test_override_rejects_non_scalar_target(base_doc):
     with pytest.raises(ScenarioValidationError, match="not a scalar"):
-        apply_overrides(base_doc, {"kernel.matrix": "1"})
+        parse_document(base_doc, {"kernel.matrix": "1"})
     with pytest.raises(ScenarioValidationError, match="scalar values"):
-        apply_overrides(base_doc, {"discount.delta": "[1, 2]"})
+        parse_document(base_doc, {"discount.delta": "[1, 2]"})
 
 
 def test_kernel_epsilon_override_on_identity(base_doc):
     doc = copy.deepcopy(yaml.safe_load(MUTABLE_CORE))
-    doc = apply_overrides(doc, {"kernel.epsilon": "0.3"})
-    for p, row in enumerate(doc["kernel"]["matrix"]):
+    scenario = parse_document(doc, {"kernel.epsilon": "0.3"})
+    for p, row in enumerate(scenario.kernel.matrix):
         assert row[p] == pytest.approx(0.7)
         assert sum(row) == pytest.approx(1.0, abs=1e-12)
     # identity rows spread epsilon uniformly
@@ -233,12 +224,35 @@ def test_kernel_epsilon_preserves_offdiagonal_proportions():
 
 def test_kernel_epsilon_single_state_rejected(base_doc):
     with pytest.raises(ScenarioValidationError, match="single state"):
-        apply_overrides(base_doc, {"kernel.epsilon": "0.2"})
+        parse_document(base_doc, {"kernel.epsilon": "0.2"})
     # epsilon 0 on a single state is fine
-    doc = apply_overrides(base_doc, {"kernel.epsilon": "0"})
-    assert doc["kernel"]["matrix"] == [[1.0]]
+    scenario = parse_document(base_doc, {"kernel.epsilon": "0"})
+    assert scenario.kernel.matrix.tolist() == [[1.0]]
 
 
 def test_kernel_epsilon_bounds(base_doc):
     with pytest.raises(ScenarioValidationError, match="kernel.epsilon"):
-        apply_overrides(yaml.safe_load(MUTABLE_CORE), {"kernel.epsilon": "1.5"})
+        parse_document(yaml.safe_load(MUTABLE_CORE), {"kernel.epsilon": "1.5"})
+
+
+def test_override_indexes_lists_at_any_depth():
+    scenario = parse_document(yaml.safe_load(MUTABLE_CORE), {"miners.3.meta_budget": "0.5"})
+    assert scenario.meta_investors() == [(0.5, 0, 0.2)]
+    scenario = parse_document(yaml.safe_load(FIXED_RULES), {"game.payoffs.baseline.DC.0": "7"})
+    assert scenario.game[0].tensor[1, 0].tolist() == [7.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("miners.9.share", "path component '9' not found"),
+        ("miners.first.share", "path component 'first' not found"),
+        ("game.payoffs.baseline.CC.2", "key '2' not found"),
+        ("game.payoffs.baseline.CC.last", "key 'last' not found"),
+        ("miners.0", "target is not a scalar"),
+    ],
+)
+def test_override_bad_list_index(base_doc, path, message):
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        parse_document(base_doc, {path: "0.1"})
+    assert excinfo.value.errors == [f"override {path}: {message}"]

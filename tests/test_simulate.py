@@ -509,6 +509,15 @@ def test_scenario_validation_collects_errors():
     assert "kernel" in text  # 2 kernel states vs 1 game state
 
 
+def test_scenario_requires_every_field_but_the_optional_blocks():
+    # Only noise, theta and investment may be None; every other None is
+    # refused at construction, not by an AttributeError inside run_batch.
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        Scenario(miners=(Miner(0.5, GRIM), Miner(0.5, GRIM)), game=None, kernel=None,
+                 initial_state=0, horizon=1, delta=0.5)
+    assert excinfo.value.errors == ["game: required", "kernel: required"]
+
+
 NAN = float("nan")
 INF = float("inf")
 

@@ -49,13 +49,10 @@ from .protocol import (
     mutation_rate,
     stationary_distribution,
 )
-from .scenario import load_scenario, parse_document
+from .scenario import MetaModelConfig, Miner, Scenario, load_scenario, parse_document
 from .simulate import (
     BatchSummary,
     BatchTrace,
-    MetaModelConfig,
-    Miner,
-    Scenario,
     apply_meta_influence,
     replica_rng,
     run_batch,

@@ -32,8 +32,8 @@ from .errors import (
 )
 from .game import _profile_key
 from .protocol import integrity, kernel_entropy, mutation_rate
-from .scenario import load_document, load_scenario, parse_document
-from .simulate import BatchSummary, BatchTrace, Scenario, run_batch
+from .scenario import Scenario, load_document, load_scenario, parse_document
+from .simulate import BatchSummary, BatchTrace, run_batch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

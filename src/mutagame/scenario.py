@@ -1,8 +1,12 @@
-"""Scenario documents: strict YAML schema, validation, and scalar overrides.
+"""Scenarios: the model, its checks, and the strict YAML documents that describe it.
 
-The on-disk format is a nested YAML mapping versioned by ``schema_version``.
-Unknown keys are rejected everywhere and every violation is reported at once
-with its key path, so a failing ``validate`` run lists all problems.
+``Scenario``, ``Miner`` and ``MetaModelConfig`` are the validated model the
+engine and the analytic side read; every scenario-level check runs when
+one is built. The on-disk format is a nested YAML mapping versioned by
+``schema_version``. Unknown keys are rejected everywhere and every
+violation is reported at once with its key path, so a failing ``validate``
+run lists all problems. A key the document leaves out takes the default
+its constructor declares.
 """
 
 from __future__ import annotations
@@ -10,26 +14,159 @@ from __future__ import annotations
 import copy
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 import yaml
 
-from .discounting import InvestmentPlan, NoisePath
+from .discounting import InvestmentPlan, NoisePath, validate_discount
 from .errors import ConfigurationError, ScenarioValidationError
-from .game import StageGameSpec, StrategyKind, StrategyTag
+from .game import StageGameSpec, StrategyKind, StrategyTag, validate_shares
 from .protocol import ThetaProcess, TransitionKernel
-from .simulate import MetaModelConfig, Miner, Scenario, _scenario_errors
+
+
+@dataclass(frozen=True)
+class MetaModelConfig:
+    """Second-tier contest over the kernel row.
+
+    ``influence_strength`` (beta) bounds the per-round shift of the kernel
+    row; it must stay within [0, 1] so blended rows remain stochastic.
+    ``contest_exponent`` is the Tullock exponent applied to hash-weighted
+    budgets.
+    """
+
+    enabled: bool = False
+    influence_strength: float = 0.0
+    contest_exponent: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.influence_strength <= 1.0:
+            raise ConfigurationError(
+                f"influence_strength must lie in [0, 1], got {self.influence_strength}"
+            )
+        if not self.contest_exponent > 0.0:
+            raise ConfigurationError(
+                f"contest_exponent must be positive, got {self.contest_exponent}"
+            )
+
+
+@dataclass(frozen=True)
+class Miner:
+    share: float
+    strategy: StrategyKind
+
+
+def _scenario_errors(
+    *, miners=None, game=None, kernel=None, initial_state=None, horizon=None, delta=None,
+    risk_aversion=None, replica_count=None, master_seed=None, spiral_threshold=None,
+    post_mutation_value=None, investment=None, **_unchecked
+) -> list[str]:
+    """Every violation among a Scenario's field values, one ``path: message``
+    line each. A check is skipped where a value it reads is None or not
+    given: ``parse_document`` passes None for each part of a document that
+    failed, and reports that failure itself, and leaves out each key the
+    document leaves out."""
+
+    def known(*fields) -> bool:
+        return all(field is not None for field in fields)
+
+    if known(miners) and len(miners) < 1:
+        return ["miners: at least one miner required"]
+    errors: list[str] = []
+    if known(miners) and known(*miners):
+        try:
+            validate_shares([m.share for m in miners])
+        except ConfigurationError as exc:
+            errors.append(f"miners: {exc}")
+    if known(game, miners) and game.n != len(miners):
+        errors.append(f"game: payoff tables cover {game.n} miners but scenario has {len(miners)}")
+    if known(kernel, game) and kernel.size != len(game):
+        errors.append(f"kernel: {kernel.size} states but game defines {len(game)}")
+    if known(kernel, initial_state) and not 0 <= initial_state < kernel.size:
+        errors.append(f"initial_state: {initial_state} out of range [0, {kernel.size})")
+    if known(horizon) and horizon < 1:
+        errors.append(f"horizon: must be >= 1, got {horizon}")
+    if known(replica_count) and replica_count < 1:
+        errors.append(f"replica_count: must be >= 1, got {replica_count}")
+    if known(master_seed) and master_seed < 0:
+        errors.append(f"master_seed: must be >= 0, got {master_seed}")
+    if known(delta):
+        try:
+            validate_discount(delta)
+        except ConfigurationError as exc:
+            errors.append(f"discount.delta: {exc}")
+    if known(risk_aversion) and not 0.0 <= risk_aversion < math.inf:
+        errors.append(f"risk_aversion.eta: must be finite and >= 0, got {risk_aversion}")
+    if known(post_mutation_value) and not math.isfinite(post_mutation_value):
+        errors.append(f"post_mutation_value: must be finite, got {post_mutation_value}")
+    if known(spiral_threshold) and not 0.0 < spiral_threshold < 1.0:
+        errors.append(f"spiral_threshold: must lie in (0, 1), got {spiral_threshold}")
+    for i, miner in enumerate(miners if known(kernel, miners) else ()):
+        preferred = None if miner is None else miner.strategy.preferred_state
+        if known(preferred) and preferred >= kernel.size:
+            errors.append(
+                f"miners[{i}]: preferred_state {preferred} out of range [0, {kernel.size})"
+            )
+    if investment is not None and not investment.expected_returns[0] > 0.0:
+        errors.append(
+            "investment.expected_returns[0]: per-period return must be positive, "
+            f"got {investment.expected_returns[0]}"
+        )
+    return errors
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Complete experiment description; immutable and validated on construction."""
+
+    miners: tuple[Miner, ...]
+    game: StageGameSpec
+    kernel: TransitionKernel
+    initial_state: int
+    horizon: int
+    delta: float
+    risk_aversion: float = 0.0
+    meta: MetaModelConfig = MetaModelConfig()
+    replica_count: int = 1
+    master_seed: int = 0
+    trigger_on_mutation: bool = False
+    noise: NoisePath | None = None
+    theta: ThetaProcess | None = None
+    spiral_threshold: float = 0.5
+    post_mutation_value: float = 0.0
+    investment: InvestmentPlan | None = None
+    name: str = "scenario"
+
+    def __post_init__(self) -> None:
+        fields = vars(self)
+        errors = [f"{name}: required" for name, value in fields.items()
+                  if value is None and name not in ("noise", "theta", "investment")]
+        errors += _scenario_errors(**fields)
+        if errors:
+            raise ScenarioValidationError(errors)
+
+    @property
+    def n(self) -> int:
+        return len(self.miners)
+
+    def meta_investors(self) -> list[tuple[float, int, float]]:
+        """(meta_budget, preferred_state, hash share) of every MetaInvestor."""
+        return [
+            (m.strategy.meta_budget, m.strategy.preferred_state, m.share)
+            for m in self.miners
+            if m.strategy.tag is StrategyTag.META_INVESTOR
+        ]
+
 
 SCHEMA_VERSION = 1
 
-_REQUIRED = object()  # a schema default: the key must be present
-
-# A schema kind is a scalar check, a table {key: (kind, default)}, a
+# A schema kind is a scalar check, a table {key: (kind, required)}, a
 # one-item list [kind] for "a non-empty list of these", or {str: kind} for a
-# table with any string keys. A missing key takes its default, which is
-# checked and filled like a value; a None default stands for an absent block.
-# Value ranges are the constructors' business, not the schema's.
+# table with any string keys. An optional key that is absent is left out, so
+# the constructor it feeds supplies its default. Value ranges are the
+# constructors' business, not the schema's.
+_REQUIRED, _OPTIONAL = True, False
 
 
 def _is_number(value: Any) -> bool:
@@ -61,54 +198,54 @@ def _strategy(value: Any, path: str, errors: list) -> StrategyTag | None:
 
 _SCHEMA = {
     "schema_version": (_INT, _REQUIRED),
-    "name": (_TEXT, None),
+    "name": (_TEXT, _OPTIONAL),
     "horizon": (_INT, _REQUIRED),
     "replica_count": (_INT, _REQUIRED),
     "master_seed": (_INT, _REQUIRED),
     "initial_state": (_INT, _REQUIRED),
-    "trigger_on_mutation": (_BOOL, False),
-    "spiral_threshold": (_REAL, 0.5),
-    "post_mutation_value": (_REAL, 0.0),
+    "trigger_on_mutation": (_BOOL, _OPTIONAL),
+    "spiral_threshold": (_REAL, _OPTIONAL),
+    "post_mutation_value": (_REAL, _OPTIONAL),
     "miners": ([{
         "share": (_REAL, _REQUIRED),
         "strategy": (_strategy, _REQUIRED),
-        "meta_budget": (_REAL, None),
-        "preferred_state": (_INT, None),
+        "meta_budget": (_REAL, _OPTIONAL),
+        "preferred_state": (_INT, _OPTIONAL),
     }], _REQUIRED),
     "game": ({
-        "lottery_mode": (_BOOL, False),
+        "lottery_mode": (_BOOL, _OPTIONAL),
         "states": ([{"id": (_INT, _REQUIRED), "label": (_TEXT, _REQUIRED)}], _REQUIRED),
         "payoffs": ({str: {str: [_NUMBER]}}, _REQUIRED),
     }, _REQUIRED),
     "kernel": ({"matrix": ([[_NUMBER]], _REQUIRED)}, _REQUIRED),
     "discount": ({"delta": (_REAL, _REQUIRED)}, _REQUIRED),
-    "risk_aversion": ({"eta": (_REAL, _REQUIRED)}, {"eta": 0.0}),
+    "risk_aversion": ({"eta": (_REAL, _REQUIRED)}, _OPTIONAL),
     "noise": ({
         "baseline_rate": (_REAL, _REQUIRED),
         "segments": ([{"start": (_INT, _REQUIRED), "value": (_REAL, _REQUIRED)}], _REQUIRED),
-    }, None),
+    }, _OPTIONAL),
     "theta": ({
         "mean": (_REAL, _REQUIRED),
         "variance": (_REAL, _REQUIRED),
-        "clamp": (_BOOL, True),
-    }, None),
+        "clamp": (_BOOL, _OPTIONAL),
+    }, _OPTIONAL),
     "meta": ({
-        "enabled": (_BOOL, False),
-        "influence_strength": (_REAL, 0.0),
-        "contest_exponent": (_REAL, 1.0),
-    }, {}),
+        "enabled": (_BOOL, _OPTIONAL),
+        "influence_strength": (_REAL, _OPTIONAL),
+        "contest_exponent": (_REAL, _OPTIONAL),
+    }, _OPTIONAL),
     "investment": ({
         "upfront_cost": (_REAL, _REQUIRED),
         "expected_returns": ([_NUMBER], _REQUIRED),
-    }, None),
+    }, _OPTIONAL),
 }
 
 
 def _walk(kind: Any, value: Any, path: str, errors: list) -> Any:
     """Check ``value`` against ``kind``, appending (path, message) per violation.
 
-    Returns the value with defaults filled in; a part that fails its type
-    check comes back as None.
+    Returns the value with every absent optional key left out; a part that
+    fails its type check comes back as None.
     """
     if not isinstance(kind, (list, dict)):
         return kind(value, path, errors)
@@ -130,13 +267,11 @@ def _walk(kind: Any, value: Any, path: str, errors: list) -> Any:
                 for key, item in value.items() if isinstance(key, str)}
     errors.extend((f"{prefix}{key}", "unknown key") for key in value if key not in kind)
     out = {}
-    for key, (sub, default) in kind.items():
+    for key, (sub, required) in kind.items():
         if key in value:
             out[key] = _walk(sub, value[key], prefix + key, errors)
-        elif default is _REQUIRED:
+        elif required:
             errors.append((prefix + key, "required key missing"))
-        else:
-            out[key] = None if default is None else _walk(sub, default, prefix + key, errors)
     return out
 
 
@@ -151,6 +286,11 @@ def _state_labels(states: list[dict]) -> list[str]:
     return [state["label"] for state in states]
 
 
+def _given(table: dict, *keys: str) -> dict:
+    """The items of ``table`` under those of ``keys`` that it has."""
+    return {key: table[key] for key in keys if key in table}
+
+
 def parse_document(
     doc: Any, overrides: Mapping[str, str] | None = None, name: str = "scenario"
 ) -> Scenario:
@@ -161,7 +301,8 @@ def parse_document(
     ``kernel.epsilon`` rescales the whole kernel to the given per-state
     mutation rate. ``doc`` itself is never changed. One
     ScenarioValidationError lists every bad override, then every violation
-    of the overridden document.
+    of the overridden document. A key the document leaves out is not passed
+    on, so its constructor's default applies.
     """
     bad_overrides = []
     if overrides and isinstance(doc, dict):  # any other document fails the schema
@@ -193,41 +334,32 @@ def parse_document(
     if doc.get("schema_version") not in (None, SCHEMA_VERSION):
         errors.append(("schema_version", f"unsupported version {doc['schema_version']}, "
                                          f"expected {SCHEMA_VERSION}"))
+    fields = _given(doc, "initial_state", "horizon", "replica_count", "master_seed",
+                    "trigger_on_mutation", "spiral_threshold", "post_mutation_value")
+    fields["name"] = doc.get("name") or name
+    if "delta" in (doc.get("discount") or {}):
+        fields["delta"] = doc["discount"]["delta"]
+    if "eta" in (doc.get("risk_aversion") or {}):
+        fields["risk_aversion"] = doc["risk_aversion"]["eta"]
     labels = build("game.states", lambda: _state_labels(doc["game"]["states"]))
-    game = build("game", lambda: StageGameSpec.from_profile_maps(
-        labels, doc["game"]["payoffs"], doc["game"]["lottery_mode"]), at="game.payoffs")
-    kernel = build("kernel.matrix", lambda: TransitionKernel(doc["kernel"]["matrix"]))
-    miners = None if doc.get("miners") is None else tuple(
-        build(f"miners[{i}]", lambda m=m: Miner(
-            m["share"], StrategyKind(m["strategy"], m["meta_budget"], m["preferred_state"])))
-        for i, m in enumerate(doc["miners"])
-    )
-    noise = build("noise", lambda: doc["noise"] and NoisePath(
-        doc["noise"]["baseline_rate"],
-        tuple((segment["start"], segment["value"]) for segment in doc["noise"]["segments"])))
-    theta = build("theta", lambda: doc["theta"] and ThetaProcess(**doc["theta"]))
-    meta = build("meta", lambda: MetaModelConfig(**doc["meta"]))
-    investment = build(
-        "investment", lambda: doc["investment"] and InvestmentPlan(**doc["investment"]))
-    fields = dict(
-        miners=miners,
-        game=game,
-        kernel=kernel,
-        initial_state=doc.get("initial_state"),
-        horizon=doc.get("horizon"),
-        delta=(doc.get("discount") or {}).get("delta"),
-        risk_aversion=(doc.get("risk_aversion") or {}).get("eta"),
-        meta=meta,
-        replica_count=doc.get("replica_count"),
-        master_seed=doc.get("master_seed"),
-        trigger_on_mutation=doc.get("trigger_on_mutation"),
-        noise=noise,
-        theta=theta,
-        spiral_threshold=doc.get("spiral_threshold"),
-        post_mutation_value=doc.get("post_mutation_value"),
-        investment=investment,
-        name=doc.get("name") or name,
-    )
+    fields["game"] = build("game", lambda: StageGameSpec.from_profile_maps(
+        labels, doc["game"]["payoffs"], **_given(doc["game"], "lottery_mode")), at="game.payoffs")
+    fields["kernel"] = build("kernel.matrix", lambda: TransitionKernel(doc["kernel"]["matrix"]))
+    if doc.get("miners") is not None:
+        fields["miners"] = tuple(
+            build(f"miners[{i}]", lambda m=m: Miner(m["share"], StrategyKind(
+                m["strategy"], **_given(m, "meta_budget", "preferred_state"))))
+            for i, m in enumerate(doc["miners"])
+        )
+    if "noise" in doc:
+        fields["noise"] = build("noise", lambda: NoisePath(doc["noise"]["baseline_rate"], tuple(
+            (segment["start"], segment["value"]) for segment in doc["noise"]["segments"])))
+    if "theta" in doc:
+        fields["theta"] = build("theta", lambda: ThetaProcess(**doc["theta"]))
+    if "meta" in doc:
+        fields["meta"] = build("meta", lambda: MetaModelConfig(**doc["meta"]))
+    if "investment" in doc:
+        fields["investment"] = build("investment", lambda: InvestmentPlan(**doc["investment"]))
     if bad_overrides or errors:
         # A part that failed above is None, and every check that reads it is skipped.
         raise failure(*_scenario_errors(**fields))

@@ -1,5 +1,8 @@
 """Monte Carlo engine for the repeated mining game under protocol dynamics.
 
+The engine reads a ``Scenario`` and trusts it: the ``scenario`` module
+defines the model and runs every scenario check when one is built.
+
 Each replica owns an independent random stream derived from
 ``SeedSequence([master_seed, replica_index])``, so a replica's rounds do not
 depend on the other replicas of its batch. Per-round draw order is fixed:
@@ -26,154 +29,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import _ziggurat
-from .discounting import (
-    NoisePath,
-    InvestmentPlan,
-    endogenous_discount_path,
-    validate_discount,
-)
-from .errors import CapacityError, ConfigurationError, ScenarioValidationError
-from .game import (
-    _ALWAYS_DEFECT,
-    StageGameSpec,
-    StrategyKind,
-    StrategyTag,
-    _defect_flags,
-    _miner_bit,
-    validate_shares,
-)
-from .protocol import ThetaProcess, TransitionKernel
-
-
-@dataclass(frozen=True)
-class MetaModelConfig:
-    """Second-tier contest over the kernel row.
-
-    ``influence_strength`` (beta) bounds the per-round shift of the kernel
-    row; it must stay within [0, 1] so blended rows remain stochastic.
-    ``contest_exponent`` is the Tullock exponent applied to hash-weighted
-    budgets.
-    """
-
-    enabled: bool = False
-    influence_strength: float = 0.0
-    contest_exponent: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.influence_strength <= 1.0:
-            raise ConfigurationError(
-                f"influence_strength must lie in [0, 1], got {self.influence_strength}"
-            )
-        if not self.contest_exponent > 0.0:
-            raise ConfigurationError(
-                f"contest_exponent must be positive, got {self.contest_exponent}"
-            )
-
-
-@dataclass(frozen=True)
-class Miner:
-    share: float
-    strategy: StrategyKind
-
-
-def _scenario_errors(
-    *, miners, game, kernel, initial_state, horizon, delta, risk_aversion, replica_count,
-    master_seed, spiral_threshold, post_mutation_value, investment, **_unchecked
-) -> list[str]:
-    """Every violation among a Scenario's field values, one ``path: message``
-    line each. A check is skipped where a value it reads is None:
-    ``parse_document`` passes None for each part of a document that failed,
-    and reports that failure itself."""
-
-    def known(*fields) -> bool:
-        return all(field is not None for field in fields)
-
-    if known(miners) and len(miners) < 1:
-        return ["miners: at least one miner required"]
-    errors: list[str] = []
-    if known(miners) and known(*miners):
-        try:
-            validate_shares([m.share for m in miners])
-        except ConfigurationError as exc:
-            errors.append(f"miners: {exc}")
-    if known(game, miners) and game.n != len(miners):
-        errors.append(f"game: payoff tables cover {game.n} miners but scenario has {len(miners)}")
-    if known(kernel, game) and kernel.size != len(game):
-        errors.append(f"kernel: {kernel.size} states but game defines {len(game)}")
-    if known(kernel, initial_state) and not 0 <= initial_state < kernel.size:
-        errors.append(f"initial_state: {initial_state} out of range [0, {kernel.size})")
-    if known(horizon) and horizon < 1:
-        errors.append(f"horizon: must be >= 1, got {horizon}")
-    if known(replica_count) and replica_count < 1:
-        errors.append(f"replica_count: must be >= 1, got {replica_count}")
-    if known(master_seed) and master_seed < 0:
-        errors.append(f"master_seed: must be >= 0, got {master_seed}")
-    if known(delta):
-        try:
-            validate_discount(delta)
-        except ConfigurationError as exc:
-            errors.append(f"discount.delta: {exc}")
-    if known(risk_aversion) and not 0.0 <= risk_aversion < math.inf:
-        errors.append(f"risk_aversion.eta: must be finite and >= 0, got {risk_aversion}")
-    if known(post_mutation_value) and not math.isfinite(post_mutation_value):
-        errors.append(f"post_mutation_value: must be finite, got {post_mutation_value}")
-    if known(spiral_threshold) and not 0.0 < spiral_threshold < 1.0:
-        errors.append(f"spiral_threshold: must lie in (0, 1), got {spiral_threshold}")
-    for i, miner in enumerate(miners if known(kernel, miners) else ()):
-        preferred = None if miner is None else miner.strategy.preferred_state
-        if known(preferred) and preferred >= kernel.size:
-            errors.append(
-                f"miners[{i}]: preferred_state {preferred} out of range [0, {kernel.size})"
-            )
-    if investment is not None and not investment.expected_returns[0] > 0.0:
-        errors.append(
-            "investment.expected_returns[0]: per-period return must be positive, "
-            f"got {investment.expected_returns[0]}"
-        )
-    return errors
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Complete experiment description; immutable and validated on construction."""
-
-    miners: tuple[Miner, ...]
-    game: StageGameSpec
-    kernel: TransitionKernel
-    initial_state: int
-    horizon: int
-    delta: float
-    risk_aversion: float = 0.0
-    meta: MetaModelConfig = MetaModelConfig()
-    replica_count: int = 1
-    master_seed: int = 0
-    trigger_on_mutation: bool = False
-    noise: NoisePath | None = None
-    theta: ThetaProcess | None = None
-    spiral_threshold: float = 0.5
-    post_mutation_value: float = 0.0
-    investment: InvestmentPlan | None = None
-    name: str = "scenario"
-
-    def __post_init__(self) -> None:
-        fields = vars(self)
-        errors = [f"{name}: required" for name, value in fields.items()
-                  if value is None and name not in ("noise", "theta", "investment")]
-        errors += _scenario_errors(**fields)
-        if errors:
-            raise ScenarioValidationError(errors)
-
-    @property
-    def n(self) -> int:
-        return len(self.miners)
-
-    def meta_investors(self) -> list[tuple[float, int, float]]:
-        """(meta_budget, preferred_state, hash share) of every MetaInvestor."""
-        return [
-            (m.strategy.meta_budget, m.strategy.preferred_state, m.share)
-            for m in self.miners
-            if m.strategy.tag is StrategyTag.META_INVESTOR
-        ]
+from .discounting import endogenous_discount_path
+from .errors import CapacityError, ConfigurationError
+from .game import _ALWAYS_DEFECT, StrategyTag, _defect_flags, _miner_bit
+from .scenario import MetaModelConfig, Scenario
 
 
 @dataclass(frozen=True)

@@ -367,16 +367,45 @@ def parse_document(
 
 
 def load_document(path: str | Path) -> Any:
-    """Read and parse the YAML document; I/O and parse errors propagate."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and parse the YAML document; I/O and parse errors propagate, and
+    a file that is not UTF-8 is a parse error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise yaml.YAMLError(f"not UTF-8: {exc}") from exc
     return _load_yaml(text)
+
+
+# Far deeper than any scenario nests (5 levels, at game.payoffs), and shallow
+# enough for every recursion over a document: composing, copying and printing
+# it. libyaml's composer overflowed the C stack at 100,000 levels.
+_MAX_DEPTH = 100
 
 
 def _load_yaml(text: str) -> Any:
     """``yaml.safe_load`` through libyaml's parser when PyYAML was built with
-    it: same constructor and resolver, so the same objects, several times faster."""
+    it: same constructor and resolver, so the same objects, several times faster.
+
+    Every failure is a ``yaml.YAMLError``: a syntax error; collections nested
+    deeper than ``_MAX_DEPTH``, found before anything is composed by a scan of
+    parse events that stops there; a scalar the constructor cannot convert,
+    such as an int of more digits than ``sys.get_int_max_str_digits()``.
+    """
     loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    return yaml.load(text, Loader=loader)
+    depth = 0
+    for event in yaml.parse(text, Loader=loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                mark = event.start_mark
+                raise yaml.YAMLError(f"collections nested deeper than {_MAX_DEPTH} levels "
+                                     f"at line {mark.line + 1}, column {mark.column + 1}")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    try:
+        return yaml.load(text, Loader=loader)
+    except ValueError as exc:
+        raise yaml.YAMLError(str(exc)) from exc
 
 
 def load_scenario(path: str | Path, overrides: Mapping[str, str] | None = None) -> Scenario:

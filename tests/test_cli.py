@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -250,6 +251,79 @@ def test_parse_error_is_io_error(tmp_path, capsys):
     path.write_text("miners: [unclosed", encoding="utf-8")
     assert main(["validate", str(path)]) == EXIT_IO
     assert "cannot parse" in capsys.readouterr().err
+
+
+HUGE_INT = "1" * 5000  # past the digits that int() converts from a string
+
+
+def _fixed_rules_with(key, value):
+    """FIXED_RULES with the top-level ``key`` (and its indented block) set to ``value``."""
+    return re.sub(rf"(?m)^{key}:.*\n(?:  .*\n)*", f"{key}: {value}\n", FIXED_RULES)
+
+
+# A file the YAML loader cannot turn into a document: exit 2, one line.
+UNPARSEABLE_FILES = {
+    "huge_int": _fixed_rules_with("horizon", HUGE_INT).encode(),
+    "impossible_date": _fixed_rules_with("horizon", "2020-02-30").encode(),
+    "not_utf8": b"\xff\xfe" + FIXED_RULES.encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSEABLE_FILES))
+def test_unparseable_file_is_io_error(case, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(UNPARSEABLE_FILES[case])
+    assert main(["validate", str(path)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: cannot parse scenario file: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{path}", "--set", f"horizon={HUGE_INT}"],
+    ["sweep", "{path}", "--param", "horizon", "--values", f"5,{HUGE_INT}", "--out", "{out}"],
+])
+def test_unparseable_override_value_is_a_violation(command, fixed_rules_file, tmp_path, capsys):
+    args = [arg.format(path=fixed_rules_file, out=tmp_path / "out") for arg in command]
+    assert main(args) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: override horizon: cannot parse value {HUGE_INT!r}"]
+    assert not (tmp_path / "out").exists()
+
+
+# Nesting past the loader's depth bound, in a file (exit 2) or in an override
+# value (exit 1). Each runs in a child process: at these depths composing the
+# document has overflowed Python's recursion limit and, at 100,000 levels,
+# crashed the process.
+DEEP_CHILD = """
+import sys
+from mutagame.cli import main
+path, key, depth, where = sys.argv[1:]
+nested = "[" * int(depth) + "]" * int(depth)
+override = f"{key}={nested}" if where == "override" else "horizon=3"
+sys.exit(main(["validate", path, "--set", override]))
+"""
+
+
+@pytest.mark.parametrize("key, depth, where, code, start", [
+    ("miners", 600, "file", EXIT_IO, "error: cannot parse scenario file: collections nested"),
+    ("horizon", 5000, "file", EXIT_IO, "error: cannot parse scenario file: collections nested"),
+    ("horizon", 100_000, "file", EXIT_IO, "error: cannot parse scenario file: collections nested"),
+    ("horizon", 100_000, "override", EXIT_VALIDATION, "error: override horizon: cannot parse value"),
+])
+def test_deep_nesting_is_refused_with_one_line(key, depth, where, code, start, tmp_path):
+    path = tmp_path / "deep.yaml"
+    nested = "[" * depth + "]" * depth
+    path.write_text(_fixed_rules_with(key, nested) if where == "file" else FIXED_RULES,
+                    encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-c", DEEP_CHILD, str(path), key, str(depth), where],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (code, "")
+    [line] = result.stderr.splitlines()
+    assert line.startswith(start)
 
 
 def test_run_writes_outputs(fixed_rules_file, tmp_path, capsys):

@@ -92,6 +92,19 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def test_scenario_imports_nothing_from_the_engine():
+    # The engine reads the scenario model; the model never reads the engine.
+    tree = ast.parse((Path(mutagame.__file__).parent / "scenario.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert [name for name in imported if "simulate" in name.split(".")] == []
+
+
 def test_readme_library_example_runs(tmp_path, monkeypatch):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Library use", 1)[1]

@@ -1,6 +1,7 @@
 """Scenario documents: schema validation, error accumulation, overrides."""
 
 import copy
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,30 @@ def test_readme_scenario_example_parses():
     assert scenario.meta.enabled and scenario.meta_investors() == [(0.25, 0, 0.5)]
     assert scenario.noise is not None and scenario.theta is not None
     assert scenario.investment is not None and scenario.investment.horizon == 3
+
+
+def test_absent_optional_keys_take_their_constructors_defaults(base_doc):
+    # fixed_rules without its optional keys; theta keeps its required keys
+    # so that theta.clamp can be left out.
+    for key in ("name", "trigger_on_mutation", "spiral_threshold", "risk_aversion"):
+        del base_doc[key]
+    del base_doc["game"]["lottery_mode"]
+    base_doc["theta"] = {"mean": 1.0, "variance": 0.25}
+    written = copy.deepcopy(base_doc)
+    # Each of the nine keys at the default its constructor declares.
+    written.update(
+        trigger_on_mutation=False,
+        spiral_threshold=0.5,
+        post_mutation_value=0.0,
+        risk_aversion={"eta": 0.0},
+        meta={"enabled": False, "influence_strength": 0.0, "contest_exponent": 1.0},
+    )
+    written["theta"]["clamp"] = True
+    written["game"]["lottery_mode"] = False
+    bare, full = parse_document(base_doc), parse_document(written)
+    # The stage game and the kernel print as object addresses, the rest by value.
+    assert bare.game.lottery_mode == full.game.lottery_mode
+    assert repr(replace(bare, game=full.game, kernel=full.kernel)) == repr(full)
 
 
 def test_payoff_profiles_must_be_complete(base_doc):

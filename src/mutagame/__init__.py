@@ -54,12 +54,13 @@ from .simulate import (
     BatchSummary,
     BatchTrace,
     apply_meta_influence,
+    kernel_as_run,
     replica_rng,
     run_batch,
     run_replica,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "BatchSummary",
@@ -93,6 +94,7 @@ __all__ = [
     "grim_cooperation_verdict",
     "grim_trigger_threshold",
     "integrity",
+    "kernel_as_run",
     "kernel_entropy",
     "load_scenario",
     "mixed_nash_2x2",

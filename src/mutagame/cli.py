@@ -33,7 +33,7 @@ from .errors import (
 from .game import _profile_key
 from .protocol import integrity, kernel_entropy, mutation_rate
 from .scenario import Scenario, load_document, load_scenario, parse_document
-from .simulate import BatchSummary, BatchTrace, run_batch
+from .simulate import BatchSummary, BatchTrace, kernel_as_run, run_batch
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -243,6 +243,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(values) < 2:
         raise ConfigurationError("sweep needs at least two values")
     doc, overrides = load_document(args.scenario), _collect_overrides(args)
+    if args.param in overrides:
+        raise ConfigurationError(f"--param {args.param} is also overridden by --set, --seed "
+                                 "or --replicas; the swept values would replace it")
     name = Path(args.scenario).stem
     # Every point is checked before any runs, and each distinct line is listed once.
     scenarios, errors = [], {}
@@ -278,19 +281,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario, _collect_overrides(args))
-    game = scenario.game
-    rates = mutation_rate(scenario.kernel)
-    uniform = kernel_entropy(scenario.kernel, "uniform")
-    stationary = kernel_entropy(scenario.kernel, "stationary")
+    game, kernel = scenario.game, kernel_as_run(scenario)
+    rates = mutation_rate(kernel)
+    stationary = kernel_entropy(kernel, "stationary")
     print(f"scenario: {scenario.name}")
     print(f"miners: {scenario.n}, protocol states: {len(game)}")
     print("kernel")
     print(f"  mutation rate per state: {[round(e, 12) for e in rates.per_state]}")
     print(f"  epsilon_max: {rates.maximum:.6f}")
-    print(f"  entropy (uniform weighting): {uniform.value:.6f} nats")
+    print(f"  entropy (uniform weighting): {kernel_entropy(kernel, 'uniform').value:.6f} nats")
     suffix = " (fell back to uniform weights)" if stationary.fell_back_to_uniform else ""
     print(f"  entropy (stationary weighting): {stationary.value:.6f} nats{suffix}")
-    print(f"  integrity: {integrity(scenario.kernel):.6f}")
+    print(f"  integrity: {integrity(kernel):.6f}")
     all_hold = True
     for state, (label, stage) in enumerate(zip(game.state_labels, game)):
         nash = " ".join(equilibrium.pure_nash(stage)) or "(none)"

@@ -380,6 +380,13 @@ def load_document(path: str | Path) -> Any:
 # enough for every recursion over a document: composing, copying and printing
 # it. libyaml's composer overflowed the C stack at 100,000 levels.
 _MAX_DEPTH = 100
+# Far more nodes than aliases add to a document ``yaml.safe_dump`` wrote
+# (it anchors each list or mapping the document shares: the benchmark's
+# GrimTrigger sweep shares four payoff lists, 12 nodes; three states sharing
+# one 6-miner payoff table add about 1,000), and few enough that a refused
+# value's repr stays near 30 KB. Aliases of aliases multiply: 4 levels of
+# 9-way aliases make a 243-byte file 74,718 nodes longer.
+_MAX_ALIAS_NODES = 10_000
 
 
 def _load_yaml(text: str) -> Any:
@@ -387,25 +394,44 @@ def _load_yaml(text: str) -> Any:
     it: same constructor and resolver, so the same objects, several times faster.
 
     Every failure is a ``yaml.YAMLError``: a syntax error; collections nested
-    deeper than ``_MAX_DEPTH``, found before anything is composed by a scan of
-    parse events that stops there; a scalar the constructor cannot convert,
-    such as an int of more digits than ``sys.get_int_max_str_digits()``.
+    deeper than ``_MAX_DEPTH``, or aliases that expand to more than
+    ``_MAX_ALIAS_NODES`` nodes in all, found before anything is composed by a
+    scan of parse events that stops there; a scalar the constructor cannot
+    convert, such as an int of more digits than ``sys.get_int_max_str_digits()``.
     """
     loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    depth = 0
+    open_nodes: list[list] = []  # [anchor, nodes so far] of each open collection
+    anchored: dict[str, int] = {}  # the nodes of each anchored collection, aliases expanded
+    expanded = 0
     for event in yaml.parse(text, Loader=loader):
         if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > _MAX_DEPTH:
-                mark = event.start_mark
-                raise yaml.YAMLError(f"collections nested deeper than {_MAX_DEPTH} levels "
-                                     f"at line {mark.line + 1}, column {mark.column + 1}")
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
+            if len(open_nodes) == _MAX_DEPTH:
+                raise yaml.YAMLError(
+                    f"collections nested deeper than {_MAX_DEPTH} levels {_position(event)}")
+            open_nodes.append([event.anchor, 1])
+            continue
+        nodes = 1  # a scalar; stream and document events come with no collection open
+        if isinstance(event, yaml.CollectionEndEvent):
+            anchor, nodes = open_nodes.pop()
+            if anchor is not None:
+                anchored[anchor] = nodes
+        elif isinstance(event, yaml.AliasEvent):
+            nodes = anchored.get(event.anchor, 1)  # a scalar's, or a collection's still open
+            expanded += nodes
+            if expanded > _MAX_ALIAS_NODES:
+                raise yaml.YAMLError(
+                    f"aliases expand to more than {_MAX_ALIAS_NODES} nodes {_position(event)}")
+        if open_nodes:
+            open_nodes[-1][1] += nodes
     try:
         return yaml.load(text, Loader=loader)
     except ValueError as exc:
         raise yaml.YAMLError(str(exc)) from exc
+
+
+def _position(event: yaml.Event) -> str:
+    mark = event.start_mark
+    return f"at line {mark.line + 1}, column {mark.column + 1}"
 
 
 def load_scenario(path: str | Path, overrides: Mapping[str, str] | None = None) -> Scenario:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from . import _ziggurat
 from .discounting import endogenous_discount_path
 from .errors import CapacityError, ConfigurationError
 from .game import _ALWAYS_DEFECT, StrategyTag, _defect_flags, _miner_bit
+from .protocol import TransitionKernel
 from .scenario import MetaModelConfig, Scenario
 
 
@@ -149,6 +150,13 @@ def apply_meta_influence(
     weights /= weight_sum
     lam = min(config.influence_strength * min(total, 1.0), 1.0)
     return (1.0 - lam) * rows + lam * weights
+
+
+def kernel_as_run(scenario: Scenario) -> TransitionKernel:
+    """The scenario's kernel after ``apply_meta_influence``, the one the engine steps:
+    MetaInvestors always cooperate with fixed budgets, so each row depends on its state alone."""
+    return TransitionKernel(
+        apply_meta_influence(scenario.kernel.matrix, scenario.meta_investors(), scenario.meta))
 
 
 def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:
@@ -474,10 +482,8 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
     round t+2 on (mutation flags describe completed rounds). A round's joint
     profile is ``respond[P_t, last] | grim[seen, ever]`` by the tables of
     ``_strategy_tables``, kept only as its bitmask. The round's (R, n)
-    payoffs are reduced into the discounted and risk-adjusted utilities and
-    the last cooperating round, then dropped. The endogenous utility is one
-    ``path @ payoffs`` per replica after the loop: a batched or running
-    product would reorder the sums.
+    payoffs are reduced into the discounted, endogenous and risk-adjusted
+    utilities and the last cooperating round, then dropped.
     """
     count, horizon, n = replicas.stop - replicas.start, scenario.horizon, scenario.n
     # len() overflows past sys.maxsize. The (R, H, n) float64 payoffs that
@@ -488,12 +494,8 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
             f"{count} replicas x horizon {horizon} x {n} miners "
             "exceed the largest array numpy can index"
         )
-    game, kernel, process, delta = scenario.game, scenario.kernel, scenario.theta, scenario.delta
-
-    # MetaInvestors always cooperate with fixed budgets, so the adjusted
-    # kernel row depends on the state alone.
-    cumulative = np.cumsum(
-        apply_meta_influence(kernel.matrix, scenario.meta_investors(), scenario.meta), axis=1)
+    game, process, delta = scenario.game, scenario.theta, scenario.delta
+    cumulative = np.cumsum(kernel_as_run(scenario).matrix, axis=1)
     tables = np.stack([stage.tensor.reshape(-1, n) for stage in game])
     respond, grim = _strategy_tables(scenario, tables)
     rule = _payoff_rule(scenario, tables)
@@ -501,11 +503,13 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
     cooperation = _cooperation_table(n)
     cooperates = cooperation >= scenario.spiral_threshold
     ddof = min(count - 1, 1)  # one replica has no spread: its std is 0
-    states = np.empty((count, horizon), dtype=np.min_scalar_type(kernel.size - 1))
+    states = np.empty((count, horizon), dtype=np.min_scalar_type(len(game) - 1))
     profiles = np.empty((count, horizon), dtype=respond.dtype)
     theta = None if process is None else np.empty((count, horizon))
     winner = np.empty((count, horizon), np.min_scalar_type(n - 1)) if game.lottery_mode else None
     discounted, risk_adjusted = np.zeros((count, n)), np.zeros(n)
+    path = None if scenario.noise is None else endogenous_discount_path(scenario.noise, horizon - 1)
+    endogenous = None if path is None else np.zeros((count, n))
     duration = np.zeros(count, dtype=np.intp)  # the last cooperating round + 1; 0 with none
     factor = 1.0
     state = previous = np.full(count, scenario.initial_state, dtype=np.intp)
@@ -524,6 +528,8 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
             winner[:, t] = winner_t
         row = rule(state, last, theta_t, winner_t)
         discounted += factor * row
+        if path is not None:
+            endogenous += path[t] * row
         # Cross-replica per-round samples give the volatility penalty its
         # Monte Carlo meaning; within one replica it is degenerate.
         rounds = np.ascontiguousarray(row.T)  # (n, R)
@@ -531,17 +537,13 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
         risk_adjusted += factor * (rounds.mean(axis=1) - scenario.risk_aversion * spread)
         factor *= delta
         duration[cooperates[last]] = t + 1
-        state = np.minimum((cumulative[state] <= draws[0][:, None]).sum(axis=1), kernel.size - 1)
+        state = np.minimum((cumulative[state] <= draws[0][:, None]).sum(axis=1), len(game) - 1)
 
     trace = BatchTrace(
         replicas=replicas, states=states, profiles=profiles, theta=theta, winner=winner,
-        payoff_rule=rule, discounted_utility=discounted, endogenous_utility=None,
+        payoff_rule=rule, discounted_utility=discounted, endogenous_utility=endogenous,
         cooperation_duration=duration,
     )
-    if scenario.noise is not None:
-        path = endogenous_discount_path(scenario.noise, horizon - 1)
-        trace = replace(trace, endogenous_utility=np.array(
-            [path @ trace.replica_payoffs(r) for r in range(count)]))
     mutations = trace.mutation_counts
     summary = BatchSummary(
         replica_count=count,

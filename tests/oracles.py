@@ -458,8 +458,13 @@ def scalar_replica(scenario, replica_index) -> ScalarReplica:
     discounted = [discounted_utility(payoff_matrix[:, i], scenario.delta) for i in range(n)]
     endogenous = None
     if scenario.noise is not None:
-        path = endogenous_discount_path(scenario.noise, scenario.horizon - 1)
-        endogenous = np.array([path @ payoff_matrix])
+        # Left to right, as ``discounted_utility`` sums: a BLAS product's
+        # summation order depends on the kernel the CPU selects.
+        path = endogenous_discount_path(scenario.noise, scenario.horizon - 1).tolist()
+        endogenous = np.zeros((1, n))
+        for i in range(n):
+            for weight, payoff in zip(path, payoff_matrix[:, i].tolist()):
+                endogenous[0, i] += weight * payoff
     return ScalarReplica(
         replicas=range(replica_index, replica_index + 1),
         states=np.array([states]),

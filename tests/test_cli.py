@@ -2,12 +2,14 @@
 
 import gc
 import json
+import math
 import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -326,6 +328,37 @@ def test_deep_nesting_is_refused_with_one_line(key, depth, where, code, start, t
     assert line.startswith(start)
 
 
+def _aliases(levels):
+    """A flow list of 9 ones, then ``levels`` lists that each alias the one
+    before 9 times: every level multiplies the nodes by 9."""
+    lists = ["&a0 [" + ", ".join(["1"] * 9) + "]"]
+    for level in range(1, levels + 1):
+        lists.append(f"&a{level} [" + ", ".join([f"*a{level - 1}"] * 9) + "]")
+    return "[" + ", ".join(lists) + "]"
+
+
+# Aliases of aliases past the loader's bound, in a file (exit 2) or in an
+# override value (exit 1). Before the bound, the file's 4 levels reached
+# validation, which printed the expanded value: 216 KB on one line, and 9
+# times more per further level. Each runs in a child process with a timeout.
+@pytest.mark.parametrize("where, code, start", [
+    ("file", EXIT_IO, "error: cannot parse scenario file: aliases expand to more than"),
+    ("override", EXIT_VALIDATION, "error: override horizon: cannot parse value"),
+])
+def test_alias_expansion_is_refused_with_one_short_line(where, code, start, tmp_path):
+    path = tmp_path / "aliases.yaml"
+    path.write_text(_fixed_rules_with("horizon", _aliases(4)) if where == "file" else FIXED_RULES,
+                    encoding="utf-8")
+    overrides = ["--set", f"horizon={_aliases(4)}"] if where == "override" else []
+    result = subprocess.run(
+        [sys.executable, "-m", "mutagame.cli", "validate", str(path), *overrides],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (code, "")
+    [line] = result.stderr.splitlines()
+    assert line.startswith(start) and len(line.encode()) < 1024
+
+
 def test_run_writes_outputs(fixed_rules_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(small(["run", str(fixed_rules_file), "--out", str(out)])) == EXIT_OK
@@ -451,6 +484,12 @@ SWEEP_VIOLATIONS = {
     "shared_line_once": (
         ["--values", "0.5,2", "--set", "horizon=0"],
         ["error: horizon: must be >= 1, got 0", f"error: discount.delta: {OUTSIDE_UNIT} 2.0"],
+    ),
+    # The swept values would silently replace the override.
+    "param_also_set": (
+        ["--values", "0.5,0.6", "--set", "discount.delta=0.9"],
+        ["error: --param discount.delta is also overridden by --set, --seed or --replicas; "
+         "the swept values would replace it"],
     ),
 }
 
@@ -597,6 +636,26 @@ def test_analyze_mutable_core_reports_investment(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "npv" in out and "breakeven horizon" in out
     assert "fails" in out  # delta 0.5 sits below every state threshold
+
+
+def test_analyze_rates_are_the_rates_the_engine_runs(tmp_path, capsys):
+    # The MetaInvestor's lobbying moves mutable_core's chain off its
+    # kernel's 0.1. Each state's empirical leave frequency over 2,000
+    # replicas (the preset's seed, fixed before looking) lies within 4 SE of
+    # the rate analyze prints; against 0.1 it missed by z = 22.2 and 18.7.
+    path = tmp_path / "mutable_core.yaml"
+    path.write_text(MUTABLE_CORE, encoding="utf-8")
+    assert main(["analyze", str(path)]) == EXIT_OK
+    printed = re.search(r"mutation rate per state: \[(.*)\]", capsys.readouterr().out)
+    rates = [float(rate) for rate in printed.group(1).split(",")]
+    assert rates == [0.098, 0.118, 0.118]
+    _, batch = run_batch(parse_document(yaml.safe_load(MUTABLE_CORE), {"replica_count": "2000"}))
+    left = batch.states[:, 1:] != batch.states[:, :-1]
+    for state, rate in enumerate(rates):
+        trials = batch.states[:, :-1] == state
+        frequency = np.count_nonzero(left[trials]) / np.count_nonzero(trials)
+        se = math.sqrt(rate * (1.0 - rate) / np.count_nonzero(trials))
+        assert abs(frequency - rate) <= 4 * se, (state, frequency)
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze"])

@@ -11,6 +11,9 @@ thresholds; they fence the analytic report's every profile key and figure.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -32,10 +35,12 @@ RUN_CASES = {
         "73e767f410b77be46bb9a0531f2b2c1b1441fe172d98711d372868294819adc3",
         "e680142ac601cb87419ba3152729b091df2b1ef78029eb91663202a8e745bb1f",
     ),
+    # The endogenous utility is summed in round order, the same bits under
+    # every BLAS kernel (test_outputs_do_not_depend_on_the_blas_kernel).
     "mutable_core": (
         lambda: yaml.safe_load(MUTABLE_CORE),
         "f7c7f35b90e7a3eeb01d07459ffd9498d97d9bf6b1c7c549c8ffef35a74e64df",
-        "34bd7a91b10f100655dd33a3e4fd985f961f816fefb6b53a6d65e4a5f4431e07",
+        "90f5a85d4fa0dfdde5bd39463d2f3d5af6969a1a70d3a2538ef03bf27def6fde",
     ),
     # Two draws per round: the protocol step and theta's normal.
     "fixed_rules_theta": (
@@ -112,7 +117,7 @@ ANALYZE_CASES = {
     ),
     "mutable_core": (
         lambda: yaml.safe_load(MUTABLE_CORE),
-        "cce724c6157273b0768b8aa9f4afa02922592b7ab3e5802df58b57195bb0bd66",
+        "f6bcc14d8aedbad2bb1661a6d67b20c51edf9b796ebbe04f974b4161a899e7c0",
     ),
     "grim_pair": (
         grim_pair_doc,
@@ -128,3 +133,31 @@ def test_analyze_output_matches_golden_hash(case, tmp_path, capsys):
     scenario.write_text(yaml.safe_dump(make_doc()), encoding="utf-8")
     assert main(["analyze", str(scenario)]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    """``run`` and ``analyze`` on mutable_core write the same bytes under each
+    OpenBLAS kernel that ``OPENBLAS_CORETYPE`` selects, each in a child
+    process, as OpenBLAS reads the variable when it loads. A BLAS product's
+    summation order depends on the kernel: at 0.5.0 the default kernel and
+    Sandybridge or Prescott wrote two different summary.json. Where numpy's
+    BLAS is not OpenBLAS, the variable has no effect and the test passes
+    trivially.
+    """
+    scenario = tmp_path / "mutable_core.yaml"
+    scenario.write_text(MUTABLE_CORE, encoding="utf-8")
+    cli = [sys.executable, "-m", "mutagame.cli"]
+    outputs = {}
+    for coretype in (None, "Prescott", "Sandybridge"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / f"out_{coretype}"
+        stdouts = [
+            subprocess.run(command, env=env, capture_output=True, check=True, timeout=120).stdout
+            for command in ([*cli, "run", str(scenario), "--out", str(out)],
+                            [*cli, "analyze", str(scenario)])
+        ]
+        outputs[coretype] = [sha256(out / "summary.json"), sha256(out / "trace.csv"),
+                             *(hashlib.sha256(stdout).hexdigest() for stdout in stdouts)]
+    assert outputs["Prescott"] == outputs[None] == outputs["Sandybridge"]

@@ -43,12 +43,24 @@ def test_load_scenario_round_trip(tmp_path):
     assert load_scenario(path).name == "scenario"
 
 
-@pytest.mark.parametrize("name", sorted(PRESETS))
+def _shared_payoff_lists():
+    """Two states whose payoff tables share their lists, as the benchmark's
+    GrimTrigger sweep builds them: ``yaml.safe_dump`` writes four aliases."""
+    table = yaml.safe_load(FIXED_RULES)["game"]["payoffs"]["baseline"]
+    text = yaml.safe_dump({"payoffs": {"rules_a": table, "rules_b": dict(table)}})
+    assert "*id004" in text
+    return text
+
+
+DOCUMENTS = {**PRESETS, "shared_payoff_lists": _shared_payoff_lists()}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
 def test_load_document_matches_safe_load(name, tmp_path):
     path = tmp_path / f"{name}.yaml"
-    path.write_text(PRESETS[name], encoding="utf-8")
+    path.write_text(DOCUMENTS[name], encoding="utf-8")
     # repr also tells 1 from 1.0 and compares key order.
-    assert repr(load_document(path)) == repr(yaml.safe_load(PRESETS[name]))
+    assert repr(load_document(path)) == repr(yaml.safe_load(DOCUMENTS[name]))
 
 
 def test_unknown_top_level_key(base_doc):

@@ -53,14 +53,13 @@ from .scenario import MetaModelConfig, Miner, Scenario, load_scenario, parse_doc
 from .simulate import (
     BatchSummary,
     BatchTrace,
-    apply_meta_influence,
     kernel_as_run,
     replica_rng,
     run_batch,
     run_replica,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "BatchSummary",
@@ -85,7 +84,6 @@ __all__ = [
     "ThetaProcess",
     "TransitionKernel",
     "ZERO_NOISE",
-    "apply_meta_influence",
     "breakeven_horizon",
     "cooperation_condition",
     "discounted_utility",

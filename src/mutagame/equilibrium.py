@@ -8,7 +8,7 @@ and the mutation-adjusted continuation value of cooperating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,10 +177,11 @@ def grim_cooperation_verdict(
         value = effective_coop_value(
             status.reward - status.punishment, delta, epsilon, post_mutation_value
         )
+        # delta * (value / delta) can round below value: holds is the margin's sign.
         condition = cooperation_condition(delta, value / delta, gain)
         margin = value - gain
         if margin < best_margin:
-            binding = condition
+            binding = replace(condition, holds=margin >= 0.0)
             best_margin = margin
     assert binding is not None
     return binding

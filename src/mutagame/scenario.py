@@ -33,7 +33,7 @@ class MetaModelConfig:
     ``influence_strength`` (beta) bounds the per-round shift of the kernel
     row; it must stay within [0, 1] so blended rows remain stochastic.
     ``contest_exponent`` is the Tullock exponent applied to hash-weighted
-    budgets.
+    budgets relative to the largest; ``kernel_as_run`` runs the contest.
     """
 
     enabled: bool = False
@@ -149,14 +149,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.miners)
-
-    def meta_investors(self) -> list[tuple[float, int, float]]:
-        """(meta_budget, preferred_state, hash share) of every MetaInvestor."""
-        return [
-            (m.strategy.meta_budget, m.strategy.preferred_state, m.share)
-            for m in self.miners
-            if m.strategy.tag is StrategyTag.META_INVESTOR
-        ]
 
 
 SCHEMA_VERSION = 1

@@ -33,7 +33,7 @@ from .discounting import endogenous_discount_path
 from .errors import CapacityError, ConfigurationError
 from .game import _ALWAYS_DEFECT, StrategyTag, _defect_flags, _miner_bit
 from .protocol import TransitionKernel
-from .scenario import MetaModelConfig, Scenario
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -112,51 +112,32 @@ def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
     )
 
 
-def apply_meta_influence(
-    kernel_rows,
-    investors: list[tuple[float, int, float]],
-    config: MetaModelConfig,
-) -> np.ndarray:
-    """Blend a kernel row, or every row of a (k, k) matrix, toward the
-    contest outcome of meta investors.
-
-    Contest weights are hash-weighted budgets raised to the contest exponent
-    and normalized over states actually receiving effort. The blend
-    coefficient is beta times total invested effort (capped at 1), so the
-    adjusted row stays a convex combination of two distributions. Neither
-    depends on the row, so each row of a matrix is blended as it would be
-    alone.
-    """
-    rows = np.array(kernel_rows, dtype=float)
-    if not config.enabled or not investors or config.influence_strength == 0.0:
-        return rows
-    k = rows.shape[-1]
-    efforts = np.zeros(k)
-    total = 0.0
-    for budget, preferred, share in investors:
-        if not 0.0 <= budget <= 1.0:
-            raise ConfigurationError(f"meta budget must lie in [0, 1], got {budget}")
-        if not 0 <= preferred < k:
-            raise ConfigurationError(f"preferred state {preferred} out of range [0, {k})")
-        effort = share * budget
-        efforts[preferred] += effort
-        total += effort
-    if total <= 0.0:
-        return rows
-    weights = efforts ** config.contest_exponent
-    weight_sum = weights.sum()
-    if weight_sum <= 0.0:  # exponent underflowed every effort
-        return rows
-    weights /= weight_sum
-    lam = min(config.influence_strength * min(total, 1.0), 1.0)
-    return (1.0 - lam) * rows + lam * weights
-
-
 def kernel_as_run(scenario: Scenario) -> TransitionKernel:
-    """The scenario's kernel after ``apply_meta_influence``, the one the engine steps:
-    MetaInvestors always cooperate with fixed budgets, so each row depends on its state alone."""
-    return TransitionKernel(
-        apply_meta_influence(scenario.kernel.matrix, scenario.meta_investors(), scenario.meta))
+    """The kernel the engine steps: every row of ``scenario.kernel`` blended
+    toward the outcome of the MetaInvestors' Tullock contest.
+
+    A MetaInvestor's effort is its hash share times its budget, summed per
+    preferred state. Contest weights are the efforts relative to the
+    largest, raised to the contest exponent and normalized. The blend
+    coefficient is beta times the total effort (capped at 1), so each row
+    stays a convex combination of two distributions. MetaInvestors always
+    cooperate with fixed budgets, so the blend is the same every round. With
+    the meta game off, beta 0 or no effort spent, this is ``scenario.kernel``.
+    """
+    meta, kernel = scenario.meta, scenario.kernel
+    efforts = np.zeros(kernel.size)
+    total = 0.0
+    for miner in scenario.miners:
+        if miner.strategy.tag is StrategyTag.META_INVESTOR:
+            effort = miner.share * miner.strategy.meta_budget
+            efforts[miner.strategy.preferred_state] += effort
+            total += effort
+    if not meta.enabled or meta.influence_strength == 0.0 or total <= 0.0:
+        return kernel
+    weights = (efforts / efforts.max()) ** meta.contest_exponent
+    weights /= weights.sum()
+    lam = min(meta.influence_strength * min(total, 1.0), 1.0)
+    return TransitionKernel((1.0 - lam) * kernel.matrix + lam * weights)
 
 
 def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:
@@ -474,6 +455,7 @@ def _payoff_rule(scenario: Scenario, tables: np.ndarray) -> Callable[..., np.nda
     return payoffs
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused below, with one error
 def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchTrace]:
     """Advance the given replicas together, round by round, reducing the summary.
 
@@ -560,4 +542,8 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
         mean_endogenous_utility=None if trace.endogenous_utility is None
         else tuple(trace.endogenous_utility.mean(axis=0).tolist()),
     )
+    utilities = (summary.mean_utility, summary.std_utility, summary.risk_adjusted_utility,
+                 summary.mean_endogenous_utility or ())
+    if not all(map(math.isfinite, itertools.chain(*utilities))):
+        raise CapacityError("the utilities overflow float64: a summary value is not finite")
     return summary, trace

@@ -4,9 +4,10 @@ The Nash oracle is deliberately written against the plain dict
 representation of a game, with no reliance on the package's tensor layout,
 so it stays an independent check of the enumeration code paths. The scalar
 engine plays one replica round by round through the single-round functions
-below (strategy resolution, protocol step, theta, stage payoffs, block
-lottery, spiral detection); it is the reference for the replica-vectorized
-batch engine and returns its own record under ``BatchTrace``'s names. The
+below (strategy resolution, the meta contest on the kernel row, protocol
+step, theta, stage payoffs, block lottery, spiral detection); it is the
+reference for the replica-vectorized batch engine and returns its own
+record under ``BatchTrace``'s names. The
 per-round sample statistics (``payoff_variance``, ``risk_adjusted_utility``)
 are the reference for the risk-adjusted summary the engine reduces round by
 round. Strong
@@ -28,12 +29,15 @@ import numpy as np
 from mutagame import (
     BatchSummary,
     ConfigurationError,
+    MetaModelConfig,
+    Miner,
+    NormalFormGame,
+    Scenario,
     StageGameSpec,
     StrategyKind,
     StrategyTag,
     ThetaProcess,
     TransitionKernel,
-    apply_meta_influence,
     discounted_utility,
     endogenous_discount_path,
     replica_rng,
@@ -116,6 +120,46 @@ def sample_from_cumulative(cumulative_row: np.ndarray, rng: np.random.Generator)
 def step_protocol(kernel: TransitionKernel, current: int, rng: np.random.Generator) -> int:
     """Sample the next protocol state from the kernel row of the current one."""
     return sample_from_cumulative(np.cumsum(kernel.matrix[current]), rng)
+
+
+def contest_row(scenario, row: np.ndarray) -> np.ndarray:
+    """One kernel row after the MetaInvestors' Tullock contest, as README
+    defines it: each MetaInvestor spends its hash share times its budget on
+    its preferred state; the weights are the efforts relative to the
+    largest, raised to the contest exponent and normalized; the row moves
+    toward them by beta times the total effort, capped at 1. The row is
+    left as it is with the meta game off, beta 0 or no effort spent."""
+    meta = scenario.meta
+    efforts, total = np.zeros(len(row)), 0.0
+    for miner in scenario.miners:
+        strategy = miner.strategy
+        if strategy.tag is StrategyTag.META_INVESTOR:
+            efforts[strategy.preferred_state] += miner.share * strategy.meta_budget
+            total += miner.share * strategy.meta_budget
+    if not (meta.enabled and meta.influence_strength > 0.0 and total > 0.0):
+        return row
+    weights = (efforts / efforts.max()) ** meta.contest_exponent
+    weights = weights / weights.sum()
+    lam = min(meta.influence_strength * min(total, 1.0), 1.0)
+    return (1.0 - lam) * row + lam * weights
+
+
+def contest_scenario(matrix, investors, **meta) -> Scenario:
+    """A scenario over the kernel ``matrix`` with the meta game on, its
+    other ``MetaModelConfig`` fields from ``meta``: one MetaInvestor per
+    (budget, preferred state, hash share) of ``investors``, then one Honest
+    miner holding the hash left over. Every payoff is 0."""
+    k, shares = len(matrix), [share for _, _, share in investors]
+    miners = [Miner(share, StrategyKind(StrategyTag.META_INVESTOR, budget, preferred))
+              for budget, preferred, share in investors]
+    miners.append(Miner(1.0 - sum(shares), StrategyKind(StrategyTag.HONEST)))
+    n = len(miners)
+    games = [NormalFormGame(np.zeros((2,) * n + (n,))) for _ in range(k)]
+    return Scenario(
+        miners=tuple(miners), game=StageGameSpec([f"s{i}" for i in range(k)], games),
+        kernel=TransitionKernel(matrix), initial_state=0, horizon=1, delta=0.5,
+        meta=MetaModelConfig(enabled=True, **meta),
+    )
 
 
 def sample_theta(process: ThetaProcess, rng: np.random.Generator) -> float:
@@ -399,8 +443,7 @@ def scalar_replica(scenario, replica_index) -> ScalarReplica:
     n = scenario.n
     strategies = [m.strategy for m in scenario.miners]
     shares = [m.share for m in scenario.miners]
-    investors = scenario.meta_investors()
-    meta_enabled = scenario.meta.enabled and bool(investors)
+    meta_enabled = scenario.meta.enabled
     budget_keep = np.ones(n)
     if meta_enabled:
         for i, miner in enumerate(scenario.miners):
@@ -424,13 +467,8 @@ def scalar_replica(scenario, replica_index) -> ScalarReplica:
             trigger_on_mutation=scenario.trigger_on_mutation,
             discount=scenario.delta,
         )
-        if meta_enabled:
-            effective_row = apply_meta_influence(
-                scenario.kernel.matrix[state], investors, scenario.meta
-            )
-            next_state = sample_from_cumulative(np.cumsum(effective_row), rng)
-        else:
-            next_state = step_protocol(scenario.kernel, state, rng)
+        row = contest_row(scenario, scenario.kernel.matrix[state])
+        next_state = sample_from_cumulative(np.cumsum(row), rng)
         theta = sample_theta(scenario.theta, rng) if scenario.theta is not None else None
 
         payoffs = stage_payoffs(game, state, profile)

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import nash_oracle, random_profile_map, risk_adjusted_utility
+from oracles import contest_scenario, nash_oracle, random_profile_map, risk_adjusted_utility
 
 from mutagame import (
-    MetaModelConfig,
     Miner,
     NoisePath,
     InvestmentPlan,
@@ -25,7 +24,6 @@ from mutagame import (
     StrategyKind,
     StrategyTag,
     TransitionKernel,
-    apply_meta_influence,
     breakeven_horizon,
     discounted_utility,
     effective_coop_value,
@@ -33,6 +31,7 @@ from mutagame import (
     grim_cooperation_verdict,
     grim_trigger_threshold,
     integrity,
+    kernel_as_run,
     kernel_entropy,
     npv,
     pure_nash,
@@ -315,26 +314,22 @@ def test_c11_meta_game_conservation():
     count = 0
     for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
         for exponent in (0.5, 1.0, 2.0, 3.0):
-            config = MetaModelConfig(enabled=True, influence_strength=beta,
-                                     contest_exponent=exponent)
             for budget in np.linspace(0.0, 1.0, 26):
                 raw = rng.random(5) + 1e-3
                 row = raw / raw.sum()
                 investors = [(float(budget), 0, 0.55), (float(budget) * 0.5, 3, 0.45)]
-                adjusted = apply_meta_influence(row, investors, config)
+                scenario = contest_scenario(np.stack([np.roll(row, i) for i in range(5)]),
+                                            investors, influence_strength=beta,
+                                            contest_exponent=exponent)
+                adjusted = kernel_as_run(scenario).matrix
                 count += 1
-                assert abs(adjusted.sum() - 1.0) <= 1e-12
+                assert np.all(np.abs(adjusted.sum(axis=1) - 1.0) <= 1e-12)
     assert count >= 500
-    row = np.array([0.1, 0.2, 0.3, 0.4])
-    frozen = apply_meta_influence(
-        row, [(0.9, 2, 1.0)], MetaModelConfig(enabled=True, influence_strength=0.0)
-    )
-    assert np.array_equal(frozen, row)
-    symmetric = apply_meta_influence(
-        [0.5, 0.5],
-        [(0.6, 0, 0.5), (0.6, 1, 0.5)],
-        MetaModelConfig(enabled=True, influence_strength=0.8),
-    )
-    assert np.all(np.abs(symmetric - 0.5) <= 1e-12)
+    row = [0.1, 0.2, 0.3, 0.4]
+    frozen = contest_scenario([row] * 4, [(0.9, 2, 1.0)], influence_strength=0.0)
+    assert kernel_as_run(frozen).matrix.tobytes() == np.array([row] * 4).tobytes()
+    symmetric = contest_scenario([[0.5, 0.5]] * 2, [(0.6, 0, 0.5), (0.6, 1, 0.5)],
+                                 influence_strength=0.8)
+    assert np.all(np.abs(kernel_as_run(symmetric).matrix - 0.5) <= 1e-12)
     _pass(11, f"row sums conserved within 1e-12 over {count} grid points; beta = 0 "
               "is bit-identical; the symmetric contest fixes the symmetric row")

@@ -359,6 +359,34 @@ def test_alias_expansion_is_refused_with_one_short_line(where, code, start, tmp_
     assert line.startswith(start) and len(line.encode()) < 1024
 
 
+def _overflowing(doc, case):
+    if case == "payoffs":
+        doc["game"]["payoffs"]["baseline"] = {key: [1.5e308, 1.5e308]
+                                              for key in ("CC", "CD", "DC", "DD")}
+    else:
+        doc["theta"] = {"mean": 1.0e308, "variance": 0.0}
+    return doc
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", ["payoffs", "theta"])
+def test_overflowed_utilities_exit_3_with_one_line(case, command, tmp_path):
+    # Finite inputs whose utilities overflow float64 would put inf and nan
+    # into the outputs, which JSON does not allow, under numpy warnings.
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(_overflowing(yaml.safe_load(FIXED_RULES), case)),
+                    encoding="utf-8")
+    sweep = ["--param", "discount.delta", "--values", "0.5,0.6"] if command == "sweep" else []
+    result = subprocess.run(
+        [sys.executable, "-m", "mutagame.cli", command, str(path), *sweep,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (EXIT_CAPACITY, "")
+    assert result.stderr == "error: the utilities overflow float64: a summary value is not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_outputs(fixed_rules_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(small(["run", str(fixed_rules_file), "--out", str(out)])) == EXIT_OK
@@ -643,12 +671,15 @@ def test_analyze_rates_are_the_rates_the_engine_runs(tmp_path, capsys):
     # kernel's 0.1. Each state's empirical leave frequency over 2,000
     # replicas (the preset's seed, fixed before looking) lies within 4 SE of
     # the rate analyze prints; against 0.1 it missed by z = 22.2 and 18.7.
+    # A lone MetaInvestor wins the contest at every exponent: raw powers of
+    # its effort 0.05 underflowed past about 249, and analyze printed 0.1.
     path = tmp_path / "mutable_core.yaml"
     path.write_text(MUTABLE_CORE, encoding="utf-8")
-    assert main(["analyze", str(path)]) == EXIT_OK
-    printed = re.search(r"mutation rate per state: \[(.*)\]", capsys.readouterr().out)
-    rates = [float(rate) for rate in printed.group(1).split(",")]
-    assert rates == [0.098, 0.118, 0.118]
+    for exponent in ("1.0", "250.0", "1.0e+300"):
+        assert main(["analyze", str(path), "--set", f"meta.contest_exponent={exponent}"]) == EXIT_OK
+        printed = re.search(r"mutation rate per state: \[(.*)\]", capsys.readouterr().out)
+        rates = [float(rate) for rate in printed.group(1).split(",")]
+        assert rates == [0.098, 0.118, 0.118], exponent
     _, batch = run_batch(parse_document(yaml.safe_load(MUTABLE_CORE), {"replica_count": "2000"}))
     left = batch.states[:, 1:] != batch.states[:, :-1]
     for state, rate in enumerate(rates):

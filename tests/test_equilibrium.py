@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
 from mutagame import (
     CapacityError,
@@ -18,6 +19,8 @@ from mutagame import (
     mixed_nash_2x2,
     pure_nash,
 )
+from mutagame.cli import main
+from mutagame.presets import FIXED_RULES
 
 # Independent exhaustive oracle lives in oracles.py, written against the
 # dict representation before the module under test was consulted.
@@ -157,6 +160,27 @@ def test_verdict_flips_exactly_at_grim_threshold(temptation, reward, punishment)
     below = grim_cooperation_verdict(game, delta_star - 0.01, epsilon=0.0)
     assert above.holds
     assert not below.holds
+
+
+def test_exact_tie_holds_in_the_verdict_and_in_analyze(tmp_path, capsys):
+    # T - R equals the continuation value exactly, but delta * (value /
+    # delta) rounds one ulp below it. Ties are cooperative.
+    temptation = 4.615384615384615
+    table = {"CC": [3.0, 3.0], "CD": [0.0, temptation], "DC": [temptation, 0.0],
+             "DD": [0.0, 0.0]}
+    assert effective_coop_value(3.0, 0.35, 0.0) == temptation - 3.0
+    verdict = grim_cooperation_verdict(NormalFormGame.from_profile_map(table), 0.35, 0.0)
+    assert verdict.delta * verdict.expected_coop < verdict.defect_now == temptation - 3.0
+    assert verdict.holds and verdict.delta == 0.35
+    doc = yaml.safe_load(FIXED_RULES)
+    doc["discount"]["delta"] = 0.35
+    doc["game"]["payoffs"]["baseline"] = table
+    path = tmp_path / "tie.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert ": holds (delta*E[coop]=1.615385 vs defect=1.615385)" in out
+    assert "overall cooperation condition: holds" in out
 
 
 def test_mixed_2x2_matching_pennies():

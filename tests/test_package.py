@@ -20,7 +20,9 @@ from mutagame.presets import PRESETS
 # truncation horizon. Retired in 0.4.0: the Action enum (pure_nash returns
 # C/D keys; the scalar reference keeps its own in tests/oracles.py) and the
 # wrappers around the preset table. Retired in 0.5.0: apply_overrides
-# (parse_document takes the overrides).
+# (parse_document takes the overrides). Retired in 0.7.0: apply_meta_influence
+# (kernel_as_run holds the contest; tests/oracles.py keeps a one-row
+# reference) and Scenario.meta_investors.
 RETIRED = {
     "Action",
     "PayoffVariance",
@@ -28,6 +30,7 @@ RETIRED = {
     "ReplicaTrace",
     "RoundRecord",
     "SpiralReport",
+    "apply_meta_influence",
     "apply_overrides",
     "block_lottery",
     "cooperation_duration",
@@ -52,7 +55,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.6.0"
+    assert mutagame.__version__ == project["version"] == "0.7.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -69,6 +72,7 @@ def test_public_names_resolve_and_retired_names_are_gone():
     assert not hasattr(mutagame.TransitionKernel, "row")
     assert not hasattr(mutagame.TransitionKernel, "identity")
     assert not hasattr(mutagame.Scenario, "validate")
+    assert not hasattr(mutagame.Scenario, "meta_investors")
 
 
 def test_every_module_level_import_is_used():
@@ -90,6 +94,28 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_private_helper_is_named_elsewhere():
+    # A module-level _helper whose last caller was deleted is caught here: it
+    # must be named outside its own definition, in some module of the package.
+    statements = [
+        (path.name, node)
+        for path in sorted(Path(mutagame.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    named = [
+        {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+         if isinstance(sub, (ast.Name, ast.Attribute))}
+        for _, node in statements
+    ]
+    dead = [
+        f"{module}:{node.lineno} {node.name}"
+        for i, (module, node) in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and not any(node.name in names for j, names in enumerate(named) if j != i)
+    ]
+    assert dead == []
 
 
 def test_scenario_imports_nothing_from_the_engine():

@@ -7,9 +7,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from mutagame import ScenarioValidationError, parse_document
+from mutagame import Miner, ScenarioValidationError, StrategyKind, StrategyTag, parse_document
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE, PRESETS
 from mutagame.scenario import load_document, load_scenario, scale_kernel_epsilon
+
+
+
+def meta_investor(budget, preferred_state):
+    return StrategyKind(StrategyTag.META_INVESTOR, budget, preferred_state)
 
 
 @pytest.fixture
@@ -175,7 +180,8 @@ def test_readme_scenario_example_parses():
     example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
     scenario = parse_document(yaml.safe_load(example))
     assert scenario.name == "my_experiment"
-    assert scenario.meta.enabled and scenario.meta_investors() == [(0.25, 0, 0.5)]
+    assert scenario.meta.enabled and scenario.miners[1] == Miner(0.5, meta_investor(0.25, 0))
+    assert [m.strategy.tag for m in scenario.miners].count(StrategyTag.META_INVESTOR) == 1
     assert scenario.noise is not None and scenario.theta is not None
     assert scenario.investment is not None and scenario.investment.horizon == 3
 
@@ -274,7 +280,8 @@ def test_kernel_epsilon_bounds(base_doc):
 
 def test_override_indexes_lists_at_any_depth():
     scenario = parse_document(yaml.safe_load(MUTABLE_CORE), {"miners.3.meta_budget": "0.5"})
-    assert scenario.meta_investors() == [(0.5, 0, 0.2)]
+    assert scenario.miners[3] == Miner(0.2, meta_investor(0.5, 0))
+    assert [m.strategy.tag for m in scenario.miners].count(StrategyTag.META_INVESTOR) == 1
     scenario = parse_document(yaml.safe_load(FIXED_RULES), {"game.payoffs.baseline.DC.0": "7"})
     assert scenario.game[0].tensor[1, 0].tolist() == [7.0, 0.0]
 

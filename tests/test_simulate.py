@@ -5,9 +5,12 @@ import itertools
 
 import numpy as np
 import pytest
+import yaml
 from oracles import (
     Action,
     PlayHistory,
+    contest_row,
+    contest_scenario,
     cooperation_duration,
     detect_spiral,
     replica_fields,
@@ -29,12 +32,14 @@ from mutagame import (
     StrategyTag,
     ThetaProcess,
     TransitionKernel,
-    apply_meta_influence,
     breakeven_horizon,
     discounted_utility,
+    kernel_as_run,
+    parse_document,
     run_batch,
     run_replica,
 )
+from mutagame.presets import MUTABLE_CORE
 from mutagame.simulate import _strategy_tables
 
 C = Action.COOPERATE
@@ -233,33 +238,35 @@ def test_theta_clamping_floor_and_optout():
     assert trace.payoffs[0].tolist() == [[-15.0, -15.0]] * 3
 
 
-def test_apply_meta_influence_unchanged_cases():
-    row = np.array([0.2, 0.5, 0.3])
-    disabled = apply_meta_influence(row, [(0.5, 0, 0.5)], MetaModelConfig())
-    no_investors = apply_meta_influence(
-        row, [], MetaModelConfig(enabled=True, influence_strength=0.7)
-    )
-    zero_beta = apply_meta_influence(
-        row, [(0.5, 0, 0.5)], MetaModelConfig(enabled=True, influence_strength=0.0)
-    )
-    for adjusted in (disabled, no_investors, zero_beta):
-        assert np.array_equal(adjusted, row)
+def rolled(row):
+    """The (k, k) kernel whose row i is ``row`` rotated right by i."""
+    return np.stack([np.roll(row, shift) for shift in range(len(row))])
 
 
-def test_apply_meta_influence_point_mass():
-    config = MetaModelConfig(enabled=True, influence_strength=1.0, contest_exponent=1.0)
-    adjusted = apply_meta_influence([0.4, 0.3, 0.3], [(1.0, 2, 1.0)], config)
-    assert adjusted == pytest.approx([0.0, 0.0, 1.0])
+def test_kernel_as_run_unchanged_cases():
+    matrix = rolled([0.2, 0.5, 0.3])
+    off = dataclasses.replace(contest_scenario(matrix, [(0.5, 0, 0.5)]), meta=MetaModelConfig())
+    no_investors = contest_scenario(matrix, [], influence_strength=0.7)
+    zero_beta = contest_scenario(matrix, [(0.5, 0, 0.5)], influence_strength=0.0)
+    no_effort = contest_scenario(matrix, [(0.0, 1, 0.5)], influence_strength=0.7)
+    for scenario in (off, no_investors, zero_beta, no_effort):
+        assert kernel_as_run(scenario) is scenario.kernel
+        assert kernel_as_run(scenario).matrix.tobytes() == matrix.tobytes()
 
 
-def test_apply_meta_influence_symmetric_contest_fixed_point():
-    config = MetaModelConfig(enabled=True, influence_strength=0.5, contest_exponent=1.0)
-    investors = [(0.5, 0, 0.3), (0.5, 1, 0.3)]
-    adjusted = apply_meta_influence([0.5, 0.5], investors, config)
-    assert np.all(np.abs(adjusted - np.array([0.5, 0.5])) <= 1e-12)
+def test_kernel_as_run_point_mass():
+    scenario = contest_scenario(rolled([0.4, 0.3, 0.3]), [(1.0, 2, 1.0)],
+                                influence_strength=1.0, contest_exponent=1.0)
+    assert kernel_as_run(scenario).matrix.tolist() == [[0.0, 0.0, 1.0]] * 3
 
 
-def test_apply_meta_influence_row_sums_over_grid():
+def test_kernel_as_run_symmetric_contest_fixed_point():
+    scenario = contest_scenario([[0.5, 0.5], [0.5, 0.5]], [(0.5, 0, 0.3), (0.5, 1, 0.3)],
+                                influence_strength=0.5, contest_exponent=1.0)
+    assert np.all(np.abs(kernel_as_run(scenario).matrix - 0.5) <= 1e-12)
+
+
+def test_kernel_as_run_row_sums_over_grid():
     rng = np.random.default_rng(17)
     betas = [0.0, 0.25, 0.5, 0.75, 1.0]
     exponents = [0.5, 1.0, 2.0, 3.0]
@@ -267,27 +274,47 @@ def test_apply_meta_influence_row_sums_over_grid():
     count = 0
     for beta in betas:
         for r in exponents:
-            config = MetaModelConfig(enabled=True, influence_strength=beta,
-                                     contest_exponent=r)
             for budget in budgets:
                 raw = rng.random(4) + 1e-3
-                row = raw / raw.sum()
+                matrix = rolled(raw / raw.sum())
                 investors = [(float(budget), 1, 0.6), (float(1.0 - budget), 3, 0.4)]
-                adjusted = apply_meta_influence(row, investors, config)
+                scenario = contest_scenario(matrix, investors, influence_strength=beta,
+                                            contest_exponent=r)
+                adjusted = kernel_as_run(scenario).matrix
                 count += 1
-                assert abs(adjusted.sum() - 1.0) <= 1e-12
+                assert np.all(np.abs(adjusted.sum(axis=1) - 1.0) <= 1e-12)
                 assert np.all(adjusted >= -1e-15)
-                matrix = np.stack([np.roll(row, shift) for shift in range(4)])
-                blended = np.stack([apply_meta_influence(r, investors, config) for r in matrix])
-                assert apply_meta_influence(matrix, investors, config).tobytes() == blended.tobytes()
+                for row, blended in zip(matrix, adjusted):
+                    assert contest_row(scenario, row).tobytes() == blended.tobytes()
     assert count >= 500
 
 
-def test_apply_meta_influence_underflowed_weights_leave_row():
-    config = MetaModelConfig(enabled=True, influence_strength=1.0, contest_exponent=3.0)
-    row = np.array([0.5, 0.5])
-    adjusted = apply_meta_influence(row, [(1e-150, 1, 1e-160)], config)
-    assert np.array_equal(adjusted, row)
+def test_kernel_as_run_underflowed_effort_leaves_row():
+    # The effort 1e-310 is subnormal; beta times it rounds away against 0.5.
+    matrix = [[0.5, 0.5], [0.5, 0.5]]
+    scenario = contest_scenario(matrix, [(1e-150, 1, 1e-160)],
+                                influence_strength=1.0, contest_exponent=3.0)
+    assert kernel_as_run(scenario).matrix.tobytes() == np.array(matrix).tobytes()
+
+
+@pytest.mark.parametrize("exponent", ["250.0", "1.0e+300"])
+def test_kernel_as_run_lone_contestant_wins_at_every_exponent(exponent):
+    # Powers of the raw effort 0.05 underflowed to 0 past an exponent of
+    # about 249, and the contest then left the kernel as it was.
+    doc = yaml.safe_load(MUTABLE_CORE)
+    steep = parse_document(doc, {"meta.contest_exponent": exponent})
+    assert steep.meta.contest_exponent == float(exponent)
+    linear = kernel_as_run(parse_document(doc)).matrix
+    assert kernel_as_run(steep).matrix.tobytes() == linear.tobytes()
+    assert linear.tobytes() != parse_document(doc).kernel.matrix.tobytes()
+
+
+def test_kernel_as_run_steep_contest_gives_the_larger_effort_every_weight():
+    scenario = contest_scenario(np.eye(3), [(0.5, 0, 0.5), (0.2, 2, 0.5)],
+                                influence_strength=1.0, contest_exponent=1.0e300)
+    lam = 0.5 * 0.5 + 0.5 * 0.2
+    expected = (1.0 - lam) * np.eye(3) + lam * np.array([1.0, 0.0, 0.0])
+    assert kernel_as_run(scenario).matrix.tobytes() == expected.tobytes()
 
 
 def test_grim_absorbing_across_random_replicas():

@@ -5,104 +5,46 @@ are indexed by a protocol state evolving under a Markov transition kernel,
 plus the analytic toolkit around it: pure Nash enumeration, grim-trigger
 thresholds, mutation-adjusted cooperation conditions, endogenous
 discounting, and NPV/breakeven valuation.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import mutagame`` loads no numpy, and neither does ``load_scenario``: the
+scenario model checks plain Python values, and only the engine and the
+analytic side read arrays.
 """
 
-from .discounting import (
-    InvestmentPlan,
-    NoisePath,
-    ZERO_NOISE,
-    breakeven_horizon,
-    discounted_utility,
-    endogenous_discount_path,
-    npv,
-)
-from .equilibrium import (
-    CooperationCondition,
-    GrimThreshold,
-    cooperation_condition,
-    effective_coop_value,
-    grim_cooperation_verdict,
-    grim_trigger_threshold,
-    mixed_nash_2x2,
-    pure_nash,
-)
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    MutagameError,
-    ScenarioValidationError,
-)
-from .game import (
-    NormalFormGame,
-    StageGameSpec,
-    StrategyKind,
-    StrategyTag,
-    validate_shares,
-)
-from .protocol import (
-    KernelEntropy,
-    MutationRate,
-    ThetaProcess,
-    TransitionKernel,
-    integrity,
-    kernel_entropy,
-    mutation_rate,
-    stationary_distribution,
-)
-from .scenario import MetaModelConfig, Miner, Scenario, load_scenario, parse_document
-from .simulate import (
-    BatchSummary,
-    BatchTrace,
-    kernel_as_run,
-    replica_rng,
-    run_batch,
-    run_replica,
-)
+from importlib import import_module
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
-__all__ = [
-    "BatchSummary",
-    "BatchTrace",
-    "CapacityError",
-    "ConfigurationError",
-    "CooperationCondition",
-    "GrimThreshold",
-    "InvestmentPlan",
-    "KernelEntropy",
-    "MetaModelConfig",
-    "Miner",
-    "MutagameError",
-    "MutationRate",
-    "NoisePath",
-    "NormalFormGame",
-    "Scenario",
-    "ScenarioValidationError",
-    "StageGameSpec",
-    "StrategyKind",
-    "StrategyTag",
-    "ThetaProcess",
-    "TransitionKernel",
-    "ZERO_NOISE",
-    "breakeven_horizon",
-    "cooperation_condition",
-    "discounted_utility",
-    "effective_coop_value",
-    "endogenous_discount_path",
-    "grim_cooperation_verdict",
-    "grim_trigger_threshold",
-    "integrity",
-    "kernel_as_run",
-    "kernel_entropy",
-    "load_scenario",
-    "mixed_nash_2x2",
-    "mutation_rate",
-    "npv",
-    "parse_document",
-    "pure_nash",
-    "replica_rng",
-    "run_batch",
-    "run_replica",
-    "stationary_distribution",
-    "validate_shares",
-]
+# Every public name, by the module that defines it.
+_HOMES = {
+    name: module
+    for module, names in (
+        ("discounting", "InvestmentPlan NoisePath ZERO_NOISE breakeven_horizon "
+                        "discounted_utility endogenous_discount_path npv"),
+        ("equilibrium", "CooperationCondition GrimThreshold cooperation_condition "
+                        "effective_coop_value grim_cooperation_verdict grim_trigger_threshold "
+                        "mixed_nash_2x2 pure_nash"),
+        ("errors", "CapacityError ConfigurationError MutagameError ScenarioValidationError"),
+        ("game", "NormalFormGame StageGameSpec StrategyKind StrategyTag validate_shares"),
+        ("protocol", "KernelEntropy MutationRate ThetaProcess TransitionKernel integrity "
+                     "kernel_entropy mutation_rate stationary_distribution"),
+        ("scenario", "MetaModelConfig Miner Scenario load_scenario parse_document"),
+        ("simulate", "BatchSummary BatchTrace kernel_as_run replica_rng run_batch run_replica"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    """A public name, imported from its module on first use and then kept here."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

@@ -17,12 +17,11 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-import numpy as np
 import yaml
 
-from . import equilibrium, presets
+from . import presets
 from .discounting import ZERO_NOISE, breakeven_horizon, npv
 from .errors import (
     CapacityError,
@@ -33,7 +32,11 @@ from .errors import (
 from .game import _profile_key
 from .protocol import integrity, kernel_entropy, mutation_rate
 from .scenario import Scenario, load_document, load_scenario, parse_document
-from .simulate import BatchSummary, BatchTrace, kernel_as_run, run_batch
+
+if TYPE_CHECKING:  # `validate` and `preset` never load numpy; the engine's verbs import it
+    import numpy as np
+
+    from .simulate import BatchSummary, BatchTrace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -73,6 +76,8 @@ def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace, rows: ran
     (so ``-0.0`` and ``0.0`` stay apart); theta differs every round and is
     formatted field by field.
     """
+    import numpy as np
+
     profile_keys = [_profile_key(mask, scenario.n) for mask in range(2**scenario.n)]
     state_keys = list(map(str, range(len(scenario.game))))
     rounds = list(map(str, range(scenario.horizon)))
@@ -222,6 +227,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .simulate import run_batch
+
     scenario = load_scenario(args.scenario, _collect_overrides(args))
     summary, batch = run_batch(scenario)
     out_dir = Path(args.out)
@@ -239,6 +246,10 @@ def _ci_half_width(samples: np.ndarray) -> float:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import simulate
+
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if len(values) < 2:
         raise ConfigurationError("sweep needs at least two values")
@@ -258,12 +269,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ScenarioValidationError(list(errors))
     rows = []
     for value, scenario in zip(values, scenarios):
-        summary, batch = run_batch(scenario)
+        summary, batch = simulate.run_batch(scenario)
         durations = batch.cooperation_duration.astype(float)
-        utilities = batch.discounted_utility.mean(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, with one error
+            utilities = batch.discounted_utility.mean(axis=1)
+            row = [float(durations.mean()), _ci_half_width(durations),
+                   summary.spiral_frequency, float(utilities.mean()), _ci_half_width(utilities)]
         del batch  # free this point's trace before the next point runs
-        rows.append([args.param, value, float(durations.mean()), _ci_half_width(durations),
-                     summary.spiral_frequency, float(utilities.mean()), _ci_half_width(utilities)])
+        simulate._require_finite(row)
+        rows.append([args.param, value, *row])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / SWEEP_FILENAME, "w", encoding="utf-8", newline="") as handle:
@@ -280,6 +294,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import equilibrium
+    from .simulate import kernel_as_run
+
     scenario = load_scenario(args.scenario, _collect_overrides(args))
     game, kernel = scenario.game, kernel_as_run(scenario)
     rates = mutation_rate(kernel)
@@ -431,7 +448,11 @@ def entry() -> int:
     # Move the import-time heap (numpy's and yaml's objects) out of every
     # later collection, the interpreter's shutdown collections included:
     # they took about 34 ms after a `run` of the mutable_core preset, 9 ms
-    # frozen. Not in main(), which tests call in-process.
+    # frozen. Not in main(), which tests call in-process. Every command but
+    # `validate` and `preset` imports the engine, so it does so here, to be
+    # frozen: imported after the freeze, numpy made that `run` 8% slower.
+    if sys.argv[1:2] not in (["validate"], ["preset"]):
+        from . import equilibrium, simulate
     gc.freeze()
     return main()
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def validate_discount(delta: float) -> None:
@@ -118,7 +119,7 @@ def discounted_utility(payoffs: Sequence[float] | np.ndarray, delta: float) -> f
     """Sum of delta**t * payoffs[t] over a 1-D sequence, t from 0, left to right."""
     validate_discount(delta)
     total, factor = 0.0, 1.0
-    for payoff in np.asarray(payoffs, dtype=float).tolist():
+    for payoff in map(float, payoffs):
         total += factor * payoff
         factor *= delta
     return total
@@ -130,6 +131,8 @@ def endogenous_discount_path(noise: NoisePath, horizon: int) -> np.ndarray:
     Exact for piecewise-constant noise; the path starts at 1 and never
     increases.
     """
+    import numpy as np
+
     if horizon < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
     return np.array(

@@ -12,13 +12,17 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigurationError
+from .protocol import _float_array, _read_only_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SHARE_TOLERANCE = 1e-12
 
@@ -26,11 +30,6 @@ SHARE_TOLERANCE = 1e-12
 def _miner_bit(n: int, miner: int) -> int:
     """Miner ``miner``'s Defect bit in an n-miner profile mask."""
     return 1 << (n - 1 - miner)
-
-
-def _defect_flags(masks: np.ndarray, n: int) -> np.ndarray:
-    """Profile masks (...) as Defect flags (..., n), in miner order."""
-    return (masks[..., None] >> np.arange(n - 1, -1, -1, dtype=masks.dtype) & 1).astype(bool)
 
 
 def _profile_key(mask: int, n: int) -> str:
@@ -118,17 +117,23 @@ class NormalFormGame:
 
     def __init__(self, payoff_tensor, state: str | None = None) -> None:
         subject = "payoff tensor" if state is None else f"payoff table for state {state!r}"
-        arr = np.array(payoff_tensor, dtype=float)
-        n = arr.ndim - 1
-        if n < 1 or arr.shape != (2,) * n + (n,):
+        try:
+            shape, entries = _float_array(payoff_tensor)
+        except (TypeError, ValueError, OverflowError):  # ragged nesting, entries not numbers
+            raise ConfigurationError(f"{subject} must be an array of numbers") from None
+        n = len(shape) - 1
+        if n < 1 or shape != (2,) * n + (n,):
             raise ConfigurationError(
-                f"{subject} has shape {arr.shape}, not (2,)*n + (n,) for any n"
+                f"{subject} has shape {shape}, not (2,)*n + (n,) for any n"
             )
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, entries)):
             raise ConfigurationError(f"{subject} has non-finite entries")
-        arr.setflags(write=False)
-        self.tensor = arr
-        self.n = n
+        self.n, self._shape, self._entries = n, shape, entries
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """The payoffs as a read-only float64 array, built on first access."""
+        return _read_only_array(self._entries, self._shape)
 
     @classmethod
     def from_profile_map(
@@ -142,7 +147,7 @@ class NormalFormGame:
         if not profiles:
             raise ConfigurationError(at_state("empty profile map"))
         n = len(next(iter(profiles)))
-        rows = np.empty((2**n, n), dtype=float)
+        rows = {}
         for key, values in profiles.items():
             if len(key) != n or any(c not in "CD" for c in key):
                 raise ConfigurationError(at_state(f"bad profile key {key!r} for {n} miners"))
@@ -153,7 +158,10 @@ class NormalFormGame:
             rows[_profile_mask(key)] = values
         if len(profiles) != 2**n:  # distinct valid keys are distinct masks
             raise ConfigurationError(at_state(f"{len(profiles)} of {2 ** n} profiles defined"))
-        return cls(rows.reshape((2,) * n + (n,)), state)
+        tensor = [rows[mask] for mask in range(2**n)]
+        for _ in range(n):  # (2**n, n) rows to (2,)*n + (n,), the last miner's bit innermost
+            tensor = [tensor[i:i + 2] for i in range(0, len(tensor), 2)]
+        return cls(tensor[0], state)
 
 
 class StageGameSpec(tuple):
@@ -181,8 +189,8 @@ class StageGameSpec(tuple):
         for label, game in zip(state_labels, games):
             if game.n != games[0].n:
                 raise ConfigurationError(
-                    f"payoff table for state {label!r} has shape {game.tensor.shape}, "
-                    f"expected {games[0].tensor.shape}"
+                    f"payoff table for state {label!r} has shape {game._shape}, "
+                    f"expected {games[0]._shape}"
                 )
         self = super().__new__(cls, games)
         self.state_labels = tuple(state_labels)

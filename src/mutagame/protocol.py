@@ -10,12 +10,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigurationError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ROW_TOLERANCE = 1e-12
+
+
+def _float_array(value: Any) -> tuple[tuple[int, ...], list[float]]:
+    """The shape of ``np.array(value, dtype=float)`` and its entries as
+    Python floats, flat in C order, found without numpy. Lists, tuples and
+    numpy arrays nest. Ragged nesting raises ValueError, and an entry that
+    ``float()`` refuses raises its TypeError, ValueError or OverflowError:
+    this raises wherever numpy would."""
+    if hasattr(value, "tolist"):  # a numpy array or scalar
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        return (), [float(value)]
+    parts = [_float_array(item) for item in value]
+    shapes = {shape for shape, _ in parts}
+    if len(shapes) > 1:
+        raise ValueError("ragged nesting")
+    return (len(parts), *(shapes.pop() if shapes else ())), [x for _, flat in parts for x in flat]
+
+
+def _read_only_array(entries: list[float], shape: tuple[int, ...]) -> np.ndarray:
+    """``entries`` as a read-only float64 array of ``shape``."""
+    import numpy as np
+
+    array = np.array(entries, dtype=float).reshape(shape)
+    array.setflags(write=False)
+    return array
 
 
 class TransitionKernel:
@@ -23,35 +52,34 @@ class TransitionKernel:
 
     def __init__(self, matrix) -> None:
         try:
-            arr = np.array(matrix, dtype=float)
+            shape, entries = _float_array(matrix)
         except (TypeError, ValueError, OverflowError):  # ragged rows, entries not numbers
             raise ConfigurationError(
                 "transition kernel must be a square matrix of numbers"
             ) from None
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
             raise ConfigurationError(
-                f"transition kernel must be a square matrix, got shape {arr.shape}"
+                f"transition kernel must be a square matrix, got shape {shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not all(map(math.isfinite, entries)):
             raise ConfigurationError("transition kernel has non-finite entries")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not all(0.0 <= entry <= 1.0 for entry in entries):
             raise ConfigurationError("transition kernel entries must lie in [0, 1]")
-        sums = arr.sum(axis=1)
-        for p, total in enumerate(sums):
+        k = shape[0]
+        for p in range(k):
+            total = 0.0
+            for entry in entries[p * k:(p + 1) * k]:  # numpy's order below 8 states, unlike sum()
+                total += entry
             if abs(total - 1.0) > ROW_TOLERANCE:
                 raise ConfigurationError(
-                    f"kernel row {p} sums to {float(total)!r}, must equal 1 within {ROW_TOLERANCE}"
+                    f"kernel row {p} sums to {total!r}, must equal 1 within {ROW_TOLERANCE}"
                 )
-        arr.setflags(write=False)
-        self._matrix = arr
+        self.size, self._entries = k, entries
 
-    @property
-    def size(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return self._matrix
+        """The kernel as a read-only float64 array, built on first access."""
+        return _read_only_array(self._entries, (self.size, self.size))
 
 
 @dataclass(frozen=True)
@@ -99,6 +127,8 @@ def mutation_rate(kernel: TransitionKernel) -> MutationRate:
 
 def row_entropies(kernel: TransitionKernel) -> np.ndarray:
     """Shannon entropy of each row in nats, with 0*ln(0) = 0."""
+    import numpy as np
+
     m = kernel.matrix
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(m > 0.0, -m * np.log(m), 0.0)
@@ -124,6 +154,8 @@ def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     Caller is responsible for checking uniqueness (``has_unique_stationary``);
     on reducible kernels this returns one solution of the linear system.
     """
+    import numpy as np
+
     k = kernel.size
     a = kernel.matrix.T - np.eye(k)
     a[-1, :] = 1.0
@@ -145,6 +177,8 @@ def kernel_entropy(kernel: TransitionKernel, weighting: str = "uniform") -> Kern
         raise ConfigurationError(
             f"weighting must be 'uniform' or 'stationary', got {weighting!r}"
         )
+    import numpy as np
+
     entropies = row_entropies(kernel)
     fell_back = False
     if weighting == "stationary":
@@ -165,4 +199,4 @@ def integrity(kernel: TransitionKernel) -> float:
     1 exactly for an immutable (identity) kernel, and it can only fall when
     diagonal mass moves off-diagonal.
     """
-    return float(np.min(np.diag(kernel.matrix)))
+    return min(kernel.matrix.diagonal().tolist())

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -31,9 +31,14 @@ import numpy as np
 from . import _ziggurat
 from .discounting import endogenous_discount_path
 from .errors import CapacityError, ConfigurationError
-from .game import _ALWAYS_DEFECT, StrategyTag, _defect_flags, _miner_bit
+from .game import _ALWAYS_DEFECT, StrategyTag, _miner_bit
 from .protocol import TransitionKernel
 from .scenario import Scenario
+
+
+def _defect_flags(masks: np.ndarray, n: int) -> np.ndarray:
+    """Profile masks (...) as Defect flags (..., n), in miner order."""
+    return (masks[..., None] >> np.arange(n - 1, -1, -1, dtype=masks.dtype) & 1).astype(bool)
 
 
 @dataclass(frozen=True)
@@ -542,8 +547,13 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
         mean_endogenous_utility=None if trace.endogenous_utility is None
         else tuple(trace.endogenous_utility.mean(axis=0).tolist()),
     )
-    utilities = (summary.mean_utility, summary.std_utility, summary.risk_adjusted_utility,
-                 summary.mean_endogenous_utility or ())
-    if not all(map(math.isfinite, itertools.chain(*utilities))):
-        raise CapacityError("the utilities overflow float64: a summary value is not finite")
+    _require_finite(itertools.chain(
+        summary.mean_utility, summary.std_utility, summary.risk_adjusted_utility,
+        summary.mean_endogenous_utility or ()))
     return summary, trace
+
+
+def _require_finite(values: Iterable[float]) -> None:
+    """Refuse a batch whose utilities overflowed: a value reduced from them is not finite."""
+    if not all(map(math.isfinite, values)):
+        raise CapacityError("the utilities overflow float64: a summary value is not finite")

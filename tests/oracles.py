@@ -13,7 +13,9 @@ are the reference for the risk-adjusted summary the engine reduces round by
 round. Strong
 connectivity plus a BFS period is the reference for the primitivity test
 of ``has_unique_stationary``. The row-at-a-time ``csv.writer`` trace
-writer is the reference for the columnar one in ``mutagame.cli``.
+writer is the reference for the columnar one in ``mutagame.cli``. The
+numpy checks that ``TransitionKernel`` and ``NormalFormGame`` ran up to
+0.7.0 are the references for their plain-Python checks.
 """
 
 import csv
@@ -43,6 +45,7 @@ from mutagame import (
     replica_rng,
     validate_shares,
 )
+from mutagame.protocol import ROW_TOLERANCE
 
 
 class Action(Enum):
@@ -640,3 +643,45 @@ def csv_trace_writer(path, scenario, batch) -> None:
                     [replica_index, t, state, theta, profile_keys[mask]]
                     + [repr(p) for p in payoffs]
                 )
+
+
+def reference_kernel_matrix(matrix) -> np.ndarray:
+    """``TransitionKernel``'s checks and array up to 0.7.0, verbatim."""
+    try:
+        arr = np.array(matrix, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, entries not numbers
+        raise ConfigurationError(
+            "transition kernel must be a square matrix of numbers"
+        ) from None
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise ConfigurationError(
+            f"transition kernel must be a square matrix, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError("transition kernel has non-finite entries")
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ConfigurationError("transition kernel entries must lie in [0, 1]")
+    sums = arr.sum(axis=1)
+    for p, total in enumerate(sums):
+        if abs(total - 1.0) > ROW_TOLERANCE:
+            raise ConfigurationError(
+                f"kernel row {p} sums to {float(total)!r}, must equal 1 within {ROW_TOLERANCE}"
+            )
+    arr.setflags(write=False)
+    return arr
+
+
+def reference_payoff_tensor(payoff_tensor, state: str | None = None) -> np.ndarray:
+    """``NormalFormGame``'s checks and tensor up to 0.7.0, verbatim; a ragged
+    or non-numeric tensor leaks numpy's own ValueError or TypeError."""
+    subject = "payoff tensor" if state is None else f"payoff table for state {state!r}"
+    arr = np.array(payoff_tensor, dtype=float)
+    n = arr.ndim - 1
+    if n < 1 or arr.shape != (2,) * n + (n,):
+        raise ConfigurationError(
+            f"{subject} has shape {arr.shape}, not (2,)*n + (n,) for any n"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{subject} has non-finite entries")
+    arr.setflags(write=False)
+    return arr

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mutagame import cli, parse_document, run_batch
+from mutagame import parse_document, run_batch, simulate
 from mutagame.cli import (
     EXIT_CAPACITY,
     EXIT_IO,
@@ -387,6 +387,26 @@ def test_overflowed_utilities_exit_3_with_one_line(case, command, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_row_overflow_exits_3_with_one_line(tmp_path):
+    # Each miner's utility is finite, 1e308 in one round of one replica, so
+    # the batch passes; the sweep row's mean over the miners overflows, and
+    # is refused by the same rule as the batch summary.
+    doc = yaml.safe_load(FIXED_RULES)
+    doc["game"]["payoffs"]["baseline"] = {key: [1.0e308, 1.0e308]
+                                          for key in ("CC", "CD", "DC", "DD")}
+    doc["horizon"] = 1
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "mutagame.cli", "sweep", str(path), "--param", "discount.delta",
+         "--values", "0.5,0.6", "--replicas", "1", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (EXIT_CAPACITY, "")
+    assert result.stderr == "error: the utilities overflow float64: a summary value is not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_outputs(fixed_rules_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(small(["run", str(fixed_rules_file), "--out", str(out)])) == EXIT_OK
@@ -484,7 +504,7 @@ def test_sweep_checks_every_point_before_simulating(
 ):
     # The invalid point comes last: no point may run before it is refused.
     batches = []
-    monkeypatch.setattr(cli, "run_batch", lambda scenario: batches.append(scenario))
+    monkeypatch.setattr(simulate, "run_batch", lambda scenario: batches.append(scenario))
     code = main(
         ["sweep", str(fixed_rules_file), "--param", "discount.delta",
          "--values", "0.5,1.0", "--replicas", "20000", "--out", str(tmp_path / "sweep")]
@@ -528,7 +548,7 @@ def test_sweep_lists_every_violation_of_every_point(case, tmp_path, monkeypatch,
     path = tmp_path / "mc.yaml"
     path.write_text(MUTABLE_CORE, encoding="utf-8")
     batches = []
-    monkeypatch.setattr(cli, "run_batch", lambda scenario: batches.append(scenario))
+    monkeypatch.setattr(simulate, "run_batch", lambda scenario: batches.append(scenario))
     code = main(["sweep", str(path), "--param", "discount.delta", *args,
                  "--out", str(tmp_path / "sweep")])
     assert (code, batches) == (EXIT_VALIDATION, [])
@@ -763,3 +783,79 @@ def test_cli_commands_never_load_numpy_random(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split()[-6:] == [str(EXIT_OK)] * 5 + ["False"]
+
+
+def _entry_launchers():
+    """``python -m mutagame.cli`` and the console script, as child-process code."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    script = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    module, _, function = script["mutagame"].partition(":")
+    return [
+        "runpy.run_module('mutagame.cli', run_name='__main__')",  # python -m
+        f"sys.exit(importlib.import_module({module!r}).{function}())",  # console script
+    ]
+
+
+def test_scenario_boundary_never_loads_numpy(fixed_rules_file, tmp_path):
+    # Checking a scenario needs no array: numpy is most of the package's
+    # import time, and `validate`'s whole job is the scenario checks.
+    commands = [["validate", str(fixed_rules_file)],
+                ["preset", "mutable_core", "--out", str(tmp_path / "mc.yaml")]]
+    for launcher in _entry_launchers():
+        for argv in commands:
+            code = (
+                "import importlib, runpy, sys\n"
+                f"sys.argv = ['mutagame', *{argv!r}]\n"
+                "try:\n"
+                f"    {launcher}\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code, 'numpy' in sys.modules)\n"
+            )
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.split()[-2:] == [str(EXIT_OK), "False"], (launcher, argv)
+    code = (
+        "import sys\n"
+        "import mutagame\n"
+        "scenario = mutagame.load_scenario(sys.argv[1])\n"
+        "print(scenario.n, 'numpy' in sys.modules)\n"
+        "from mutagame import run_batch\n"
+        "print(run_batch.__module__, 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(fixed_rules_file)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["2 False", "mutagame.simulate True"]
+
+
+def test_engine_commands_start_with_numpy_frozen(fixed_rules_file):
+    # entry() freezes the heap that the engine's imports build before a
+    # command runs; imported after the freeze, numpy's objects would be
+    # scanned by every later collection.
+    reference = subprocess.run(
+        [sys.executable, "-c", "import gc, numpy, mutagame.simulate\n"
+                               "gc.freeze()\n"
+                               "print(gc.get_freeze_count())\n"],
+        capture_output=True, text=True,
+    )
+    assert reference.returncode == 0, reference.stderr
+    for launcher in _entry_launchers():
+        for command in ("run", "analyze"):
+            code = (
+                "import gc, importlib, runpy, sys\n"
+                "import mutagame.scenario\n"
+                "def started(*args):\n"
+                "    print(gc.get_freeze_count())\n"
+                "    sys.exit(0)\n"
+                "mutagame.scenario.load_scenario = started\n"
+                f"sys.argv = ['mutagame', {command!r}, sys.argv[1]]\n"
+                "try:\n"
+                f"    {launcher}\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+            )
+            result = subprocess.run([sys.executable, "-c", code, str(fixed_rules_file)],
+                                    capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            assert int(result.stdout) >= int(reference.stdout) > 0, (launcher, command)

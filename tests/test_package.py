@@ -55,7 +55,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.7.0"
+    assert mutagame.__version__ == project["version"] == "0.8.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -99,6 +99,8 @@ def test_every_module_level_import_is_used():
 def test_every_private_helper_is_named_elsewhere():
     # A module-level _helper whose last caller was deleted is caught here: it
     # must be named outside its own definition, in some module of the package.
+    # The module hooks the interpreter calls are exempt, and only they.
+    hooks = {"__getattr__", "__dir__"}
     statements = [
         (path.name, node)
         for path in sorted(Path(mutagame.__file__).parent.glob("*.py"))
@@ -113,6 +115,7 @@ def test_every_private_helper_is_named_elsewhere():
         f"{module}:{node.lineno} {node.name}"
         for i, (module, node) in enumerate(statements)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        and node.name not in hooks
         and not any(node.name in names for j, names in enumerate(named) if j != i)
     ]
     assert dead == []

@@ -14,7 +14,7 @@ analytic side read arrays.
 
 from importlib import import_module
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 # Every public name, by the module that defines it.
 _HOMES = {
@@ -22,9 +22,8 @@ _HOMES = {
     for module, names in (
         ("discounting", "InvestmentPlan NoisePath ZERO_NOISE breakeven_horizon "
                         "discounted_utility endogenous_discount_path npv"),
-        ("equilibrium", "CooperationCondition GrimThreshold cooperation_condition "
-                        "effective_coop_value grim_cooperation_verdict grim_trigger_threshold "
-                        "mixed_nash_2x2 pure_nash"),
+        ("equilibrium", "CooperationCondition GrimThreshold effective_coop_value "
+                        "grim_cooperation_verdict grim_trigger_threshold mixed_nash_2x2 pure_nash"),
         ("errors", "CapacityError ConfigurationError MutagameError ScenarioValidationError"),
         ("game", "NormalFormGame StageGameSpec StrategyKind StrategyTag validate_shares"),
         ("protocol", "KernelEntropy MutationRate ThetaProcess TransitionKernel integrity "

@@ -301,15 +301,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     game, kernel = scenario.game, kernel_as_run(scenario)
     rates = mutation_rate(kernel)
     stationary = kernel_entropy(kernel, "stationary")
-    print(f"scenario: {scenario.name}")
-    print(f"miners: {scenario.n}, protocol states: {len(game)}")
-    print("kernel")
-    print(f"  mutation rate per state: {[round(e, 12) for e in rates.per_state]}")
-    print(f"  epsilon_max: {rates.maximum:.6f}")
-    print(f"  entropy (uniform weighting): {kernel_entropy(kernel, 'uniform').value:.6f} nats")
+    lines = [f"scenario: {scenario.name}"]  # printed at the end: a refusal prints none
+    lines.append(f"miners: {scenario.n}, protocol states: {len(game)}")
+    lines.append("kernel")
+    lines.append(f"  mutation rate per state: {[round(e, 12) for e in rates.per_state]}")
+    lines.append(f"  epsilon_max: {rates.maximum:.6f}")
+    lines.append(f"  entropy (uniform weighting): {kernel_entropy(kernel, 'uniform').value:.6f} nats")
     suffix = " (fell back to uniform weights)" if stationary.fell_back_to_uniform else ""
-    print(f"  entropy (stationary weighting): {stationary.value:.6f} nats{suffix}")
-    print(f"  integrity: {integrity(kernel):.6f}")
+    lines.append(f"  entropy (stationary weighting): {stationary.value:.6f} nats{suffix}")
+    lines.append(f"  integrity: {integrity(kernel):.6f}")
     all_hold = True
     for state, (label, stage) in enumerate(zip(game.state_labels, game)):
         nash = " ".join(equilibrium.pure_nash(stage)) or "(none)"
@@ -321,27 +321,27 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             scenario.post_mutation_value,
         )
         all_hold = all_hold and verdict.holds
-        print(f"state {state} ({label})")
-        print(f"  pure Nash profiles: {nash}")
+        lines.append(f"state {state} ({label})")
+        lines.append(f"  pure Nash profiles: {nash}")
         if threshold.always_sustainable:
-            print("  grim delta_star: always sustainable (no temptation)")
+            lines.append("  grim delta_star: always sustainable (no temptation)")
         elif threshold.never_sustainable:
-            print("  grim delta_star: never sustainable (punishment toothless)")
+            lines.append("  grim delta_star: never sustainable (punishment toothless)")
         else:
-            print(f"  grim delta_star: {threshold.delta_star:.6f}")
+            lines.append(f"  grim delta_star: {threshold.delta_star:.6f}")
         if scenario.n == 2:
             mixed = equilibrium.mixed_nash_2x2(stage)
             if mixed:
                 p, q = mixed[0]
-                print(f"  mixed equilibrium (cooperate probs): p0={p:.6f} p1={q:.6f}")
-        print(
+                lines.append(f"  mixed equilibrium (cooperate probs): p0={p:.6f} p1={q:.6f}")
+        lines.append(
             f"  cooperation condition at delta={scenario.delta}, "
             f"epsilon={rates.per_state[state]:.6f}: "
             f"{'holds' if verdict.holds else 'fails'} "
-            f"(delta*E[coop]={verdict.delta * verdict.expected_coop:.6f} vs "
+            f"(delta*E[coop]={verdict.continuation:.6f} vs "
             f"defect={verdict.defect_now:.6f})"
         )
-    print(f"overall cooperation condition: {'holds' if all_hold else 'fails'}")
+    lines.append(f"overall cooperation condition: {'holds' if all_hold else 'fails'}")
     if scenario.investment is not None:
         noise = scenario.noise if scenario.noise is not None else ZERO_NOISE
         value = npv(scenario.investment, noise)
@@ -351,9 +351,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             noise=noise,
             max_horizon=max(1000, scenario.investment.horizon),
         )
-        print("investment")
-        print(f"  npv: {value:.6f}")
-        print(f"  breakeven horizon: {horizon if horizon is not None else '(never)'}")
+        lines.append("investment")
+        lines.append(f"  npv: {value:.6f}")
+        lines.append(f"  breakeven horizon: {horizon if horizon is not None else '(never)'}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

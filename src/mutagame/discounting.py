@@ -72,6 +72,13 @@ class NoisePath:
     def rate_at(self, t: float) -> float:
         return self.baseline_rate + self.eta_at(t)
 
+    def compound(self, t: int) -> float:
+        """(1 + rho + eta(t)) ** t, or inf past float range (a period's term is then 0.0)."""
+        try:
+            return (1.0 + self.rate_at(t)) ** t
+        except OverflowError:
+            return math.inf
+
     def cumulative_rate(self, t: float) -> float:
         """Exact integral of (baseline + eta(s)) over [0, t)."""
         if t <= 0:
@@ -146,7 +153,7 @@ def npv(plan: InvestmentPlan, noise: NoisePath = ZERO_NOISE) -> float:
     """
     total = -plan.upfront_cost
     for t, expected_return in enumerate(plan.expected_returns, start=1):
-        total += expected_return / (1.0 + noise.rate_at(t)) ** t
+        total += expected_return / noise.compound(t)
     return float(total)
 
 
@@ -165,7 +172,7 @@ def breakeven_horizon(
         raise ConfigurationError(f"upfront cost must be >= 0, got {upfront_cost}")
     running = -float(upfront_cost)
     for t in range(1, max_horizon + 1):
-        running += per_period_return / (1.0 + noise.rate_at(t)) ** t
+        running += per_period_return / noise.compound(t)
         if running >= 0.0:
             return t
     return None

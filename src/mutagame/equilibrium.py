@@ -8,7 +8,7 @@ and the mutation-adjusted continuation value of cooperating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,39 +21,71 @@ MAX_NASH_PLAYERS = 20
 
 @dataclass(frozen=True)
 class CooperationCondition:
-    """Verdict of the discounted cooperation test delta * E[coop] >= defect."""
+    """The discounted cooperation test: the continuation value of cooperating,
+    delta * E[coop], against the gain from defecting now. Ties hold; holds
+    reads the continuation, which delta * expected_coop can round below."""
 
     delta: float
-    expected_coop: float
+    continuation: float
     defect_now: float
-    holds: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.continuation >= self.defect_now
+
+    @property
+    def expected_coop(self) -> float:
+        return self.continuation / self.delta
 
 
 @dataclass(frozen=True)
 class PlayerGrimStatus:
-    """Grim-trigger threshold ingredients for one player.
-
-    temptation = best unilateral deviation payoff from the cooperative
-    profile, reward = cooperative payoff, punishment = punished payoff.
-    """
+    """Grim-trigger ingredients for one player: T (temptation, the best
+    unilateral deviation from cooperation), R (reward) and P (punishment).
+    delta_star = (T - R) / (T - P); always sustainable when T <= R, never
+    when R <= P (checked after T <= R), and delta_star is then None."""
 
     player: int
     temptation: float
     reward: float
     punishment: float
-    delta_star: float | None
-    always_sustainable: bool = False
-    never_sustainable: bool = False
+
+    @property
+    def always_sustainable(self) -> bool:
+        return self.temptation <= self.reward
+
+    @property
+    def never_sustainable(self) -> bool:
+        return not self.always_sustainable and self.reward <= self.punishment
+
+    @property
+    def delta_star(self) -> float | None:
+        if self.always_sustainable or self.never_sustainable:
+            return None
+        return (self.temptation - self.reward) / (self.temptation - self.punishment)
 
 
 @dataclass(frozen=True)
 class GrimThreshold:
-    """Overall grim-trigger sustainability: max per-player threshold or a flag."""
+    """Overall grim-trigger sustainability: one never-sustainable player makes
+    the profile unsustainable; otherwise the max per-player threshold, none
+    when every player is always sustainable."""
 
-    delta_star: float | None
-    always_sustainable: bool
-    never_sustainable: bool
     per_player: tuple[PlayerGrimStatus, ...]
+
+    @property
+    def never_sustainable(self) -> bool:
+        return any(s.never_sustainable for s in self.per_player)
+
+    @property
+    def always_sustainable(self) -> bool:
+        return all(s.always_sustainable for s in self.per_player)
+
+    @property
+    def delta_star(self) -> float | None:
+        if self.never_sustainable or self.always_sustainable:
+            return None
+        return max(s.delta_star for s in self.per_player if s.delta_star is not None)
 
 
 def pure_nash(game: NormalFormGame) -> list[str]:
@@ -76,58 +108,18 @@ def pure_nash(game: NormalFormGame) -> list[str]:
 
 
 def grim_trigger_threshold(game: NormalFormGame) -> GrimThreshold:
-    """Minimum discount factor at which grim punishment sustains cooperation.
-
-    Per player: delta_star = (T - R) / (T - P) when T > R > P; the player is
-    always sustainable when there is no temptation (T <= R) and never
-    sustainable when punishment has no bite (R <= P, checked after the
-    no-temptation case). The overall threshold is the max over players; one
-    never-sustainable player makes the whole profile unsustainable.
-    """
-    rows = game.tensor.reshape(-1, game.n)
-    statuses: list[PlayerGrimStatus] = []
-    for player in range(game.n):
-        reward = float(rows[0, player])  # every miner cooperates
-        punishment = float(rows[-1, player])  # every miner defects
-        temptation = float(rows[_miner_bit(game.n, player), player])  # the player alone defects
-        if temptation <= reward:
-            statuses.append(
-                PlayerGrimStatus(player, temptation, reward, punishment, None,
-                                 always_sustainable=True)
-            )
-        elif reward <= punishment:
-            statuses.append(
-                PlayerGrimStatus(player, temptation, reward, punishment, None,
-                                 never_sustainable=True)
-            )
-        else:
-            delta_star = (temptation - reward) / (temptation - punishment)
-            statuses.append(
-                PlayerGrimStatus(player, temptation, reward, punishment, delta_star)
-            )
-    if any(s.never_sustainable for s in statuses):
-        return GrimThreshold(None, False, True, tuple(statuses))
-    thresholds = [s.delta_star for s in statuses if s.delta_star is not None]
-    if not thresholds:
-        return GrimThreshold(None, True, False, tuple(statuses))
-    return GrimThreshold(max(thresholds), False, False, tuple(statuses))
-
-
-def cooperation_condition(
-    delta: float, expected_coop: float, defect_now: float
-) -> CooperationCondition:
-    """Pure predicate: cooperation is sustained iff delta * expected_coop
-    >= defect_now (ties kept cooperative)."""
-    for name, value in (("delta", delta), ("expected_coop", expected_coop),
-                        ("defect_now", defect_now)):
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, got {value}")
-    return CooperationCondition(
-        delta=delta,
-        expected_coop=expected_coop,
-        defect_now=defect_now,
-        holds=delta * expected_coop >= defect_now,
-    )
+    """Grim sustainability from each player's T (the player alone defects),
+    R (every miner cooperates) and P (every miner defects). Raises
+    CapacityError when T - R, R - P or T - P overflows float64."""
+    rows, n = game.tensor.reshape(-1, game.n), game.n
+    threshold = GrimThreshold(tuple(
+        PlayerGrimStatus(p, float(rows[_miner_bit(n, p), p]), float(rows[0, p]), float(rows[-1, p]))
+        for p in range(n)))
+    for s in threshold.per_player:
+        if not all(map(math.isfinite, (s.temptation - s.reward, s.reward - s.punishment,
+                                       s.temptation - s.punishment))):
+            raise CapacityError(f"the grim-trigger payoff differences overflow float64: {s}")
+    return threshold
 
 
 def effective_coop_value(
@@ -166,25 +158,23 @@ def grim_cooperation_verdict(
 
     Each player weighs the one-shot deviation gain T - R against the
     mutation-adjusted continuation value of the net cooperative stream R - P.
-    The returned condition belongs to the binding player (smallest margin);
-    it holds only if it holds for everyone.
+    The returned condition belongs to the binding player (the first with the
+    smallest margin, continuation - gain); it holds only if it holds for
+    everyone. Raises CapacityError when a continuation overflows float64.
     """
-    threshold = grim_trigger_threshold(game)
-    binding: CooperationCondition | None = None
-    best_margin = math.inf
-    for status in threshold.per_player:
-        gain = status.temptation - status.reward
-        value = effective_coop_value(
-            status.reward - status.punishment, delta, epsilon, post_mutation_value
+    if not math.isfinite(post_mutation_value):
+        raise ConfigurationError(f"post_mutation_value must be finite, got {post_mutation_value}")
+    conditions = [
+        CooperationCondition(
+            delta,
+            effective_coop_value(s.reward - s.punishment, delta, epsilon, post_mutation_value),
+            s.temptation - s.reward,
         )
-        # delta * (value / delta) can round below value: holds is the margin's sign.
-        condition = cooperation_condition(delta, value / delta, gain)
-        margin = value - gain
-        if margin < best_margin:
-            binding = replace(condition, holds=margin >= 0.0)
-            best_margin = margin
-    assert binding is not None
-    return binding
+        for s in grim_trigger_threshold(game).per_player
+    ]
+    if not all(math.isfinite(c.continuation) for c in conditions):
+        raise CapacityError(f"the grim continuation values overflow float64 at delta={delta!r}")
+    return min(conditions, key=lambda c: c.continuation - c.defect_now)
 
 
 def mixed_nash_2x2(game: NormalFormGame) -> list[tuple[float, float]]:

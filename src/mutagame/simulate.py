@@ -6,9 +6,10 @@ defines the model and runs every scenario check when one is built.
 Each replica owns an independent random stream derived from
 ``SeedSequence([master_seed, replica_index])``, so a replica's rounds do not
 depend on the other replicas of its batch. Per-round draw order is fixed:
-action resolution (no draws), meta influence on the kernel row (no draws),
-protocol step (one draw), payoff-scale perturbation (one draw, when
-enabled), block lottery (one draw, when enabled).
+action resolution (no draws), protocol step (one draw, on the kernel that
+``kernel_as_run`` blends with the meta contest once per batch, not each
+round), payoff-scale perturbation (one draw, when enabled), block lottery
+(one draw, when enabled).
 
 A batch advances all its replicas together with array operations, in one
 loop over rounds that takes each round in the order above. Each replica's

@@ -15,14 +15,16 @@ connectivity plus a BFS period is the reference for the primitivity test
 of ``has_unique_stationary``. The row-at-a-time ``csv.writer`` trace
 writer is the reference for the columnar one in ``mutagame.cli``. The
 numpy checks that ``TransitionKernel`` and ``NormalFormGame`` ran up to
-0.7.0 are the references for their plain-Python checks.
+0.7.0 are the references for their plain-Python checks. The grim-trigger
+records and the cooperation verdict of 0.8.0, which stored their verdicts,
+are the reference for the records that derive them.
 """
 
 import csv
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -41,10 +43,12 @@ from mutagame import (
     ThetaProcess,
     TransitionKernel,
     discounted_utility,
+    effective_coop_value,
     endogenous_discount_path,
     replica_rng,
     validate_shares,
 )
+from mutagame.game import _miner_bit
 from mutagame.protocol import ROW_TOLERANCE
 
 
@@ -685,3 +689,133 @@ def reference_payoff_tensor(payoff_tensor, state: str | None = None) -> np.ndarr
         raise ConfigurationError(f"{subject} has non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+# The grim-trigger records and the cooperation verdict as `mutagame.equilibrium`
+# defined them up to 0.8.0, verbatim: each record stores its verdicts, and the
+# verdict overrides `holds` with the margin's sign. The reference for the records
+# that derive them.
+
+
+@dataclass(frozen=True)
+class CooperationCondition:
+    """Verdict of the discounted cooperation test delta * E[coop] >= defect."""
+
+    delta: float
+    expected_coop: float
+    defect_now: float
+    holds: bool
+
+
+@dataclass(frozen=True)
+class PlayerGrimStatus:
+    """Grim-trigger threshold ingredients for one player.
+
+    temptation = best unilateral deviation payoff from the cooperative
+    profile, reward = cooperative payoff, punishment = punished payoff.
+    """
+
+    player: int
+    temptation: float
+    reward: float
+    punishment: float
+    delta_star: float | None
+    always_sustainable: bool = False
+    never_sustainable: bool = False
+
+
+@dataclass(frozen=True)
+class GrimThreshold:
+    """Overall grim-trigger sustainability: max per-player threshold or a flag."""
+
+    delta_star: float | None
+    always_sustainable: bool
+    never_sustainable: bool
+    per_player: tuple[PlayerGrimStatus, ...]
+
+
+def grim_trigger_threshold(game: NormalFormGame) -> GrimThreshold:
+    """Minimum discount factor at which grim punishment sustains cooperation.
+
+    Per player: delta_star = (T - R) / (T - P) when T > R > P; the player is
+    always sustainable when there is no temptation (T <= R) and never
+    sustainable when punishment has no bite (R <= P, checked after the
+    no-temptation case). The overall threshold is the max over players; one
+    never-sustainable player makes the whole profile unsustainable.
+    """
+    rows = game.tensor.reshape(-1, game.n)
+    statuses: list[PlayerGrimStatus] = []
+    for player in range(game.n):
+        reward = float(rows[0, player])  # every miner cooperates
+        punishment = float(rows[-1, player])  # every miner defects
+        temptation = float(rows[_miner_bit(game.n, player), player])  # the player alone defects
+        if temptation <= reward:
+            statuses.append(
+                PlayerGrimStatus(player, temptation, reward, punishment, None,
+                                 always_sustainable=True)
+            )
+        elif reward <= punishment:
+            statuses.append(
+                PlayerGrimStatus(player, temptation, reward, punishment, None,
+                                 never_sustainable=True)
+            )
+        else:
+            delta_star = (temptation - reward) / (temptation - punishment)
+            statuses.append(
+                PlayerGrimStatus(player, temptation, reward, punishment, delta_star)
+            )
+    if any(s.never_sustainable for s in statuses):
+        return GrimThreshold(None, False, True, tuple(statuses))
+    thresholds = [s.delta_star for s in statuses if s.delta_star is not None]
+    if not thresholds:
+        return GrimThreshold(None, True, False, tuple(statuses))
+    return GrimThreshold(max(thresholds), False, False, tuple(statuses))
+
+
+def cooperation_condition(
+    delta: float, expected_coop: float, defect_now: float
+) -> CooperationCondition:
+    """Pure predicate: cooperation is sustained iff delta * expected_coop
+    >= defect_now (ties kept cooperative)."""
+    for name, value in (("delta", delta), ("expected_coop", expected_coop),
+                        ("defect_now", defect_now)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
+    return CooperationCondition(
+        delta=delta,
+        expected_coop=expected_coop,
+        defect_now=defect_now,
+        holds=delta * expected_coop >= defect_now,
+    )
+
+
+
+def grim_cooperation_verdict(
+    game: NormalFormGame,
+    delta: float,
+    epsilon: float,
+    post_mutation_value: float = 0.0,
+) -> CooperationCondition:
+    """Cooperation test for a grim population under rule mutation.
+
+    Each player weighs the one-shot deviation gain T - R against the
+    mutation-adjusted continuation value of the net cooperative stream R - P.
+    The returned condition belongs to the binding player (smallest margin);
+    it holds only if it holds for everyone.
+    """
+    threshold = grim_trigger_threshold(game)
+    binding: CooperationCondition | None = None
+    best_margin = math.inf
+    for status in threshold.per_player:
+        gain = status.temptation - status.reward
+        value = effective_coop_value(
+            status.reward - status.punishment, delta, epsilon, post_mutation_value
+        )
+        # delta * (value / delta) can round below value: holds is the margin's sign.
+        condition = cooperation_condition(delta, value / delta, gain)
+        margin = value - gain
+        if margin < best_margin:
+            binding = replace(condition, holds=margin >= 0.0)
+            best_margin = margin
+    assert binding is not None
+    return binding

@@ -709,6 +709,58 @@ def test_analyze_rates_are_the_rates_the_engine_runs(tmp_path, capsys):
         assert abs(frequency - rate) <= 4 * se, (state, frequency)
 
 
+# T - P overflows float64 in the first table; in the second T - R, R - P and
+# T - P are finite, but the continuation of R - P at a delta one ulp below 1
+# is not. analyze printed 8 report lines, then a validation error (exit 1)
+# naming an internal parameter.
+GRIM_OVERFLOWS = {
+    "payoff_differences": ({"CC": [1.0e308, 1.0e308], "CD": [-1.0e308, 1.7e308],
+                            "DC": [1.7e308, -1.0e308], "DD": [-1.0e308, -1.0e308]}, 0.9),
+    "continuation": ({"CC": [1e300, 1e300], "CD": [0.0, 2e300], "DC": [2e300, 0.0],
+                      "DD": [0.0, 0.0]}, 0.9999999999999999),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRIM_OVERFLOWS))
+def test_analyze_refuses_overflowing_grim_quantities(case, tmp_path):
+    table, delta = GRIM_OVERFLOWS[case]
+    doc = yaml.safe_load(FIXED_RULES)
+    doc["game"]["payoffs"]["baseline"] = table
+    doc["discount"]["delta"] = delta
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "mutagame.cli", "analyze", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (EXIT_CAPACITY, "")
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "overflow float64" in lines[0]
+
+
+def test_analyze_prints_nothing_before_a_refusal(fixed_rules_file, monkeypatch, capsys):
+    # pure_nash's player limit is refused for the first state, after the
+    # kernel lines are computed; none of them is printed.
+    from mutagame import equilibrium
+
+    monkeypatch.setattr(equilibrium, "MAX_NASH_PLAYERS", 1)
+    assert main(["analyze", str(fixed_rules_file)]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pure_nash supports at most 1 players, got 2\n"
+
+
+def test_analyze_investment_past_float_range_never_breaks_even(tmp_path, capsys):
+    # (1 + rate) ** t passes float range before the plan breaks even; the
+    # loop raised OverflowError, and analyze ended in a traceback.
+    path = tmp_path / "mutable_core.yaml"
+    path.write_text(MUTABLE_CORE, encoding="utf-8")
+    assert main(["analyze", str(path), "--set", "noise.segments.1.value=1.5",
+                 "--set", "investment.upfront_cost=10000"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "  breakeven horizon: (never)\n" in out
+    npv = float(re.search(r"  npv: (\S+)\n", out).group(1))
+    assert math.isfinite(npv) and npv < 0.0
+
+
 @pytest.mark.parametrize("command", ["validate", "analyze"])
 def test_nonpositive_first_investment_return_is_a_violation(command, tmp_path, capsys):
     doc = yaml.safe_load(MUTABLE_CORE)

@@ -208,6 +208,17 @@ def test_breakeven_nondecreasing_in_noise():
         previous = value
 
 
+def test_compound_factor_past_float_range_discounts_to_zero():
+    # 3.0 ** 647 passes float range: those periods' terms are 0.0, where the
+    # loops raised OverflowError. Earlier periods keep their terms.
+    noise = NoisePath.constant(2.0)
+    assert noise.compound(646) == 3.0 ** 646 and noise.compound(647) == math.inf
+    assert breakeven_horizon(1.0, 100.0, noise, 1000) is None
+    value = npv(InvestmentPlan(0.0, (1.0,) * 1000), noise)
+    assert value == npv(InvestmentPlan(0.0, (1.0,) * 646), noise)
+    assert math.isfinite(value) and value == pytest.approx(0.5)
+
+
 def test_discount_conventions_agree_to_first_order():
     for rate in (0.01, 0.02, 0.05, 0.08, 0.1):
         for t in range(1, 31):

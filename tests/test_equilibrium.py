@@ -7,12 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutagame import (
     CapacityError,
     ConfigurationError,
+    CooperationCondition,
     NormalFormGame,
-    cooperation_condition,
     effective_coop_value,
     grim_cooperation_verdict,
     grim_trigger_threshold,
@@ -24,6 +26,7 @@ from mutagame.presets import FIXED_RULES
 
 # Independent exhaustive oracle lives in oracles.py, written against the
 # dict representation before the module under test was consulted.
+import oracles  # noqa: E402
 from oracles import nash_oracle, random_profile_map  # noqa: E402
 
 
@@ -99,15 +102,85 @@ def test_grim_threshold_reports_binding_player():
 
 
 def test_cooperation_condition_arithmetic():
-    assert cooperation_condition(0.9, 10.0, 5.0).holds
-    assert not cooperation_condition(0.4, 10.0, 5.0).holds
+    # The continuation is delta * E[coop]: 0.9 * 10, 0.4 * 10 and 0.5 * 10.
+    assert CooperationCondition(0.9, 9.0, 5.0).holds
+    assert not CooperationCondition(0.4, 4.0, 5.0).holds
     # exact tie kept cooperative
-    assert cooperation_condition(0.5, 10.0, 5.0).holds
+    assert CooperationCondition(0.5, 5.0, 5.0).holds
+    assert CooperationCondition(0.5, 5.0, 5.0).expected_coop == 10.0
 
 
 def test_cooperation_condition_rejects_non_finite():
+    game = NormalFormGame.from_profile_map(PD)
     with pytest.raises(ConfigurationError):
-        cooperation_condition(float("nan"), 1.0, 1.0)
+        grim_cooperation_verdict(game, float("nan"), 0.0)
+    with pytest.raises(ConfigurationError):
+        grim_cooperation_verdict(game, 0.9, 0.0, post_mutation_value=float("nan"))
+
+
+# A 7-value grid, so that T = R, R = P and equal margins across players occur.
+PAYOFF_GRID = (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 5.0)
+
+
+@st.composite
+def small_games(draw):
+    n = draw(st.integers(1, 4))
+    keys = ["".join(p) for p in itertools.product("CD", repeat=n)]
+    values = st.lists(st.sampled_from(PAYOFF_GRID), min_size=n, max_size=n)
+    return NormalFormGame.from_profile_map({key: draw(values) for key in keys})
+
+
+THRESHOLD_FIELDS = ("delta_star", "always_sustainable", "never_sustainable")
+PLAYER_FIELDS = ("player", "temptation", "reward", "punishment", *THRESHOLD_FIELDS)
+VERDICT_FIELDS = ("delta", "expected_coop", "defect_now", "holds")
+
+
+def _fields(record, names):
+    return repr([getattr(record, name) for name in names])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    small_games(),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    st.one_of(st.sampled_from(PAYOFF_GRID), st.floats(-10.0, 10.0)),
+)
+def test_records_match_the_stored_verdicts_of_0_8_0(game, delta, epsilon, post):
+    # oracles.py keeps 0.8.0's records, which stored every verdict; the
+    # records now derive them, and every field they expose reads the same.
+    threshold, reference = grim_trigger_threshold(game), oracles.grim_trigger_threshold(game)
+    assert _fields(threshold, THRESHOLD_FIELDS) == _fields(reference, THRESHOLD_FIELDS)
+    assert len(threshold.per_player) == len(reference.per_player) == game.n
+    for status, expected in zip(threshold.per_player, reference.per_player):
+        assert _fields(status, PLAYER_FIELDS) == _fields(expected, PLAYER_FIELDS)
+    verdict = grim_cooperation_verdict(game, delta, epsilon, post)
+    expected = oracles.grim_cooperation_verdict(game, delta, epsilon, post)
+    assert _fields(verdict, VERDICT_FIELDS) == _fields(expected, VERDICT_FIELDS)
+    assert verdict.holds == (verdict.continuation >= verdict.defect_now)
+
+
+def test_overflowing_payoff_differences_are_refused():
+    # T - P = 1.7e308 + 1e308 overflows, and delta_star read 0.0 where it is
+    # 0.7 / 2.7; R - P and T - R overflow for the other tables.
+    table = {"CC": [1.0e308, 1.0e308], "CD": [-1.0e308, 1.7e308],
+             "DC": [1.7e308, -1.0e308], "DD": [-1.0e308, -1.0e308]}
+    for game in (table, {**table, "DD": [-1.0e308, 1.0e308], "CC": [1.0e308, -1.0e308]},
+                 {**table, "CC": [-1.0e308, 1.0e308], "CD": [1.0e308, 1.7e308],
+                  "DC": [1.7e308, 1.0e308], "DD": [-1.7e308, -1.7e308]}):
+        with pytest.raises(CapacityError, match="overflow float64"):
+            grim_trigger_threshold(NormalFormGame.from_profile_map(game))
+
+
+def test_overflowing_continuation_is_refused():
+    # T - R, R - P and T - P are finite; the continuation of R - P at a
+    # delta one ulp below 1 is not.
+    game = NormalFormGame.from_profile_map(
+        {"CC": [1e300, 1e300], "CD": [0.0, 2e300], "DC": [2e300, 0.0], "DD": [0.0, 0.0]}
+    )
+    assert grim_trigger_threshold(game).delta_star == 0.5
+    with pytest.raises(CapacityError, match="overflow float64"):
+        grim_cooperation_verdict(game, 0.9999999999999999, 0.0)
 
 
 def test_effective_coop_value_closed_forms():
@@ -164,13 +237,15 @@ def test_verdict_flips_exactly_at_grim_threshold(temptation, reward, punishment)
 
 def test_exact_tie_holds_in_the_verdict_and_in_analyze(tmp_path, capsys):
     # T - R equals the continuation value exactly, but delta * (value /
-    # delta) rounds one ulp below it. Ties are cooperative.
+    # delta) rounds one ulp below it, so holds compares the continuation
+    # itself. Ties are cooperative.
     temptation = 4.615384615384615
     table = {"CC": [3.0, 3.0], "CD": [0.0, temptation], "DC": [temptation, 0.0],
              "DD": [0.0, 0.0]}
     assert effective_coop_value(3.0, 0.35, 0.0) == temptation - 3.0
     verdict = grim_cooperation_verdict(NormalFormGame.from_profile_map(table), 0.35, 0.0)
-    assert verdict.delta * verdict.expected_coop < verdict.defect_now == temptation - 3.0
+    assert verdict.continuation == verdict.defect_now == temptation - 3.0
+    assert verdict.delta * verdict.expected_coop < verdict.defect_now
     assert verdict.holds and verdict.delta == 0.35
     doc = yaml.safe_load(FIXED_RULES)
     doc["discount"]["delta"] = 0.35

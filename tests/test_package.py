@@ -22,7 +22,9 @@ from mutagame.presets import PRESETS
 # wrappers around the preset table. Retired in 0.5.0: apply_overrides
 # (parse_document takes the overrides). Retired in 0.7.0: apply_meta_influence
 # (kernel_as_run holds the contest; tests/oracles.py keeps a one-row
-# reference) and Scenario.meta_investors.
+# reference) and Scenario.meta_investors. Retired in 0.9.0:
+# cooperation_condition (CooperationCondition derives holds from its fields;
+# tests/oracles.py keeps the 0.8.0 verdict).
 RETIRED = {
     "Action",
     "PayoffVariance",
@@ -33,6 +35,7 @@ RETIRED = {
     "apply_meta_influence",
     "apply_overrides",
     "block_lottery",
+    "cooperation_condition",
     "cooperation_duration",
     "detect_spiral",
     "parse_profile",
@@ -55,7 +58,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.8.0"
+    assert mutagame.__version__ == project["version"] == "0.9.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():

@@ -40,6 +40,8 @@ class NoisePath:
     segments: tuple[tuple[int, float], ...] = ((0, 0.0),)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.baseline_rate):
+            raise ConfigurationError(f"baseline rate must be finite, got {self.baseline_rate}")
         if not self.baseline_rate >= 0.0:
             raise ConfigurationError(
                 f"baseline rate must be >= 0, got {self.baseline_rate}"
@@ -50,10 +52,14 @@ class NoisePath:
             raise ConfigurationError("first noise segment must start at round 0")
         previous = -1
         for start, value in self.segments:
+            if start % 1 != 0:  # also nan and inf
+                raise ConfigurationError(f"noise segment start must be an integer, got {start}")
             if start <= previous:
                 raise ConfigurationError(
                     "noise segment starts must be strictly increasing"
                 )
+            if not math.isfinite(value):
+                raise ConfigurationError(f"noise value must be finite, got {value}")
             if not value >= 0.0:
                 raise ConfigurationError(f"noise value must be >= 0, got {value}")
             previous = start
@@ -105,6 +111,8 @@ class InvestmentPlan:
     expected_returns: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.upfront_cost):
+            raise ConfigurationError(f"upfront cost must be finite, got {self.upfront_cost}")
         if not self.upfront_cost >= 0.0:
             raise ConfigurationError(
                 f"upfront cost must be >= 0, got {self.upfront_cost}"

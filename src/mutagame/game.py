@@ -37,11 +37,6 @@ def _profile_key(mask: int, n: int) -> str:
     return format(mask, f"0{n}b").replace("0", "C").replace("1", "D")
 
 
-def _profile_mask(key: str) -> int:
-    """The profile mask of a C/D key, the inverse of ``_profile_key``."""
-    return int(key.replace("C", "0").replace("D", "1") or "0", 2)
-
-
 class StrategyTag(Enum):
     """Named miner behaviours.
 
@@ -116,11 +111,16 @@ class NormalFormGame:
     """
 
     def __init__(self, payoff_tensor, state: str | None = None) -> None:
+        self._read(payoff_tensor, state)
+
+    def _read(self, value, state: str | None, rows_of: int | None = None) -> None:
+        """Check and store a payoff tensor, or with ``rows_of`` n its (2**n, n) rows."""
         subject = "payoff tensor" if state is None else f"payoff table for state {state!r}"
         try:
-            shape, entries = _float_array(payoff_tensor)
+            shape, entries = _float_array(value)
         except (TypeError, ValueError, OverflowError):  # ragged nesting, entries not numbers
             raise ConfigurationError(f"{subject} must be an array of numbers") from None
+        shape = shape if rows_of is None else (2,) * rows_of + shape[1:]
         n = len(shape) - 1
         if n < 1 or shape != (2,) * n + (n,):
             raise ConfigurationError(
@@ -146,22 +146,26 @@ class NormalFormGame:
 
         if not profiles:
             raise ConfigurationError(at_state("empty profile map"))
-        n = len(next(iter(profiles)))
-        rows = {}
+        first = next(iter(profiles))
+        n = len(first) if isinstance(first, str) else 0  # the loop refuses a non-string first
         for key, values in profiles.items():
-            if len(key) != n or any(c not in "CD" for c in key):
+            if not isinstance(key, str):
+                raise ConfigurationError(at_state(f"bad profile key {key!r}, not a string"))
+            if len(key) != n or key.strip("CD"):
                 raise ConfigurationError(at_state(f"bad profile key {key!r} for {n} miners"))
-            if len(values) != n:
+            try:
+                got = len(values)
+            except TypeError:  # a number, or anything else with no length
+                got = f"{values!r}, not a sequence"
+            if got != n:
                 raise ConfigurationError(at_state(
-                    f"profile {key!r}: expected {n} payoffs, got {len(values)}", ", "
+                    f"profile {key!r}: expected {n} payoffs, got {got}", ", "
                 ))
-            rows[_profile_mask(key)] = values
         if len(profiles) != 2**n:  # distinct valid keys are distinct masks
             raise ConfigurationError(at_state(f"{len(profiles)} of {2 ** n} profiles defined"))
-        tensor = [rows[mask] for mask in range(2**n)]
-        for _ in range(n):  # (2**n, n) rows to (2,)*n + (n,), the last miner's bit innermost
-            tensor = [tensor[i:i + 2] for i in range(0, len(tensor), 2)]
-        return cls(tensor[0], state)
+        game = cls.__new__(cls)  # sorted, the keys run through the masks in order
+        game._read([profiles[key] for key in sorted(profiles)], state, rows_of=n)
+        return game
 
 
 class StageGameSpec(tuple):

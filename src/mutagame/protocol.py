@@ -19,23 +19,26 @@ if TYPE_CHECKING:
     import numpy as np
 
 ROW_TOLERANCE = 1e-12
+MAX_NESTING = 64  # numpy 2's limit on an array's dimensions
 
 
 def _float_array(value: Any) -> tuple[tuple[int, ...], list[float]]:
-    """The shape of ``np.array(value, dtype=float)`` and its entries as
-    Python floats, flat in C order, found without numpy. Lists, tuples and
-    numpy arrays nest. Ragged nesting raises ValueError, and an entry that
-    ``float()`` refuses raises its TypeError, ValueError or OverflowError:
-    this raises wherever numpy would."""
-    if hasattr(value, "tolist"):  # a numpy array or scalar
-        value = value.tolist()
-    if not isinstance(value, (list, tuple)):
-        return (), [float(value)]
-    parts = [_float_array(item) for item in value]
-    shapes = {shape for shape, _ in parts}
-    if len(shapes) > 1:
-        raise ValueError("ragged nesting")
-    return (len(parts), *(shapes.pop() if shapes else ())), [x for _, flat in parts for x in flat]
+    """The shape of ``np.array(value, dtype=float)`` and its entries as Python
+    floats, flat in C order, read one nesting level at a time without numpy.
+    Lists, tuples and numpy arrays nest; ragged nesting or more than
+    ``MAX_NESTING`` levels raises ValueError, and an entry that ``float()``
+    refuses raises its TypeError, ValueError or OverflowError, as numpy would."""
+    shape, level = [], [value]
+    while True:
+        if any(hasattr(kind, "tolist") for kind in set(map(type, level))):  # numpy arrays, scalars
+            level = [item.tolist() if hasattr(item, "tolist") else item for item in level]
+        nested = {issubclass(kind, (list, tuple)) for kind in set(map(type, level))}
+        if True not in nested:  # all numbers, or no items at all
+            return tuple(shape), list(map(float, level))
+        if False in nested or len(set(map(len, level))) > 1 or len(shape) == MAX_NESTING:
+            raise ValueError("ragged nesting, or more levels than numpy allows")
+        shape.append(len(level[0]))
+        level = [x for item in level for x in item]
 
 
 def _read_only_array(entries: list[float], shape: tuple[int, ...]) -> np.ndarray:

@@ -3,9 +3,9 @@ against the numpy checks they replaced (``tests/oracles.py``).
 
 Where the reference refuses an input, the constructor refuses it with the
 same text; where the reference accepts it, ``.matrix`` or ``.tensor`` holds
-the same bits and is read-only. A ragged or non-numeric payoff tensor, which
-the reference leaked as numpy's own ValueError or TypeError, is now refused
-by a ConfigurationError.
+the same bits and is read-only. A ragged or non-numeric payoff tensor, or
+one nested past numpy's 64 levels, which the reference leaked as numpy's own
+ValueError or TypeError, is now refused by a ConfigurationError.
 """
 
 import math
@@ -84,14 +84,46 @@ SHAPED = st.one_of(
     st.lists(st.lists(ENTRIES, max_size=4), max_size=4),  # ragged, mostly
     st.lists(st.lists(st.lists(ENTRIES, min_size=2, max_size=2), min_size=2, max_size=2),
              min_size=1, max_size=2),  # 3-D
+    st.deferred(lambda: deep_nests()),  # 4-D to 8-D
+    st.deferred(lambda: chains()),  # 60 to 70 levels, about numpy's 64
 )
+
+
+def chained(value, levels):
+    """``value`` inside ``levels`` single-element lists."""
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+@st.composite
+def deep_nests(draw):
+    """4 to 8 levels of lists of 0 to 2 items; now and then one innermost
+    list loses an item, making the nest ragged."""
+    dims = draw(st.lists(st.integers(0, 2), min_size=4, max_size=8))
+
+    def build(dims):
+        return draw(ENTRIES) if not dims else [build(dims[1:]) for _ in range(dims[0])]
+
+    value = inner = build(dims)
+    while inner and isinstance(inner[0], list):
+        inner = inner[draw(st.integers(0, len(inner) - 1))]
+    if inner and draw(st.integers(0, 3)) == 0:
+        inner.pop()
+    return value
+
+
+@st.composite
+def chains(draw):
+    """A number, or a short list of numbers, 60 to 70 single-element lists deep."""
+    return chained(draw(ENTRIES | st.lists(ENTRIES, max_size=2)), draw(st.integers(60, 70)))
 
 
 @st.composite
 def tensors(draw):
-    """Payoff tensors of shape (2,)*n + (n,), n = 1..4, as nested lists of
+    """Payoff tensors of shape (2,)*n + (n,), n = 1..5, as nested lists of
     numbers, some spelled as strings; now and then one entry is any entry."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
     size = 2**n * n
     value = [draw(st.floats(-1e6, 1e6).flatmap(spelled) | st.integers(-5, 5))
              for _ in range(size)]
@@ -175,3 +207,28 @@ def test_row_sum_message_keeps_numpys_total():
         with pytest.raises(ConfigurationError) as caught:
             build(matrix)
         assert str(caught.value) == "kernel row 0 sums to 0.999999999997, must equal 1 within 1e-12"
+
+
+@pytest.mark.parametrize("levels", [63, 64, 65])
+def test_nesting_at_numpys_dimension_limit_matches_the_numpy_reference(levels):
+    # numpy 2 holds at most 64 dimensions; the reader refuses a 65th level as numpy does.
+    for inner in (0.5, [0.5], [[1.0]]):
+        check_kernel(chained(inner, levels))
+        check_payoff_tensor(chained(inner, levels), None)
+
+
+def test_a_5000_level_nest_is_refused_in_one_line():
+    # Far past numpy's 64 levels: one refusal line from each, never RecursionError.
+    value = chained(1.0, 5000)
+    for build, message in [
+        (TransitionKernel, "transition kernel must be a square matrix of numbers"),
+        (reference_kernel_matrix, "transition kernel must be a square matrix of numbers"),
+        (lambda v: NormalFormGame(v, "baseline"),
+         "payoff table for state 'baseline' must be an array of numbers"),
+    ]:
+        with pytest.raises(ConfigurationError) as caught:
+            build(value)
+        assert str(caught.value) == message and "\n" not in message
+        assert caught.value.__cause__ is None and caught.value.__suppress_context__
+    with pytest.raises(ValueError):
+        reference_payoff_tensor(value)

@@ -145,6 +145,33 @@ def test_noise_path_validation():
         NoisePath(baseline_rate=0.1, segments=((0, -0.5),))
 
 
+def test_noise_path_refuses_a_non_integral_start():
+    # 2.5 and 2.9 would both be stored as round 2, and cumulative_rate(3)
+    # would read 0.8 where the given starts integrate to 0.66.
+    with pytest.raises(ConfigurationError, match="^noise segment start must be an integer, got 2.5$"):
+        NoisePath(0.1, ((0, 0.1), (2.5, 0.2), (2.9, 0.3)))
+    for start in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="noise segment start must be an integer"):
+            NoisePath(0.1, ((0, 0.1), (start, 0.2)))
+    noise = NoisePath(0.1, ((0, 0.1), (2.0, 0.2), (np.int64(3), 0.3)))
+    assert noise.segments == ((0, 0.1), (2, 0.2), (3, 0.3))
+    assert noise.cumulative_rate(3) == pytest.approx(0.2 + 0.2 + 0.3)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: NoisePath(math.inf), "baseline rate must be finite, got inf"),
+    (lambda: NoisePath(-math.inf), "baseline rate must be finite, got -inf"),
+    (lambda: NoisePath(0.0, ((0, math.inf),)), "noise value must be finite, got inf"),
+    (lambda: NoisePath(0.0, ((0, 0.0), (4, math.inf))), "noise value must be finite, got inf"),
+    (lambda: InvestmentPlan(math.inf, (1.0,)), "upfront cost must be finite, got inf"),
+])
+def test_infinite_rates_and_costs_are_refused(make, message):
+    # The scenario schema refuses these as not finite; the Python API now
+    # does too, where npv of an infinite upfront cost read -inf.
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        make()
+
+
 def test_payoff_variance():
     assert payoff_variance([4.0, 4.0, 4.0]).sigma2 == 0.0
     two_point = payoff_variance([0.0, 2.0])

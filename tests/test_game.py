@@ -11,6 +11,7 @@ from oracles import Action, PlayHistory, block_lottery, resolve_actions, stage_p
 
 from mutagame import (
     ConfigurationError,
+    NormalFormGame,
     StageGameSpec,
     StrategyKind,
     StrategyTag,
@@ -92,6 +93,36 @@ def test_table_validation():
         StageGameSpec.from_profile_maps(
             ["s0"], {"s0": {**PD_TABLE, "CC": [np.inf, 3.0]}}
         )
+
+
+@pytest.mark.parametrize("profiles, state, message", [
+    ({11: [1.0, 1.0]}, None, "bad profile key 11, not a string"),
+    ({**PD_TABLE, ("C", "D"): [0.0, 5.0]}, "s0", "state 's0': bad profile key ('C', 'D'), not a string"),
+    ({"C": 5, "D": 6}, None, "profile 'C': expected 1 payoffs, got 5, not a sequence"),
+    ({**PD_TABLE, "DD": 1.0}, "s0", "state 's0', profile 'DD': expected 2 payoffs, got 1.0, not a sequence"),
+    ({"C": [1.0], "D": np.array(2.0)}, None,
+     "profile 'D': expected 1 payoffs, got array(2.), not a sequence"),
+    ({"CX": [1.0, 1.0]}, None, "bad profile key 'CX' for 2 miners"),
+])
+def test_profile_map_refuses_bad_keys_and_values(profiles, state, message):
+    # A non-string key and a payoff value with no length escaped as
+    # TypeError from len(); each is refused, naming the key.
+    with pytest.raises(ConfigurationError) as caught:
+        NormalFormGame.from_profile_map(profiles, state)
+    assert str(caught.value) == message
+
+
+def test_profile_map_and_tensor_read_the_same_entries():
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 3, 5):
+        tensor = rng.normal(size=(2,) * n + (n,))
+        rows = tensor.reshape(2**n, n)
+        keys = ["".join(key) for key in itertools.product("CD", repeat=n)]
+        order = rng.permutation(2**n).tolist()  # the map's order is not the masks'
+        for values_of in (lambda m: rows[m].tolist(), lambda m: tuple(rows[m]), lambda m: rows[m]):
+            game = NormalFormGame.from_profile_map({keys[m]: values_of(m) for m in order})
+            assert game.n == n and game.tensor.tobytes() == NormalFormGame(tensor).tensor.tobytes()
+            assert game.tensor.shape == tensor.shape
 
 
 def test_stage_game_survives_pickle_and_deepcopy():

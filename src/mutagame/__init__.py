@@ -14,7 +14,7 @@ analytic side read arrays.
 
 from importlib import import_module
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 # Every public name, by the module that defines it.
 _HOMES = {
@@ -28,8 +28,8 @@ _HOMES = {
         ("game", "NormalFormGame StageGameSpec StrategyKind StrategyTag validate_shares"),
         ("protocol", "KernelEntropy MutationRate ThetaProcess TransitionKernel integrity "
                      "kernel_entropy mutation_rate stationary_distribution"),
-        ("scenario", "MetaModelConfig Miner Scenario load_scenario parse_document"),
-        ("simulate", "BatchSummary BatchTrace kernel_as_run replica_rng run_batch run_replica"),
+        ("scenario", "MetaModelConfig Miner Scenario kernel_as_run load_scenario parse_document"),
+        ("simulate", "BatchSummary BatchTrace replica_rng run_batch run_replica"),
     )
     for name in names.split()
 }

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, TextIO
 
 import yaml
 
-from . import presets
+from . import equilibrium, presets
 from .discounting import ZERO_NOISE, breakeven_horizon, npv
 from .errors import (
     CapacityError,
@@ -31,9 +31,9 @@ from .errors import (
 )
 from .game import _profile_key
 from .protocol import integrity, kernel_entropy, mutation_rate
-from .scenario import Scenario, load_document, load_scenario, parse_document
+from .scenario import Scenario, kernel_as_run, load_document, load_scenario, parse_document
 
-if TYPE_CHECKING:  # `validate` and `preset` never load numpy; the engine's verbs import it
+if TYPE_CHECKING:  # `validate`, `analyze` and `preset` never load numpy; `run` and `sweep` do
     import numpy as np
 
     from .simulate import BatchSummary, BatchTrace
@@ -294,9 +294,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from . import equilibrium
-    from .simulate import kernel_as_run
-
     scenario = load_scenario(args.scenario, _collect_overrides(args))
     game, kernel = scenario.game, kernel_as_run(scenario)
     rates = mutation_rate(kernel)
@@ -449,11 +446,11 @@ def entry() -> int:
     # Move the import-time heap (numpy's and yaml's objects) out of every
     # later collection, the interpreter's shutdown collections included:
     # they took about 34 ms after a `run` of the mutable_core preset, 9 ms
-    # frozen. Not in main(), which tests call in-process. Every command but
-    # `validate` and `preset` imports the engine, so it does so here, to be
-    # frozen: imported after the freeze, numpy made that `run` 8% slower.
-    if sys.argv[1:2] not in (["validate"], ["preset"]):
-        from . import equilibrium, simulate
+    # frozen. Not in main(), which tests call in-process. `run` and `sweep`
+    # import the engine, so they do so here, to be frozen: imported after
+    # the freeze, numpy made that `run` 8% slower.
+    if sys.argv[1:2] in (["run"], ["sweep"]):
+        from . import simulate
     gc.freeze()
     return main()
 

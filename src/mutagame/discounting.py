@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigurationError
+from .protocol import _real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,7 +41,7 @@ class NoisePath:
     segments: tuple[tuple[int, float], ...] = ((0, 0.0),)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.baseline_rate):
+        if not math.isfinite(_real(self.baseline_rate, "baseline rate")):
             raise ConfigurationError(f"baseline rate must be finite, got {self.baseline_rate}")
         if not self.baseline_rate >= 0.0:
             raise ConfigurationError(
@@ -52,13 +53,13 @@ class NoisePath:
             raise ConfigurationError("first noise segment must start at round 0")
         previous = -1
         for start, value in self.segments:
-            if start % 1 != 0:  # also nan and inf
+            if _real(start, "noise segment start") % 1 != 0:  # also nan and inf
                 raise ConfigurationError(f"noise segment start must be an integer, got {start}")
             if start <= previous:
                 raise ConfigurationError(
                     "noise segment starts must be strictly increasing"
                 )
-            if not math.isfinite(value):
+            if not math.isfinite(_real(value, "noise value")):
                 raise ConfigurationError(f"noise value must be finite, got {value}")
             if not value >= 0.0:
                 raise ConfigurationError(f"noise value must be >= 0, got {value}")
@@ -111,7 +112,7 @@ class InvestmentPlan:
     expected_returns: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.upfront_cost):
+        if not math.isfinite(_real(self.upfront_cost, "upfront cost")):
             raise ConfigurationError(f"upfront cost must be finite, got {self.upfront_cost}")
         if not self.upfront_cost >= 0.0:
             raise ConfigurationError(
@@ -119,7 +120,7 @@ class InvestmentPlan:
             )
         if len(self.expected_returns) < 1:
             raise ConfigurationError("investment plan needs at least one period")
-        if not all(math.isfinite(r) for r in self.expected_returns):
+        if not all(math.isfinite(_real(r, "expected return")) for r in self.expected_returns):
             raise ConfigurationError("expected returns must be finite")
         object.__setattr__(
             self, "expected_returns", tuple(float(r) for r in self.expected_returns)

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .discounting import validate_discount
 from .errors import CapacityError, ConfigurationError
 from .game import NormalFormGame, _miner_bit, _profile_key
@@ -100,20 +98,20 @@ def pure_nash(game: NormalFormGame) -> list[str]:
             f"pure_nash supports at most {MAX_NASH_PLAYERS} players, got {game.n}"
         )
     n = game.n
-    rows, masks = game.tensor.reshape(-1, n), np.arange(2**n)
-    stable = np.ones(2**n, dtype=bool)
-    for player in range(n):
-        stable &= rows[masks ^ _miner_bit(n, player), player] <= rows[:, player]
-    return [_profile_key(mask, n) for mask in np.flatnonzero(stable).tolist()]
+    stable = range(2**n)
+    for player in range(n):  # the player's payoff at each mask, mask order
+        payoff, bit = game._entries[player::n], _miner_bit(n, player)
+        stable = [mask for mask in stable if payoff[mask ^ bit] <= payoff[mask]]
+    return [_profile_key(mask, n) for mask in stable]
 
 
 def grim_trigger_threshold(game: NormalFormGame) -> GrimThreshold:
     """Grim sustainability from each player's T (the player alone defects),
     R (every miner cooperates) and P (every miner defects). Raises
     CapacityError when T - R, R - P or T - P overflows float64."""
-    rows, n = game.tensor.reshape(-1, game.n), game.n
+    n, payoff = game.n, game._entries  # payoff[mask * n + p] is player p's at a profile mask
     threshold = GrimThreshold(tuple(
-        PlayerGrimStatus(p, float(rows[_miner_bit(n, p), p]), float(rows[0, p]), float(rows[-1, p]))
+        PlayerGrimStatus(p, payoff[_miner_bit(n, p) * n + p], payoff[p], payoff[p - n])
         for p in range(n)))
     for s in threshold.per_player:
         if not all(map(math.isfinite, (s.temptation - s.reward, s.reward - s.punishment,
@@ -186,13 +184,13 @@ def mixed_nash_2x2(game: NormalFormGame) -> list[tuple[float, float]]:
     """
     if game.n != 2:
         raise ConfigurationError("mixed-equilibrium support enumeration needs n = 2")
-    t = game.tensor
-    denom_q = t[0, 0, 0] - t[1, 0, 0] + t[1, 1, 0] - t[0, 1, 0]
-    denom_p = t[0, 0, 1] - t[0, 1, 1] + t[1, 1, 1] - t[1, 0, 1]
+    cc0, cc1, cd0, cd1, dc0, dc1, dd0, dd1 = game._entries
+    denom_q = cc0 - dc0 + dd0 - cd0
+    denom_p = cc1 - cd1 + dd1 - dc1
     if denom_q == 0.0 or denom_p == 0.0:
         return []
-    q = (t[1, 1, 0] - t[0, 1, 0]) / denom_q
-    p = (t[1, 1, 1] - t[1, 0, 1]) / denom_p
+    q = (dd0 - cd0) / denom_q
+    p = (dd1 - dc1) / denom_p
     if 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0:
-        return [(float(p), float(q))]
+        return [(p, q)]
     return []

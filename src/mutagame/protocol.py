@@ -9,8 +9,10 @@ probability), and an i.i.d. Gaussian payoff-scale perturbation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigurationError
@@ -39,6 +41,13 @@ def _float_array(value: Any) -> tuple[tuple[int, ...], list[float]]:
             raise ValueError("ragged nesting, or more levels than numpy allows")
         shape.append(len(level[0]))
         level = [x for item in level for x in item]
+
+
+def _real(value: Any, name: str) -> Any:
+    """``value`` when it is a real number; else ConfigurationError naming it."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def _read_only_array(entries: list[float], shape: tuple[int, ...]) -> np.ndarray:
@@ -115,27 +124,29 @@ class ThetaProcess:
     clamp: bool = True
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
+        if not math.isfinite(_real(self.mean, "theta mean")):
             raise ConfigurationError(f"theta mean must be finite, got {self.mean}")
-        if not 0.0 <= self.variance < math.inf:
+        if not 0.0 <= _real(self.variance, "theta variance") < math.inf:
             raise ConfigurationError(
                 f"theta variance must be finite and >= 0, got {self.variance}"
             )
 
 
 def mutation_rate(kernel: TransitionKernel) -> MutationRate:
-    per_state = tuple(float(1.0 - kernel.matrix[p, p]) for p in range(kernel.size))
+    per_state = tuple(1.0 - stay for stay in kernel._entries[::kernel.size + 1])
     return MutationRate(per_state=per_state, maximum=max(per_state))
 
 
-def row_entropies(kernel: TransitionKernel) -> np.ndarray:
-    """Shannon entropy of each row in nats, with 0*ln(0) = 0."""
-    import numpy as np
-
-    m = kernel.matrix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(m > 0.0, -m * np.log(m), 0.0)
-    return terms.sum(axis=1)
+def row_entropies(kernel: TransitionKernel) -> tuple[float, ...]:
+    """Shannon entropy of each row in nats, with 0*ln(0) = 0, summed left to right."""
+    k, entropies = kernel.size, []
+    for p in range(k):
+        total = 0.0
+        for m in kernel._entries[p * k:(p + 1) * k]:
+            if m > 0.0:
+                total += -m * math.log(m)
+        entropies.append(total)
+    return tuple(entropies)
 
 
 def has_unique_stationary(kernel: TransitionKernel) -> bool:
@@ -143,34 +154,51 @@ def has_unique_stationary(kernel: TransitionKernel) -> bool:
     adjacency matrix is primitive: some power of it is positive. By
     Wielandt's bound a primitive k x k matrix has a positive power at every
     exponent from (k-1)**2 + 1 on, so the matrix is squared until its
-    exponent reaches that."""
+    exponent reaches that. Each row of a power is a bitset of the states it
+    reaches, and a row of the square is the union of the rows it reaches."""
     k = kernel.size
-    power, exponent = kernel.matrix > 0.0, 1
+    power = [sum(1 << q for q in range(k) if kernel._entries[p * k + q] > 0.0) for p in range(k)]
+    exponent = 1
     while exponent < (k - 1) ** 2 + 1:
-        power, exponent = power @ power, 2 * exponent
-    return bool(power.all())
+        power = [reduce(or_, (power[q] for q in range(k) if row >> q & 1), 0)
+                 for row in power]
+        exponent *= 2
+    return all(row == (1 << k) - 1 for row in power)
 
 
-def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
-    """Solve pi @ M = pi with sum(pi) = 1.
+def stationary_distribution(kernel: TransitionKernel) -> tuple[float, ...]:
+    """Solve pi @ M = pi with sum(pi) = 1 by Gaussian elimination with partial
+    pivoting (Golub & Van Loan 2013, 3.4), then clip at 0 and normalize.
 
     Caller is responsible for checking uniqueness (``has_unique_stationary``);
-    on reducible kernels this returns one solution of the linear system.
+    on a singular system a zero pivot's unknown is taken as 0, which gives
+    one solution of the linear system.
     """
-    import numpy as np
-
-    k = kernel.size
-    a = kernel.matrix.T - np.eye(k)
-    a[-1, :] = 1.0
-    b = np.zeros(k)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    k, m = kernel.size, kernel._entries
+    # Rows of M^T - I, the last replaced by sum(pi) = 1, each followed by its right side.
+    rows = [[m[q * k + p] - float(p == q) for q in range(k)] + [0.0] for p in range(k - 1)]
+    rows.append([1.0] * (k + 1))
+    for col in range(k):
+        pivot = max(range(col, k), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col]
+        if head[col] == 0.0:  # singular: every entry below is 0 too
+            continue
+        for row in rows[col + 1:]:
+            factor = row[col] / head[col]
+            row[col:] = [x - factor * y for x, y in zip(row[col:], head[col:])]
+    pi = [0.0] * k
+    for p, row in reversed(list(enumerate(rows))):
+        if row[p] != 0.0:
+            pi[p] = (row[k] - math.fsum(row[q] * pi[q] for q in range(p + 1, k))) / row[p]
+    pi = [max(x, 0.0) for x in pi]
+    total = math.fsum(pi)
+    return tuple(x / total for x in pi)
 
 
 def kernel_entropy(kernel: TransitionKernel, weighting: str = "uniform") -> KernelEntropy:
-    """Average row entropy under uniform or stationary state weights.
+    """Average row entropy under uniform or stationary state weights, summed
+    left to right.
 
     ``stationary`` weighting requires a unique stationary distribution
     (irreducible + aperiodic kernel); otherwise it falls back to uniform
@@ -180,19 +208,12 @@ def kernel_entropy(kernel: TransitionKernel, weighting: str = "uniform") -> Kern
         raise ConfigurationError(
             f"weighting must be 'uniform' or 'stationary', got {weighting!r}"
         )
-    import numpy as np
-
-    entropies = row_entropies(kernel)
-    fell_back = False
-    if weighting == "stationary":
-        if has_unique_stationary(kernel):
-            weights = stationary_distribution(kernel)
-        else:
-            weights = np.full(kernel.size, 1.0 / kernel.size)
-            fell_back = True
-    else:
-        weights = np.full(kernel.size, 1.0 / kernel.size)
-    value = float(weights @ entropies)
+    unique = weighting == "stationary" and has_unique_stationary(kernel)
+    weights = stationary_distribution(kernel) if unique else (1.0 / kernel.size,) * kernel.size
+    fell_back = weighting == "stationary" and not unique
+    value = 0.0
+    for w, h in zip(weights, row_entropies(kernel)):
+        value += w * h
     return KernelEntropy(value=value, weighting=weighting, fell_back_to_uniform=fell_back)
 
 
@@ -202,4 +223,4 @@ def integrity(kernel: TransitionKernel) -> float:
     1 exactly for an immutable (identity) kernel, and it can only fall when
     diagonal mass moves off-diagonal.
     """
-    return min(kernel.matrix.diagonal().tolist())
+    return min(kernel._entries[::kernel.size + 1])

@@ -2,7 +2,8 @@
 
 ``Scenario``, ``Miner`` and ``MetaModelConfig`` are the validated model the
 engine and the analytic side read; every scenario-level check runs when
-one is built. The on-disk format is a nested YAML mapping versioned by
+one is built. ``kernel_as_run`` is the kernel both of them read: the
+scenario's, with the meta contest blended in. The on-disk format is a nested YAML mapping versioned by
 ``schema_version``. Unknown keys are rejected everywhere and every
 violation is reported at once with its key path, so a failing ``validate``
 run lists all problems. A key the document leaves out takes the default
@@ -149,6 +150,50 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.miners)
+
+
+def _contest_power(x: float, exponent: float) -> float:
+    """``x ** exponent`` in decimal software arithmetic at 40 digits, so the
+    same bits on every CPU, unlike numpy's dispatched and libm's ``pow``;
+    exact at exponent 1."""
+    from decimal import Context, Decimal
+
+    return float(Context(prec=40).power(Decimal(x), Decimal(exponent)))
+
+
+def kernel_as_run(scenario: Scenario) -> TransitionKernel:
+    """The kernel the engine steps: every row of ``scenario.kernel`` blended
+    toward the outcome of the MetaInvestors' Tullock contest.
+
+    A MetaInvestor's effort is its hash share times its budget, summed per
+    preferred state. Contest weights are the efforts relative to the
+    largest, raised to the contest exponent and normalized (summed left to
+    right). The blend coefficient is beta times the total effort (capped
+    at 1), so each row stays a convex combination of two distributions.
+    MetaInvestors always cooperate with fixed budgets, so the blend is the
+    same every round. With the meta game off, beta 0 or no effort spent,
+    this is ``scenario.kernel``.
+    """
+    meta, kernel, k = scenario.meta, scenario.kernel, scenario.kernel.size
+    efforts, total = [0.0] * k, 0.0
+    for miner in scenario.miners:
+        if miner.strategy.tag is StrategyTag.META_INVESTOR:
+            effort = miner.share * miner.strategy.meta_budget
+            efforts[miner.strategy.preferred_state] += effort
+            total += effort
+    if not meta.enabled or meta.influence_strength == 0.0 or total <= 0.0:
+        return kernel
+    top = max(efforts)
+    weights = [_contest_power(effort / top, meta.contest_exponent) for effort in efforts]
+    weight_sum = 0.0
+    for weight in weights:
+        weight_sum += weight
+    lam = min(meta.influence_strength * min(total, 1.0), 1.0)
+    return TransitionKernel([
+        [(1.0 - lam) * entry + lam * (weight / weight_sum)
+         for entry, weight in zip(kernel._entries[p * k:(p + 1) * k], weights)]
+        for p in range(k)
+    ])
 
 
 SCHEMA_VERSION = 1

@@ -33,8 +33,7 @@ from . import _ziggurat
 from .discounting import endogenous_discount_path
 from .errors import CapacityError, ConfigurationError
 from .game import _ALWAYS_DEFECT, StrategyTag, _miner_bit
-from .protocol import TransitionKernel
-from .scenario import Scenario
+from .scenario import Scenario, kernel_as_run
 
 
 def _defect_flags(masks: np.ndarray, n: int) -> np.ndarray:
@@ -116,34 +115,6 @@ def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([master_seed, replica_index]))
     )
-
-
-def kernel_as_run(scenario: Scenario) -> TransitionKernel:
-    """The kernel the engine steps: every row of ``scenario.kernel`` blended
-    toward the outcome of the MetaInvestors' Tullock contest.
-
-    A MetaInvestor's effort is its hash share times its budget, summed per
-    preferred state. Contest weights are the efforts relative to the
-    largest, raised to the contest exponent and normalized. The blend
-    coefficient is beta times the total effort (capped at 1), so each row
-    stays a convex combination of two distributions. MetaInvestors always
-    cooperate with fixed budgets, so the blend is the same every round. With
-    the meta game off, beta 0 or no effort spent, this is ``scenario.kernel``.
-    """
-    meta, kernel = scenario.meta, scenario.kernel
-    efforts = np.zeros(kernel.size)
-    total = 0.0
-    for miner in scenario.miners:
-        if miner.strategy.tag is StrategyTag.META_INVESTOR:
-            effort = miner.share * miner.strategy.meta_budget
-            efforts[miner.strategy.preferred_state] += effort
-            total += effort
-    if not meta.enabled or meta.influence_strength == 0.0 or total <= 0.0:
-        return kernel
-    weights = (efforts / efforts.max()) ** meta.contest_exponent
-    weights /= weights.sum()
-    lam = min(meta.influence_strength * min(total, 1.0), 1.0)
-    return TransitionKernel((1.0 - lam) * kernel.matrix + lam * weights)
 
 
 def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:

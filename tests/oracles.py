@@ -12,7 +12,9 @@ per-round sample statistics (``payoff_variance``, ``risk_adjusted_utility``)
 are the reference for the risk-adjusted summary the engine reduces round by
 round. Strong
 connectivity plus a BFS period is the reference for the primitivity test
-of ``has_unique_stationary``. The row-at-a-time ``csv.writer`` trace
+of ``has_unique_stationary``. The numpy ``stationary_distribution`` and
+``pure_nash`` of 0.10.0 (LAPACK least squares, vectorized comparisons) are
+the references for their plain-Python successors. The row-at-a-time ``csv.writer`` trace
 writer is the reference for the columnar one in ``mutagame.cli``. The
 numpy checks that ``TransitionKernel`` and ``NormalFormGame`` ran up to
 0.7.0 are the references for their plain-Python checks. The grim-trigger
@@ -48,8 +50,9 @@ from mutagame import (
     replica_rng,
     validate_shares,
 )
-from mutagame.game import _miner_bit
+from mutagame.game import _miner_bit, _profile_key
 from mutagame.protocol import ROW_TOLERANCE
+from mutagame.scenario import _contest_power
 
 
 class Action(Enum):
@@ -135,7 +138,8 @@ def contest_row(scenario, row: np.ndarray) -> np.ndarray:
     its preferred state; the weights are the efforts relative to the
     largest, raised to the contest exponent and normalized; the row moves
     toward them by beta times the total effort, capped at 1. The row is
-    left as it is with the meta game off, beta 0 or no effort spent."""
+    left as it is with the meta game off, beta 0 or no effort spent. The
+    power is the package's one software power, the same bits on every CPU."""
     meta = scenario.meta
     efforts, total = np.zeros(len(row)), 0.0
     for miner in scenario.miners:
@@ -145,8 +149,11 @@ def contest_row(scenario, row: np.ndarray) -> np.ndarray:
             total += miner.share * strategy.meta_budget
     if not (meta.enabled and meta.influence_strength > 0.0 and total > 0.0):
         return row
-    weights = (efforts / efforts.max()) ** meta.contest_exponent
-    weights = weights / weights.sum()
+    weights = np.array([_contest_power(x, meta.contest_exponent) for x in efforts / efforts.max()])
+    weight_sum = 0.0
+    for weight in weights.tolist():  # left to right, as kernel_as_run sums them
+        weight_sum += weight
+    weights = weights / weight_sum
     lam = min(meta.influence_strength * min(total, 1.0), 1.0)
     return (1.0 - lam) * row + lam * weights
 
@@ -355,6 +362,31 @@ def _period(adj: np.ndarray) -> int:
             else:
                 g = math.gcd(g, abs(depth[u] + 1 - depth[v]))
     return g
+
+
+def reference_stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
+    """``stationary_distribution`` as 0.10.0 computed it: the least-squares
+    solution of pi @ M = pi with sum(pi) = 1 by LAPACK, clipped at 0 and
+    normalized."""
+    k = kernel.size
+    a = kernel.matrix.T - np.eye(k)
+    a[-1, :] = 1.0
+    b = np.zeros(k)
+    b[-1] = 1.0
+    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+def reference_pure_nash(game: NormalFormGame) -> list[str]:
+    """``pure_nash`` as 0.10.0 computed it: one vectorized comparison per
+    player over every profile mask of the (2**n, n) payoff rows."""
+    n = game.n
+    rows, masks = game.tensor.reshape(-1, n), np.arange(2**n)
+    stable = np.ones(2**n, dtype=bool)
+    for player in range(n):
+        stable &= rows[masks ^ _miner_bit(n, player), player] <= rows[:, player]
+    return [_profile_key(mask, n) for mask in np.flatnonzero(stable).tolist()]
 
 
 def irreducible_and_aperiodic(kernel: TransitionKernel) -> bool:

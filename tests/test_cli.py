@@ -852,8 +852,11 @@ def _entry_launchers():
 def test_scenario_boundary_never_loads_numpy(fixed_rules_file, tmp_path):
     # Checking a scenario needs no array: numpy is most of the package's
     # import time, and `validate`'s whole job is the scenario checks.
+    # `analyze` reads the models' Python floats: no step of its report needs an array.
     commands = [["validate", str(fixed_rules_file)],
-                ["preset", "mutable_core", "--out", str(tmp_path / "mc.yaml")]]
+                ["preset", "mutable_core", "--out", str(tmp_path / "mc.yaml")],
+                ["analyze", str(fixed_rules_file)],
+                ["analyze", str(tmp_path / "mc.yaml")]]
     for launcher in _entry_launchers():
         for argv in commands:
             code = (
@@ -892,16 +895,17 @@ def test_engine_commands_start_with_numpy_frozen(fixed_rules_file):
         capture_output=True, text=True,
     )
     assert reference.returncode == 0, reference.stderr
+    commands = {"run": [], "sweep": ["--param", "discount.delta", "--values", "0.5,0.6"]}
     for launcher in _entry_launchers():
-        for command in ("run", "analyze"):
+        for command, flags in commands.items():
             code = (
                 "import gc, importlib, runpy, sys\n"
                 "import mutagame.scenario\n"
                 "def started(*args):\n"
                 "    print(gc.get_freeze_count())\n"
                 "    sys.exit(0)\n"
-                "mutagame.scenario.load_scenario = started\n"
-                f"sys.argv = ['mutagame', {command!r}, sys.argv[1]]\n"
+                "mutagame.scenario.load_scenario = mutagame.scenario.load_document = started\n"
+                f"sys.argv = ['mutagame', {command!r}, sys.argv[1], *{flags!r}]\n"
                 "try:\n"
                 f"    {launcher}\n"
                 "except SystemExit as exc:\n"

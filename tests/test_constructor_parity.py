@@ -232,3 +232,11 @@ def test_a_5000_level_nest_is_refused_in_one_line():
         assert caught.value.__cause__ is None and caught.value.__suppress_context__
     with pytest.raises(ValueError):
         reference_payoff_tensor(value)
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+def test_an_ndarray_subclass_matches_the_numpy_reference():
+    # np.matrix stays two-dimensional through ravel(); the reader goes by tolist().
+    check_kernel(np.matrix([[0.9, 0.1], [0.2, 0.8]]))
+    check_kernel(np.matrix([[0.9, 0.1], [0.2, 0.7]]))
+    check_payoff_tensor(np.matrix([[3.0], [1.0]]), None)

@@ -172,6 +172,29 @@ def test_infinite_rates_and_costs_are_refused(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: NoisePath("0.1"), "baseline rate must be a number, got '0.1'"),
+    (lambda: NoisePath(0.1, ((0, "0.1"),)), "noise value must be a number, got '0.1'"),
+    (lambda: NoisePath(0.1, ((0, 0.1), ("5", 0.2))), "noise segment start must be a number, got '5'"),
+])
+def test_noise_path_refuses_non_numbers(make, message):
+    # The scenario schema refuses these first; through the Python API each
+    # raised TypeError from math.isfinite or from the start's `% 1`.
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: InvestmentPlan("1", (1.0,)), "upfront cost must be a number, got '1'"),
+    (lambda: InvestmentPlan(1.0, ("1",)), "expected return must be a number, got '1'"),
+])
+def test_investment_plan_refuses_non_numbers(make, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        make()
+    plan = InvestmentPlan(np.float32(1.0), (np.int64(2), True))
+    assert plan.upfront_cost == 1.0 and plan.expected_returns == (2.0, 1.0)
+
+
 def test_payoff_variance():
     assert payoff_variance([4.0, 4.0, 4.0]).sigma2 == 0.0
     two_point = payoff_variance([0.0, 2.0])

@@ -27,11 +27,20 @@ from mutagame.presets import FIXED_RULES
 # Independent exhaustive oracle lives in oracles.py, written against the
 # dict representation before the module under test was consulted.
 import oracles  # noqa: E402
-from oracles import nash_oracle, random_profile_map  # noqa: E402
+from oracles import nash_oracle, random_profile_map, reference_pure_nash  # noqa: E402
 
 
 PD = {"CC": [3.0, 3.0], "CD": [0.0, 5.0], "DC": [5.0, 0.0], "DD": [1.0, 1.0]}
 MATCHING_PENNIES = {"CC": [1.0, -1.0], "CD": [-1.0, 1.0], "DC": [-1.0, 1.0], "DD": [1.0, -1.0]}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 1000]))
+def test_pure_nash_matches_the_numpy_reference(n, seed, levels):
+    # Payoffs on a few levels tie often, and a tie keeps a profile Nash.
+    payoffs = np.random.default_rng(seed).integers(0, levels, (2,) * n + (n,)).astype(float)
+    game = NormalFormGame(payoffs)
+    assert pure_nash(game) == reference_pure_nash(game)
 
 
 def test_pure_nash_pd_dominant_defection():

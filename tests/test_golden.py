@@ -8,6 +8,8 @@ an action, a payoff bit, a float repr or the summary fails here, unlike
 run-vs-run determinism checks, which drift together. The ``analyze``
 hashes were produced by the tuple-indexed Nash enumeration and grim
 thresholds; they fence the analytic report's every profile key and figure.
+The contest case also pins its kernel's bytes, checked in child processes
+under numpy's CPU-feature masks and a glibc hwcaps mask.
 """
 
 import hashlib
@@ -29,6 +31,16 @@ def theta_doc(theta, lottery=True):
     return doc
 
 
+def contest_doc():
+    """mutable_core with miner 2 made a second MetaInvestor, on another state,
+    and a contest exponent of 1.36: each contest weight is a true power."""
+    doc = yaml.safe_load(MUTABLE_CORE)
+    doc["miners"][2] = {"share": 0.2, "strategy": "MetaInvestor", "meta_budget": 0.113,
+                        "preferred_state": 1}
+    doc["meta"]["contest_exponent"] = 1.36
+    return doc
+
+
 RUN_CASES = {
     "fixed_rules": (
         lambda: yaml.safe_load(FIXED_RULES),
@@ -41,6 +53,11 @@ RUN_CASES = {
         lambda: yaml.safe_load(MUTABLE_CORE),
         "f7c7f35b90e7a3eeb01d07459ffd9498d97d9bf6b1c7c549c8ffef35a74e64df",
         "90f5a85d4fa0dfdde5bd39463d2f3d5af6969a1a70d3a2538ef03bf27def6fde",
+    ),
+    "mutable_core_contest": (
+        contest_doc,
+        "54e25e4cc712a9ff4da379de81ccca80cf6101edab1d9f59da1ade10e955ba0d",
+        "454604ddb55fdfd5e1608657a0cf8a2afda9b5d04249420f88399068974bd915",
     ),
     # Two draws per round: the protocol step and theta's normal.
     "fixed_rules_theta": (
@@ -119,6 +136,10 @@ ANALYZE_CASES = {
         lambda: yaml.safe_load(MUTABLE_CORE),
         "f6bcc14d8aedbad2bb1661a6d67b20c51edf9b796ebbe04f974b4161a899e7c0",
     ),
+    "mutable_core_contest": (
+        contest_doc,
+        "ed4555938e8bfb0308f7048fe99ac3580b65cc148e4b1f6184f57f5c13fd7ec6",
+    ),
     "grim_pair": (
         grim_pair_doc,
         "16f57001a0e6a80ef87647cf6b5d97f9064dc2363e2286a1ef62ef2ba4ae5785",
@@ -161,3 +182,52 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
         outputs[coretype] = [sha256(out / "summary.json"), sha256(out / "trace.csv"),
                              *(hashlib.sha256(stdout).hexdigest() for stdout in stdouts)]
     assert outputs["Prescott"] == outputs[None] == outputs["Sandybridge"]
+
+
+# The bytes of kernel_as_run(...).matrix on contest_doc. The run and analyze
+# pins above would not see a last-bit change of a contest weight: at 0.10.0,
+# numpy's `**` gave one weight one ulp apart under AVX512 and without it,
+# and both wrote the same trace.csv, summary.json and report.
+CONTEST_KERNEL_SHA256 = "60f2d34f78c0e451e2697e0ebde192ea80edc095fde94c720b594357e8ac2263"
+
+CPU_MASKS = {
+    "default": {},
+    "numpy without AVX512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "numpy without AVX2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    "glibc without AVX2 and FMA": {
+        "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2_Usable,-FMA_Usable,-AVX2,-FMA"},
+}
+
+
+@pytest.mark.parametrize("mask", sorted(CPU_MASKS))
+def test_contest_pin_holds_under_every_cpu_dispatch(mask, tmp_path):
+    """The contest kernel, ``run`` and ``analyze`` on contest_doc give the
+    pinned bytes in a child process whose numpy dispatch or glibc ifunc
+    choice the mask narrows. numpy reads ``NPY_DISABLE_CPU_FEATURES`` and
+    glibc ``GLIBC_TUNABLES`` when the child starts, so each mask changes
+    only that child's dispatch; where it names features the CPU lacks, the
+    child runs as without it and the test still passes. The contest powers
+    are computed in decimal software arithmetic, so no mask can move them.
+    """
+    scenario = tmp_path / "contest.yaml"
+    scenario.write_text(yaml.safe_dump(contest_doc()), encoding="utf-8")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES")}
+    env.update(CPU_MASKS[mask])
+    out = tmp_path / "out"
+    kernel, _, analyze = (
+        subprocess.run([sys.executable, *command], env=env, capture_output=True, check=True,
+                       timeout=120).stdout
+        for command in (
+            ["-c", "import hashlib, sys\n"
+                   "from mutagame import kernel_as_run, load_scenario\n"
+                   "kernel = kernel_as_run(load_scenario(sys.argv[1])).matrix\n"
+                   "print(hashlib.sha256(kernel.tobytes()).hexdigest())\n", str(scenario)],
+            ["-m", "mutagame.cli", "run", str(scenario), "--out", str(out)],
+            ["-m", "mutagame.cli", "analyze", str(scenario)],
+        )
+    )
+    _, trace_sha, summary_sha = RUN_CASES["mutable_core_contest"]
+    assert kernel.decode().strip() == CONTEST_KERNEL_SHA256
+    assert [sha256(out / "trace.csv"), sha256(out / "summary.json")] == [trace_sha, summary_sha]
+    assert hashlib.sha256(analyze).hexdigest() == ANALYZE_CASES["mutable_core_contest"][1]

@@ -58,7 +58,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.10.0"
+    assert mutagame.__version__ == project["version"] == "0.11.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -135,6 +135,36 @@ def test_scenario_imports_nothing_from_the_engine():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert [name for name in imported if "simulate" in name.split(".")] == []
+
+
+def test_only_the_engine_loads_numpy_at_import():
+    # numpy is most of a child process's start-up, so only the engine and its
+    # ziggurat tables may import it at module level, directly or through a
+    # module-level import of a package module that does. Imports inside a
+    # function or under TYPE_CHECKING run no numpy at import time.
+    direct, imports = set(), {}
+    for path in Path(mutagame.__file__).parent.glob("*.py"):
+        module, imports[path.stem] = path.stem, set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.ImportFrom):  # relative: the package's own modules
+                imports[module] |= ({node.module} if node.module else
+                                    {alias.name for alias in node.names})
+                continue
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                direct.add(module)
+    loads = set(direct)
+    while True:
+        grown = loads | {module for module, used in imports.items() if used & loads}
+        if grown == loads:
+            break
+        loads = grown
+    assert sorted(loads) == ["_ziggurat", "simulate"]
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -6,7 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import irreducible_and_aperiodic, sample_theta, step_protocol
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    irreducible_and_aperiodic,
+    reference_stationary_distribution,
+    sample_theta,
+    step_protocol,
+)
 
 from mutagame import (
     ConfigurationError,
@@ -147,6 +154,44 @@ def test_primitivity_matches_connectivity_and_period(k):
     assert checked == (2**k - 1) ** k
 
 
+@st.composite
+def kernels(draw, max_states, weights):
+    """A k x k kernel, k <= max_states, each row a draw of ``weights``
+    normalized; a row of zeros is refused."""
+    k = draw(st.integers(1, max_states))
+    rows = draw(st.lists(st.lists(weights, min_size=k, max_size=k).filter(any),
+                         min_size=k, max_size=k))
+    return TransitionKernel([[w / sum(row) for w in row] for row in rows])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(kernels(12, st.one_of(st.just(0), st.integers(1, 9))))
+def test_stationary_distribution_matches_the_lstsq_reference(kernel):
+    # Gaussian elimination against 0.10.0's LAPACK least squares, on primitive kernels.
+    assume(irreducible_and_aperiodic(kernel))
+    pi = stationary_distribution(kernel)
+    assert type(pi) is tuple and len(pi) == kernel.size
+    reference = reference_stationary_distribution(kernel).tolist()
+    assert max(abs(a - b) for a, b in zip(pi, reference)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kernels(12, st.sampled_from([0, 0, 0, 1])))
+def test_primitivity_matches_connectivity_and_period_on_sparse_kernels(kernel):
+    # The bitset squaring against the oracle, on zero patterns past the exhaustive k <= 3.
+    assert has_unique_stationary(kernel) == irreducible_and_aperiodic(kernel)
+
+
+def test_stationary_distribution_with_an_absorbing_state():
+    # Reducible with one closed class, so the law is unique: state 0 takes
+    # all the mass. The first column's only nonzero entry is in the sum row,
+    # so without pivoting the solve would leave pi_0 at 0.
+    kernel = TransitionKernel([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
+    pi = stationary_distribution(kernel)
+    assert pi == (1.0, 0.0, 0.0)
+    assert reference_stationary_distribution(kernel).tolist() == pytest.approx(pi, abs=1e-12)
+
+
 def test_stationary_distribution_value():
     pi = stationary_distribution(TransitionKernel(TWO_STATE))
     assert pi == pytest.approx([5 / 6, 1 / 6], rel=1e-9)
@@ -220,3 +265,14 @@ def test_theta_tail_matches_normal_cdf():
 def test_theta_rejects_negative_variance():
     with pytest.raises(ConfigurationError):
         ThetaProcess(mean=0.0, variance=-1.0)
+
+
+@pytest.mark.parametrize("mean, variance, message", [
+    ("1", 0.1, "theta mean must be a number, got '1'"),
+    (1.0, "0.1", "theta variance must be a number, got '0.1'"),
+])
+def test_theta_refuses_non_numbers(mean, variance, message):
+    # Through the Python API these raised TypeError from math.isfinite or `<=`.
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        ThetaProcess(mean, variance)
+    assert ThetaProcess(np.float32(1.0), np.int64(0)).variance == 0

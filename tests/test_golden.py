@@ -31,6 +31,13 @@ def theta_doc(theta, lottery=True):
     return doc
 
 
+def lottery_doc():
+    """fixed_rules with the block lottery and no theta."""
+    doc = yaml.safe_load(FIXED_RULES)
+    doc["game"]["lottery_mode"] = True
+    return doc
+
+
 def contest_doc():
     """mutable_core with miner 2 made a second MetaInvestor, on another state,
     and a contest exponent of 1.36: each contest weight is a true power."""
@@ -58,6 +65,13 @@ RUN_CASES = {
         contest_doc,
         "54e25e4cc712a9ff4da379de81ccca80cf6101edab1d9f59da1ade10e955ba0d",
         "454604ddb55fdfd5e1608657a0cf8a2afda9b5d04249420f88399068974bd915",
+    ),
+    # Two draws per round: the protocol step and the lottery's uniform. With
+    # no theta, each line's tail is a function of (state, profile, winner).
+    "fixed_rules_lottery": (
+        lottery_doc,
+        "84d3116e12cec856aaaf4b808c9031bcd65e4bb2d9241ed9938e7a101d1a9d9c",
+        "c1dee6d1774d3653db76b52e92e0c59b856cb0161f35421cd0b9e35d09232289",
     ),
     # Two draws per round: the protocol step and theta's normal.
     "fixed_rules_theta": (

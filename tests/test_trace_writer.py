@@ -80,6 +80,7 @@ EDGE_CASES = {
     "theta_clamp_off": two_state_scenario(
         3, 30, 4, ThetaProcess(mean=0.0, variance=1.0, clamp=False)
     ),
+    "lottery_negative_payoffs": two_state_scenario(3, 30, 4, None),
 }
 
 
@@ -90,9 +91,10 @@ def test_writer_edge_cases_match_oracle(case, tmp_path):
     lines = written.decode().split("\n")
     assert lines[-1] == ""
     assert len(lines) == 2 + scenario.replica_count * scenario.horizon
-    if case == "theta_clamp_off":
-        # A lottery loser's zero times theta: both signs of zero in one
-        # replica's payoff column, which only a dedupe keyed by bits keeps apart.
+    if case in ("theta_clamp_off", "lottery_negative_payoffs"):
+        # A lottery loser's zero times a negative payoff or theta: both signs
+        # of zero in one replica's payoff column, which only a dedupe or a
+        # table keyed by bits keeps apart.
         columns = defaultdict(set)
         for line in lines[1:-1]:
             row = line.split(",")

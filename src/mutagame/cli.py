@@ -72,29 +72,48 @@ def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace, rows: ran
 
     Written one replica at a time, column by column: floats are their
     ``repr``, so every payoff and theta round-trips, ``-0.0`` included.
-    Each distinct payoff is formatted once per replica, keyed by its bits
-    (so ``-0.0`` and ``0.0`` stay apart); theta differs every round and is
-    formatted field by field.
+    Without theta, a line after ``replica,t,`` is a function of its code
+    (state, profile mask and, with the lottery, winner): its tail is
+    formatted once, when the code first occurs, by one ``payoff_rule`` call
+    on the new codes. With theta, each distinct payoff is formatted once per
+    replica, keyed by its bits (so ``-0.0`` and ``0.0`` stay apart), and
+    theta, which differs every round, field by field.
     """
     import numpy as np
 
-    profile_keys = [_profile_key(mask, scenario.n) for mask in range(2**scenario.n)]
+    n = scenario.n
+    profile_keys = [_profile_key(mask, n) for mask in range(2**n)]
     state_keys = list(map(str, range(len(scenario.game))))
     rounds = list(map(str, range(scenario.horizon)))
-    no_theta = [""] * scenario.horizon
+    tails: dict[int, str] = {}
     for r in rows:
-        thetas = no_theta if batch.theta is None else map(repr, batch.theta[r].tolist())
-        bits, inverse = np.unique(batch.replica_payoffs(r).T.view(np.uint64), return_inverse=True)
-        values = list(map(repr, bits.view(np.float64).tolist()))
-        payoff_columns = inverse.reshape(scenario.n, scenario.horizon).tolist()
-        columns = [
-            itertools.repeat(str(batch.replicas[r])),
-            rounds,
-            map(state_keys.__getitem__, batch.states[r].tolist()),
-            thetas,
-            map(profile_keys.__getitem__, batch.profiles[r].tolist()),
-            *(map(values.__getitem__, column) for column in payoff_columns),
-        ]
+        if batch.theta is None:
+            codes = batch.states[r].astype(np.intp) << n | batch.profiles[r]
+            if batch.winner is not None:
+                codes = codes * n + batch.winner[r]
+            codes = codes.tolist()
+            new = list(set(codes).difference(tails))
+            if new:
+                rest, winner = np.array(new), None
+                if batch.winner is not None:
+                    rest, winner = np.divmod(rest, n)
+                states, masks = rest >> n, rest & (2**n - 1)
+                payoffs = batch.payoff_rule(states, masks, None, winner).tolist()
+                for code, state, mask, row in zip(new, states.tolist(), masks.tolist(), payoffs):
+                    tails[code] = ",".join(
+                        [state_keys[state], "", profile_keys[mask], *map(repr, row)])
+            line_tails = [map(tails.__getitem__, codes)]
+        else:
+            bits, inverse = np.unique(batch.replica_payoffs(r).T.view(np.uint64), return_inverse=True)
+            values = list(map(repr, bits.view(np.float64).tolist()))
+            payoff_columns = inverse.reshape(n, scenario.horizon).tolist()
+            line_tails = [
+                map(state_keys.__getitem__, batch.states[r].tolist()),
+                map(repr, batch.theta[r].tolist()),
+                map(profile_keys.__getitem__, batch.profiles[r].tolist()),
+                *(map(values.__getitem__, column) for column in payoff_columns),
+            ]
+        columns = [itertools.repeat(str(batch.replicas[r])), rounds, *line_tails]
         handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 

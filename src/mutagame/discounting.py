@@ -47,12 +47,17 @@ class NoisePath:
             raise ConfigurationError(
                 f"baseline rate must be >= 0, got {self.baseline_rate}"
             )
-        if not self.segments:
+        try:
+            segments = [(start, value) for start, value in self.segments]
+        except (TypeError, ValueError):  # not iterable, or an entry not a pair
+            raise ConfigurationError(f"noise segments must be (start, value) pairs, "
+                                     f"got {self.segments!r}") from None
+        if not segments:
             raise ConfigurationError("noise path needs at least one segment")
-        if self.segments[0][0] != 0:
+        if segments[0][0] != 0:
             raise ConfigurationError("first noise segment must start at round 0")
         previous = -1
-        for start, value in self.segments:
+        for start, value in segments:
             if _real(start, "noise segment start") % 1 != 0:  # also nan and inf
                 raise ConfigurationError(f"noise segment start must be an integer, got {start}")
             if start <= previous:
@@ -64,7 +69,7 @@ class NoisePath:
             if not value >= 0.0:
                 raise ConfigurationError(f"noise value must be >= 0, got {value}")
             previous = start
-        object.__setattr__(self, "segments", tuple((int(s), float(v)) for s, v in self.segments))
+        object.__setattr__(self, "segments", tuple((int(s), float(v)) for s, v in segments))
 
     @classmethod
     def constant(cls, baseline_rate: float, eta: float = 0.0) -> "NoisePath":
@@ -118,13 +123,16 @@ class InvestmentPlan:
             raise ConfigurationError(
                 f"upfront cost must be >= 0, got {self.upfront_cost}"
             )
-        if len(self.expected_returns) < 1:
+        try:
+            returns = tuple(self.expected_returns)
+        except TypeError:
+            raise ConfigurationError(f"expected returns must be a sequence of numbers, "
+                                     f"got {self.expected_returns!r}") from None
+        if len(returns) < 1:
             raise ConfigurationError("investment plan needs at least one period")
-        if not all(math.isfinite(_real(r, "expected return")) for r in self.expected_returns):
+        if not all(math.isfinite(_real(r, "expected return")) for r in returns):
             raise ConfigurationError("expected returns must be finite")
-        object.__setattr__(
-            self, "expected_returns", tuple(float(r) for r in self.expected_returns)
-        )
+        object.__setattr__(self, "expected_returns", tuple(map(float, returns)))
 
     @property
     def horizon(self) -> int:

@@ -154,8 +154,10 @@ class Scenario:
 
 def _contest_power(x: float, exponent: float) -> float:
     """``x ** exponent`` in decimal software arithmetic at 40 digits, so the
-    same bits on every CPU, unlike numpy's dispatched and libm's ``pow``;
-    exact at exponent 1."""
+    same bits on every CPU, unlike numpy's dispatched and libm's ``pow``.
+    At exponent 1, where decimal gives ``x`` exactly, ``x`` without loading it."""
+    if exponent == 1.0:
+        return x
     from decimal import Context, Decimal
 
     return float(Context(prec=40).power(Decimal(x), Decimal(exponent)))

@@ -837,6 +837,24 @@ def test_cli_commands_never_load_numpy_random(tmp_path):
     assert result.stdout.split()[-6:] == [str(EXIT_OK)] * 5 + ["False"]
 
 
+def test_contest_at_exponent_one_never_loads_decimal(tmp_path):
+    # mutable_core's contest runs at exponent 1, where each weight is its
+    # relative effort; `decimal` is loaded only for a true power.
+    code = (
+        "import sys\n"
+        "from mutagame.cli import main\n"
+        "out, path = sys.argv[1], sys.argv[1] + '/mutable_core.yaml'\n"
+        "main(['preset', 'mutable_core', '--out', path])\n"
+        "print(main(['run', path, '--out', out, '--replicas', '3', '--set', 'horizon=20']),\n"
+        "      'decimal' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-2:] == [str(EXIT_OK), "False"]
+
+
 def _entry_launchers():
     """``python -m mutagame.cli`` and the console script, as child-process code."""
     tomllib = pytest.importorskip("tomllib")

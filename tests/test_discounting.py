@@ -195,6 +195,19 @@ def test_investment_plan_refuses_non_numbers(make, message):
     assert plan.upfront_cost == 1.0 and plan.expected_returns == (2.0, 1.0)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: InvestmentPlan(1.0, 5), "expected returns must be a sequence of numbers, got 5"),
+    (lambda: NoisePath(0.1, 5), r"noise segments must be \(start, value\) pairs, got 5"),
+    (lambda: NoisePath(0.1, ((0,),)),
+     r"noise segments must be \(start, value\) pairs, got \(\(0,\),\)"),
+])
+def test_malformed_shapes_are_refused(make, message):
+    # The scenario schema refuses these first; through the Python API each
+    # raised TypeError or ValueError from a len(), an index or an unpacking.
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        make()
+
+
 def test_payoff_variance():
     assert payoff_variance([4.0, 4.0, 4.0]).sigma2 == 0.0
     two_point = payoff_variance([0.0, 2.0])

@@ -9,10 +9,12 @@ run-vs-run determinism checks, which drift together. The ``analyze``
 hashes were produced by the tuple-indexed Nash enumeration and grim
 thresholds; they fence the analytic report's every profile key and figure.
 The contest case also pins its kernel's bytes, checked in child processes
-under numpy's CPU-feature masks and a glibc hwcaps mask.
+under numpy's CPU-feature masks and a glibc hwcaps mask; every pin is also
+checked in one child process under that glibc mask.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -221,7 +223,8 @@ def test_contest_pin_holds_under_every_cpu_dispatch(mask, tmp_path):
     glibc ``GLIBC_TUNABLES`` when the child starts, so each mask changes
     only that child's dispatch; where it names features the CPU lacks, the
     child runs as without it and the test still passes. The contest powers
-    are computed in decimal software arithmetic, so no mask can move them.
+    are computed in decimal software arithmetic, so no mask can move them;
+    the kernel's child checks that it loaded ``decimal``.
     """
     scenario = tmp_path / "contest.yaml"
     scenario.write_text(yaml.safe_dump(contest_doc()), encoding="utf-8")
@@ -236,12 +239,64 @@ def test_contest_pin_holds_under_every_cpu_dispatch(mask, tmp_path):
             ["-c", "import hashlib, sys\n"
                    "from mutagame import kernel_as_run, load_scenario\n"
                    "kernel = kernel_as_run(load_scenario(sys.argv[1])).matrix\n"
-                   "print(hashlib.sha256(kernel.tobytes()).hexdigest())\n", str(scenario)],
+                   "print(hashlib.sha256(kernel.tobytes()).hexdigest())\n"
+                   "print('decimal' in sys.modules)\n", str(scenario)],
             ["-m", "mutagame.cli", "run", str(scenario), "--out", str(out)],
             ["-m", "mutagame.cli", "analyze", str(scenario)],
         )
     )
     _, trace_sha, summary_sha = RUN_CASES["mutable_core_contest"]
-    assert kernel.decode().strip() == CONTEST_KERNEL_SHA256
+    assert kernel.decode().split() == [CONTEST_KERNEL_SHA256, "True"]
     assert [sha256(out / "trace.csv"), sha256(out / "summary.json")] == [trace_sha, summary_sha]
     assert hashlib.sha256(analyze).hexdigest() == ANALYZE_CASES["mutable_core_contest"][1]
+
+
+def test_every_pin_holds_under_the_glibc_hwcaps_mask(tmp_path):
+    """Every ``run``, ``analyze`` and ``sweep`` pin above, in one child
+    process whose glibc picks its ifunc variants (libm's ``exp``, ``log``
+    and ``pow`` among them) without AVX2 and FMA. The endogenous discount
+    path, the report's NPV and breakeven horizon, the row entropies and
+    theta's slow-path normals all read the platform libm; on a CPU without
+    these features the child runs as without the mask, and the test passes.
+    """
+    for command, cases in (("run", RUN_CASES), ("analyze", ANALYZE_CASES)):
+        for case, (make_doc, *_) in cases.items():
+            path = tmp_path / f"{command}_{case}.yaml"
+            path.write_text(yaml.safe_dump(make_doc()), encoding="utf-8")
+    (tmp_path / "mutable_core.yaml").write_text(MUTABLE_CORE, encoding="utf-8")
+    child = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "from pathlib import Path\n"
+        "from mutagame.cli import main\n"
+        "work, runs, analyses = Path(sys.argv[1]), sys.argv[2].split(','), sys.argv[3].split(',')\n"
+        "def sha(path):\n"
+        "    return hashlib.sha256(path.read_bytes()).hexdigest()\n"
+        "def call(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as stdout:\n"
+        "        assert main(list(argv)) == 0, argv\n"
+        "    return stdout.getvalue()\n"
+        "hashes = {}\n"
+        "for case in runs:\n"
+        "    out = work / f'run_{case}'\n"
+        "    call('run', str(work / f'run_{case}.yaml'), '--out', str(out))\n"
+        "    hashes[f'run {case}'] = [sha(out / 'trace.csv'), sha(out / 'summary.json')]\n"
+        "for case in analyses:\n"
+        "    report = call('analyze', str(work / f'analyze_{case}.yaml')).encode()\n"
+        "    hashes[f'analyze {case}'] = hashlib.sha256(report).hexdigest()\n"
+        "call('sweep', str(work / 'mutable_core.yaml'), '--param', 'kernel.epsilon',\n"
+        "     '--values', '0,0.05,0.2', '--out', str(work / 'sweep'))\n"
+        "hashes['sweep'] = sha(work / 'sweep' / 'sweep.csv')\n"
+        "print(json.dumps(hashes))\n"
+    )
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("NPY_DISABLE_CPU_FEATURES", "GLIBC_TUNABLES")}
+    env.update(CPU_MASKS["glibc without AVX2 and FMA"])
+    result = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path), ",".join(RUN_CASES), ",".join(ANALYZE_CASES)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = {f"run {case}": [trace, summary] for case, (_, trace, summary) in RUN_CASES.items()}
+    expected.update({f"analyze {case}": stdout for case, (_, stdout) in ANALYZE_CASES.items()})
+    expected["sweep"] = SWEEP_SHA256
+    assert json.loads(result.stdout) == expected

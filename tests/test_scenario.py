@@ -6,11 +6,23 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutagame import Miner, ScenarioValidationError, StrategyKind, StrategyTag, parse_document
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE, PRESETS
-from mutagame.scenario import load_document, load_scenario, scale_kernel_epsilon
+from mutagame.scenario import _contest_power, load_document, load_scenario, scale_kernel_epsilon
 
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.floats(min_value=0.0, max_value=1.0) | st.floats(min_value=0.0, allow_infinity=False))
+def test_contest_power_at_exponent_one_is_the_decimal_power(x):
+    # The weights are relative efforts in [0, 1]; larger x checks the rule beyond them.
+    from decimal import Context, Decimal
+
+    expected = float(Context(prec=40).power(Decimal(x), Decimal(1.0)))
+    assert _contest_power(x, 1.0).hex() == expected.hex() == x.hex()
 
 
 def meta_investor(budget, preferred_state):

@@ -144,8 +144,9 @@ def _fork_writer(part: TextIO, scenario: Scenario, batch: BatchTrace, rows: rang
     caller: with status 0 once ``part`` holds every row, else nonzero, and it
     reports nothing more. The caller writes the rows itself on any failure."""
     with warnings.catch_warnings():
-        # Python 3.12+ warns on fork() in a multi-threaded process, and
-        # numpy's idle BLAS thread pool makes this one so. The worker calls no
+        # Python 3.12+ warns on fork() in a multi-threaded process. The CLI
+        # starts numpy with one BLAS thread, so its process is single-threaded;
+        # a library caller's numpy may hold an idle pool. The worker calls no
         # BLAS routine and leaves by os._exit, so it never waits on a lock
         # held by a thread it did not inherit.
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
@@ -469,6 +470,10 @@ def entry() -> int:
     # import the engine, so they do so here, to be frozen: imported after
     # the freeze, numpy made that `run` 8% slower.
     if sys.argv[1:2] in (["run"], ["sweep"]):
+        # The engine calls no BLAS routine, so numpy's OpenBLAS pool only
+        # costs: a worker per extra CPU spins ~2^28 cycles before it sleeps,
+        # which doubled `import numpy` on 2 vCPUs. Set before numpy loads.
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
         from . import simulate
     gc.freeze()
     return main()

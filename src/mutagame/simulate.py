@@ -432,6 +432,16 @@ def _payoff_rule(scenario: Scenario, tables: np.ndarray) -> Callable[..., np.nda
     return payoffs
 
 
+def _mean_and_spread(row: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each miner's mean and std over the replicas of one (R, n) round: numpy's
+    ``mean`` and ``var`` op for op, so bit-equal, but summing the mean once."""
+    rounds = row.T.copy()  # (n, R), C order: numpy sums a contiguous row pairwise
+    mean = rounds.sum(axis=1) / len(row)
+    rounds -= mean[:, None]
+    rounds *= rounds
+    return mean, np.sqrt(rounds.sum(axis=1) / (len(row) - ddof))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # refused below, with one error
 def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchTrace]:
     """Advance the given replicas together, round by round, reducing the summary.
@@ -491,9 +501,8 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
             endogenous += path[t] * row
         # Cross-replica per-round samples give the volatility penalty its
         # Monte Carlo meaning; within one replica it is degenerate.
-        rounds = np.ascontiguousarray(row.T)  # (n, R)
-        spread = np.sqrt(rounds.var(axis=1, ddof=ddof))
-        risk_adjusted += factor * (rounds.mean(axis=1) - scenario.risk_aversion * spread)
+        mean, spread = _mean_and_spread(row, ddof)
+        risk_adjusted += factor * (mean - scenario.risk_aversion * spread)
         factor *= delta
         duration[cooperates[last]] = t + 1
         state = np.minimum((cumulative[state] <= draws[0][:, None]).sum(axis=1), len(game) - 1)

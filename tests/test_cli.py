@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -902,6 +903,32 @@ def test_scenario_boundary_never_loads_numpy(fixed_rules_file, tmp_path):
     assert result.stdout.splitlines() == ["2 False", "mutagame.simulate True"]
 
 
+ENGINE_COMMANDS = {"run": [], "sweep": ["--param", "discount.delta", "--values", "0.5,0.6"]}
+
+
+def _engine_command_started(launcher, command, scenario_file, report, env=None):
+    """Start ``command`` on ``scenario_file`` in a child through ``launcher``
+    and stop it where it would load the scenario; return what the child's
+    expression ``report`` printed there."""
+    code = (
+        "import gc, importlib, os, runpy, sys\n"
+        "import mutagame.scenario\n"
+        "def started(*args):\n"
+        f"    print({report})\n"
+        "    sys.exit(0)\n"
+        "mutagame.scenario.load_scenario = mutagame.scenario.load_document = started\n"
+        f"sys.argv = ['mutagame', {command!r}, sys.argv[1], *{ENGINE_COMMANDS[command]!r}]\n"
+        "try:\n"
+        f"    {launcher}\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(scenario_file)],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 def test_engine_commands_start_with_numpy_frozen(fixed_rules_file):
     # entry() freezes the heap that the engine's imports build before a
     # command runs; imported after the freeze, numpy's objects would be
@@ -913,23 +940,29 @@ def test_engine_commands_start_with_numpy_frozen(fixed_rules_file):
         capture_output=True, text=True,
     )
     assert reference.returncode == 0, reference.stderr
-    commands = {"run": [], "sweep": ["--param", "discount.delta", "--values", "0.5,0.6"]}
     for launcher in _entry_launchers():
-        for command, flags in commands.items():
-            code = (
-                "import gc, importlib, runpy, sys\n"
-                "import mutagame.scenario\n"
-                "def started(*args):\n"
-                "    print(gc.get_freeze_count())\n"
-                "    sys.exit(0)\n"
-                "mutagame.scenario.load_scenario = mutagame.scenario.load_document = started\n"
-                f"sys.argv = ['mutagame', {command!r}, sys.argv[1], *{flags!r}]\n"
-                "try:\n"
-                f"    {launcher}\n"
-                "except SystemExit as exc:\n"
-                "    assert exc.code == 0, exc.code\n"
-            )
-            result = subprocess.run([sys.executable, "-c", code, str(fixed_rules_file)],
-                                    capture_output=True, text=True)
-            assert result.returncode == 0, result.stderr
-            assert int(result.stdout) >= int(reference.stdout) > 0, (launcher, command)
+        for command in ENGINE_COMMANDS:
+            frozen = _engine_command_started(launcher, command, fixed_rules_file,
+                                             "gc.get_freeze_count()")
+            assert int(frozen) >= int(reference.stdout) > 0, (launcher, command)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and two CPUs, where OpenBLAS starts a pool")
+def test_engine_commands_run_on_one_thread(fixed_rules_file):
+    # The engine calls no BLAS routine, so entry() starts numpy with one
+    # OpenBLAS thread: a pool's workers spin before they sleep, doubling
+    # numpy's import on two CPUs. The caller's own setting does not bring
+    # the pool back; a library import leaves the environment alone.
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for env in (base, {**base, "OPENBLAS_NUM_THREADS": "4"}):
+        for launcher in _entry_launchers():
+            for command in ENGINE_COMMANDS:
+                tasks = _engine_command_started(launcher, command, fixed_rules_file,
+                                                "len(os.listdir('/proc/self/task'))", env)
+                assert tasks == "1", (launcher, command, env.get("OPENBLAS_NUM_THREADS"))
+    code = "import os, mutagame.simulate\nprint('OPENBLAS_NUM_THREADS' in os.environ)\n"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=base)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]

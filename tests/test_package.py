@@ -58,7 +58,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.12.0"
+    assert mutagame.__version__ == project["version"] == "0.13.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -165,6 +165,23 @@ def test_only_the_engine_loads_numpy_at_import():
             break
         loads = grown
     assert sorted(loads) == ["_ziggurat", "simulate"]
+
+
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_no_module_calls_blas():
+    # `run` and `sweep` start numpy with one OpenBLAS thread, and README says
+    # the package makes no BLAS call: a matrix product or a linalg routine
+    # would run on that one thread. Any such name or operator fails here.
+    found = []
+    for path in sorted(Path(mutagame.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name in BLAS_NAMES or isinstance(getattr(node, "op", None), ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} {name or '@'}")
+    assert found == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

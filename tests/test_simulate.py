@@ -6,6 +6,8 @@ import itertools
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import (
     Action,
     PlayHistory,
@@ -40,7 +42,7 @@ from mutagame import (
     run_replica,
 )
 from mutagame.presets import MUTABLE_CORE
-from mutagame.simulate import _strategy_tables
+from mutagame.simulate import _mean_and_spread, _strategy_tables
 
 C = Action.COOPERATE
 D = Action.DEFECT
@@ -89,6 +91,27 @@ def synthetic_trace(fraction_pattern, n=4):
     return np.array(
         [[i >= round(fraction * n) for i in range(n)] for fraction in fraction_pattern]
     )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 6), st.integers(1, 600), st.integers(-5, 4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(2, 1, 0, False, 0)  # one replica: ddof 0, the spread is 0
+@example(4, 2, 0, True, 1)
+def test_mean_and_spread_bit_equal_to_numpy(n, count, exponent, whole, seed):
+    # The engine's per-round risk reduction must match numpy's mean and
+    # var bit for bit, or every risk-adjusted utility would move.
+    row = np.random.default_rng(seed).normal(size=(count, n)) * 10.0**exponent
+    if whole:  # payoff tables of small whole numbers: exact ties and zeros
+        row = np.round(row)
+    ddof = min(count - 1, 1)
+    before = row.copy()
+    mean, spread = _mean_and_spread(row, ddof)
+    rounds = np.ascontiguousarray(row.T)
+    assert mean.view(np.uint64).tolist() == rounds.mean(axis=1).view(np.uint64).tolist()
+    expected = np.sqrt(rounds.var(axis=1, ddof=ddof))
+    assert spread.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert row.view(np.uint64).tolist() == before.view(np.uint64).tolist()
 
 
 def test_all_honest_composition():

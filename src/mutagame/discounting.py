@@ -10,15 +10,11 @@ per-period rate (1 + rho + eta(t)) ** -t.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterable
 
 from .errors import ConfigurationError
 from .protocol import _real
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def validate_discount(delta: float) -> None:
@@ -75,19 +71,12 @@ class NoisePath:
     def constant(cls, baseline_rate: float, eta: float = 0.0) -> "NoisePath":
         return cls(baseline_rate=baseline_rate, segments=((0, eta),))
 
-    def eta_at(self, t: float) -> float:
-        """Noise rate in force at time t."""
-        starts = [s for s, _ in self.segments]
-        idx = bisect_right(starts, t) - 1
-        return self.segments[max(idx, 0)][1]
-
-    def rate_at(self, t: float) -> float:
-        return self.baseline_rate + self.eta_at(t)
-
     def compound(self, t: int) -> float:
-        """(1 + rho + eta(t)) ** t, or inf past float range (a period's term is then 0.0)."""
+        """(1 + (rho + eta(t))) ** t, eta(t) the value of the last segment to
+        start at or before round t; inf past float range (a period's term is then 0.0)."""
+        eta = next(value for start, value in reversed(self.segments) if start <= max(t, 0))
         try:
-            return (1.0 + self.rate_at(t)) ** t
+            return (1.0 + (self.baseline_rate + eta)) ** t
         except OverflowError:
             return math.inf
 
@@ -139,7 +128,7 @@ class InvestmentPlan:
         return len(self.expected_returns)
 
 
-def discounted_utility(payoffs: Sequence[float] | np.ndarray, delta: float) -> float:
+def discounted_utility(payoffs: Iterable[float], delta: float) -> float:
     """Sum of delta**t * payoffs[t] over a 1-D sequence, t from 0, left to right."""
     validate_discount(delta)
     total, factor = 0.0, 1.0
@@ -149,19 +138,15 @@ def discounted_utility(payoffs: Sequence[float] | np.ndarray, delta: float) -> f
     return total
 
 
-def endogenous_discount_path(noise: NoisePath, horizon: int) -> np.ndarray:
+def endogenous_discount_path(noise: NoisePath, horizon: int) -> tuple[float, ...]:
     """Discount weights exp(-integral_0^t of (rho + eta(s)) ds) for t = 0..horizon.
 
     Exact for piecewise-constant noise; the path starts at 1 and never
     increases.
     """
-    import numpy as np
-
     if horizon < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
-    return np.array(
-        [math.exp(-noise.cumulative_rate(t)) for t in range(horizon + 1)], dtype=float
-    )
+    return tuple(math.exp(-noise.cumulative_rate(t)) for t in range(horizon + 1))
 
 
 def npv(plan: InvestmentPlan, noise: NoisePath = ZERO_NOISE) -> float:

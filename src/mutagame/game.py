@@ -13,13 +13,14 @@ construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigurationError
-from .protocol import _float_array, _read_only_array
+from .protocol import _float_array, _read_only_array, _real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,15 +69,21 @@ class StrategyKind:
     preferred_state: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tag, StrategyTag):
+            raise ConfigurationError(f"strategy tag must be a StrategyTag, got {self.tag!r}; "
+                                     f"valid: {sorted(tag.name for tag in StrategyTag)}")
         if self.tag is StrategyTag.META_INVESTOR:
             if self.meta_budget is None or self.preferred_state is None:
                 raise ConfigurationError(
                     "MetaInvestor requires meta_budget and preferred_state"
                 )
-            if not 0.0 <= self.meta_budget <= 1.0:
+            if not 0.0 <= _real(self.meta_budget, "meta_budget") <= 1.0:
                 raise ConfigurationError(
                     f"meta_budget must be in [0, 1], got {self.meta_budget}"
                 )
+            if not isinstance(self.preferred_state, numbers.Integral):
+                raise ConfigurationError(
+                    f"preferred_state must be an integer, got {self.preferred_state!r}")
             if self.preferred_state < 0:
                 raise ConfigurationError(
                     f"preferred_state must be nonnegative, got {self.preferred_state}"

@@ -50,6 +50,12 @@ def _real(value: Any, name: str) -> Any:
     return value
 
 
+def _bool(value: Any, name: str) -> None:
+    """ConfigurationError naming ``value`` unless it is a bool."""
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a boolean, got {value!r}")
+
+
 def _read_only_array(entries: list[float], shape: tuple[int, ...]) -> np.ndarray:
     """``entries`` as a read-only float64 array of ``shape``."""
     import numpy as np
@@ -130,6 +136,7 @@ class ThetaProcess:
             raise ConfigurationError(
                 f"theta variance must be finite and >= 0, got {self.variance}"
             )
+        _bool(self.clamp, "theta clamp")
 
 
 def mutation_rate(kernel: TransitionKernel) -> MutationRate:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -24,7 +25,7 @@ import yaml
 from .discounting import InvestmentPlan, NoisePath, validate_discount
 from .errors import ConfigurationError, ScenarioValidationError
 from .game import StageGameSpec, StrategyKind, StrategyTag, validate_shares
-from .protocol import ThetaProcess, TransitionKernel
+from .protocol import ThetaProcess, TransitionKernel, _bool, _real
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,12 @@ class MetaModelConfig:
     contest_exponent: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.influence_strength <= 1.0:
+        _bool(self.enabled, "enabled")
+        if not 0.0 <= _real(self.influence_strength, "influence_strength") <= 1.0:
             raise ConfigurationError(
                 f"influence_strength must lie in [0, 1], got {self.influence_strength}"
             )
-        if not self.contest_exponent > 0.0:
+        if not _real(self.contest_exponent, "contest_exponent") > 0.0:
             raise ConfigurationError(
                 f"contest_exponent must be positive, got {self.contest_exponent}"
             )
@@ -57,6 +59,12 @@ class Miner:
     share: float
     strategy: StrategyKind
 
+    def __post_init__(self) -> None:
+        _real(self.share, "miner share")
+        if not isinstance(self.strategy, StrategyKind):
+            raise ConfigurationError(
+                f"miner strategy must be a StrategyKind, got {self.strategy!r}")
+
 
 def _scenario_errors(
     *, miners=None, game=None, kernel=None, initial_state=None, horizon=None, delta=None,
@@ -66,7 +74,8 @@ def _scenario_errors(
     """Every violation among a Scenario's field values, one ``path: message``
     line each. A check is skipped where a value it reads is None or not
     given: ``parse_document`` passes None for each part of a document that
-    failed, and reports that failure itself, and leaves out each key the
+    failed, and ``Scenario`` for each field of the wrong type, and each
+    reports that failure itself; ``parse_document`` leaves out each key the
     document leaves out."""
 
     def known(*fields) -> bool:
@@ -140,10 +149,16 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self) -> None:
-        fields = vars(self)
-        errors = [f"{name}: required" for name, value in fields.items()
-                  if value is None and name not in ("noise", "theta", "investment")]
-        errors += _scenario_errors(**fields)
+        # Each field is checked for its type as the schema checks a document,
+        # then for its range; a field of the wrong type is None to the latter.
+        fields, found = dict(vars(self)), []
+        for name, value in vars(self).items():
+            if value is not None:
+                _FIELD_KINDS[name](value, name, found)
+            elif name not in ("noise", "theta", "investment"):
+                found.append((name, "required"))
+        fields.update((name, None) for name, _ in found)
+        errors = [f"{name}: {message}" for name, message in found] + _scenario_errors(**fields)
         if errors:
             raise ScenarioValidationError(errors)
 
@@ -227,6 +242,29 @@ _TEXT = _scalar("a non-empty string", lambda v: isinstance(v, str) and v != "")
 _NUMBER = _scalar("a number", _is_number)
 _REAL = _scalar("a finite number", lambda v: _is_number(v) and math.isfinite(v), float)
 _STRATEGIES = {tag.value: tag for tag in StrategyTag}
+
+
+def _instance(cls: type, article: str = "a"):
+    return _scalar(f"{article} {cls.__name__}", lambda v: isinstance(v, cls))
+
+
+# The kind of each Scenario field, which a Scenario built in Python must meet
+# as the schema makes a document meet it.
+_FIELD_KINDS = {
+    "miners": _scalar("a sequence of Miner", lambda v: isinstance(v, Sequence)
+                      and all(isinstance(miner, Miner) for miner in v)),
+    "game": _instance(StageGameSpec),
+    "kernel": _instance(TransitionKernel),
+    "meta": _instance(MetaModelConfig),
+    "noise": _instance(NoisePath),
+    "theta": _instance(ThetaProcess),
+    "investment": _instance(InvestmentPlan, "an"),
+    **dict.fromkeys(("initial_state", "horizon", "replica_count", "master_seed"), _INT),
+    **dict.fromkeys(("delta", "risk_aversion", "spiral_threshold", "post_mutation_value"),
+                    _NUMBER),
+    "trigger_on_mutation": _BOOL,
+    "name": _TEXT,
+}
 
 
 def _strategy(value: Any, path: str, errors: list) -> StrategyTag | None:

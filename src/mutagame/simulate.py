@@ -136,7 +136,10 @@ def _cooperation_table(n: int) -> np.ndarray:
     return (n - np.count_nonzero(_defect_flags(np.arange(2**n), n), axis=1)) / n
 
 
-# Replicas seeded together; results do not depend on it.
+# Replicas seeded together; results do not depend on it. It bounds the
+# per-replica Python lists of entropy words that ``_seed_states`` builds: on
+# mutable_core at R=10**5, seeding in one call peaked at 64 MB RSS by the
+# first round's draws, against 42 MB in chunks of 1,024 (2 vCPU, numpy 2.4).
 _CHUNK = 1024
 # PCG64's LCG multiplier: state <- state * _PCG64_MULTIPLIER + inc (mod 2**128).
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645

@@ -537,7 +537,7 @@ def scalar_replica(scenario, replica_index) -> ScalarReplica:
     if scenario.noise is not None:
         # Left to right, as ``discounted_utility`` sums: a BLAS product's
         # summation order depends on the kernel the CPU selects.
-        path = endogenous_discount_path(scenario.noise, scenario.horizon - 1).tolist()
+        path = list(endogenous_discount_path(scenario.noise, scenario.horizon - 1))
         endogenous = np.zeros((1, n))
         for i in range(n):
             for weight, payoff in zip(path, payoff_matrix[:, i].tolist()):

@@ -121,7 +121,7 @@ def test_endogenous_path_monotonicity():
             (int(s), float(rng.uniform(0, 0.2))) for s in starts
         )
         noise = NoisePath(baseline_rate=float(rng.uniform(0, 0.1)), segments=segments)
-        path = endogenous_discount_path(noise, 40)
+        path = np.asarray(endogenous_discount_path(noise, 40))
         assert np.all(np.diff(path) <= 1e-15)
         assert np.all(path > 0.0)
 
@@ -129,8 +129,8 @@ def test_endogenous_path_monotonicity():
 def test_endogenous_path_pointwise_monotone_in_noise():
     base = NoisePath(baseline_rate=0.02, segments=((0, 0.0), (4, 0.05)))
     raised = NoisePath(baseline_rate=0.02, segments=((0, 0.0), (4, 0.15)))
-    low = endogenous_discount_path(base, 20)
-    high = endogenous_discount_path(raised, 20)
+    low = np.asarray(endogenous_discount_path(base, 20))
+    high = np.asarray(endogenous_discount_path(raised, 20))
     assert np.all(high <= low + 1e-15)
 
 

@@ -200,6 +200,23 @@ def test_strategy_kind_payload_rules():
         StrategyKind(StrategyTag.META_INVESTOR)
 
 
+TAG_NAMES = ("['ALWAYS_DEFECT', 'COLLUDE', 'GRIM_TRIGGER', 'HONEST', 'META_INVESTOR', "
+             "'MYOPIC_BEST_RESPONSE', 'TIT_FOR_TAT', 'WITHHOLD']")
+
+
+@pytest.mark.parametrize("arguments, message", [
+    # A string tag was accepted and never matched a tag: "AlwaysDefect" never defected.
+    (("AlwaysDefect",), f"strategy tag must be a StrategyTag, got 'AlwaysDefect'; valid: {TAG_NAMES}"),
+    (("MetaInvestor", 0.2, 0), f"strategy tag must be a StrategyTag, got 'MetaInvestor'; valid: {TAG_NAMES}"),
+    ((StrategyTag.META_INVESTOR, "0.2", 0), "meta_budget must be a number, got '0.2'"),
+    ((StrategyTag.META_INVESTOR, 0.2, 0.5), "preferred_state must be an integer, got 0.5"),
+])
+def test_strategy_kind_refuses_wrong_types(arguments, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        StrategyKind(*arguments)
+    assert str(excinfo.value) == message
+
+
 def test_resolve_fixed_strategies():
     strategies = [
         HONEST,

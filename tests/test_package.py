@@ -58,7 +58,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.13.0"
+    assert mutagame.__version__ == project["version"] == "0.14.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -165,6 +165,14 @@ def test_only_the_engine_loads_numpy_at_import():
             break
         loads = grown
     assert sorted(loads) == ["_ziggurat", "simulate"]
+
+
+def test_discounting_names_no_numpy():
+    # The discount side is Python floats throughout: no import of numpy, not
+    # even inside a function or under TYPE_CHECKING, and no array annotation.
+    source = (Path(mutagame.__file__).parent / "discounting.py").read_text(encoding="utf-8")
+    names = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    assert "numpy" not in source and "np" not in names
 
 
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}

@@ -276,3 +276,14 @@ def test_theta_refuses_non_numbers(mean, variance, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         ThetaProcess(mean, variance)
     assert ThetaProcess(np.float32(1.0), np.int64(0)).variance == 0
+
+
+@pytest.mark.parametrize("arguments, message", [
+    ((1.0, 0.04, "no"), "theta clamp must be a boolean, got 'no'"),
+    ((1.0, 0.04, 0), "theta clamp must be a boolean, got 0"),
+])
+def test_theta_refuses_a_clamp_that_is_not_a_bool(arguments, message):
+    # Accepted before, and read as a truth value: clamp="no" clamped.
+    with pytest.raises(ConfigurationError) as excinfo:
+        ThetaProcess(*arguments)
+    assert str(excinfo.value) == message

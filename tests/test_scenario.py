@@ -1,6 +1,7 @@
 """Scenario documents: schema validation, error accumulation, overrides."""
 
 import copy
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,15 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutagame import Miner, ScenarioValidationError, StrategyKind, StrategyTag, parse_document
+from mutagame import (
+    ConfigurationError,
+    MetaModelConfig,
+    Miner,
+    ScenarioValidationError,
+    StrategyKind,
+    StrategyTag,
+    parse_document,
+)
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE, PRESETS
 from mutagame.scenario import _contest_power, load_document, load_scenario, scale_kernel_epsilon
 
@@ -184,6 +193,67 @@ def test_non_finite_scalar_fields_rejected(path, value):
     with pytest.raises(ScenarioValidationError) as excinfo:
         parse_document(doc)
     assert excinfo.value.errors == [f"{path}: expected a finite number, got {value!r}"]
+
+
+@pytest.mark.parametrize("changes, errors", [
+    ({"initial_state": 0.5}, ["initial_state: expected an integer, got 0.5"]),
+    ({"trigger_on_mutation": "yes"}, ["trigger_on_mutation: expected a boolean, got 'yes'"]),
+    ({"name": 5}, ["name: expected a non-empty string, got 5"]),
+    ({"horizon": "5"}, ["horizon: expected an integer, got '5'"]),
+    ({"replica_count": "3"}, ["replica_count: expected an integer, got '3'"]),
+    ({"delta": "0.9"}, ["delta: expected a number, got '0.9'"]),
+    ({"risk_aversion": "1"}, ["risk_aversion: expected a number, got '1'"]),
+    ({"spiral_threshold": "0.5"}, ["spiral_threshold: expected a number, got '0.5'"]),
+    ({"post_mutation_value": "x"}, ["post_mutation_value: expected a number, got 'x'"]),
+    ({"horizon": 5.5}, ["horizon: expected an integer, got 5.5"]),
+    ({"horizon": True}, ["horizon: expected an integer, got True"]),
+    ({"replica_count": 2.5}, ["replica_count: expected an integer, got 2.5"]),
+    ({"master_seed": 1.5}, ["master_seed: expected an integer, got 1.5"]),
+    ({"kernel": [[1.0]]}, ["kernel: expected a TransitionKernel, got [[1.0]]"]),
+    ({"miners": [1, 2]}, ["miners: expected a sequence of Miner, got [1, 2]"]),
+    # Type lines in field order, then the range checks of the fields that
+    # passed; initial_state's range needs the kernel, so it is skipped.
+    ({"miners": [1, 2], "kernel": [[1.0]], "initial_state": 7, "horizon": "5",
+      "delta": math.nan, "replica_count": 0},
+     ["miners: expected a sequence of Miner, got [1, 2]",
+      "kernel: expected a TransitionKernel, got [[1.0]]",
+      "horizon: expected an integer, got '5'",
+      "replica_count: must be >= 1, got 0",
+      "discount.delta: discount factor must lie strictly inside (0, 1), got nan"]),
+    ({"game": "pd", "meta": {}, "noise": 0.05, "theta": (1.0, 0.04), "investment": [1.0]},
+     ["game: expected a StageGameSpec, got 'pd'",
+      "meta: expected a MetaModelConfig, got {}",
+      "noise: expected a NoisePath, got 0.05",
+      "theta: expected a ThetaProcess, got (1.0, 0.04)",
+      "investment: expected an InvestmentPlan, got [1.0]"]),
+])
+def test_scenario_refuses_what_the_schema_refuses(base_doc, changes, errors):
+    # Through the Python API each of these ran silently, ran to a TypeError
+    # in run_batch, or raised TypeError or AttributeError here.
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        replace(parse_document(base_doc), **changes)
+    assert excinfo.value.errors == errors
+
+
+@pytest.mark.parametrize("arguments, message", [
+    (("0.5", StrategyKind(StrategyTag.HONEST)), "miner share must be a number, got '0.5'"),
+    ((0.5, "Honest"), "miner strategy must be a StrategyKind, got 'Honest'"),
+])
+def test_miner_refuses_wrong_types(arguments, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        Miner(*arguments)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("arguments, message", [
+    ((True, "x"), "influence_strength must be a number, got 'x'"),
+    (("yes",), "enabled must be a boolean, got 'yes'"),
+    ((True, 0.5, "2"), "contest_exponent must be a number, got '2'"),
+])
+def test_meta_model_config_refuses_wrong_types(arguments, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        MetaModelConfig(*arguments)
+    assert str(excinfo.value) == message
 
 
 def test_readme_scenario_example_parses():

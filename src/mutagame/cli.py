@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
@@ -67,8 +66,8 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     return overrides
 
 
-def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace, rows: range) -> None:
-    """Write the trace lines of the replicas at positions ``rows`` of ``batch``.
+def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace) -> None:
+    """Write the trace lines of every replica of ``batch``.
 
     Written one replica at a time, column by column: floats are their
     ``repr``, so every payoff and theta round-trips, ``-0.0`` included.
@@ -86,7 +85,7 @@ def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace, rows: ran
     state_keys = list(map(str, range(len(scenario.game))))
     rounds = list(map(str, range(scenario.horizon)))
     tails: dict[int, str] = {}
-    for r in rows:
+    for r in range(len(batch.replicas)):
         if batch.theta is None:
             codes = batch.states[r].astype(np.intp) << n | batch.profiles[r]
             if batch.winner is not None:
@@ -117,94 +116,16 @@ def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace, rows: ran
         handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-# A worker's fork, temporary file, wait and append cost 3-10 ms on a 2-vCPU
-# host, what one process takes to format 3,000-10,000 lines, so the batch is
-# split only when each half holds at least this many lines.
-_MIN_LINES_PER_WRITER = 10_000
-
-
-def _worker_split(count: int, horizon: int) -> int:
-    """The first replica that a forked worker formats: ``count // 2``, or
-    ``count`` for no worker. There is a worker only where this process can
-    fork and may run on two CPUs or more (its ``sched_getaffinity`` set), and
-    only for two replicas or more with ``_MIN_LINES_PER_WRITER`` trace lines
-    (``horizon`` per replica) in each half. Two processes are the only count
-    measured to pay, on a 2-vCPU host."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return count
-    if len(os.sched_getaffinity(0)) < 2 or count < 2:
-        return count
-    return count // 2 if count * horizon >= 2 * _MIN_LINES_PER_WRITER else count
-
-
-def _fork_writer(part: TextIO, scenario: Scenario, batch: BatchTrace, rows: range) -> int | None:
-    """Fork a worker that writes the replicas ``rows`` into ``part``; return
-    its pid, or None if the host refuses the fork (``EAGAIN``, ``ENOMEM``).
-    The worker always leaves by ``os._exit``, never returning into the
-    caller: with status 0 once ``part`` holds every row, else nonzero, and it
-    reports nothing more. The caller writes the rows itself on any failure."""
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on fork() in a multi-threaded process. The CLI
-        # starts numpy with one BLAS thread, so its process is single-threaded;
-        # a library caller's numpy may hold an idle pool. The worker calls no
-        # BLAS routine and leaves by os._exit, so it never waits on a lock
-        # held by a thread it did not inherit.
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-        try:
-            pid = os.fork()
-        except OSError:
-            return None
-    if pid:
-        return pid
-    status = 1
-    try:
-        _write_rows(part, scenario, batch, rows)
-        part.flush()
-        status = EXIT_OK
-    finally:
-        os._exit(status)
-
-
 def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
     """Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}.
 
-    Rows are formatted by ``_write_rows``. Where ``_worker_split`` gives a
-    split, a forked worker writes the replicas from it on into an anonymous
-    temporary file in the same directory while this process writes the
-    header and the replicas before it into ``path``; the temporary file is
-    appended once the worker has exited. If the fork is refused, or the
-    worker does not exit 0 (an error, or a signal such as the OOM killer's),
-    this process empties that file and writes those replicas itself, so an
-    error they raise is raised here. The bytes never depend on the split.
+    Rows are formatted by ``_write_rows``, in this process.
     """
-    import shutil  # only `run` needs these, so `validate` does not import them here
-    import tempfile
-
     header = ["replica", "t", "state", "theta", "actions"]
     header += [f"payoff_{i}" for i in range(scenario.n)]
-    count = len(batch.replicas)
-    split = _worker_split(count, scenario.horizon)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        if split == count:
-            _write_rows(handle, scenario, batch, range(count))
-            return
-        with tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=path.parent) as part:
-            # Flushed before the fork, no buffer the worker inherits holds bytes it could write again.
-            for stream in (handle, sys.stdout, sys.stderr):
-                stream.flush()
-            pid = _fork_writer(part, scenario, batch, range(split, count))
-            try:
-                _write_rows(handle, scenario, batch, range(split))
-            finally:
-                status = None if pid is None else os.waitpid(pid, 0)[1]
-            if status != 0:
-                part.seek(0)
-                part.truncate()
-                _write_rows(part, scenario, batch, range(split, count))
-            handle.flush()
-            part.seek(0)
-            shutil.copyfileobj(part.buffer, handle.buffer)
+        _write_rows(handle, scenario, batch)
 
 
 def write_summary_json(path: Path, scenario: Scenario, summary: BatchSummary) -> None:

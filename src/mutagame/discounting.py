@@ -50,7 +50,7 @@ class NoisePath:
                                      f"got {self.segments!r}") from None
         if not segments:
             raise ConfigurationError("noise path needs at least one segment")
-        if segments[0][0] != 0:
+        if _real(segments[0][0], "noise segment start") != 0:
             raise ConfigurationError("first noise segment must start at round 0")
         previous = -1
         for start, value in segments:

@@ -81,7 +81,8 @@ class StrategyKind:
                 raise ConfigurationError(
                     f"meta_budget must be in [0, 1], got {self.meta_budget}"
                 )
-            if not isinstance(self.preferred_state, numbers.Integral):
+            if isinstance(self.preferred_state, bool) or not isinstance(
+                    self.preferred_state, numbers.Integral):
                 raise ConfigurationError(
                     f"preferred_state must be an integer, got {self.preferred_state!r}")
             if self.preferred_state < 0:

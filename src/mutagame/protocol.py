@@ -44,8 +44,8 @@ def _float_array(value: Any) -> tuple[tuple[int, ...], list[float]]:
 
 
 def _real(value: Any, name: str) -> Any:
-    """``value`` when it is a real number; else ConfigurationError naming it."""
-    if not isinstance(value, numbers.Real):
+    """``value`` when it is a real number, not a bool; else ConfigurationError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
     return value
 

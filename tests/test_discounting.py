@@ -176,6 +176,11 @@ def test_infinite_rates_and_costs_are_refused(make, message):
     (lambda: NoisePath("0.1"), "baseline rate must be a number, got '0.1'"),
     (lambda: NoisePath(0.1, ((0, "0.1"),)), "noise value must be a number, got '0.1'"),
     (lambda: NoisePath(0.1, ((0, 0.1), ("5", 0.2))), "noise segment start must be a number, got '5'"),
+    # A bool, which the schema refuses, was read as 1.0, 0.0 or round 1.
+    (lambda: NoisePath(True), "baseline rate must be a number, got True"),
+    (lambda: NoisePath(0.1, ((0, True),)), "noise value must be a number, got True"),
+    (lambda: NoisePath(0.1, ((True, 0.2),)), "noise segment start must be a number, got True"),
+    (lambda: NoisePath(0.1, ((0, 0.1), (True, 0.2))), "noise segment start must be a number, got True"),
 ])
 def test_noise_path_refuses_non_numbers(make, message):
     # The scenario schema refuses these first; through the Python API each
@@ -187,11 +192,14 @@ def test_noise_path_refuses_non_numbers(make, message):
 @pytest.mark.parametrize("make, message", [
     (lambda: InvestmentPlan("1", (1.0,)), "upfront cost must be a number, got '1'"),
     (lambda: InvestmentPlan(1.0, ("1",)), "expected return must be a number, got '1'"),
+    (lambda: InvestmentPlan(True, (1.0,)), "upfront cost must be a number, got True"),
+    (lambda: InvestmentPlan(1.0, (True,)), "expected return must be a number, got True"),
+    (lambda: InvestmentPlan(0.0, (1.0, False)), "expected return must be a number, got False"),
 ])
 def test_investment_plan_refuses_non_numbers(make, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         make()
-    plan = InvestmentPlan(np.float32(1.0), (np.int64(2), True))
+    plan = InvestmentPlan(np.float32(1.0), (np.int64(2), 1))
     assert plan.upfront_cost == 1.0 and plan.expected_returns == (2.0, 1.0)
 
 

@@ -210,6 +210,10 @@ TAG_NAMES = ("['ALWAYS_DEFECT', 'COLLUDE', 'GRIM_TRIGGER', 'HONEST', 'META_INVES
     (("MetaInvestor", 0.2, 0), f"strategy tag must be a StrategyTag, got 'MetaInvestor'; valid: {TAG_NAMES}"),
     ((StrategyTag.META_INVESTOR, "0.2", 0), "meta_budget must be a number, got '0.2'"),
     ((StrategyTag.META_INVESTOR, 0.2, 0.5), "preferred_state must be an integer, got 0.5"),
+    # A bool was read as a budget of 1.0 or a preferred state of 1 or 0.
+    ((StrategyTag.META_INVESTOR, True, 0), "meta_budget must be a number, got True"),
+    ((StrategyTag.META_INVESTOR, 0.2, True), "preferred_state must be an integer, got True"),
+    ((StrategyTag.META_INVESTOR, 0.2, False), "preferred_state must be an integer, got False"),
 ])
 def test_strategy_kind_refuses_wrong_types(arguments, message):
     with pytest.raises(ConfigurationError) as excinfo:

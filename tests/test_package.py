@@ -58,7 +58,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.14.0"
+    assert mutagame.__version__ == project["version"] == "0.15.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -176,6 +176,18 @@ def test_discounting_names_no_numpy():
 
 
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+FORK_NAMES = {"fork", "forkpty", "posix_spawn", "posix_spawnp"}
+FORK_MODULES = {"multiprocessing", "concurrent", "tempfile"}
+
+
+def package_nodes():
+    """(module file name, node, the name the node reads or None) over every
+    node of every module of the package."""
+    for path in sorted(Path(mutagame.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            yield path.name, node, name
 
 
 def test_no_module_calls_blas():
@@ -183,12 +195,22 @@ def test_no_module_calls_blas():
     # the package makes no BLAS call: a matrix product or a linalg routine
     # would run on that one thread. Any such name or operator fails here.
     found = []
-    for path in sorted(Path(mutagame.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            name = (node.id if isinstance(node, ast.Name) else
-                    node.attr if isinstance(node, ast.Attribute) else None)
-            if name in BLAS_NAMES or isinstance(getattr(node, "op", None), ast.MatMult):
-                found.append(f"{path.name}:{node.lineno} {name or '@'}")
+    for module, node, name in package_nodes():
+        if name in BLAS_NAMES or isinstance(getattr(node, "op", None), ast.MatMult):
+            found.append(f"{module}:{node.lineno} {name or '@'}")
+    assert found == []
+
+
+def test_no_module_forks():
+    # Every command runs in one process: README says so, and `trace.csv` is
+    # written by this process alone. A fork or spawn, a process or thread
+    # pool, or a temporary file to merge a second writer's output fails here.
+    found = []
+    for module, node, name in package_nodes():
+        imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                    [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if name in FORK_NAMES or any(i.split(".")[0] in FORK_MODULES for i in imported):
+            found.append(f"{module}:{node.lineno} {name or ', '.join(imported)}")
     assert found == []
 
 

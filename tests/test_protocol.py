@@ -270,6 +270,9 @@ def test_theta_rejects_negative_variance():
 @pytest.mark.parametrize("mean, variance, message", [
     ("1", 0.1, "theta mean must be a number, got '1'"),
     (1.0, "0.1", "theta variance must be a number, got '0.1'"),
+    # A bool was read as 1.0 or 0.0.
+    (True, False, "theta mean must be a number, got True"),
+    (1.0, True, "theta variance must be a number, got True"),
 ])
 def test_theta_refuses_non_numbers(mean, variance, message):
     # Through the Python API these raised TypeError from math.isfinite or `<=`.

@@ -238,6 +238,9 @@ def test_scenario_refuses_what_the_schema_refuses(base_doc, changes, errors):
 @pytest.mark.parametrize("arguments, message", [
     (("0.5", StrategyKind(StrategyTag.HONEST)), "miner share must be a number, got '0.5'"),
     ((0.5, "Honest"), "miner strategy must be a StrategyKind, got 'Honest'"),
+    # A bool share was read as 1.0 or 0.0.
+    ((True, StrategyKind(StrategyTag.HONEST)), "miner share must be a number, got True"),
+    ((False, StrategyKind(StrategyTag.HONEST)), "miner share must be a number, got False"),
 ])
 def test_miner_refuses_wrong_types(arguments, message):
     with pytest.raises(ConfigurationError) as excinfo:
@@ -249,6 +252,9 @@ def test_miner_refuses_wrong_types(arguments, message):
     ((True, "x"), "influence_strength must be a number, got 'x'"),
     (("yes",), "enabled must be a boolean, got 'yes'"),
     ((True, 0.5, "2"), "contest_exponent must be a number, got '2'"),
+    # A bool strength or exponent was read as 1.0.
+    ((True, True), "influence_strength must be a number, got True"),
+    ((True, 0.5, True), "contest_exponent must be a number, got True"),
 ])
 def test_meta_model_config_refuses_wrong_types(arguments, message):
     with pytest.raises(ConfigurationError) as excinfo:

@@ -1,14 +1,13 @@
 """The columnar trace writer against the row-at-a-time reference writer.
 
 Both must write the same bytes: every float as its ``repr``, ``-0.0``
-included, with or without a worker process. The memory guard pins
+included, all from one process. The memory guard pins
 the per-replica conversion, which keeps a run's peak memory flat as the
 batch grows.
 """
 
 import errno
 import os
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -34,8 +33,7 @@ from mutagame import (
     run_batch,
 )
 from mutagame import cli, simulate
-from mutagame.cli import EXIT_CAPACITY, EXIT_IO, EXIT_OK, main, write_trace_csv
-from mutagame.scenario import load_scenario
+from mutagame.cli import EXIT_CAPACITY, EXIT_IO, main, write_trace_csv
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE
 
 
@@ -110,89 +108,14 @@ def lottery_theta_document():
     return doc
 
 
-def usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+def test_large_theta_trace_never_forks(monkeypatch, tmp_path):
+    def refuse_fork(*args):
+        pytest.fail("trace.csv is written in one process")
 
-
-def split_small_batches(monkeypatch, cpus):
-    """A worker wherever ``cpus`` allows one, however small the batch."""
-    usable_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(cli, "_MIN_LINES_PER_WRITER", 1)
-
-
-def count_forks(monkeypatch):
-    fork = os.fork
-    calls = []
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-
-
-@needs_fork
-def test_worker_split_is_capped_and_floored(monkeypatch):
-    usable_cpus(monkeypatch, 9)
-    assert cli._worker_split(1000, 200) == 500
-    assert cli._worker_split(99, 200) == 99  # 19,800 lines: no worker
-    assert cli._worker_split(100, 200) == 50
-    assert cli._worker_split(1, 10**6) == 1  # one replica never forks
-    assert cli._worker_split(3, 10**6) == 1
-    usable_cpus(monkeypatch, 1)
-    assert cli._worker_split(1000, 200) == 1000
-    usable_cpus(monkeypatch, 9)
-    monkeypatch.delattr(os, "fork")
-    assert cli._worker_split(1000, 200) == 1000
-
-
-@needs_fork
-@pytest.mark.parametrize("cpus", [1, 2, 3, 9])
-def test_bytes_do_not_depend_on_worker_count(monkeypatch, tmp_path, cpus):
+    monkeypatch.setattr(os, "fork", refuse_fork, raising=False)
     lottery_theta = lottery_theta_document()
-    lottery_theta.update(replica_count=7, horizon=40)
-    split_small_batches(monkeypatch, cpus)
-    forks = count_forks(monkeypatch)
-    for scenario in (parse_document(lottery_theta), EDGE_CASES["theta_clamp_off"]):
-        count = scenario.replica_count
-        split = cli._worker_split(count, scenario.horizon)
-        assert split == (count // 2 if cpus >= 2 else count)
-        assert_same_bytes(scenario, tmp_path)
-    assert len(forks) == (2 if cpus >= 2 else 0)  # one worker per write at most
-
-
-@needs_fork
-def test_large_batch_forks_once_on_many_cpus(monkeypatch, tmp_path):
-    usable_cpus(monkeypatch, 9)
-    forks = count_forks(monkeypatch)
-    lottery_theta = lottery_theta_document()
-    lottery_theta.update(replica_count=100, horizon=200)  # 20,000 lines: one worker
+    lottery_theta.update(replica_count=100, horizon=200)  # 20,000 lines
     assert_same_bytes(parse_document(lottery_theta), tmp_path)
-    assert forks == [os.getpid()]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
-def test_refused_fork_is_written_in_this_process(monkeypatch, tmp_path):
-    calls = []
-
-    def refuse(*args):
-        calls.append(args)
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    split_small_batches(monkeypatch, 3)
-    monkeypatch.setattr(os, "fork", refuse)
-    lottery_theta = lottery_theta_document()
-    lottery_theta.update(replica_count=7, horizon=40)
-    assert_same_bytes(parse_document(lottery_theta), tmp_path)
-    assert len(calls) == 1  # the worker's replicas were written here
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def full_disk():
@@ -201,10 +124,6 @@ def full_disk():
 
 def out_of_memory():
     raise MemoryError()
-
-
-def killed():
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def bug():
@@ -217,98 +136,43 @@ WRITER_FAILURES = {
 }
 
 
-def fail_from(monkeypatch, fail, first):
-    """Fail every replica range that starts at ``first`` or later: the
-    worker's, in the worker and again when ``run`` writes it itself, and
-    with ``first`` 0 also ``run``'s own, before it waits for the worker."""
-    write_rows = cli._write_rows
-
-    def failing(handle, scenario, batch, rows):
-        if rows.start >= first:
-            fail()
-        write_rows(handle, scenario, batch, rows)
-
-    split_small_batches(monkeypatch, 2)
-    monkeypatch.setattr(cli, "_write_rows", failing)
+def fail_writer(monkeypatch, fail):
+    monkeypatch.setattr(cli, "_write_rows", lambda handle, scenario, batch: fail())
 
 
-def run_args(tmp_path, out="out"):
+def run_args(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(lottery_theta_document()), encoding="utf-8")
-    return ["run", str(path), "--out", str(tmp_path / out), "--replicas", "6",
+    return ["run", str(path), "--out", str(tmp_path / "out"), "--replicas", "6",
             "--set", "horizon=20"]
 
 
-def assert_no_worker_or_stray_file(out, names=("trace.csv",)):
-    with pytest.raises(ChildProcessError):  # the worker was reaped
+def assert_no_child_or_stray_file(out):
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert sorted(entry.name for entry in out.iterdir()) == sorted(names)
+    assert sorted(entry.name for entry in out.iterdir()) == ["trace.csv"]
 
 
-@needs_fork
 @pytest.mark.parametrize("case", sorted(WRITER_FAILURES))
-def test_worker_failure_reaches_exit_code(monkeypatch, tmp_path, capsys, case):
+def test_writer_failure_reaches_exit_code(monkeypatch, tmp_path, capsys, case):
     fail, code, expected = WRITER_FAILURES[case]
-    for first in (1, 0):
-        with monkeypatch.context() as patch:
-            fail_from(patch, fail, first)
-            forks = count_forks(patch)
-            assert main(run_args(tmp_path, f"out{first}")) == code
-        assert len(forks) == 1
-        assert capsys.readouterr().err == expected
-        assert_no_worker_or_stray_file(tmp_path / f"out{first}")
+    fail_writer(monkeypatch, fail)
+    assert main(run_args(tmp_path)) == code
+    assert capsys.readouterr().err == expected
+    assert_no_child_or_stray_file(tmp_path / "out")
 
 
-@needs_fork
-def test_worker_bug_is_not_reported_as_io_error(monkeypatch, tmp_path, capfd):
-    for first in (1, 0):
-        with monkeypatch.context() as patch:
-            fail_from(patch, bug, first)
-            forks = count_forks(patch)
-            with pytest.raises(IndexError, match="list index out of range"):
-                main(run_args(tmp_path, f"out{first}"))
-        assert len(forks) == 1
-        # The worker failed silently; only this process's exception reports the bug.
-        assert capfd.readouterr().err == ""
-        assert_no_worker_or_stray_file(tmp_path / f"out{first}")
-
-
-@needs_fork
-@pytest.mark.parametrize("fail", [killed, full_disk, out_of_memory, bug], ids=lambda f: f.__name__)
-def test_failure_confined_to_worker_is_written_by_run(monkeypatch, tmp_path, capfd, fail):
-    parent = os.getpid()
-    write_rows = cli._write_rows
-    written_here = []
-
-    def failing_in_worker(handle, scenario, batch, rows):
-        write_rows(handle, scenario, batch, rows)
-        if os.getpid() != parent:
-            handle.write("9,a partial line")
-            handle.flush()  # bytes that run must discard
-            fail()
-        written_here.append(rows)
-
-    split_small_batches(monkeypatch, 2)
-    monkeypatch.setattr(cli, "_write_rows", failing_in_worker)
-    forks = count_forks(monkeypatch)
-    args = run_args(tmp_path)
-    assert main(args) == EXIT_OK
-    assert len(forks) == 1
-    # Its own replicas, then the worker's, after the worker exited.
-    assert written_here == [range(0, 3), range(3, 6)]
-    assert capfd.readouterr().err == ""  # the worker reported nothing
-    scenario = load_scenario(args[1], {"replica_count": "6", "horizon": "20"})
-    _, batch = run_batch(scenario)
-    csv_trace_writer(tmp_path / "reference.csv", scenario, batch)
-    out = tmp_path / "out"
-    assert (out / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert_no_worker_or_stray_file(out, ("summary.json", "trace.csv"))
+def test_writer_bug_is_not_reported_as_io_error(monkeypatch, tmp_path, capfd):
+    fail_writer(monkeypatch, bug)
+    with pytest.raises(IndexError, match="list index out of range"):
+        main(run_args(tmp_path))
+    assert capfd.readouterr().err == ""
+    assert_no_child_or_stray_file(tmp_path / "out")
 
 
 def test_run_child_stderr_is_clean(tmp_path):
-    # Python 3.12+ warns on fork() once numpy's BLAS threads run; -X dev
-    # shows every warning, ResourceWarning and DeprecationWarning included.
-    # 100 replicas x 200 rounds is enough lines for a worker where two CPUs are usable.
+    # -X dev shows every warning, ResourceWarning and DeprecationWarning
+    # included, on a run of 100 replicas x 200 rounds with theta and lottery.
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(lottery_theta_document()), encoding="utf-8")
     result = subprocess.run(
@@ -321,9 +185,7 @@ def test_run_child_stderr_is_clean(tmp_path):
     assert result.stderr == b""
 
 
-def test_writer_peak_memory_stays_per_replica(monkeypatch, tmp_path):
-    # tracemalloc sees only this process, so it must format every replica.
-    usable_cpus(monkeypatch, 1)
+def test_writer_peak_memory_stays_per_replica(tmp_path):
     for doc in (yaml.safe_load(MUTABLE_CORE), lottery_theta_document()):
         doc.update(replica_count=250, horizon=200)
         scenario = parse_document(doc)

@@ -8,10 +8,8 @@ functions of the scenario file, the overrides, and the master seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import itertools
-import json
 import math
 import os
 import sys
@@ -20,7 +18,6 @@ from typing import TYPE_CHECKING, TextIO
 
 import yaml
 
-from . import equilibrium, presets
 from .discounting import ZERO_NOISE, breakeven_horizon, npv
 from .errors import (
     CapacityError,
@@ -32,6 +29,9 @@ from .game import _profile_key
 from .protocol import integrity, kernel_entropy, mutation_rate
 from .scenario import Scenario, kernel_as_run, load_document, load_scenario, parse_document
 
+# A module that one command alone runs is imported in that command, so no
+# child carries another command's modules in its peak RSS: `run` loads json,
+# `sweep` csv, `analyze` equilibrium, `preset` presets, and `validate` none.
 if TYPE_CHECKING:  # `validate`, `analyze` and `preset` never load numpy; `run` and `sweep` do
     import numpy as np
 
@@ -119,7 +119,7 @@ def _write_rows(handle: TextIO, scenario: Scenario, batch: BatchTrace) -> None:
 def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
     """Fixed schema: replica,t,state,theta,actions,payoff_0..payoff_{n-1}.
 
-    Rows are formatted by ``_write_rows``, in this process.
+    Rows are formatted by ``_write_rows``.
     """
     header = ["replica", "t", "state", "theta", "actions"]
     header += [f"payoff_{i}" for i in range(scenario.n)]
@@ -129,6 +129,8 @@ def write_trace_csv(path: Path, scenario: Scenario, batch: BatchTrace) -> None:
 
 
 def write_summary_json(path: Path, scenario: Scenario, summary: BatchSummary) -> None:
+    import json
+
     payload = {
         "scenario": scenario.name,
         "master_seed": scenario.master_seed,
@@ -187,6 +189,8 @@ def _ci_half_width(samples: np.ndarray) -> float:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import csv
+
     import numpy as np
 
     from . import simulate
@@ -235,6 +239,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import equilibrium
+
     scenario = load_scenario(args.scenario, _collect_overrides(args))
     game, kernel = scenario.game, kernel_as_run(scenario)
     rates = mutation_rate(kernel)
@@ -297,6 +303,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_preset(args: argparse.Namespace) -> int:
+    from . import presets
+
     if args.name not in presets.PRESETS:
         raise ConfigurationError(
             f"unknown preset {args.name!r}; available: {', '.join(sorted(presets.PRESETS))}"

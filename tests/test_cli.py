@@ -104,6 +104,14 @@ EVERY_VIOLATION = {
         "error: horizon: must be >= 1, got 0\n"
         "error: replica_count: must be >= 1, got 0\n",
     ),
+    # YAML 1.1 reads a number in exponent form only with a dot in its
+    # mantissa and a sign in its exponent; README says so.
+    "yaml_1_1_exponent_spellings": (
+        lambda doc: None,
+        ["--set", "discount.delta=9e-1", "--set", "noise.baseline_rate=1.0e3"],
+        "error: discount.delta: expected a finite number, got '9e-1'\n"
+        "error: noise.baseline_rate: expected a finite number, got '1.0e3'\n",
+    ),
 }
 
 
@@ -868,27 +876,10 @@ def _entry_launchers():
     ]
 
 
-def test_scenario_boundary_never_loads_numpy(fixed_rules_file, tmp_path):
+def test_scenario_boundary_never_loads_numpy(fixed_rules_file):
     # Checking a scenario needs no array: numpy is most of the package's
-    # import time, and `validate`'s whole job is the scenario checks.
-    # `analyze` reads the models' Python floats: no step of its report needs an array.
-    commands = [["validate", str(fixed_rules_file)],
-                ["preset", "mutable_core", "--out", str(tmp_path / "mc.yaml")],
-                ["analyze", str(fixed_rules_file)],
-                ["analyze", str(tmp_path / "mc.yaml")]]
-    for launcher in _entry_launchers():
-        for argv in commands:
-            code = (
-                "import importlib, runpy, sys\n"
-                f"sys.argv = ['mutagame', *{argv!r}]\n"
-                "try:\n"
-                f"    {launcher}\n"
-                "except SystemExit as exc:\n"
-                "    print(exc.code, 'numpy' in sys.modules)\n"
-            )
-            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-            assert result.returncode == 0, result.stderr
-            assert result.stdout.split()[-2:] == [str(EXIT_OK), "False"], (launcher, argv)
+    # import time. The CLI commands are checked in
+    # test_each_command_loads_only_what_it_runs.
     code = (
         "import sys\n"
         "import mutagame\n"
@@ -966,3 +957,51 @@ def test_engine_commands_run_on_one_thread(fixed_rules_file):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=base)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False"]
+
+
+# The one of csv, json, equilibrium and presets that each command loads.
+OWN_MODULE = {"validate": None, "run": "json", "sweep": "csv",
+              "analyze": "mutagame.equilibrium", "preset": "mutagame.presets"}
+
+
+def test_each_command_loads_only_what_it_runs(fixed_rules_file, tmp_path):
+    # Only `run` and `sweep` load numpy: checking a scenario needs no array,
+    # and `analyze` reads the models' Python floats. cli imports each module
+    # of OWN_MODULE in the one command that runs it, so `validate` loads
+    # none, and the analytic code never loads in `run` or `sweep`. A
+    # site-packages .pth file may load some of them in every interpreter,
+    # so a command is counted against a bare child.
+    names = sorted(filter(None, OWN_MODULE.values()))
+    report = (f"print(','.join(n for n in {names!r} if n in sys.modules) or '-', "
+              "'numpy' in sys.modules)\n")
+    bare = subprocess.run([sys.executable, "-c", "import importlib, runpy, sys\n" + report],
+                          capture_output=True, text=True)
+    assert bare.returncode == 0, bare.stderr
+    preloaded = set(bare.stdout.split()[-2].split(",")) - {"-"}
+    engine = ["--replicas", "3", "--set", "horizon=20"]
+    mutable_core = str(tmp_path / "mc.yaml")
+    commands = [
+        ["preset", "mutable_core", "--out", mutable_core],
+        ["validate", str(fixed_rules_file)],
+        ["run", str(fixed_rules_file), "--out", str(tmp_path / "run"), *engine],
+        ["sweep", str(fixed_rules_file), *ENGINE_COMMANDS["sweep"],
+         "--out", str(tmp_path / "sweep"), *engine],
+        ["analyze", str(fixed_rules_file)],
+        ["analyze", mutable_core],
+    ]
+    for launcher in _entry_launchers():
+        for argv in commands:
+            code = (
+                "import importlib, runpy, sys\n"
+                f"sys.argv = ['mutagame', *{argv!r}]\n"
+                "try:\n"
+                f"    {launcher}\n"
+                "except SystemExit as exc:\n"
+                "    print(exc.code)\n"
+                f"    {report}"
+            )
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            loaded = ",".join(sorted(preloaded | {OWN_MODULE[argv[0]]} - {None})) or "-"
+            numpy = str(argv[0] in ENGINE_COMMANDS)
+            assert result.stdout.split()[-3:] == [str(EXIT_OK), loaded, numpy], (launcher, argv)

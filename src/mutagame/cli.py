@@ -47,22 +47,23 @@ SUMMARY_FILENAME = "summary.json"
 SWEEP_FILENAME = "sweep.csv"
 
 
-def _parse_set_pairs(pairs: list[str]) -> dict[str, str]:
+def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
+    """The ``--set`` pairs, then ``--seed`` as ``master_seed`` and ``--replicas``
+    as ``replica_count``; a key given twice is refused, not overwritten."""
+    pairs = list(args.set)
+    if args.seed is not None:
+        pairs.append(f"master_seed={args.seed}")
+    if args.replicas is not None:
+        pairs.append(f"replica_count={args.replicas}")
     overrides: dict[str, str] = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ConfigurationError(f"--set expects key=value, got {pair!r}")
+        if key in overrides:
+            raise ConfigurationError(f"{key} is overridden twice by --set, --seed or --replicas; "
+                                     "the last value would replace the first")
         overrides[key] = value
-    return overrides
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    overrides = _parse_set_pairs(args.set)
-    if args.seed is not None:
-        overrides["master_seed"] = str(args.seed)
-    if args.replicas is not None:
-        overrides["replica_count"] = str(args.replicas)
     return overrides
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConfigurationError
-from .protocol import _real
+from .protocol import _real, _sum
 
 
 def validate_discount(delta: float) -> None:
@@ -81,18 +81,10 @@ class NoisePath:
             return math.inf
 
     def cumulative_rate(self, t: float) -> float:
-        """Exact integral of (baseline + eta(s)) over [0, t)."""
-        if t <= 0:
-            return 0.0
-        total = 0.0
-        for i, (start, value) in enumerate(self.segments):
-            if start >= t:
-                break
-            end = self.segments[i + 1][0] if i + 1 < len(self.segments) else t
-            length = min(end, t) - start
-            if length > 0:
-                total += (self.baseline_rate + value) * length
-        return total
+        """Exact integral of (baseline + eta(s)) over [0, t), summed segment by segment."""
+        ends = [start for start, _ in self.segments[1:]] + [t]
+        return _sum((self.baseline_rate + value) * (min(end, t) - start)
+                    for (start, value), end in zip(self.segments, ends) if start < t)
 
 
 ZERO_NOISE = NoisePath(0.0)
@@ -153,10 +145,8 @@ def npv(plan: InvestmentPlan, noise: NoisePath = ZERO_NOISE) -> float:
     """Compound-rate net present value:
     sum over t = 1..T of E[R_t] / (1 + rho + eta(t))**t, minus the upfront cost.
     """
-    total = -plan.upfront_cost
-    for t, expected_return in enumerate(plan.expected_returns, start=1):
-        total += expected_return / noise.compound(t)
-    return float(total)
+    terms = (value / noise.compound(t) for t, value in enumerate(plan.expected_returns, start=1))
+    return float(_sum(terms, -plan.upfront_cost))
 
 
 def breakeven_horizon(

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigurationError
-from .protocol import _float_array, _read_only_array, _real
+from .protocol import _float_array, _read_only_array, _real, _sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,7 +103,7 @@ def validate_shares(shares: Sequence[float]) -> None:
     for i, share in enumerate(shares):
         if not 0.0 <= share <= 1.0:
             raise ConfigurationError(f"hash share {i} is {share}, must be in [0, 1]")
-    total = float(sum(shares))
+    total = float(_sum(shares))
     if abs(total - 1.0) > SHARE_TOLERANCE:
         raise ConfigurationError(
             f"hash shares sum to {total!r}, must equal 1 within {SHARE_TOLERANCE}"

@@ -12,8 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
-from typing import TYPE_CHECKING, Any
+from operator import add, or_
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .errors import ConfigurationError
 
@@ -56,6 +56,13 @@ def _bool(value: Any, name: str) -> None:
         raise ConfigurationError(f"{name} must be a boolean, got {value!r}")
 
 
+def _sum(values: Iterable[float], start: float = 0.0) -> float:
+    """``start`` plus each of ``values`` in turn, left to right: the model's one
+    summation order. It is numpy's below 8 items, and unlike builtin ``sum()``,
+    compensated from Python 3.12 on, it gives the same bits on every Python."""
+    return reduce(add, values, start)
+
+
 def _read_only_array(entries: list[float], shape: tuple[int, ...]) -> np.ndarray:
     """``entries`` as a read-only float64 array of ``shape``."""
     import numpy as np
@@ -85,9 +92,7 @@ class TransitionKernel:
             raise ConfigurationError("transition kernel entries must lie in [0, 1]")
         k = shape[0]
         for p in range(k):
-            total = 0.0
-            for entry in entries[p * k:(p + 1) * k]:  # numpy's order below 8 states, unlike sum()
-                total += entry
+            total = _sum(entries[p * k:(p + 1) * k])
             if abs(total - 1.0) > ROW_TOLERANCE:
                 raise ConfigurationError(
                     f"kernel row {p} sums to {total!r}, must equal 1 within {ROW_TOLERANCE}"
@@ -146,14 +151,9 @@ def mutation_rate(kernel: TransitionKernel) -> MutationRate:
 
 def row_entropies(kernel: TransitionKernel) -> tuple[float, ...]:
     """Shannon entropy of each row in nats, with 0*ln(0) = 0, summed left to right."""
-    k, entropies = kernel.size, []
-    for p in range(k):
-        total = 0.0
-        for m in kernel._entries[p * k:(p + 1) * k]:
-            if m > 0.0:
-                total += -m * math.log(m)
-        entropies.append(total)
-    return tuple(entropies)
+    k = kernel.size
+    return tuple(_sum(-m * math.log(m) for m in kernel._entries[p * k:(p + 1) * k] if m > 0.0)
+                 for p in range(k))
 
 
 def has_unique_stationary(kernel: TransitionKernel) -> bool:
@@ -164,7 +164,8 @@ def has_unique_stationary(kernel: TransitionKernel) -> bool:
     exponent reaches that. Each row of a power is a bitset of the states it
     reaches, and a row of the square is the union of the rows it reaches."""
     k = kernel.size
-    power = [sum(1 << q for q in range(k) if kernel._entries[p * k + q] > 0.0) for p in range(k)]
+    power = [reduce(or_, (1 << q for q in range(k) if kernel._entries[p * k + q] > 0.0), 0)
+             for p in range(k)]
     exponent = 1
     while exponent < (k - 1) ** 2 + 1:
         power = [reduce(or_, (power[q] for q in range(k) if row >> q & 1), 0)
@@ -218,9 +219,7 @@ def kernel_entropy(kernel: TransitionKernel, weighting: str = "uniform") -> Kern
     unique = weighting == "stationary" and has_unique_stationary(kernel)
     weights = stationary_distribution(kernel) if unique else (1.0 / kernel.size,) * kernel.size
     fell_back = weighting == "stationary" and not unique
-    value = 0.0
-    for w, h in zip(weights, row_entropies(kernel)):
-        value += w * h
+    value = _sum(w * h for w, h in zip(weights, row_entropies(kernel)))
     return KernelEntropy(value=value, weighting=weighting, fell_back_to_uniform=fell_back)
 
 

@@ -25,7 +25,7 @@ import yaml
 from .discounting import InvestmentPlan, NoisePath, validate_discount
 from .errors import ConfigurationError, ScenarioValidationError
 from .game import StageGameSpec, StrategyKind, StrategyTag, validate_shares
-from .protocol import ThetaProcess, TransitionKernel, _bool, _real
+from .protocol import ThetaProcess, TransitionKernel, _bool, _real, _sum
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,7 @@ def kernel_as_run(scenario: Scenario) -> TransitionKernel:
         return kernel
     top = max(efforts)
     weights = [_contest_power(effort / top, meta.contest_exponent) for effort in efforts]
-    weight_sum = 0.0
-    for weight in weights:
-        weight_sum += weight
+    weight_sum = _sum(weights)
     lam = min(meta.influence_strength * min(total, 1.0), 1.0)
     return TransitionKernel([
         [(1.0 - lam) * entry + lam * (weight / weight_sum)
@@ -228,11 +226,29 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
+def _expected(expected: str, value: Any, test: Callable[[Any], bool]) -> str:
+    """Why ``value`` is refused where ``expected`` is. YAML 1.1 reads a number
+    in exponent form only with a dot in its mantissa and a sign in its
+    exponent, so ``9e-1`` is text; text that spells a finite number passing
+    ``test`` is told so, with a spelling that YAML reads as that number."""
+    message = f"expected {expected}, got {value!r}"
+    text = isinstance(value, str) and yaml.resolver.Resolver().resolve(
+        yaml.ScalarNode, value, (True, False)) == "tag:yaml.org,2002:str"
+    try:
+        number = float(value) if text else math.nan
+    except ValueError:
+        number = math.nan
+    if not (math.isfinite(number) and test(number)):
+        return message
+    spelling = repr(number) if "." in repr(number) else repr(number).replace("e", ".0e")
+    return f"{message}, which YAML 1.1 reads as text; write {spelling} for that number"
+
+
 def _scalar(expected: str, test: Callable[[Any], bool], convert: Callable = lambda v: v):
     def check(value: Any, path: str, errors: list) -> Any:
         if test(value):
             return convert(value)
-        errors.append((path, f"expected {expected}, got {value!r}"))
+        errors.append((path, _expected(expected, value, test)))
     return check
 
 
@@ -375,19 +391,20 @@ def parse_document(
 
     Override values are parsed as YAML scalars, and a path must name an
     existing scalar; a component in digits indexes a list. The synthetic path
-    ``kernel.epsilon`` rescales the whole kernel to the given per-state
-    mutation rate. ``doc`` itself is never changed. One
+    ``kernel.epsilon`` rescales the document's kernel, validated as written,
+    to the given per-state mutation rate. ``doc`` itself is never changed. One
     ScenarioValidationError lists every bad override, then every violation
     of the overridden document. A key the document leaves out is not passed
     on, so its constructor's default applies.
     """
-    bad_overrides = []
+    bad_overrides, values = [], {}
     if overrides and isinstance(doc, dict):  # any other document fails the schema
         doc = copy.deepcopy(doc)
         for path, value in overrides.items():
-            error = _override(doc, path, value)
-            if error is not None:
-                bad_overrides.append(f"override {path}: {error}")
+            try:
+                values[path] = _override(doc, path, value)
+            except ConfigurationError as exc:
+                bad_overrides.append(f"override {path}: {exc}")
     errors: list[tuple[str, str]] = []
     doc = _walk(_SCHEMA, doc, "", errors)
 
@@ -422,6 +439,11 @@ def parse_document(
     fields["game"] = build("game", lambda: StageGameSpec.from_profile_maps(
         labels, doc["game"]["payoffs"], **_given(doc["game"], "lottery_mode")), at="game.payoffs")
     fields["kernel"] = build("kernel.matrix", lambda: TransitionKernel(doc["kernel"]["matrix"]))
+    if "kernel.epsilon" in values and fields["kernel"] is not None:
+        try:
+            fields["kernel"] = scale_kernel_epsilon(fields["kernel"], values["kernel.epsilon"])
+        except ConfigurationError as exc:
+            bad_overrides.append(f"override kernel.epsilon: {exc}")
     if doc.get("miners") is not None:
         fields["miners"] = tuple(
             build(f"miners[{i}]", lambda m=m: Miner(m["share"], StrategyKind(
@@ -517,20 +539,21 @@ def load_scenario(path: str | Path, overrides: Mapping[str, str] | None = None) 
     return parse_document(load_document(path), overrides, name=Path(path).stem)
 
 
-def scale_kernel_epsilon(matrix: list[list[float]], epsilon: float) -> list[list[float]]:
-    """Rebuild every kernel row with off-diagonal mass exactly ``epsilon``.
+def scale_kernel_epsilon(kernel: TransitionKernel, epsilon: float) -> TransitionKernel:
+    """``kernel`` with every row's off-diagonal mass exactly ``epsilon``.
 
     Existing off-diagonal proportions are preserved; rows with no
-    off-diagonal mass spread epsilon uniformly over the other states.
+    off-diagonal mass spread epsilon uniformly over the other states. The
+    result is a ``TransitionKernel``, so an ``epsilon`` outside [0, 1] fails
+    its entry check.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigurationError(f"kernel.epsilon must lie in [0, 1], got {epsilon}")
-    k = len(matrix)
+    k = kernel.size
     if k == 1 and epsilon > 0.0:
         raise ConfigurationError("kernel.epsilon > 0 impossible with a single state")
     scaled = []
-    for p, row in enumerate(matrix):
-        off_sum = sum(v for q, v in enumerate(row) if q != p)
+    for p in range(k):
+        row = kernel._entries[p * k:(p + 1) * k]
+        off_sum = _sum(v for q, v in enumerate(row) if q != p)
         new_row = []
         for q, v in enumerate(row):
             if q == p:
@@ -540,45 +563,39 @@ def scale_kernel_epsilon(matrix: list[list[float]], epsilon: float) -> list[list
             else:
                 new_row.append(epsilon / (k - 1))
         scaled.append(new_row)
-    return scaled
+    return TransitionKernel(scaled)
 
 
-def _override(doc: dict, raw_path: str, raw_value: str) -> str | None:
-    """Set one override in ``doc`` in place; what is wrong with it, or None."""
+def _override(doc: dict, raw_path: str, raw_value: str) -> Any:
+    """The value of one override, set in ``doc`` in place; ``kernel.epsilon``
+    is only parsed, for ``parse_document`` to apply to the validated kernel.
+    A ConfigurationError says what is wrong with it."""
     try:
         value = _load_yaml(raw_value)
     except yaml.YAMLError:
-        return f"cannot parse value {raw_value!r}"
+        raise ConfigurationError(f"cannot parse value {raw_value!r}") from None
     if isinstance(value, (dict, list)):
-        return "only scalar values are allowed"
+        raise ConfigurationError("only scalar values are allowed")
     if raw_path == "kernel.epsilon":
         if not _is_number(value):
-            return f"expected a number, got {raw_value!r}"
-        kernel = doc.get("kernel")
-        matrix = kernel.get("matrix") if isinstance(kernel, dict) else None
-        if not isinstance(matrix, list):
-            return "document has no kernel.matrix"
-        if not all(isinstance(row, list) and all(map(_is_number, row)) for row in matrix):
-            return None  # left as it is for parse_document to report
-        try:
-            kernel["matrix"] = scale_kernel_epsilon(matrix, float(value))
-        except ConfigurationError as exc:
-            return str(exc)
-        return None
+            raise ConfigurationError(_expected("a number", value, _is_number))
+        if not 0.0 <= value <= 1.0:
+            raise ConfigurationError(f"kernel.epsilon must lie in [0, 1], got {float(value)}")
+        return float(value)
     *parents, leaf = raw_path.split(".")
     target = doc
     for part in parents:
         slot = _slot(target, part)
         if slot is None:
-            return f"path component {part!r} not found"
+            raise ConfigurationError(f"path component {part!r} not found")
         target = target[slot]
     slot = _slot(target, leaf)
     if slot is None:
-        return f"key {leaf!r} not found"
+        raise ConfigurationError(f"key {leaf!r} not found")
     if isinstance(target[slot], (dict, list)):
-        return "target is not a scalar"
+        raise ConfigurationError("target is not a scalar")
     target[slot] = value
-    return None
+    return value
 
 
 def _slot(container: Any, part: str) -> str | int | None:

@@ -105,12 +105,20 @@ EVERY_VIOLATION = {
         "error: replica_count: must be >= 1, got 0\n",
     ),
     # YAML 1.1 reads a number in exponent form only with a dot in its
-    # mantissa and a sign in its exponent; README says so.
+    # mantissa and a sign in its exponent; README says so. The message says
+    # so too, with a spelling that YAML reads as the number.
     "yaml_1_1_exponent_spellings": (
         lambda doc: None,
-        ["--set", "discount.delta=9e-1", "--set", "noise.baseline_rate=1.0e3"],
-        "error: discount.delta: expected a finite number, got '9e-1'\n"
-        "error: noise.baseline_rate: expected a finite number, got '1.0e3'\n",
+        ["--set", "kernel.epsilon=5e-2", "--set", "game.payoffs.baseline.CCCC.0=1e-05",
+         "--set", "discount.delta=9e-1", "--set", "noise.baseline_rate=1.0e3"],
+        "error: override kernel.epsilon: expected a number, got '5e-2', "
+        "which YAML 1.1 reads as text; write 0.05 for that number\n"
+        "error: game.payoffs.baseline.CCCC[0]: expected a number, got '1e-05', "
+        "which YAML 1.1 reads as text; write 1.0e-05 for that number\n"
+        "error: discount.delta: expected a finite number, got '9e-1', "
+        "which YAML 1.1 reads as text; write 0.9 for that number\n"
+        "error: noise.baseline_rate: expected a finite number, got '1.0e3', "
+        "which YAML 1.1 reads as text; write 1000.0 for that number\n",
     ),
 }
 
@@ -125,6 +133,20 @@ def test_validate_lists_every_override_and_document_violation(case, tmp_path, ca
     assert main(["validate", str(path), *args]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", expected)
+
+
+def test_each_suggested_spelling_passes(tmp_path, capsys):
+    # Each override of the pinned exponent-spelling case, written as its
+    # message suggests, is a number the scenario takes.
+    _, args, expected = EVERY_VIOLATION["yaml_1_1_exponent_spellings"]
+    spellings = re.findall(r"write (\S+) for that number", expected)
+    fixed = [f"{arg.split('=')[0]}={spelling}"
+             for arg, spelling in zip(args[1::2], spellings, strict=True)]
+    path = tmp_path / "mc.yaml"
+    path.write_text(MUTABLE_CORE, encoding="utf-8")
+    for pair in fixed:
+        assert main(["validate", str(path), "--set", pair]) == EXIT_OK, pair
+    assert capsys.readouterr().err == ""
 
 
 def _second_state(doc):
@@ -163,6 +185,14 @@ BAD_PAYOFF_TABLES = {
 
 EPSILON = ["--set", "kernel.epsilon=0.0"]
 
+
+def _grim_pair_with_invalid_kernel(doc):
+    """The GrimTrigger pair on two states of one table, with a kernel whose
+    rows sum to 1 but whose entries leave [0, 1]."""
+    _second_state(doc)
+    doc["game"]["payoffs"]["fork"] = dict(doc["game"]["payoffs"]["baseline"])
+    doc["kernel"]["matrix"] = [[0.5, -0.5], [7.0, -3.0]]
+
 # Malformed document shapes: each gives one pinned error line, never a traceback.
 # Each entry: (corrupt the document, extra CLI arguments, the stderr line).
 BAD_DOCUMENTS = {
@@ -182,8 +212,7 @@ BAD_DOCUMENTS = {
         [],
         "error: kernel.matrix: transition kernel must be a square matrix of numbers",
     ),
-    # kernel.epsilon rescales the raw matrix before validation, so it must
-    # leave a matrix it cannot rescale for the schema to report.
+    # kernel.epsilon rescales the kernel only once it is validated as written.
     "epsilon_on_number_row": (
         lambda doc: doc["kernel"].update(matrix=[1]),
         EPSILON,
@@ -193,6 +222,17 @@ BAD_DOCUMENTS = {
         lambda doc: doc["kernel"].update(matrix=[[1.0, "x"]]),
         EPSILON,
         "error: kernel.matrix[0][1]: expected a number, got 'x'",
+    ),
+    "epsilon_on_invalid_kernel": (
+        _grim_pair_with_invalid_kernel,
+        ["--set", "kernel.epsilon=0.1"],
+        "error: kernel.matrix: transition kernel entries must lie in [0, 1]",
+    ),
+    "epsilon_out_of_range_on_invalid_kernel": (
+        _grim_pair_with_invalid_kernel,
+        ["--set", "kernel.epsilon=1.5"],
+        "error: override kernel.epsilon: kernel.epsilon must lie in [0, 1], got 1.5\n"
+        "error: kernel.matrix: transition kernel entries must lie in [0, 1]",
     ),
 }
 
@@ -563,6 +603,49 @@ def test_sweep_lists_every_violation_of_every_point(case, tmp_path, monkeypatch,
     assert (code, batches) == (EXIT_VALIDATION, [])
     captured = capsys.readouterr()
     assert (captured.out, captured.err.splitlines()) == ("", expected)
+
+
+def test_sweep_of_epsilon_refuses_an_invalid_kernel(tmp_path, monkeypatch, capsys):
+    # Rescaling would make each point's kernel valid; the document's is not.
+    doc = yaml.safe_load(FIXED_RULES)
+    _grim_pair_with_invalid_kernel(doc)
+    path = tmp_path / "grim.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    batches = []
+    monkeypatch.setattr(simulate, "run_batch", lambda scenario: batches.append(scenario))
+    code = main(["sweep", str(path), "--param", "kernel.epsilon", "--values", "0.05,0.1",
+                 "--out", str(tmp_path / "sweep")])
+    assert (code, batches) == (EXIT_VALIDATION, [])
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: kernel.matrix: transition kernel entries must lie in [0, 1]\n")
+    assert not (tmp_path / "sweep").exists()
+
+
+# The last value of a key given twice would silently win.
+# Each entry: (the key, the command).
+TWICE = {
+    "set_twice": ("horizon", ["validate", "{path}", "--set", "horizon=0", "--set", "horizon=5"]),
+    "set_and_seed": ("master_seed", ["run", "{path}", "--set", "master_seed=1", "--seed", "2",
+                                     "--out", "{out}"]),
+    "set_and_replicas": ("replica_count", ["run", "{path}", "--set", "replica_count=5",
+                                           "--replicas", "3", "--out", "{out}"]),
+    "sweep_set_twice": ("horizon", ["sweep", "{path}", "--param", "discount.delta", "--values",
+                                    "0.5,0.6", "--set", "horizon=3", "--set", "horizon=4",
+                                    "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWICE))
+def test_an_override_key_given_twice_is_refused(case, fixed_rules_file, tmp_path, capsys):
+    key, command = TWICE[case]
+    args = [arg.format(path=fixed_rules_file, out=tmp_path / "out") for arg in command]
+    assert main(args) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (
+        f"error: {key} is overridden twice by --set, --seed or --replicas; "
+        "the last value would replace the first\n"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_over_a_list_element(tmp_path):

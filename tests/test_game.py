@@ -4,6 +4,7 @@ lookups, block lottery and strategy resolution (``tests/oracles.py``)."""
 import copy
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ def test_share_validation():
     # off by more than the tolerance
     with pytest.raises(ConfigurationError):
         validate_shares([0.5, 0.5 + 1e-9])
+    # summed left to right on every Python: a compensated sum, as builtin
+    # sum() is from 3.12 on, would report 1.2
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "hash shares sum to 1.2000000000000002, must equal 1 within 1e-12")):
+        validate_shares([0.1, 0.2, 0.3, 0.6])
 
 
 def test_block_lottery_single_miner():

@@ -7,6 +7,8 @@ utilities and the trace's payoffs scale by that factor and every record
 that only compares payoffs stays equal.
 """
 
+import copy
+
 import numpy as np
 import pytest
 import yaml
@@ -82,3 +84,83 @@ def test_the_myopic_mix_both_defects_and_cooperates():
     _, batch = scaled_run(myopic_mix, 1.0)
     myopic = batch.defects[:, :, [0, 2]]
     assert myopic.any() and not myopic.all()
+
+
+def identity_pair(make, s):
+    """The documents of one relation: a 1-state scenario on one table, and a
+    3-state scenario whose states all have that table, on the identity
+    kernel from state ``s``. The table is state ``s``'s of ``make()``'s
+    document, or its last state's where it has fewer states. The meta
+    contest's strength is 0: it would blend the kernel toward a state."""
+    doc = make()
+    doc.update(SMALL)
+    if "meta" in doc:
+        doc["meta"]["influence_strength"] = 0.0
+    labels = [state["label"] for state in doc["game"]["states"]]
+    table = doc["game"]["payoffs"][labels[min(s, len(labels) - 1)]]
+    one, three = copy.deepcopy(doc), copy.deepcopy(doc)
+    one["game"].update(states=[{"id": 0, "label": "only"}], payoffs={"only": table})
+    one.update(kernel={"matrix": [[1.0]]}, initial_state=0)
+    three["game"].update(states=[{"id": q, "label": f"s{q}"} for q in range(3)],
+                         payoffs={f"s{q}": copy.deepcopy(table) for q in range(3)})
+    three.update(kernel={"matrix": np.eye(3).tolist()}, initial_state=s)
+    return one, three
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_an_identity_kernel_over_equal_tables_is_one_state(name, s):
+    # Each round draws one protocol uniform whatever the state count, and an
+    # identity row never leaves its state, so no rule change is ever on
+    # record.
+    one, three = identity_pair(SCENARIOS[name], s)
+    summary, batch = run_batch(parse_document(one))
+    three_summary, three_batch = run_batch(parse_document(three))
+    assert three_summary == summary
+    assert np.all(three_batch.states == s)
+    for field in ("profiles", "theta", "winner", "cooperation_duration"):
+        assert np.array_equal(getattr(three_batch, field), getattr(batch, field)), field
+    assert np.array_equal(three_batch.payoffs, batch.payoffs)
+
+
+# Miner j of the permuted scenario is miner PERMUTATION[j] of the original.
+PERMUTATION = (2, 0, 3, 1)
+PERMUTED = {"mutable_core": mutable_core, "myopic_mix": myopic_mix}
+
+
+def permuted(doc, order):
+    """``doc`` with its miners in ``order``: shares, strategies, the payoff
+    columns and the letters of each profile key."""
+    doc = copy.deepcopy(doc)
+    doc["miners"] = [doc["miners"][i] for i in order]
+    for state, table in doc["game"]["payoffs"].items():
+        doc["game"]["payoffs"][state] = {
+            "".join(key[i] for i in order): [row[i] for i in order] for key, row in table.items()
+        }
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(PERMUTED))
+def test_permuting_the_miners_permutes_every_per_miner_value(name):
+    # Without the lottery (its cuts follow miner order) and with one
+    # MetaInvestor (several would sum their efforts in another order).
+    doc = PERMUTED[name]()
+    doc.update(SMALL)
+    assert not doc["game"]["lottery_mode"]
+    assert [m["strategy"] for m in doc["miners"]].count("MetaInvestor") == 1
+    order = list(PERMUTATION)
+    summary, batch = run_batch(parse_document(doc))
+    moved_summary, moved = run_batch(parse_document(permuted(doc, order)))
+    for field in ("mean_utility", "std_utility", "risk_adjusted_utility",
+                  "mean_endogenous_utility"):
+        base, got = getattr(summary, field), getattr(moved_summary, field)
+        assert got == (None if base is None else tuple(base[i] for i in order)), field
+    for field in ("replica_count", "mean_cooperation_duration", "spiral_frequency",
+                  "mean_final_cooperation_fraction", "mutation_count_mean",
+                  "mutation_count_std", "mutation_count_min", "mutation_count_max"):
+        assert getattr(moved_summary, field) == getattr(summary, field), field
+    assert np.array_equal(moved.states, batch.states)
+    assert np.array_equal(moved.defects, batch.defects[:, :, order])
+    assert np.array_equal(moved.payoffs, batch.payoffs[:, :, order])
+    assert np.array_equal(moved.discounted_utility, batch.discounted_utility[:, order])
+    assert np.array_equal(moved.cooperation_duration, batch.cooperation_duration)

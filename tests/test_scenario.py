@@ -17,6 +17,7 @@ from mutagame import (
     ScenarioValidationError,
     StrategyKind,
     StrategyTag,
+    TransitionKernel,
     parse_document,
 )
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE, PRESETS
@@ -340,13 +341,13 @@ def test_kernel_epsilon_override_on_identity(base_doc):
         assert sum(row) == pytest.approx(1.0, abs=1e-12)
     # identity rows spread epsilon uniformly
     ident = {"kernel": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}
-    scaled = scale_kernel_epsilon(ident["kernel"]["matrix"], 0.4)
-    assert scaled == [[0.6, 0.4], [0.4, 0.6]]
+    scaled = scale_kernel_epsilon(TransitionKernel(ident["kernel"]["matrix"]), 0.4)
+    assert scaled.matrix.tolist() == [[0.6, 0.4], [0.4, 0.6]]
 
 
 def test_kernel_epsilon_preserves_offdiagonal_proportions():
     matrix = [[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.25, 0.25, 0.5]]
-    scaled = scale_kernel_epsilon(matrix, 0.1)
+    scaled = scale_kernel_epsilon(TransitionKernel(matrix), 0.1).matrix.tolist()
     for p, row in enumerate(scaled):
         assert row[p] == pytest.approx(0.9)
         assert sum(row) == pytest.approx(1.0, abs=1e-12)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConfigurationError
-from .protocol import _real, _sum
+from .protocol import _INT, _NUMBER, _REAL, _sum
 
 
 def validate_discount(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < _NUMBER(delta, "discount factor") < 1.0:
         raise ConfigurationError(
             f"discount factor must lie strictly inside (0, 1), got {delta}"
         )
@@ -37,9 +37,7 @@ class NoisePath:
     segments: tuple[tuple[int, float], ...] = ((0, 0.0),)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(_real(self.baseline_rate, "baseline rate")):
-            raise ConfigurationError(f"baseline rate must be finite, got {self.baseline_rate}")
-        if not self.baseline_rate >= 0.0:
+        if not _REAL(self.baseline_rate, "baseline rate") >= 0.0:
             raise ConfigurationError(
                 f"baseline rate must be >= 0, got {self.baseline_rate}"
             )
@@ -50,22 +48,18 @@ class NoisePath:
                                      f"got {self.segments!r}") from None
         if not segments:
             raise ConfigurationError("noise path needs at least one segment")
-        if _real(segments[0][0], "noise segment start") != 0:
+        if _INT(segments[0][0], "noise segment start") != 0:
             raise ConfigurationError("first noise segment must start at round 0")
         previous = -1
         for start, value in segments:
-            if _real(start, "noise segment start") % 1 != 0:  # also nan and inf
-                raise ConfigurationError(f"noise segment start must be an integer, got {start}")
-            if start <= previous:
+            if _INT(start, "noise segment start") <= previous:
                 raise ConfigurationError(
                     "noise segment starts must be strictly increasing"
                 )
-            if not math.isfinite(_real(value, "noise value")):
-                raise ConfigurationError(f"noise value must be finite, got {value}")
-            if not value >= 0.0:
+            if not _REAL(value, "noise value") >= 0.0:
                 raise ConfigurationError(f"noise value must be >= 0, got {value}")
             previous = start
-        object.__setattr__(self, "segments", tuple((int(s), float(v)) for s, v in segments))
+        object.__setattr__(self, "segments", tuple((s, float(v)) for s, v in segments))
 
     @classmethod
     def constant(cls, baseline_rate: float, eta: float = 0.0) -> "NoisePath":
@@ -98,9 +92,7 @@ class InvestmentPlan:
     expected_returns: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not math.isfinite(_real(self.upfront_cost, "upfront cost")):
-            raise ConfigurationError(f"upfront cost must be finite, got {self.upfront_cost}")
-        if not self.upfront_cost >= 0.0:
+        if not _REAL(self.upfront_cost, "upfront cost") >= 0.0:
             raise ConfigurationError(
                 f"upfront cost must be >= 0, got {self.upfront_cost}"
             )
@@ -111,9 +103,8 @@ class InvestmentPlan:
                                      f"got {self.expected_returns!r}") from None
         if len(returns) < 1:
             raise ConfigurationError("investment plan needs at least one period")
-        if not all(math.isfinite(_real(r, "expected return")) for r in returns):
-            raise ConfigurationError("expected returns must be finite")
-        object.__setattr__(self, "expected_returns", tuple(map(float, returns)))
+        object.__setattr__(self, "expected_returns",
+                           tuple(_REAL(r, "expected return") for r in returns))
 
     @property
     def horizon(self) -> int:
@@ -136,7 +127,7 @@ def endogenous_discount_path(noise: NoisePath, horizon: int) -> tuple[float, ...
     Exact for piecewise-constant noise; the path starts at 1 and never
     increases.
     """
-    if horizon < 0:
+    if _INT(horizon, "horizon") < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
     return tuple(math.exp(-noise.cumulative_rate(t)) for t in range(horizon + 1))
 
@@ -156,14 +147,14 @@ def breakeven_horizon(
     max_horizon: int = 1000,
 ) -> int | None:
     """Smallest horizon T <= max_horizon with nonnegative NPV, or None."""
-    if not per_period_return > 0.0:
+    if not _NUMBER(per_period_return, "per-period return") > 0.0:
         raise ConfigurationError(
             f"per-period return must be positive, got {per_period_return}"
         )
-    if not upfront_cost >= 0.0:
+    if not _NUMBER(upfront_cost, "upfront cost") >= 0.0:
         raise ConfigurationError(f"upfront cost must be >= 0, got {upfront_cost}")
     running = -float(upfront_cost)
-    for t in range(1, max_horizon + 1):
+    for t in range(1, _INT(max_horizon, "max_horizon") + 1):
         running += per_period_return / noise.compound(t)
         if running >= 0.0:
             return t

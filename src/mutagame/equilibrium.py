@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .discounting import validate_discount
 from .errors import CapacityError, ConfigurationError
 from .game import NormalFormGame, _miner_bit, _profile_key
+from .protocol import _NUMBER
 
 MAX_NASH_PLAYERS = 20
 
@@ -138,7 +139,9 @@ def effective_coop_value(
     With epsilon = 0 this is the familiar delta * coop / (1 - delta).
     """
     validate_discount(delta)
-    if not 0.0 <= epsilon <= 1.0:
+    _NUMBER(stage_coop_payoff, "stage_coop_payoff")
+    _NUMBER(post_mutation_value, "post_mutation_value")
+    if not 0.0 <= _NUMBER(epsilon, "epsilon") <= 1.0:
         raise ConfigurationError(f"epsilon must lie in [0, 1], got {epsilon}")
     x = delta * (1.0 - epsilon)
     survive = stage_coop_payoff * x / (1.0 - x)
@@ -160,7 +163,7 @@ def grim_cooperation_verdict(
     smallest margin, continuation - gain); it holds only if it holds for
     everyone. Raises CapacityError when a continuation overflows float64.
     """
-    if not math.isfinite(post_mutation_value):
+    if not math.isfinite(_NUMBER(post_mutation_value, "post_mutation_value")):
         raise ConfigurationError(f"post_mutation_value must be finite, got {post_mutation_value}")
     conditions = [
         CooperationCondition(

@@ -13,14 +13,13 @@ construction.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigurationError
-from .protocol import _float_array, _read_only_array, _real, _sum
+from .protocol import _BOOL, _INT, _REAL, _TEXT, _float_array, _instance, _read_only_array, _sum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,15 +76,11 @@ class StrategyKind:
                 raise ConfigurationError(
                     "MetaInvestor requires meta_budget and preferred_state"
                 )
-            if not 0.0 <= _real(self.meta_budget, "meta_budget") <= 1.0:
+            if not 0.0 <= _REAL(self.meta_budget, "meta_budget") <= 1.0:
                 raise ConfigurationError(
                     f"meta_budget must be in [0, 1], got {self.meta_budget}"
                 )
-            if isinstance(self.preferred_state, bool) or not isinstance(
-                    self.preferred_state, numbers.Integral):
-                raise ConfigurationError(
-                    f"preferred_state must be an integer, got {self.preferred_state!r}")
-            if self.preferred_state < 0:
+            if _INT(self.preferred_state, "preferred_state") < 0:
                 raise ConfigurationError(
                     f"preferred_state must be nonnegative, got {self.preferred_state}"
                 )
@@ -196,17 +191,19 @@ class StageGameSpec(tuple):
             raise ConfigurationError(
                 f"{len(state_labels)} state labels but {len(games)} payoff tables"
             )
-        if len(set(state_labels)) != len(state_labels):
-            raise ConfigurationError("protocol state labels must be unique")
         for label, game in zip(state_labels, games):
+            _TEXT(label, "state label")
+            _instance(NormalFormGame)(game, f"payoff table for state {label!r}")
             if game.n != games[0].n:
                 raise ConfigurationError(
                     f"payoff table for state {label!r} has shape {game._shape}, "
                     f"expected {games[0]._shape}"
                 )
+        if len(set(state_labels)) != len(state_labels):
+            raise ConfigurationError("protocol state labels must be unique")
         self = super().__new__(cls, games)
         self.state_labels = tuple(state_labels)
-        self.lottery_mode = bool(lottery_mode)
+        self.lottery_mode = _BOOL(lottery_mode, "lottery_mode")
         return self
 
     def __getnewargs__(self):  # pickle and copy rebuild through __new__

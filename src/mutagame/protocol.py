@@ -9,11 +9,11 @@ probability), and an i.i.d. Gaussian payoff-scale perturbation.
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, or_
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .errors import ConfigurationError
 
@@ -43,17 +43,33 @@ def _float_array(value: Any) -> tuple[tuple[int, ...], list[float]]:
         level = [x for item in level for x in item]
 
 
-def _real(value: Any, name: str) -> Any:
-    """``value`` when it is a real number, not a bool; else ConfigurationError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    return value
+def _is_number(value: Any) -> bool:
+    """A YAML int or float that a float can hold: not a bool, not an int past 1.8e308."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-def _bool(value: Any, name: str) -> None:
-    """ConfigurationError naming ``value`` unless it is a bool."""
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be a boolean, got {value!r}")
+def _kind(expected: str, test: Callable[[Any], bool], convert: Callable = lambda v: v):
+    """The check ``kind(value, name)``: ``convert(value)`` when ``test(value)``,
+    else ConfigurationError ``"<name>: expected <expected>, got <value>"``."""
+    def kind(value: Any, name: str) -> Any:
+        if test(value):
+            return convert(value)
+        raise ConfigurationError(f"{name}: expected {expected}, got {value!r}")
+    return kind
+
+
+def _instance(cls: type, article: str = "a"):
+    return _kind(f"{article} {cls.__name__}", lambda v: isinstance(v, cls))
+
+
+# The model's one rule for a scalar, which the YAML schema and every
+# constructor apply: a number is a float (numpy's float64 is one) or an int
+# that a float can hold, never a bool; an integer is an int.
+_INT = _kind("an integer", lambda v: type(v) is int)
+_BOOL = _kind("a boolean", lambda v: isinstance(v, bool))
+_TEXT = _kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_NUMBER = _kind("a number", _is_number)
+_REAL = _kind("a finite number", lambda v: _is_number(v) and math.isfinite(v), float)
 
 
 def _sum(values: Iterable[float], start: float = 0.0) -> float:
@@ -135,13 +151,12 @@ class ThetaProcess:
     clamp: bool = True
 
     def __post_init__(self) -> None:
-        if not math.isfinite(_real(self.mean, "theta mean")):
-            raise ConfigurationError(f"theta mean must be finite, got {self.mean}")
-        if not 0.0 <= _real(self.variance, "theta variance") < math.inf:
+        _REAL(self.mean, "theta mean")
+        if not _REAL(self.variance, "theta variance") >= 0.0:
             raise ConfigurationError(
                 f"theta variance must be finite and >= 0, got {self.variance}"
             )
-        _bool(self.clamp, "theta clamp")
+        _BOOL(self.clamp, "theta clamp")
 
 
 def mutation_rate(kernel: TransitionKernel) -> MutationRate:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import copy
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,8 @@ import yaml
 from .discounting import InvestmentPlan, NoisePath, validate_discount
 from .errors import ConfigurationError, ScenarioValidationError
 from .game import StageGameSpec, StrategyKind, StrategyTag, validate_shares
-from .protocol import ThetaProcess, TransitionKernel, _bool, _real, _sum
+from .protocol import (_BOOL, _INT, _NUMBER, _REAL, _TEXT, ThetaProcess, TransitionKernel,
+                       _instance, _kind, _sum)
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,12 @@ class MetaModelConfig:
     contest_exponent: float = 1.0
 
     def __post_init__(self) -> None:
-        _bool(self.enabled, "enabled")
-        if not 0.0 <= _real(self.influence_strength, "influence_strength") <= 1.0:
+        _BOOL(self.enabled, "enabled")
+        if not 0.0 <= _REAL(self.influence_strength, "influence_strength") <= 1.0:
             raise ConfigurationError(
                 f"influence_strength must lie in [0, 1], got {self.influence_strength}"
             )
-        if not _real(self.contest_exponent, "contest_exponent") > 0.0:
+        if not _REAL(self.contest_exponent, "contest_exponent") > 0.0:
             raise ConfigurationError(
                 f"contest_exponent must be positive, got {self.contest_exponent}"
             )
@@ -60,10 +60,8 @@ class Miner:
     strategy: StrategyKind
 
     def __post_init__(self) -> None:
-        _real(self.share, "miner share")
-        if not isinstance(self.strategy, StrategyKind):
-            raise ConfigurationError(
-                f"miner strategy must be a StrategyKind, got {self.strategy!r}")
+        _REAL(self.share, "miner share")
+        _instance(StrategyKind)(self.strategy, "miner strategy")
 
 
 def _scenario_errors(
@@ -151,14 +149,17 @@ class Scenario:
     def __post_init__(self) -> None:
         # Each field is checked for its type as the schema checks a document,
         # then for its range; a field of the wrong type is None to the latter.
-        fields, found = dict(vars(self)), []
+        fields, errors = dict(vars(self)), []
         for name, value in vars(self).items():
-            if value is not None:
-                _FIELD_KINDS[name](value, name, found)
-            elif name not in ("noise", "theta", "investment"):
-                found.append((name, "required"))
-        fields.update((name, None) for name, _ in found)
-        errors = [f"{name}: {message}" for name, message in found] + _scenario_errors(**fields)
+            try:
+                if value is not None:
+                    _FIELD_KINDS[name](value, name)
+                elif name not in ("noise", "theta", "investment"):
+                    raise ConfigurationError(f"{name}: required")
+            except ConfigurationError as exc:
+                fields[name] = None
+                errors.append(str(exc))
+        errors += _scenario_errors(**fields)
         if errors:
             raise ScenarioValidationError(errors)
 
@@ -213,62 +214,20 @@ def kernel_as_run(scenario: Scenario) -> TransitionKernel:
 
 SCHEMA_VERSION = 1
 
-# A schema kind is a scalar check, a table {key: (kind, required)}, a
-# one-item list [kind] for "a non-empty list of these", or {str: kind} for a
-# table with any string keys. An optional key that is absent is left out, so
-# the constructor it feeds supplies its default. Value ranges are the
-# constructors' business, not the schema's.
+# A schema kind is a scalar check ``kind(value, path)`` (the model's, from
+# ``protocol``), a table {key: (kind, required)}, a one-item list [kind] for
+# "a non-empty list of these", or {str: kind} for a table with any string
+# keys. An optional key that is absent is left out, so the constructor it
+# feeds supplies its default. Value ranges are the constructors' business,
+# not the schema's.
 _REQUIRED, _OPTIONAL = True, False
-
-
-def _is_number(value: Any) -> bool:
-    """A YAML int or float that a float can hold: not a bool, not an int past 1.8e308."""
-    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
-
-
-def _expected(expected: str, value: Any, test: Callable[[Any], bool]) -> str:
-    """Why ``value`` is refused where ``expected`` is. YAML 1.1 reads a number
-    in exponent form only with a dot in its mantissa and a sign in its
-    exponent, so ``9e-1`` is text; text that spells a finite number passing
-    ``test`` is told so, with a spelling that YAML reads as that number."""
-    message = f"expected {expected}, got {value!r}"
-    text = isinstance(value, str) and yaml.resolver.Resolver().resolve(
-        yaml.ScalarNode, value, (True, False)) == "tag:yaml.org,2002:str"
-    try:
-        number = float(value) if text else math.nan
-    except ValueError:
-        number = math.nan
-    if not (math.isfinite(number) and test(number)):
-        return message
-    spelling = repr(number) if "." in repr(number) else repr(number).replace("e", ".0e")
-    return f"{message}, which YAML 1.1 reads as text; write {spelling} for that number"
-
-
-def _scalar(expected: str, test: Callable[[Any], bool], convert: Callable = lambda v: v):
-    def check(value: Any, path: str, errors: list) -> Any:
-        if test(value):
-            return convert(value)
-        errors.append((path, _expected(expected, value, test)))
-    return check
-
-
-_INT = _scalar("an integer", lambda v: type(v) is int)
-_BOOL = _scalar("a boolean", lambda v: isinstance(v, bool))
-_TEXT = _scalar("a non-empty string", lambda v: isinstance(v, str) and v != "")
-_NUMBER = _scalar("a number", _is_number)
-_REAL = _scalar("a finite number", lambda v: _is_number(v) and math.isfinite(v), float)
 _STRATEGIES = {tag.value: tag for tag in StrategyTag}
-
-
-def _instance(cls: type, article: str = "a"):
-    return _scalar(f"{article} {cls.__name__}", lambda v: isinstance(v, cls))
-
 
 # The kind of each Scenario field, which a Scenario built in Python must meet
 # as the schema makes a document meet it.
 _FIELD_KINDS = {
-    "miners": _scalar("a sequence of Miner", lambda v: isinstance(v, Sequence)
-                      and all(isinstance(miner, Miner) for miner in v)),
+    "miners": _kind("a sequence of Miner", lambda v: isinstance(v, Sequence)
+                    and all(isinstance(miner, Miner) for miner in v)),
     "game": _instance(StageGameSpec),
     "kernel": _instance(TransitionKernel),
     "meta": _instance(MetaModelConfig),
@@ -283,10 +242,10 @@ _FIELD_KINDS = {
 }
 
 
-def _strategy(value: Any, path: str, errors: list) -> StrategyTag | None:
+def _strategy(value: Any, path: str) -> StrategyTag:
     if isinstance(value, str) and value in _STRATEGIES:
         return _STRATEGIES[value]
-    errors.append((path, f"unknown strategy {value!r}; valid: {sorted(_STRATEGIES)}"))
+    raise ConfigurationError(f"{path}: unknown strategy {value!r}; valid: {sorted(_STRATEGIES)}")
 
 
 _SCHEMA = {
@@ -329,7 +288,7 @@ _SCHEMA = {
     }, _OPTIONAL),
     "investment": ({
         "upfront_cost": (_REAL, _REQUIRED),
-        "expected_returns": ([_NUMBER], _REQUIRED),
+        "expected_returns": ([_REAL], _REQUIRED),
     }, _OPTIONAL),
 }
 
@@ -341,7 +300,11 @@ def _walk(kind: Any, value: Any, path: str, errors: list) -> Any:
     fails its type check comes back as None.
     """
     if not isinstance(kind, (list, dict)):
-        return kind(value, path, errors)
+        try:
+            return kind(value, path)
+        except ConfigurationError as exc:  # worded "<path>: expected ..., got ..."
+            errors.append((path, str(exc).removeprefix(f"{path}: ") + _spelling_hint(kind, value)))
+            return None
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             got = "an empty list" if value == [] else type(value).__name__
@@ -366,6 +329,24 @@ def _walk(kind: Any, value: Any, path: str, errors: list) -> Any:
         elif required:
             errors.append((prefix + key, "required key missing"))
     return out
+
+
+def _spelling_hint(kind: Callable, value: Any) -> str:
+    """Why ``kind`` refused text that spells a number it takes. YAML 1.1 reads
+    a number in exponent form only with a dot in its mantissa and a sign in
+    its exponent, so ``9e-1`` is text; text that spells a finite number
+    ``kind`` accepts is told so, with a spelling that YAML reads as that
+    number. Any other value gets ""."""
+    text = isinstance(value, str) and yaml.resolver.Resolver().resolve(
+        yaml.ScalarNode, value, (True, False)) == "tag:yaml.org,2002:str"
+    try:
+        number = kind(float(value), "") if text else math.nan
+    except (ValueError, ConfigurationError):  # not a number, or not one ``kind`` takes
+        return ""
+    if not math.isfinite(number):
+        return ""
+    spelling = repr(number) if "." in repr(number) else repr(number).replace("e", ".0e")
+    return f", which YAML 1.1 reads as text; write {spelling} for that number"
 
 
 def _within(path: str, outer: str) -> bool:
@@ -577,8 +558,10 @@ def _override(doc: dict, raw_path: str, raw_value: str) -> Any:
     if isinstance(value, (dict, list)):
         raise ConfigurationError("only scalar values are allowed")
     if raw_path == "kernel.epsilon":
-        if not _is_number(value):
-            raise ConfigurationError(_expected("a number", value, _is_number))
+        refused: list = []
+        value = _walk(_NUMBER, value, raw_path, refused)
+        if refused:
+            raise ConfigurationError(refused[0][1])
         if not 0.0 <= value <= 1.0:
             raise ConfigurationError(f"kernel.epsilon must lie in [0, 1], got {float(value)}")
         return float(value)

@@ -46,6 +46,28 @@ def test_discount_bounds_rejected():
             discounted_utility([1.0], bad)
 
 
+@pytest.mark.parametrize("call, message", [
+    # Each of the first five raised TypeError up to 0.17.0.
+    (lambda: discounted_utility([1.0], "0.9"), "discount factor: expected a number, got '0.9'"),
+    (lambda: breakeven_horizon("1", 1.0), "per-period return: expected a number, got '1'"),
+    (lambda: breakeven_horizon(1.0, "1"), "upfront cost: expected a number, got '1'"),
+    (lambda: breakeven_horizon(1.0, 1.0, ZERO_NOISE, 2.0),
+     "max_horizon: expected an integer, got 2.0"),
+    (lambda: endogenous_discount_path(NoisePath(0.1), 2.0),
+     "horizon: expected an integer, got 2.0"),
+    # Range messages are unchanged: inf and nan are numbers, refused by range.
+    (lambda: discounted_utility([1.0], math.inf),
+     "discount factor must lie strictly inside (0, 1), got inf"),
+    (lambda: breakeven_horizon(math.nan, 1.0), "per-period return must be positive, got nan"),
+    (lambda: breakeven_horizon(1.0, -1), "upfront cost must be >= 0, got -1"),
+    (lambda: endogenous_discount_path(NoisePath(0.1), -1), "horizon must be >= 0, got -1"),
+])
+def test_library_functions_refuse_a_non_number(call, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("delta", [0.5, 0.9, 0.99])
 @pytest.mark.parametrize("payoff", [1.0, 7.0])
 @pytest.mark.parametrize("horizon", [5, 20, 60])
@@ -148,22 +170,27 @@ def test_noise_path_validation():
 def test_noise_path_refuses_a_non_integral_start():
     # 2.5 and 2.9 would both be stored as round 2, and cumulative_rate(3)
     # would read 0.8 where the given starts integrate to 0.66.
-    with pytest.raises(ConfigurationError, match="^noise segment start must be an integer, got 2.5$"):
+    with pytest.raises(ConfigurationError,
+                       match="^noise segment start: expected an integer, got 2.5$"):
         NoisePath(0.1, ((0, 0.1), (2.5, 0.2), (2.9, 0.3)))
-    for start in (math.nan, math.inf):
-        with pytest.raises(ConfigurationError, match="noise segment start must be an integer"):
+    # A start is an int, as the schema and Scenario(horizon=...) take one:
+    # 2.0 and np.int64(3), read as rounds 2 and 3 up to 0.17.0, are refused.
+    for start in (math.nan, math.inf, 2.0, np.int64(3)):
+        with pytest.raises(ConfigurationError) as excinfo:
             NoisePath(0.1, ((0, 0.1), (start, 0.2)))
-    noise = NoisePath(0.1, ((0, 0.1), (2.0, 0.2), (np.int64(3), 0.3)))
+        assert str(excinfo.value) == f"noise segment start: expected an integer, got {start!r}"
+    noise = NoisePath(0.1, ((0, 0.1), (2, 0.2), (3, 0.3)))
     assert noise.segments == ((0, 0.1), (2, 0.2), (3, 0.3))
     assert noise.cumulative_rate(3) == pytest.approx(0.2 + 0.2 + 0.3)
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: NoisePath(math.inf), "baseline rate must be finite, got inf"),
-    (lambda: NoisePath(-math.inf), "baseline rate must be finite, got -inf"),
-    (lambda: NoisePath(0.0, ((0, math.inf),)), "noise value must be finite, got inf"),
-    (lambda: NoisePath(0.0, ((0, 0.0), (4, math.inf))), "noise value must be finite, got inf"),
-    (lambda: InvestmentPlan(math.inf, (1.0,)), "upfront cost must be finite, got inf"),
+    (lambda: NoisePath(math.inf), "baseline rate: expected a finite number, got inf"),
+    (lambda: NoisePath(-math.inf), "baseline rate: expected a finite number, got -inf"),
+    (lambda: NoisePath(0.0, ((0, math.inf),)), "noise value: expected a finite number, got inf"),
+    (lambda: NoisePath(0.0, ((0, 0.0), (4, math.inf))),
+     "noise value: expected a finite number, got inf"),
+    (lambda: InvestmentPlan(math.inf, (1.0,)), "upfront cost: expected a finite number, got inf"),
 ])
 def test_infinite_rates_and_costs_are_refused(make, message):
     # The scenario schema refuses these as not finite; the Python API now
@@ -173,14 +200,16 @@ def test_infinite_rates_and_costs_are_refused(make, message):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: NoisePath("0.1"), "baseline rate must be a number, got '0.1'"),
-    (lambda: NoisePath(0.1, ((0, "0.1"),)), "noise value must be a number, got '0.1'"),
-    (lambda: NoisePath(0.1, ((0, 0.1), ("5", 0.2))), "noise segment start must be a number, got '5'"),
+    (lambda: NoisePath("0.1"), "baseline rate: expected a finite number, got '0.1'"),
+    (lambda: NoisePath(0.1, ((0, "0.1"),)), "noise value: expected a finite number, got '0.1'"),
+    (lambda: NoisePath(0.1, ((0, 0.1), ("5", 0.2))),
+     "noise segment start: expected an integer, got '5'"),
     # A bool, which the schema refuses, was read as 1.0, 0.0 or round 1.
-    (lambda: NoisePath(True), "baseline rate must be a number, got True"),
-    (lambda: NoisePath(0.1, ((0, True),)), "noise value must be a number, got True"),
-    (lambda: NoisePath(0.1, ((True, 0.2),)), "noise segment start must be a number, got True"),
-    (lambda: NoisePath(0.1, ((0, 0.1), (True, 0.2))), "noise segment start must be a number, got True"),
+    (lambda: NoisePath(True), "baseline rate: expected a finite number, got True"),
+    (lambda: NoisePath(0.1, ((0, True),)), "noise value: expected a finite number, got True"),
+    (lambda: NoisePath(0.1, ((True, 0.2),)), "noise segment start: expected an integer, got True"),
+    (lambda: NoisePath(0.1, ((0, 0.1), (True, 0.2))),
+     "noise segment start: expected an integer, got True"),
 ])
 def test_noise_path_refuses_non_numbers(make, message):
     # The scenario schema refuses these first; through the Python API each
@@ -190,17 +219,23 @@ def test_noise_path_refuses_non_numbers(make, message):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: InvestmentPlan("1", (1.0,)), "upfront cost must be a number, got '1'"),
-    (lambda: InvestmentPlan(1.0, ("1",)), "expected return must be a number, got '1'"),
-    (lambda: InvestmentPlan(True, (1.0,)), "upfront cost must be a number, got True"),
-    (lambda: InvestmentPlan(1.0, (True,)), "expected return must be a number, got True"),
-    (lambda: InvestmentPlan(0.0, (1.0, False)), "expected return must be a number, got False"),
+    (lambda: InvestmentPlan("1", (1.0,)), "upfront cost: expected a finite number, got '1'"),
+    (lambda: InvestmentPlan(1.0, ("1",)), "expected return: expected a finite number, got '1'"),
+    (lambda: InvestmentPlan(True, (1.0,)), "upfront cost: expected a finite number, got True"),
+    (lambda: InvestmentPlan(1.0, (True,)), "expected return: expected a finite number, got True"),
+    (lambda: InvestmentPlan(0.0, (1.0, False)),
+     "expected return: expected a finite number, got False"),
 ])
 def test_investment_plan_refuses_non_numbers(make, message):
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         make()
-    plan = InvestmentPlan(np.float32(1.0), (np.int64(2), 1))
+    # The schema's rule: np.float64 is a float, np.float32 and np.int64 are
+    # not numbers (both were read as floats up to 0.17.0).
+    plan = InvestmentPlan(np.float64(1.0), (2, np.float64(1.0)))
     assert plan.upfront_cost == 1.0 and plan.expected_returns == (2.0, 1.0)
+    for upfront, returns in ((np.float32(1.0), (1.0,)), (1.0, (np.int64(2), 1))):
+        with pytest.raises(ConfigurationError):
+            InvestmentPlan(upfront, returns)
 
 
 @pytest.mark.parametrize("make, message", [

@@ -94,6 +94,21 @@ def test_table_validation():
         StageGameSpec.from_profile_maps(
             ["s0"], {"s0": {**PD_TABLE, "CC": [np.inf, 3.0]}}
         )
+    # Up to 0.17.0, lottery_mode="no" read as True, a label of any kind was
+    # kept, and a game that is not a NormalFormGame raised AttributeError.
+    game = NormalFormGame.from_profile_map(PD_TABLE)
+    for arguments, message in [
+        ((["s0"], [game], "no"), "lottery_mode: expected a boolean, got 'no'"),
+        ((["s0"], [game], 1), "lottery_mode: expected a boolean, got 1"),
+        (([""], [game]), "state label: expected a non-empty string, got ''"),
+        (([5], [game]), "state label: expected a non-empty string, got 5"),
+        ((["s0", ["s1"]], [game, game]), "state label: expected a non-empty string, got ['s1']"),
+        ((["s0"], [[[3.0, 3.0]]]),
+         "payoff table for state 's0': expected a NormalFormGame, got [[3.0, 3.0]]"),
+    ]:
+        with pytest.raises(ConfigurationError) as excinfo:
+            StageGameSpec(*arguments)
+        assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("profiles, state, message", [
@@ -214,12 +229,12 @@ TAG_NAMES = ("['ALWAYS_DEFECT', 'COLLUDE', 'GRIM_TRIGGER', 'HONEST', 'META_INVES
     # A string tag was accepted and never matched a tag: "AlwaysDefect" never defected.
     (("AlwaysDefect",), f"strategy tag must be a StrategyTag, got 'AlwaysDefect'; valid: {TAG_NAMES}"),
     (("MetaInvestor", 0.2, 0), f"strategy tag must be a StrategyTag, got 'MetaInvestor'; valid: {TAG_NAMES}"),
-    ((StrategyTag.META_INVESTOR, "0.2", 0), "meta_budget must be a number, got '0.2'"),
-    ((StrategyTag.META_INVESTOR, 0.2, 0.5), "preferred_state must be an integer, got 0.5"),
+    ((StrategyTag.META_INVESTOR, "0.2", 0), "meta_budget: expected a finite number, got '0.2'"),
+    ((StrategyTag.META_INVESTOR, 0.2, 0.5), "preferred_state: expected an integer, got 0.5"),
     # A bool was read as a budget of 1.0 or a preferred state of 1 or 0.
-    ((StrategyTag.META_INVESTOR, True, 0), "meta_budget must be a number, got True"),
-    ((StrategyTag.META_INVESTOR, 0.2, True), "preferred_state must be an integer, got True"),
-    ((StrategyTag.META_INVESTOR, 0.2, False), "preferred_state must be an integer, got False"),
+    ((StrategyTag.META_INVESTOR, True, 0), "meta_budget: expected a finite number, got True"),
+    ((StrategyTag.META_INVESTOR, 0.2, True), "preferred_state: expected an integer, got True"),
+    ((StrategyTag.META_INVESTOR, 0.2, False), "preferred_state: expected an integer, got False"),
 ])
 def test_strategy_kind_refuses_wrong_types(arguments, message):
     with pytest.raises(ConfigurationError) as excinfo:

@@ -4,16 +4,29 @@ bit for bit, with no stored answer.
 Scaling every payoff by a power of two scales every float operation of a
 run exactly (a product, a sum, a comparison, and √(4v) = 2√v), so the
 utilities and the trace's payoffs scale by that factor and every record
-that only compares payoffs stays equal.
+that only compares payoffs stays equal. The same holds for `analyze`, with
+the post-mutation value scaled too: its thresholds are ratios of payoff
+differences, and its continuation values are sums of their products.
 """
 
 import copy
+import re
 
 import numpy as np
 import pytest
 import yaml
 
-from mutagame import parse_document, run_batch
+from mutagame import (
+    grim_cooperation_verdict,
+    grim_trigger_threshold,
+    kernel_as_run,
+    mixed_nash_2x2,
+    mutation_rate,
+    parse_document,
+    pure_nash,
+    run_batch,
+)
+from mutagame.cli import EXIT_OK, main
 from mutagame.presets import FIXED_RULES, MUTABLE_CORE
 
 SMALL = {"horizon": 60, "replica_count": 40}
@@ -47,13 +60,17 @@ SCENARIOS = {
 }
 
 
-def scaled_run(make, factor):
-    doc = make()
-    doc.update(SMALL)
+def scale_payoffs(doc, factor):
     for table in doc["game"]["payoffs"].values():
         for key, row in table.items():
             table[key] = [factor * value for value in row]
-    return run_batch(parse_document(doc))
+    return doc
+
+
+def scaled_run(make, factor):
+    doc = make()
+    doc.update(SMALL)
+    return run_batch(parse_document(scale_payoffs(doc, factor)))
 
 
 @pytest.mark.parametrize("factor", [2.0, 0.25])
@@ -164,3 +181,74 @@ def test_permuting_the_miners_permutes_every_per_miner_value(name):
     assert np.array_equal(moved.payoffs, batch.payoffs[:, :, order])
     assert np.array_equal(moved.discounted_utility, batch.discounted_utility[:, order])
     assert np.array_equal(moved.cooperation_duration, batch.cooperation_duration)
+
+
+def grim_sweep_pair():
+    """The benchmark's grim_sweep scenario: a GrimTrigger pair playing a
+    prisoner's dilemma in both states of a symmetric 2-state kernel."""
+    doc = yaml.safe_load(FIXED_RULES)
+    doc["trigger_on_mutation"] = True
+    pd = doc["game"]["payoffs"]["baseline"]
+    doc["game"].update(states=[{"id": 0, "label": "rules_a"}, {"id": 1, "label": "rules_b"}],
+                       payoffs={"rules_a": pd, "rules_b": copy.deepcopy(pd)})
+    doc["kernel"]["matrix"] = [[0.98, 0.02], [0.02, 0.98]]
+    return doc
+
+
+def grim_sweep_pair_stag_hunt():
+    """The grim_sweep pair with a stag hunt in its second state: two pure
+    Nash profiles, no temptation, and a mixed equilibrium."""
+    doc = grim_sweep_pair()
+    doc["game"]["payoffs"]["rules_b"] = {
+        "CC": [4.0, 4.0], "CD": [0.0, 3.0], "DC": [3.0, 0.0], "DD": [2.0, 2.0],
+    }
+    return doc
+
+
+ANALYZED = {
+    "fixed_rules": lambda: yaml.safe_load(FIXED_RULES),
+    "mutable_core": mutable_core,
+    "grim_sweep_pair": grim_sweep_pair,
+    "grim_sweep_pair_stag_hunt": grim_sweep_pair_stag_hunt,
+}
+
+
+def analysis(doc):
+    """Per state, what `analyze` reports, from the functions it calls: the
+    Nash list, the grim threshold's words and δ*, the mixed equilibrium, and
+    the cooperation verdict."""
+    scenario = parse_document(doc)
+    rates = mutation_rate(kernel_as_run(scenario))
+    for state, stage in enumerate(scenario.game):
+        threshold = grim_trigger_threshold(stage)
+        words = (pure_nash(stage), threshold.always_sustainable, threshold.never_sustainable,
+                 threshold.delta_star, mixed_nash_2x2(stage) if scenario.n == 2 else None)
+        yield words, grim_cooperation_verdict(
+            stage, scenario.delta, rates.per_state[state], scenario.post_mutation_value)
+
+
+def report(doc, tmp_path, capsys):
+    """The `analyze` report of ``doc`` with each continuation and defect number masked."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["analyze", str(path)]) == EXIT_OK
+    return re.sub(r"(E\[coop\]|defect)=[-0-9.e+]+", r"\1=#", capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("post", [None, 1.5])
+@pytest.mark.parametrize("name", sorted(ANALYZED))
+def test_doubling_every_payoff_doubles_every_verdict_number(name, post, tmp_path, capsys):
+    # post None keeps the document's post-mutation value (0.0 or absent).
+    doc = ANALYZED[name]()
+    if post is not None:
+        doc["post_mutation_value"] = post
+    doubled = scale_payoffs(copy.deepcopy(doc), 2.0)
+    doubled["post_mutation_value"] = 2.0 * doc.get("post_mutation_value", 0.0)
+    states = list(zip(analysis(doc), analysis(doubled), strict=True))
+    for (words, verdict), (doubled_words, doubled_verdict) in states:
+        assert doubled_words == words
+        assert doubled_verdict.holds == verdict.holds
+        assert doubled_verdict.continuation == 2.0 * verdict.continuation
+        assert doubled_verdict.defect_now == 2.0 * verdict.defect_now
+    assert any(verdict.continuation != 0.0 for _, (_, verdict) in states)
+    assert report(doubled, tmp_path, capsys) == report(doc, tmp_path, capsys)

@@ -58,7 +58,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.17.0"
+    assert mutagame.__version__ == project["version"] == "0.18.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -208,6 +208,28 @@ def test_no_module_calls_builtin_sum():
     found = [f"{module}:{node.lineno}" for module, node, _ in package_nodes()
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"]
     assert found == []
+
+
+SCALAR_KINDS = ("_is_number", "_INT", "_BOOL", "_TEXT", "_NUMBER", "_REAL")
+
+
+def test_one_module_holds_the_scalar_rule():
+    # The schema and every constructor check a scalar with protocol's kinds:
+    # no `numbers.Real` test beside them, and no second copy of a kind.
+    imports_numbers = [
+        f"{module}:{node.lineno}" for module, node, _ in package_nodes()
+        if isinstance(node, ast.Import) and "numbers" in [alias.name for alias in node.names]
+        or isinstance(node, ast.ImportFrom) and node.module == "numbers"]
+    assert imports_numbers == []
+    homes = {kind: [] for kind in SCALAR_KINDS}
+    for module, node, _ in package_nodes():
+        targets = ([node.name] if isinstance(node, ast.FunctionDef) else
+                   [t.id for t in node.targets if isinstance(t, ast.Name)]
+                   if isinstance(node, ast.Assign) else [])
+        for target in targets:
+            if target in homes:
+                homes[target].append(module)
+    assert homes == {kind: ["protocol.py"] for kind in SCALAR_KINDS}
 
 
 def test_no_module_forks():

@@ -268,22 +268,27 @@ def test_theta_rejects_negative_variance():
 
 
 @pytest.mark.parametrize("mean, variance, message", [
-    ("1", 0.1, "theta mean must be a number, got '1'"),
-    (1.0, "0.1", "theta variance must be a number, got '0.1'"),
+    ("1", 0.1, "theta mean: expected a finite number, got '1'"),
+    (1.0, "0.1", "theta variance: expected a finite number, got '0.1'"),
     # A bool was read as 1.0 or 0.0.
-    (True, False, "theta mean must be a number, got True"),
-    (1.0, True, "theta variance must be a number, got True"),
+    (True, False, "theta mean: expected a finite number, got True"),
+    (1.0, True, "theta variance: expected a finite number, got True"),
 ])
 def test_theta_refuses_non_numbers(mean, variance, message):
     # Through the Python API these raised TypeError from math.isfinite or `<=`.
     with pytest.raises(ConfigurationError, match=f"^{message}$"):
         ThetaProcess(mean, variance)
-    assert ThetaProcess(np.float32(1.0), np.int64(0)).variance == 0
+    # The schema's rule: np.float64 is a float, np.float32 and np.int64 are
+    # not numbers (both were read as floats up to 0.17.0).
+    assert ThetaProcess(np.float64(1.0), 0).variance == 0
+    for mean, variance in ((np.float32(1.0), 0), (1.0, np.int64(0))):
+        with pytest.raises(ConfigurationError):
+            ThetaProcess(mean, variance)
 
 
 @pytest.mark.parametrize("arguments, message", [
-    ((1.0, 0.04, "no"), "theta clamp must be a boolean, got 'no'"),
-    ((1.0, 0.04, 0), "theta clamp must be a boolean, got 0"),
+    ((1.0, 0.04, "no"), "theta clamp: expected a boolean, got 'no'"),
+    ((1.0, 0.04, 0), "theta clamp: expected a boolean, got 0"),
 ])
 def test_theta_refuses_a_clamp_that_is_not_a_bool(arguments, message):
     # Accepted before, and read as a truth value: clamp="no" clamped.

@@ -2,9 +2,12 @@
 
 import copy
 import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -13,10 +16,14 @@ from hypothesis import strategies as st
 from mutagame import (
     ConfigurationError,
     MetaModelConfig,
+    InvestmentPlan,
     Miner,
+    NoisePath,
     ScenarioValidationError,
+    StageGameSpec,
     StrategyKind,
     StrategyTag,
+    ThetaProcess,
     TransitionKernel,
     parse_document,
 )
@@ -236,12 +243,117 @@ def test_scenario_refuses_what_the_schema_refuses(base_doc, changes, errors):
     assert excinfo.value.errors == errors
 
 
+# mutable_core with theta: every part present.
+FULL_DOC = {**yaml.safe_load(MUTABLE_CORE), "theta": {"mean": 1.0, "variance": 0.04, "clamp": True}}
+FULL = parse_document(FULL_DOC)
+
+
+def _with_miner(index, make):
+    return lambda s, v: replace(s, miners=tuple(
+        make(v) if i == index else miner for i, miner in enumerate(s.miners)))
+
+
+def _relabel(doc, value):
+    doc["game"]["states"][1]["label"] = value
+    if isinstance(value, str):  # the payoff table goes with its label
+        doc["game"]["payoffs"][value] = doc["game"]["payoffs"].pop("restricted_capacity")
+
+
+# Every scalar field of every part and of Scenario, by its key in a document:
+# a value the field takes in FULL, and FULL with the value there, built in
+# Python. A document key whose last component is a digit indexes a list.
+SCALAR_FIELDS = {
+    **{key: (getattr(FULL, key), lambda s, v, key=key: replace(s, **{key: v}))
+       for key in ("name", "horizon", "replica_count", "master_seed", "initial_state",
+                   "trigger_on_mutation", "spiral_threshold", "post_mutation_value")},
+    "discount.delta": (0.5, lambda s, v: replace(s, delta=v)),
+    "risk_aversion.eta": (0.5, lambda s, v: replace(s, risk_aversion=v)),
+    "miners.0.share": (0.3, _with_miner(
+        0, lambda v: Miner(v, StrategyKind(StrategyTag.GRIM_TRIGGER)))),
+    "miners.3.meta_budget": (0.25, _with_miner(3, lambda v: Miner(0.2, meta_investor(v, 0)))),
+    "miners.3.preferred_state": (0, _with_miner(3, lambda v: Miner(0.2, meta_investor(0.25, v)))),
+    "game.lottery_mode": (False, lambda s, v: replace(
+        s, game=StageGameSpec(s.game.state_labels, s.game, v))),
+    "game.states.1.label": ("restricted_capacity", lambda s, v: replace(
+        s, game=StageGameSpec(("baseline", v, "fee_spike"), s.game))),
+    "noise.baseline_rate": (0.03, lambda s, v: replace(s, noise=NoisePath(v, s.noise.segments))),
+    "noise.segments.1.start": (50, lambda s, v: replace(
+        s, noise=NoisePath(0.03, ((0, 0.0), (v, 0.05))))),
+    "noise.segments.1.value": (0.05, lambda s, v: replace(
+        s, noise=NoisePath(0.03, ((0, 0.0), (50, v))))),
+    "theta.mean": (1.0, lambda s, v: replace(s, theta=ThetaProcess(v, 0.04))),
+    "theta.variance": (0.04, lambda s, v: replace(s, theta=ThetaProcess(1.0, v))),
+    "theta.clamp": (True, lambda s, v: replace(s, theta=ThetaProcess(1.0, 0.04, v))),
+    "meta.enabled": (True, lambda s, v: replace(s, meta=MetaModelConfig(v, 0.4, 1.0))),
+    "meta.influence_strength": (0.4, lambda s, v: replace(s, meta=MetaModelConfig(True, v, 1.0))),
+    "meta.contest_exponent": (1.0, lambda s, v: replace(s, meta=MetaModelConfig(True, 0.4, v))),
+    "investment.upfront_cost": (250.0, lambda s, v: replace(
+        s, investment=InvestmentPlan(v, s.investment.expected_returns))),
+    "investment.expected_returns.1": (100.0, lambda s, v: replace(
+        s, investment=InvestmentPlan(250.0, (100.0, v, 100.0, 100.0, 100.0)))),
+}
+
+
+def _forms(value):
+    """``value`` in each form a caller might pass it: as text, as a bool, int
+    or float, and as a Fraction and numpy scalars."""
+    forms = [value, str(value), np.bool_(value)]
+    if not isinstance(value, str):
+        forms += [bool(value), int(value), float(value), Fraction(value),
+                  np.float32(value), np.float64(value), np.int64(value)]
+    return forms
+
+
+SCALARS = st.one_of(
+    st.integers(), st.integers(min_value=2**1024) | st.integers(max_value=-2**1024),
+    st.sampled_from([int(sys.float_info.max), int(sys.float_info.max) + 1]),
+    st.floats(), st.booleans(), st.floats().map(repr) | st.integers().map(str), st.fractions(),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.text(max_size=3),
+)
+
+
+@pytest.mark.parametrize("key", sorted(SCALAR_FIELDS))
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_each_constructor_takes_exactly_what_the_schema_takes(key, data):
+    # One rule for a scalar: a Scenario built in Python takes a value at a
+    # field exactly when a document takes it at that key. Up to 0.17.0 the
+    # parts took any numbers.Real: Fraction(1, 25) as theta's variance ran to
+    # a UFuncTypeError in run_batch, and 10**400 raised OverflowError.
+    valid, build = SCALAR_FIELDS[key]
+    value = data.draw(st.sampled_from(_forms(valid)) | SCALARS)
+    doc = copy.deepcopy(FULL_DOC)
+    if key == "game.states.1.label":
+        _relabel(doc, value)
+    else:
+        *parents, leaf = key.split(".")
+        target = doc
+        for part in parents:
+            target = target[int(part) if part.isdigit() else part]
+        target[int(leaf) if leaf.isdigit() else leaf] = value
+    try:
+        parse_document(doc)
+        schema_takes = True
+    except ScenarioValidationError:
+        schema_takes = False
+    try:
+        build(FULL, value)
+        python_takes = True
+    except (ConfigurationError, ScenarioValidationError):
+        python_takes = False
+    assert python_takes == schema_takes
+    if type(value) not in (bool, int, float, str, np.float64):  # YAML cannot carry it
+        assert not python_takes
+
+
 @pytest.mark.parametrize("arguments, message", [
-    (("0.5", StrategyKind(StrategyTag.HONEST)), "miner share must be a number, got '0.5'"),
-    ((0.5, "Honest"), "miner strategy must be a StrategyKind, got 'Honest'"),
+    (("0.5", StrategyKind(StrategyTag.HONEST)), "miner share: expected a finite number, got '0.5'"),
+    ((0.5, "Honest"), "miner strategy: expected a StrategyKind, got 'Honest'"),
     # A bool share was read as 1.0 or 0.0.
-    ((True, StrategyKind(StrategyTag.HONEST)), "miner share must be a number, got True"),
-    ((False, StrategyKind(StrategyTag.HONEST)), "miner share must be a number, got False"),
+    ((True, StrategyKind(StrategyTag.HONEST)), "miner share: expected a finite number, got True"),
+    ((False, StrategyKind(StrategyTag.HONEST)),
+     "miner share: expected a finite number, got False"),
 ])
 def test_miner_refuses_wrong_types(arguments, message):
     with pytest.raises(ConfigurationError) as excinfo:
@@ -250,12 +362,12 @@ def test_miner_refuses_wrong_types(arguments, message):
 
 
 @pytest.mark.parametrize("arguments, message", [
-    ((True, "x"), "influence_strength must be a number, got 'x'"),
-    (("yes",), "enabled must be a boolean, got 'yes'"),
-    ((True, 0.5, "2"), "contest_exponent must be a number, got '2'"),
+    ((True, "x"), "influence_strength: expected a finite number, got 'x'"),
+    (("yes",), "enabled: expected a boolean, got 'yes'"),
+    ((True, 0.5, "2"), "contest_exponent: expected a finite number, got '2'"),
     # A bool strength or exponent was read as 1.0.
-    ((True, True), "influence_strength must be a number, got True"),
-    ((True, 0.5, True), "contest_exponent must be a number, got True"),
+    ((True, True), "influence_strength: expected a finite number, got True"),
+    ((True, 0.5, True), "contest_exponent: expected a finite number, got True"),
 ])
 def test_meta_model_config_refuses_wrong_types(arguments, message):
     with pytest.raises(ConfigurationError) as excinfo:

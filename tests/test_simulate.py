@@ -619,9 +619,10 @@ INF = float("inf")
     (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), post_mutation_value=-INF),
      "post_mutation_value: must be finite, got -inf"),
     (lambda: ThetaProcess(mean=NAN, variance=1.0, clamp=False),
-     "theta mean must be finite, got nan"),
-    (lambda: ThetaProcess(mean=INF, variance=1.0), "theta mean must be finite, got inf"),
-    (lambda: ThetaProcess(mean=1.0, variance=INF), "theta variance must be finite"),
+     "theta mean: expected a finite number, got nan"),
+    (lambda: ThetaProcess(mean=INF, variance=1.0), "theta mean: expected a finite number, got inf"),
+    (lambda: ThetaProcess(mean=1.0, variance=INF),
+     "theta variance: expected a finite number, got inf"),
 ])
 def test_nan_fails_range_checks(make, message):
     with pytest.raises((ConfigurationError, ScenarioValidationError), match=message):

@@ -160,7 +160,7 @@ _U1, _U11, _U32, _U58, _U63, _U64, _LOW32, _M_HI, _M_LO, _M1, _M0 = (
     )
 )
 # numpy's ziggurat tail: the base layer's right edge and its inverse.
-_TAIL_R, _TAIL_INV_R = 3.6541528853610088, 0.27366123732975828
+_TAIL_R, _TAIL_INV_R = _ziggurat.TAIL_R, 1.0 / _ziggurat.TAIL_R
 # The ziggurat tables as Python numbers, for the scalar slow path.
 _WI, _KI, _FI = (table.tolist() for table in (_ziggurat.WI, _ziggurat.KI, _ziggurat.FI))
 

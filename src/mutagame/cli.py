@@ -1,8 +1,9 @@
 """Command-line front end: validate, run, sweep, analyze, preset.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or parse failure,
-3 capacity error or out of memory. All file outputs are deterministic
-functions of the scenario file, the overrides, and the master seed.
+3 capacity error or out of memory, 4 internal error (a bug: ``entry()``
+prints its traceback). All file outputs are deterministic functions of the
+scenario file, the overrides, and the master seed.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 TRACE_FILENAME = "trace.csv"
 SUMMARY_FILENAME = "summary.json"
@@ -398,15 +400,22 @@ def entry() -> int:
     # they took about 34 ms after a `run` of the mutable_core preset, 9 ms
     # frozen. Not in main(), which tests call in-process. `run` and `sweep`
     # import the engine, so they do so here, to be frozen: imported after
-    # the freeze, numpy made that `run` 8% slower.
-    if sys.argv[1:2] in (["run"], ["sweep"]):
-        # The engine calls no BLAS routine, so numpy's OpenBLAS pool only
-        # costs: a worker per extra CPU spins ~2^28 cycles before it sleeps,
-        # which doubled `import numpy` on 2 vCPUs. Set before numpy loads.
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        from . import simulate
-    gc.freeze()
-    return main()
+    # the freeze, numpy made that `run` 8% slower. An exception that main()
+    # lets through is a bug, not a refusal: it exits with a code of its own.
+    try:
+        if sys.argv[1:2] in (["run"], ["sweep"]):
+            # The engine calls no BLAS routine, so numpy's OpenBLAS pool only
+            # costs: a worker per extra CPU spins ~2^28 cycles before it sleeps,
+            # which doubled `import numpy` on 2 vCPUs. Set before numpy loads.
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+            from . import simulate
+        gc.freeze()
+        return main()
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

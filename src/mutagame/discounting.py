@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConfigurationError
-from .protocol import _INT, _NUMBER, _REAL, _sum
+from .protocol import _INT, _NUMBER, _REAL, _instance, _sum
 
 
 def validate_discount(delta: float) -> None:
@@ -115,8 +115,8 @@ def discounted_utility(payoffs: Iterable[float], delta: float) -> float:
     """Sum of delta**t * payoffs[t] over a 1-D sequence, t from 0, left to right."""
     validate_discount(delta)
     total, factor = 0.0, 1.0
-    for payoff in map(float, payoffs):
-        total += factor * payoff
+    for payoff in payoffs:
+        total += factor * float(_NUMBER(payoff, "payoff"))
         factor *= delta
     return total
 
@@ -136,6 +136,8 @@ def npv(plan: InvestmentPlan, noise: NoisePath = ZERO_NOISE) -> float:
     """Compound-rate net present value:
     sum over t = 1..T of E[R_t] / (1 + rho + eta(t))**t, minus the upfront cost.
     """
+    _instance(InvestmentPlan, "an")(plan, "plan")
+    _instance(NoisePath)(noise, "noise")
     terms = (value / noise.compound(t) for t, value in enumerate(plan.expected_returns, start=1))
     return float(_sum(terms, -plan.upfront_cost))
 
@@ -153,6 +155,7 @@ def breakeven_horizon(
         )
     if not _NUMBER(upfront_cost, "upfront cost") >= 0.0:
         raise ConfigurationError(f"upfront cost must be >= 0, got {upfront_cost}")
+    _instance(NoisePath)(noise, "noise")
     running = -float(upfront_cost)
     for t in range(1, _INT(max_horizon, "max_horizon") + 1):
         running += per_period_return / noise.compound(t)

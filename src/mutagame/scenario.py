@@ -104,10 +104,8 @@ def _scenario_errors(
             validate_discount(delta)
         except ConfigurationError as exc:
             errors.append(f"discount.delta: {exc}")
-    if known(risk_aversion) and not 0.0 <= risk_aversion < math.inf:
+    if known(risk_aversion) and not risk_aversion >= 0.0:
         errors.append(f"risk_aversion.eta: must be finite and >= 0, got {risk_aversion}")
-    if known(post_mutation_value) and not math.isfinite(post_mutation_value):
-        errors.append(f"post_mutation_value: must be finite, got {post_mutation_value}")
     if known(spiral_threshold) and not 0.0 < spiral_threshold < 1.0:
         errors.append(f"spiral_threshold: must lie in (0, 1), got {spiral_threshold}")
     for i, miner in enumerate(miners if known(kernel, miners) else ()):
@@ -235,8 +233,7 @@ _FIELD_KINDS = {
     "theta": _instance(ThetaProcess),
     "investment": _instance(InvestmentPlan, "an"),
     **dict.fromkeys(("initial_state", "horizon", "replica_count", "master_seed"), _INT),
-    **dict.fromkeys(("delta", "risk_aversion", "spiral_threshold", "post_mutation_value"),
-                    _NUMBER),
+    **dict.fromkeys(("delta", "risk_aversion", "spiral_threshold", "post_mutation_value"), _REAL),
     "trigger_on_mutation": _BOOL,
     "name": _TEXT,
 }

@@ -17,6 +17,7 @@ import yaml
 from mutagame import parse_document, run_batch, simulate
 from mutagame.cli import (
     EXIT_CAPACITY,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -868,7 +869,30 @@ def test_nonpositive_first_investment_return_is_a_violation(command, tmp_path, c
 
 
 def test_exit_code_constants_are_distinct():
-    assert len({EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_CAPACITY}) == 4
+    assert len({EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_CAPACITY, EXIT_INTERNAL}) == 5
+
+
+def test_a_bug_exits_with_its_own_code_and_traceback(fixed_rules_file, tmp_path):
+    # Python exits 1, the validation code, on any traceback; entry() prints
+    # the traceback and exits 4. main() still raises it to an in-process
+    # caller (test_writer_bug_is_not_reported_as_io_error).
+    argv = ["run", str(fixed_rules_file), "--out", str(tmp_path / "out"), *small([], 3)]
+    code = (
+        "import sys\n"
+        "from mutagame import cli\n"
+        "def write_trace_csv(path, scenario, batch):\n"
+        "    raise IndexError('list index out of range')\n"
+        "cli.write_trace_csv = write_trace_csv\n"
+        f"sys.argv = ['mutagame', *{argv!r}]\n"
+        "sys.exit(cli.entry())\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == EXIT_INTERNAL
+    assert result.stdout == ""
+    assert result.stderr.startswith("Traceback (most recent call last):\n")
+    assert "in write_trace_csv\n" in result.stderr
+    assert result.stderr.endswith("\nIndexError: list index out of range\n")
 
 
 def test_main_leaves_the_heap_unfrozen(fixed_rules_file):

@@ -55,6 +55,11 @@ def test_discount_bounds_rejected():
      "max_horizon: expected an integer, got 2.0"),
     (lambda: endogenous_discount_path(NoisePath(0.1), 2.0),
      "horizon: expected an integer, got 2.0"),
+    # These raised AttributeError or a bare ValueError up to 0.18.0.
+    (lambda: npv(InvestmentPlan(1.0, (1.0,)), 0.1), "noise: expected a NoisePath, got 0.1"),
+    (lambda: npv((1.0,), ZERO_NOISE), "plan: expected an InvestmentPlan, got (1.0,)"),
+    (lambda: breakeven_horizon(1.0, 1.0, 0.1), "noise: expected a NoisePath, got 0.1"),
+    (lambda: discounted_utility(["x"], 0.9), "payoff: expected a number, got 'x'"),
     # Range messages are unchanged: inf and nan are numbers, refused by range.
     (lambda: discounted_utility([1.0], math.inf),
      "discount factor must lie strictly inside (0, 1), got inf"),

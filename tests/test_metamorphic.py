@@ -10,13 +10,20 @@ differences, and its continuation values are sums of their products.
 """
 
 import copy
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_engine_oracle import scenarios
 
 from mutagame import (
+    BatchSummary,
+    NormalFormGame,
+    StageGameSpec,
     grim_cooperation_verdict,
     grim_trigger_threshold,
     kernel_as_run,
@@ -94,6 +101,43 @@ def test_scaling_every_payoff_scales_the_utilities_exactly(name, factor):
     for field in ("states", "profiles", "theta", "winner", "cooperation_duration"):
         assert np.array_equal(getattr(scaled, field), getattr(batch, field)), field
     assert np.array_equal(scaled.mutation_counts, batch.mutation_counts)
+
+
+UTILITY_FIELDS = ("mean_utility", "std_utility", "risk_adjusted_utility",
+                  "mean_endogenous_utility")
+
+
+def bits(array):
+    """``repr`` of an optional array's values: equal only bit for bit."""
+    return repr(None if array is None else array.tolist())
+
+
+def scaled_scenario(scenario, factor):
+    game = scenario.game
+    return dataclasses.replace(scenario, game=StageGameSpec(
+        game.state_labels, [NormalFormGame(factor * table.tensor) for table in game],
+        game.lottery_mode))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(scenarios(), st.sampled_from([2.0, 0.25]))
+def test_scaling_every_payoff_scales_every_drawn_scenario_exactly(scenario, factor):
+    # The drawn scenarios cover every strategy tag, and theta, the lottery,
+    # the noise path and the meta game each on and off. Bit for bit: every
+    # comparison is of repr, so a zero keeps its sign.
+    summary, batch = run_batch(scenario)
+    scaled_summary, scaled = run_batch(scaled_scenario(scenario, factor))
+    for field in dataclasses.fields(BatchSummary):
+        base, got = getattr(summary, field.name), getattr(scaled_summary, field.name)
+        if field.name in UTILITY_FIELDS and base is not None:
+            base = tuple(factor * value for value in base)
+        assert repr(got) == repr(base), field.name
+    for field in ("payoffs", "discounted_utility", "endogenous_utility"):
+        base = getattr(batch, field)
+        assert bits(getattr(scaled, field)) == bits(None if base is None else factor * base), field
+    for field in ("states", "profiles", "theta", "winner", "cooperation_duration",
+                  "mutation_counts"):
+        assert bits(getattr(scaled, field)) == bits(getattr(batch, field)), field
 
 
 def test_the_myopic_mix_both_defects_and_cooperates():

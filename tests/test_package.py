@@ -58,7 +58,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.18.0"
+    assert mutagame.__version__ == project["version"] == "0.19.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():

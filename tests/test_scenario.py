@@ -209,10 +209,10 @@ def test_non_finite_scalar_fields_rejected(path, value):
     ({"name": 5}, ["name: expected a non-empty string, got 5"]),
     ({"horizon": "5"}, ["horizon: expected an integer, got '5'"]),
     ({"replica_count": "3"}, ["replica_count: expected an integer, got '3'"]),
-    ({"delta": "0.9"}, ["delta: expected a number, got '0.9'"]),
-    ({"risk_aversion": "1"}, ["risk_aversion: expected a number, got '1'"]),
-    ({"spiral_threshold": "0.5"}, ["spiral_threshold: expected a number, got '0.5'"]),
-    ({"post_mutation_value": "x"}, ["post_mutation_value: expected a number, got 'x'"]),
+    ({"delta": "0.9"}, ["delta: expected a finite number, got '0.9'"]),
+    ({"risk_aversion": "1"}, ["risk_aversion: expected a finite number, got '1'"]),
+    ({"spiral_threshold": "0.5"}, ["spiral_threshold: expected a finite number, got '0.5'"]),
+    ({"post_mutation_value": "x"}, ["post_mutation_value: expected a finite number, got 'x'"]),
     ({"horizon": 5.5}, ["horizon: expected an integer, got 5.5"]),
     ({"horizon": True}, ["horizon: expected an integer, got True"]),
     ({"replica_count": 2.5}, ["replica_count: expected an integer, got 2.5"]),
@@ -226,8 +226,8 @@ def test_non_finite_scalar_fields_rejected(path, value):
      ["miners: expected a sequence of Miner, got [1, 2]",
       "kernel: expected a TransitionKernel, got [[1.0]]",
       "horizon: expected an integer, got '5'",
-      "replica_count: must be >= 1, got 0",
-      "discount.delta: discount factor must lie strictly inside (0, 1), got nan"]),
+      "delta: expected a finite number, got nan",
+      "replica_count: must be >= 1, got 0"]),
     ({"game": "pd", "meta": {}, "noise": 0.05, "theta": (1.0, 0.04), "investment": [1.0]},
      ["game: expected a StageGameSpec, got 'pd'",
       "meta: expected a MetaModelConfig, got {}",

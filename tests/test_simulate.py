@@ -611,13 +611,13 @@ INF = float("inf")
     (lambda: breakeven_horizon(NAN, 1.0), "per-period return"),
     (lambda: breakeven_horizon(1.0, NAN), "upfront cost"),
     (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), risk_aversion=NAN),
-     "risk_aversion.eta:"),
+     "risk_aversion: expected a finite number, got nan"),
     (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), risk_aversion=INF),
-     "risk_aversion.eta: must be finite"),
+     "risk_aversion: expected a finite number, got inf"),
     (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), post_mutation_value=NAN),
-     "post_mutation_value: must be finite, got nan"),
+     "post_mutation_value: expected a finite number, got nan"),
     (lambda: dataclasses.replace(pd_scenario([HONEST] * 2), post_mutation_value=-INF),
-     "post_mutation_value: must be finite, got -inf"),
+     "post_mutation_value: expected a finite number, got -inf"),
     (lambda: ThetaProcess(mean=NAN, variance=1.0, clamp=False),
      "theta mean: expected a finite number, got nan"),
     (lambda: ThetaProcess(mean=INF, variance=1.0), "theta mean: expected a finite number, got inf"),

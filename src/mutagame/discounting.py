@@ -127,6 +127,7 @@ def endogenous_discount_path(noise: NoisePath, horizon: int) -> tuple[float, ...
     Exact for piecewise-constant noise; the path starts at 1 and never
     increases.
     """
+    _instance(NoisePath)(noise, "noise")
     if _INT(horizon, "horizon") < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
     return tuple(math.exp(-noise.cumulative_rate(t)) for t in range(horizon + 1))

@@ -104,7 +104,7 @@ def _scenario_errors(
             validate_discount(delta)
         except ConfigurationError as exc:
             errors.append(f"discount.delta: {exc}")
-    if known(risk_aversion) and not risk_aversion >= 0.0:
+    if known(risk_aversion) and risk_aversion < 0.0:
         errors.append(f"risk_aversion.eta: must be finite and >= 0, got {risk_aversion}")
     if known(spiral_threshold) and not 0.0 < spiral_threshold < 1.0:
         errors.append(f"spiral_threshold: must lie in (0, 1), got {spiral_threshold}")

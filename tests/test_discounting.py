@@ -60,6 +60,7 @@ def test_discount_bounds_rejected():
     (lambda: npv((1.0,), ZERO_NOISE), "plan: expected an InvestmentPlan, got (1.0,)"),
     (lambda: breakeven_horizon(1.0, 1.0, 0.1), "noise: expected a NoisePath, got 0.1"),
     (lambda: discounted_utility(["x"], 0.9), "payoff: expected a number, got 'x'"),
+    (lambda: endogenous_discount_path(0.1, 2), "noise: expected a NoisePath, got 0.1"),
     # Range messages are unchanged: inf and nan are numbers, refused by range.
     (lambda: discounted_utility([1.0], math.inf),
      "discount factor must lie strictly inside (0, 1), got inf"),

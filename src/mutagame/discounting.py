@@ -14,14 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConfigurationError
-from .protocol import _INT, _NUMBER, _REAL, _instance, _sum
-
-
-def validate_discount(delta: float) -> None:
-    if not 0.0 < _NUMBER(delta, "discount factor") < 1.0:
-        raise ConfigurationError(
-            f"discount factor must lie strictly inside (0, 1), got {delta}"
-        )
+from .protocol import (_INDEX, _INT, _NONNEGATIVE, _NUMBER, _OPEN_UNIT, _POSITIVE, _REAL,
+                       _instance, _sum)
 
 
 @dataclass(frozen=True)
@@ -37,10 +31,7 @@ class NoisePath:
     segments: tuple[tuple[int, float], ...] = ((0, 0.0),)
 
     def __post_init__(self) -> None:
-        if not _REAL(self.baseline_rate, "baseline rate") >= 0.0:
-            raise ConfigurationError(
-                f"baseline rate must be >= 0, got {self.baseline_rate}"
-            )
+        _NONNEGATIVE(self.baseline_rate, "baseline rate")
         try:
             segments = [(start, value) for start, value in self.segments]
         except (TypeError, ValueError):  # not iterable, or an entry not a pair
@@ -56,8 +47,7 @@ class NoisePath:
                 raise ConfigurationError(
                     "noise segment starts must be strictly increasing"
                 )
-            if not _REAL(value, "noise value") >= 0.0:
-                raise ConfigurationError(f"noise value must be >= 0, got {value}")
+            _NONNEGATIVE(value, "noise value")
             previous = start
         object.__setattr__(self, "segments", tuple((s, float(v)) for s, v in segments))
 
@@ -92,10 +82,7 @@ class InvestmentPlan:
     expected_returns: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not _REAL(self.upfront_cost, "upfront cost") >= 0.0:
-            raise ConfigurationError(
-                f"upfront cost must be >= 0, got {self.upfront_cost}"
-            )
+        _NONNEGATIVE(self.upfront_cost, "upfront cost")
         try:
             returns = tuple(self.expected_returns)
         except TypeError:
@@ -113,7 +100,7 @@ class InvestmentPlan:
 
 def discounted_utility(payoffs: Iterable[float], delta: float) -> float:
     """Sum of delta**t * payoffs[t] over a 1-D sequence, t from 0, left to right."""
-    validate_discount(delta)
+    _OPEN_UNIT(delta, "discount factor")
     total, factor = 0.0, 1.0
     for payoff in payoffs:
         total += factor * float(_NUMBER(payoff, "payoff"))
@@ -128,8 +115,7 @@ def endogenous_discount_path(noise: NoisePath, horizon: int) -> tuple[float, ...
     increases.
     """
     _instance(NoisePath)(noise, "noise")
-    if _INT(horizon, "horizon") < 0:
-        raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
+    _INDEX(horizon, "horizon")
     return tuple(math.exp(-noise.cumulative_rate(t)) for t in range(horizon + 1))
 
 
@@ -150,12 +136,8 @@ def breakeven_horizon(
     max_horizon: int = 1000,
 ) -> int | None:
     """Smallest horizon T <= max_horizon with nonnegative NPV, or None."""
-    if not _NUMBER(per_period_return, "per-period return") > 0.0:
-        raise ConfigurationError(
-            f"per-period return must be positive, got {per_period_return}"
-        )
-    if not _NUMBER(upfront_cost, "upfront cost") >= 0.0:
-        raise ConfigurationError(f"upfront cost must be >= 0, got {upfront_cost}")
+    _POSITIVE(per_period_return, "per-period return")
+    _NONNEGATIVE(upfront_cost, "upfront cost")
     _instance(NoisePath)(noise, "noise")
     running = -float(upfront_cost)
     for t in range(1, _INT(max_horizon, "max_horizon") + 1):

@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .discounting import validate_discount
 from .errors import CapacityError, ConfigurationError
 from .game import NormalFormGame, _miner_bit, _profile_key
-from .protocol import _NUMBER
+from .protocol import _NUMBER, _OPEN_UNIT, _REAL, _UNIT
 
 MAX_NASH_PLAYERS = 20
 
@@ -138,11 +137,10 @@ def effective_coop_value(
 
     With epsilon = 0 this is the familiar delta * coop / (1 - delta).
     """
-    validate_discount(delta)
+    _OPEN_UNIT(delta, "discount factor")
     _NUMBER(stage_coop_payoff, "stage_coop_payoff")
-    _NUMBER(post_mutation_value, "post_mutation_value")
-    if not 0.0 <= _NUMBER(epsilon, "epsilon") <= 1.0:
-        raise ConfigurationError(f"epsilon must lie in [0, 1], got {epsilon}")
+    _REAL(post_mutation_value, "post_mutation_value")
+    _UNIT(epsilon, "epsilon")
     x = delta * (1.0 - epsilon)
     survive = stage_coop_payoff * x / (1.0 - x)
     absorbed = post_mutation_value * epsilon * delta / (1.0 - x)
@@ -163,8 +161,7 @@ def grim_cooperation_verdict(
     smallest margin, continuation - gain); it holds only if it holds for
     everyone. Raises CapacityError when a continuation overflows float64.
     """
-    if not math.isfinite(_NUMBER(post_mutation_value, "post_mutation_value")):
-        raise ConfigurationError(f"post_mutation_value must be finite, got {post_mutation_value}")
+    _REAL(post_mutation_value, "post_mutation_value")
     conditions = [
         CooperationCondition(
             delta,

@@ -19,7 +19,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigurationError
-from .protocol import _BOOL, _INT, _REAL, _TEXT, _float_array, _instance, _read_only_array, _sum
+from .protocol import (_BOOL, _INDEX, _TEXT, _UNIT, _float_array, _instance, _read_only_array,
+                       _sum)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,14 +77,8 @@ class StrategyKind:
                 raise ConfigurationError(
                     "MetaInvestor requires meta_budget and preferred_state"
                 )
-            if not 0.0 <= _REAL(self.meta_budget, "meta_budget") <= 1.0:
-                raise ConfigurationError(
-                    f"meta_budget must be in [0, 1], got {self.meta_budget}"
-                )
-            if _INT(self.preferred_state, "preferred_state") < 0:
-                raise ConfigurationError(
-                    f"preferred_state must be nonnegative, got {self.preferred_state}"
-                )
+            _UNIT(self.meta_budget, "meta_budget")
+            _INDEX(self.preferred_state, "preferred_state")
         elif self.meta_budget is not None or self.preferred_state is not None:
             raise ConfigurationError(
                 "meta_budget and preferred_state are only valid for MetaInvestor, "
@@ -96,8 +91,7 @@ def validate_shares(shares: Sequence[float]) -> None:
     if len(shares) == 0:
         raise ConfigurationError("at least one hash share required")
     for i, share in enumerate(shares):
-        if not 0.0 <= share <= 1.0:
-            raise ConfigurationError(f"hash share {i} is {share}, must be in [0, 1]")
+        _UNIT(share, f"hash share {i}")
     total = float(_sum(shares))
     if abs(total - 1.0) > SHARE_TOLERANCE:
         raise ConfigurationError(

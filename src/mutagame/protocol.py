@@ -62,14 +62,32 @@ def _instance(cls: type, article: str = "a"):
     return _kind(f"{article} {cls.__name__}", lambda v: isinstance(v, cls))
 
 
+def _range(kind: Callable, words: str, test: Callable[[Any], bool]):
+    """The check ``ranged(value, name)``: ``kind(value, name)`` when ``test``
+    holds of it, else ConfigurationError ``"<name>: must be <words>, got <value>"``."""
+    def ranged(value: Any, name: str) -> Any:
+        value = kind(value, name)
+        if test(value):
+            return value
+        raise ConfigurationError(f"{name}: must be {words}, got {value!r}")
+    return ranged
+
+
 # The model's one rule for a scalar, which the YAML schema and every
 # constructor apply: a number is a float (numpy's float64 is one) or an int
-# that a float can hold, never a bool; an integer is an int.
+# that a float can hold, never a bool; an integer is an int. A range kind
+# states the type and the range of a value together.
 _INT = _kind("an integer", lambda v: type(v) is int)
 _BOOL = _kind("a boolean", lambda v: isinstance(v, bool))
 _TEXT = _kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
 _NUMBER = _kind("a number", _is_number)
 _REAL = _kind("a finite number", lambda v: _is_number(v) and math.isfinite(v), float)
+_UNIT = _range(_REAL, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_OPEN_UNIT = _range(_REAL, "strictly inside (0, 1)", lambda v: 0.0 < v < 1.0)
+_NONNEGATIVE = _range(_REAL, ">= 0", lambda v: v >= 0.0)
+_POSITIVE = _range(_REAL, "positive", lambda v: v > 0.0)
+_COUNT = _range(_INT, ">= 1", lambda v: v >= 1)
+_INDEX = _range(_INT, ">= 0", lambda v: v >= 0)
 
 
 def _sum(values: Iterable[float], start: float = 0.0) -> float:
@@ -152,10 +170,7 @@ class ThetaProcess:
 
     def __post_init__(self) -> None:
         _REAL(self.mean, "theta mean")
-        if not _REAL(self.variance, "theta variance") >= 0.0:
-            raise ConfigurationError(
-                f"theta variance must be finite and >= 0, got {self.variance}"
-            )
+        _NONNEGATIVE(self.variance, "theta variance")
         _BOOL(self.clamp, "theta clamp")
 
 

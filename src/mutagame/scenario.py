@@ -21,11 +21,12 @@ from typing import Any, Callable, Mapping
 
 import yaml
 
-from .discounting import InvestmentPlan, NoisePath, validate_discount
+from .discounting import InvestmentPlan, NoisePath
 from .errors import ConfigurationError, ScenarioValidationError
 from .game import StageGameSpec, StrategyKind, StrategyTag, validate_shares
-from .protocol import (_BOOL, _INT, _NUMBER, _REAL, _TEXT, ThetaProcess, TransitionKernel,
-                       _instance, _kind, _sum)
+from .protocol import (_BOOL, _COUNT, _INDEX, _INT, _NONNEGATIVE, _NUMBER, _OPEN_UNIT,
+                       _POSITIVE, _REAL, _TEXT, _UNIT, ThetaProcess, TransitionKernel, _instance,
+                       _kind, _sum)
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,8 @@ class MetaModelConfig:
 
     def __post_init__(self) -> None:
         _BOOL(self.enabled, "enabled")
-        if not 0.0 <= _REAL(self.influence_strength, "influence_strength") <= 1.0:
-            raise ConfigurationError(
-                f"influence_strength must lie in [0, 1], got {self.influence_strength}"
-            )
-        if not _REAL(self.contest_exponent, "contest_exponent") > 0.0:
-            raise ConfigurationError(
-                f"contest_exponent must be positive, got {self.contest_exponent}"
-            )
+        _UNIT(self.influence_strength, "influence_strength")
+        _POSITIVE(self.contest_exponent, "contest_exponent")
 
 
 @dataclass(frozen=True)
@@ -60,21 +55,20 @@ class Miner:
     strategy: StrategyKind
 
     def __post_init__(self) -> None:
-        _REAL(self.share, "miner share")
+        _UNIT(self.share, "miner share")
         _instance(StrategyKind)(self.strategy, "miner strategy")
 
 
 def _scenario_errors(
-    *, miners=None, game=None, kernel=None, initial_state=None, horizon=None, delta=None,
-    risk_aversion=None, replica_count=None, master_seed=None, spiral_threshold=None,
-    post_mutation_value=None, investment=None, **_unchecked
+    *, miners=None, game=None, kernel=None, initial_state=None, investment=None, **_unchecked
 ) -> list[str]:
-    """Every violation among a Scenario's field values, one ``path: message``
-    line each. A check is skipped where a value it reads is None or not
-    given: ``parse_document`` passes None for each part of a document that
-    failed, and ``Scenario`` for each field of the wrong type, and each
-    reports that failure itself; ``parse_document`` leaves out each key the
-    document leaves out."""
+    """Every violation of a rule across a Scenario's fields, one ``path:
+    message`` line each; a field's own type and range are its kind's. A
+    check is skipped where a value it reads is None or not given:
+    ``parse_document`` passes None for each part of a document that failed,
+    and ``Scenario`` for each field its kind refuses, and each reports that
+    failure itself; ``parse_document`` leaves out each key the document
+    leaves out."""
 
     def known(*fields) -> bool:
         return all(field is not None for field in fields)
@@ -93,21 +87,6 @@ def _scenario_errors(
         errors.append(f"kernel: {kernel.size} states but game defines {len(game)}")
     if known(kernel, initial_state) and not 0 <= initial_state < kernel.size:
         errors.append(f"initial_state: {initial_state} out of range [0, {kernel.size})")
-    if known(horizon) and horizon < 1:
-        errors.append(f"horizon: must be >= 1, got {horizon}")
-    if known(replica_count) and replica_count < 1:
-        errors.append(f"replica_count: must be >= 1, got {replica_count}")
-    if known(master_seed) and master_seed < 0:
-        errors.append(f"master_seed: must be >= 0, got {master_seed}")
-    if known(delta):
-        try:
-            validate_discount(delta)
-        except ConfigurationError as exc:
-            errors.append(f"discount.delta: {exc}")
-    if known(risk_aversion) and risk_aversion < 0.0:
-        errors.append(f"risk_aversion.eta: must be finite and >= 0, got {risk_aversion}")
-    if known(spiral_threshold) and not 0.0 < spiral_threshold < 1.0:
-        errors.append(f"spiral_threshold: must lie in (0, 1), got {spiral_threshold}")
     for i, miner in enumerate(miners if known(kernel, miners) else ()):
         preferred = None if miner is None else miner.strategy.preferred_state
         if known(preferred) and preferred >= kernel.size:
@@ -145,8 +124,8 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self) -> None:
-        # Each field is checked for its type as the schema checks a document,
-        # then for its range; a field of the wrong type is None to the latter.
+        # Each field is checked by its kind as the schema checks a document,
+        # then the rules across fields; a field its kind refuses is None to those.
         fields, errors = dict(vars(self)), []
         for name, value in vars(self).items():
             try:
@@ -213,11 +192,11 @@ def kernel_as_run(scenario: Scenario) -> TransitionKernel:
 SCHEMA_VERSION = 1
 
 # A schema kind is a scalar check ``kind(value, path)`` (the model's, from
-# ``protocol``), a table {key: (kind, required)}, a one-item list [kind] for
-# "a non-empty list of these", or {str: kind} for a table with any string
-# keys. An optional key that is absent is left out, so the constructor it
-# feeds supplies its default. Value ranges are the constructors' business,
-# not the schema's.
+# ``protocol``, which states the value's type and range), a table {key:
+# (kind, required)}, a one-item list [kind] for "a non-empty list of these",
+# or {str: kind} for a table with any string keys. An optional key that is
+# absent is left out, so the constructor it feeds supplies its default. The
+# constructors apply the same kinds; rules across values are theirs alone.
 _REQUIRED, _OPTIONAL = True, False
 _STRATEGIES = {tag.value: tag for tag in StrategyTag}
 
@@ -232,8 +211,12 @@ _FIELD_KINDS = {
     "noise": _instance(NoisePath),
     "theta": _instance(ThetaProcess),
     "investment": _instance(InvestmentPlan, "an"),
-    **dict.fromkeys(("initial_state", "horizon", "replica_count", "master_seed"), _INT),
-    **dict.fromkeys(("delta", "risk_aversion", "spiral_threshold", "post_mutation_value"), _REAL),
+    "initial_state": _INT,
+    **dict.fromkeys(("horizon", "replica_count"), _COUNT),
+    "master_seed": _INDEX,
+    **dict.fromkeys(("delta", "spiral_threshold"), _OPEN_UNIT),
+    "risk_aversion": _NONNEGATIVE,
+    "post_mutation_value": _REAL,
     "trigger_on_mutation": _BOOL,
     "name": _TEXT,
 }
@@ -248,18 +231,18 @@ def _strategy(value: Any, path: str) -> StrategyTag:
 _SCHEMA = {
     "schema_version": (_INT, _REQUIRED),
     "name": (_TEXT, _OPTIONAL),
-    "horizon": (_INT, _REQUIRED),
-    "replica_count": (_INT, _REQUIRED),
-    "master_seed": (_INT, _REQUIRED),
+    "horizon": (_COUNT, _REQUIRED),
+    "replica_count": (_COUNT, _REQUIRED),
+    "master_seed": (_INDEX, _REQUIRED),
     "initial_state": (_INT, _REQUIRED),
     "trigger_on_mutation": (_BOOL, _OPTIONAL),
-    "spiral_threshold": (_REAL, _OPTIONAL),
+    "spiral_threshold": (_OPEN_UNIT, _OPTIONAL),
     "post_mutation_value": (_REAL, _OPTIONAL),
     "miners": ([{
-        "share": (_REAL, _REQUIRED),
+        "share": (_UNIT, _REQUIRED),
         "strategy": (_strategy, _REQUIRED),
-        "meta_budget": (_REAL, _OPTIONAL),
-        "preferred_state": (_INT, _OPTIONAL),
+        "meta_budget": (_UNIT, _OPTIONAL),
+        "preferred_state": (_INDEX, _OPTIONAL),
     }], _REQUIRED),
     "game": ({
         "lottery_mode": (_BOOL, _OPTIONAL),
@@ -267,24 +250,25 @@ _SCHEMA = {
         "payoffs": ({str: {str: [_NUMBER]}}, _REQUIRED),
     }, _REQUIRED),
     "kernel": ({"matrix": ([[_NUMBER]], _REQUIRED)}, _REQUIRED),
-    "discount": ({"delta": (_REAL, _REQUIRED)}, _REQUIRED),
-    "risk_aversion": ({"eta": (_REAL, _REQUIRED)}, _OPTIONAL),
+    "discount": ({"delta": (_OPEN_UNIT, _REQUIRED)}, _REQUIRED),
+    "risk_aversion": ({"eta": (_NONNEGATIVE, _REQUIRED)}, _OPTIONAL),
     "noise": ({
-        "baseline_rate": (_REAL, _REQUIRED),
-        "segments": ([{"start": (_INT, _REQUIRED), "value": (_REAL, _REQUIRED)}], _REQUIRED),
+        "baseline_rate": (_NONNEGATIVE, _REQUIRED),
+        "segments": ([{"start": (_INT, _REQUIRED), "value": (_NONNEGATIVE, _REQUIRED)}],
+                     _REQUIRED),
     }, _OPTIONAL),
     "theta": ({
         "mean": (_REAL, _REQUIRED),
-        "variance": (_REAL, _REQUIRED),
+        "variance": (_NONNEGATIVE, _REQUIRED),
         "clamp": (_BOOL, _OPTIONAL),
     }, _OPTIONAL),
     "meta": ({
         "enabled": (_BOOL, _OPTIONAL),
-        "influence_strength": (_REAL, _OPTIONAL),
-        "contest_exponent": (_REAL, _OPTIONAL),
+        "influence_strength": (_UNIT, _OPTIONAL),
+        "contest_exponent": (_POSITIVE, _OPTIONAL),
     }, _OPTIONAL),
     "investment": ({
-        "upfront_cost": (_REAL, _REQUIRED),
+        "upfront_cost": (_NONNEGATIVE, _REQUIRED),
         "expected_returns": ([_REAL], _REQUIRED),
     }, _OPTIONAL),
 }
@@ -299,7 +283,7 @@ def _walk(kind: Any, value: Any, path: str, errors: list) -> Any:
     if not isinstance(kind, (list, dict)):
         try:
             return kind(value, path)
-        except ConfigurationError as exc:  # worded "<path>: expected ..., got ..."
+        except ConfigurationError as exc:  # "<path>: expected ..." or "<path>: must be ..."
             errors.append((path, str(exc).removeprefix(f"{path}: ") + _spelling_hint(kind, value)))
             return None
     if isinstance(kind, list):
@@ -556,12 +540,10 @@ def _override(doc: dict, raw_path: str, raw_value: str) -> Any:
         raise ConfigurationError("only scalar values are allowed")
     if raw_path == "kernel.epsilon":
         refused: list = []
-        value = _walk(_NUMBER, value, raw_path, refused)
+        value = _walk(_UNIT, value, raw_path, refused)
         if refused:
             raise ConfigurationError(refused[0][1])
-        if not 0.0 <= value <= 1.0:
-            raise ConfigurationError(f"kernel.epsilon must lie in [0, 1], got {float(value)}")
-        return float(value)
+        return value
     *parents, leaf = raw_path.split(".")
     target = doc
     for part in parents:

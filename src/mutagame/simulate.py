@@ -31,8 +31,9 @@ import numpy as np
 
 from . import _ziggurat
 from .discounting import endogenous_discount_path
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError
 from .game import _ALWAYS_DEFECT, StrategyTag, _miner_bit
+from .protocol import _INDEX
 from .scenario import Scenario, kernel_as_run
 
 
@@ -126,8 +127,7 @@ def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:
 def run_replica(scenario: Scenario, replica_index: int) -> BatchTrace:
     """Run one replica as a one-replica batch; identical (scenario,
     replica_index) gives an identical trace."""
-    if replica_index < 0:  # SeedSequence takes no negative entropy
-        raise ConfigurationError(f"replica_index must be >= 0, got {replica_index}")
+    _INDEX(replica_index, "replica_index")  # SeedSequence takes no negative entropy
     return _simulate(scenario, range(replica_index, replica_index + 1))[1]
 
 

@@ -99,11 +99,11 @@ EVERY_VIOLATION = {
     "parts_and_scenario_checks": (
         _every_range_violation,
         [],
-        "error: noise: baseline rate must be >= 0, got -1.0\n"
-        "error: theta: theta variance must be finite and >= 0, got -1.0\n"
-        "error: miners: hash shares sum to 1.4, must equal 1 within 1e-12\n"
         "error: horizon: must be >= 1, got 0\n"
-        "error: replica_count: must be >= 1, got 0\n",
+        "error: replica_count: must be >= 1, got 0\n"
+        "error: noise.baseline_rate: must be >= 0, got -1.0\n"
+        "error: theta.variance: must be >= 0, got -1.0\n"
+        "error: miners: hash shares sum to 1.4, must equal 1 within 1e-12\n",
     ),
     # YAML 1.1 reads a number in exponent form only with a dot in its
     # mantissa and a sign in its exponent; README says so. The message says
@@ -112,7 +112,7 @@ EVERY_VIOLATION = {
         lambda doc: None,
         ["--set", "kernel.epsilon=5e-2", "--set", "game.payoffs.baseline.CCCC.0=1e-05",
          "--set", "discount.delta=9e-1", "--set", "noise.baseline_rate=1.0e3"],
-        "error: override kernel.epsilon: expected a number, got '5e-2', "
+        "error: override kernel.epsilon: expected a finite number, got '5e-2', "
         "which YAML 1.1 reads as text; write 0.05 for that number\n"
         "error: game.payoffs.baseline.CCCC[0]: expected a number, got '1e-05', "
         "which YAML 1.1 reads as text; write 1.0e-05 for that number\n"
@@ -232,7 +232,7 @@ BAD_DOCUMENTS = {
     "epsilon_out_of_range_on_invalid_kernel": (
         _grim_pair_with_invalid_kernel,
         ["--set", "kernel.epsilon=1.5"],
-        "error: override kernel.epsilon: kernel.epsilon must lie in [0, 1], got 1.5\n"
+        "error: override kernel.epsilon: must be in [0, 1], got 1.5\n"
         "error: kernel.matrix: transition kernel entries must lie in [0, 1]",
     ),
 }
@@ -561,12 +561,12 @@ def test_sweep_checks_every_point_before_simulating(
     )
     assert (code, batches) == (EXIT_VALIDATION, [])
     assert capsys.readouterr().err.splitlines() == [
-        "error: discount.delta: discount factor must lie strictly inside (0, 1), got 1.0"
+        "error: discount.delta: must be strictly inside (0, 1), got 1.0"
     ]
     assert not (tmp_path / "sweep").exists()
 
 
-OUTSIDE_UNIT = "discount factor must lie strictly inside (0, 1), got"
+OUTSIDE_UNIT = "must be strictly inside (0, 1), got"
 
 # A sweep lists every violation of every point, each distinct line once, in
 # point order, and runs no point.

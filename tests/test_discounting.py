@@ -48,9 +48,10 @@ def test_discount_bounds_rejected():
 
 @pytest.mark.parametrize("call, message", [
     # Each of the first five raised TypeError up to 0.17.0.
-    (lambda: discounted_utility([1.0], "0.9"), "discount factor: expected a number, got '0.9'"),
-    (lambda: breakeven_horizon("1", 1.0), "per-period return: expected a number, got '1'"),
-    (lambda: breakeven_horizon(1.0, "1"), "upfront cost: expected a number, got '1'"),
+    (lambda: discounted_utility([1.0], "0.9"),
+     "discount factor: expected a finite number, got '0.9'"),
+    (lambda: breakeven_horizon("1", 1.0), "per-period return: expected a finite number, got '1'"),
+    (lambda: breakeven_horizon(1.0, "1"), "upfront cost: expected a finite number, got '1'"),
     (lambda: breakeven_horizon(1.0, 1.0, ZERO_NOISE, 2.0),
      "max_horizon: expected an integer, got 2.0"),
     (lambda: endogenous_discount_path(NoisePath(0.1), 2.0),
@@ -61,12 +62,14 @@ def test_discount_bounds_rejected():
     (lambda: breakeven_horizon(1.0, 1.0, 0.1), "noise: expected a NoisePath, got 0.1"),
     (lambda: discounted_utility(["x"], 0.9), "payoff: expected a number, got 'x'"),
     (lambda: endogenous_discount_path(0.1, 2), "noise: expected a NoisePath, got 0.1"),
-    # Range messages are unchanged: inf and nan are numbers, refused by range.
+    # A range kind refuses inf and nan as not finite, and a finite number
+    # out of range by its range, after the converted value.
     (lambda: discounted_utility([1.0], math.inf),
-     "discount factor must lie strictly inside (0, 1), got inf"),
-    (lambda: breakeven_horizon(math.nan, 1.0), "per-period return must be positive, got nan"),
-    (lambda: breakeven_horizon(1.0, -1), "upfront cost must be >= 0, got -1"),
-    (lambda: endogenous_discount_path(NoisePath(0.1), -1), "horizon must be >= 0, got -1"),
+     "discount factor: expected a finite number, got inf"),
+    (lambda: breakeven_horizon(math.nan, 1.0),
+     "per-period return: expected a finite number, got nan"),
+    (lambda: breakeven_horizon(1.0, -1), "upfront cost: must be >= 0, got -1.0"),
+    (lambda: endogenous_discount_path(NoisePath(0.1), -1), "horizon: must be >= 0, got -1"),
 ])
 def test_library_functions_refuse_a_non_number(call, message):
     with pytest.raises(ConfigurationError) as excinfo:

@@ -125,7 +125,7 @@ def test_cooperation_condition_rejects_non_finite():
         grim_cooperation_verdict(game, float("nan"), 0.0)
     with pytest.raises(ConfigurationError):
         grim_cooperation_verdict(game, 0.9, 0.0, post_mutation_value=float("nan"))
-    with pytest.raises(ConfigurationError, match="^post_mutation_value: expected a number"):
+    with pytest.raises(ConfigurationError, match="^post_mutation_value: expected a finite number"):
         grim_cooperation_verdict(game, 0.9, 0.0, post_mutation_value="0")
 
 
@@ -223,14 +223,14 @@ def test_effective_coop_value_epsilon_bounds():
         effective_coop_value(1.0, 0.9, -0.1)
     with pytest.raises(ConfigurationError):
         effective_coop_value(1.0, 0.9, 1.1)
-    # A non-number raised TypeError up to 0.17.0; range messages are unchanged.
+    # A non-number raised TypeError up to 0.17.0.
     for arguments, message in [
-        ((1.0, 0.9, "x"), "epsilon: expected a number, got 'x'"),
+        ((1.0, 0.9, "x"), "epsilon: expected a finite number, got 'x'"),
         (("1", 0.9, 0.1), "stage_coop_payoff: expected a number, got '1'"),
-        ((1.0, 0.9, 0.1, "0"), "post_mutation_value: expected a number, got '0'"),
-        ((1.0, "0.9", 0.1), "discount factor: expected a number, got '0.9'"),
-        ((1.0, 0.9, 1.5), "epsilon must lie in [0, 1], got 1.5"),
-        ((1.0, 1.0, 0.1), "discount factor must lie strictly inside (0, 1), got 1.0"),
+        ((1.0, 0.9, 0.1, "0"), "post_mutation_value: expected a finite number, got '0'"),
+        ((1.0, "0.9", 0.1), "discount factor: expected a finite number, got '0.9'"),
+        ((1.0, 0.9, 1.5), "epsilon: must be in [0, 1], got 1.5"),
+        ((1.0, 1.0, 0.1), "discount factor: must be strictly inside (0, 1), got 1.0"),
     ]:
         with pytest.raises(ConfigurationError) as excinfo:
             effective_coop_value(*arguments)

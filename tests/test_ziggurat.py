@@ -366,7 +366,7 @@ def test_negative_replica_index_is_configuration_error():
     # another replica's stream.
     with pytest.raises(ValueError):
         replica_rng(0, -1)
-    with pytest.raises(ConfigurationError, match="^replica_index must be >= 0, got -1$"):
+    with pytest.raises(ConfigurationError, match="^replica_index: must be >= 0, got -1$"):
         run_replica(theta_scenario(lottery=True), -1)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .errors import ConfigurationError
 from .protocol import (_INDEX, _INT, _NONNEGATIVE, _NUMBER, _OPEN_UNIT, _POSITIVE, _REAL,
-                       _instance, _sum)
+                       _instance, _items, _sum)
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,7 @@ class InvestmentPlan:
 
     def __post_init__(self) -> None:
         _NONNEGATIVE(self.upfront_cost, "upfront cost")
-        try:
-            returns = tuple(self.expected_returns)
-        except TypeError:
-            raise ConfigurationError(f"expected returns must be a sequence of numbers, "
-                                     f"got {self.expected_returns!r}") from None
+        returns = _items(self.expected_returns, "expected returns")
         if len(returns) < 1:
             raise ConfigurationError("investment plan needs at least one period")
         object.__setattr__(self, "expected_returns",
@@ -102,7 +98,7 @@ def discounted_utility(payoffs: Iterable[float], delta: float) -> float:
     """Sum of delta**t * payoffs[t] over a 1-D sequence, t from 0, left to right."""
     _OPEN_UNIT(delta, "discount factor")
     total, factor = 0.0, 1.0
-    for payoff in payoffs:
+    for payoff in _items(payoffs, "payoffs"):
         total += factor * float(_NUMBER(payoff, "payoff"))
         factor *= delta
     return total

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import CapacityError, ConfigurationError
 from .game import NormalFormGame, _miner_bit, _profile_key
-from .protocol import _NUMBER, _OPEN_UNIT, _REAL, _UNIT
+from .protocol import _NUMBER, _OPEN_UNIT, _REAL, _UNIT, _instance
 
 MAX_NASH_PLAYERS = 20
 
@@ -93,6 +93,7 @@ def pure_nash(game: NormalFormGame) -> list[str]:
     A profile is Nash when no player strictly gains by unilaterally flipping
     their action: one comparison per player over every profile mask.
     """
+    _instance(NormalFormGame)(game, "game")
     if game.n > MAX_NASH_PLAYERS:
         raise CapacityError(
             f"pure_nash supports at most {MAX_NASH_PLAYERS} players, got {game.n}"
@@ -109,6 +110,7 @@ def grim_trigger_threshold(game: NormalFormGame) -> GrimThreshold:
     """Grim sustainability from each player's T (the player alone defects),
     R (every miner cooperates) and P (every miner defects). Raises
     CapacityError when T - R, R - P or T - P overflows float64."""
+    _instance(NormalFormGame)(game, "game")
     n, payoff = game.n, game._entries  # payoff[mask * n + p] is player p's at a profile mask
     threshold = GrimThreshold(tuple(
         PlayerGrimStatus(p, payoff[_miner_bit(n, p) * n + p], payoff[p], payoff[p - n])
@@ -161,7 +163,6 @@ def grim_cooperation_verdict(
     smallest margin, continuation - gain); it holds only if it holds for
     everyone. Raises CapacityError when a continuation overflows float64.
     """
-    _REAL(post_mutation_value, "post_mutation_value")
     conditions = [
         CooperationCondition(
             delta,
@@ -182,6 +183,7 @@ def mixed_nash_2x2(game: NormalFormGame) -> list[tuple[float, float]]:
     0 and player 1 that leave the opponent indifferent. Diagnostic only;
     games with more players are out of scope.
     """
+    _instance(NormalFormGame)(game, "game")
     if game.n != 2:
         raise ConfigurationError("mixed-equilibrium support enumeration needs n = 2")
     cc0, cc1, cd0, cd1, dc0, dc1, dd0, dd1 = game._entries

@@ -13,14 +13,15 @@ construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigurationError
-from .protocol import (_BOOL, _INDEX, _TEXT, _UNIT, _float_array, _instance, _read_only_array,
-                       _sum)
+from .protocol import (_BOOL, _INDEX, _TEXT, _UNIT, _float_array, _instance, _items,
+                       _read_only_array, _sum)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,6 +89,7 @@ class StrategyKind:
 
 def validate_shares(shares: Sequence[float]) -> None:
     """Reject hash-share vectors that are out of range or not normalized."""
+    shares = _items(shares, "hash shares")
     if len(shares) == 0:
         raise ConfigurationError("at least one hash share required")
     for i, share in enumerate(shares):
@@ -141,7 +143,7 @@ class NormalFormGame:
         def at_state(text: str, separator: str = ": ") -> str:
             return text if state is None else f"state {state!r}{separator}{text}"
 
-        if not profiles:
+        if not _instance(Mapping)(profiles, at_state("profiles")):
             raise ConfigurationError(at_state("empty profile map"))
         first = next(iter(profiles))
         n = len(first) if isinstance(first, str) else 0  # the loop refuses a non-string first
@@ -179,6 +181,7 @@ class StageGameSpec(tuple):
         games: Sequence[NormalFormGame],
         lottery_mode: bool = False,
     ) -> "StageGameSpec":
+        state_labels, games = _items(state_labels, "state labels"), _items(games, "payoff tables")
         if len(state_labels) == 0:
             raise ConfigurationError("at least one protocol state required")
         if len(state_labels) != len(games):
@@ -211,6 +214,7 @@ class StageGameSpec(tuple):
         lottery_mode: bool = False,
     ) -> "StageGameSpec":
         """Build from nested mappings ``state label -> C/D profile key -> payoffs``."""
+        _instance(Mapping)(payoffs_by_state, "payoffs by state")
         missing = [label for label in state_labels if label not in payoffs_by_state]
         if missing:
             raise ConfigurationError(f"payoff tables missing for states: {missing}")

@@ -62,6 +62,14 @@ def _instance(cls: type, article: str = "a"):
     return _kind(f"{article} {cls.__name__}", lambda v: isinstance(v, cls))
 
 
+def _items(value: Any, name: str) -> list:
+    """``list(value)``, or ConfigurationError ``"<name>: expected a sequence, got <value>"``."""
+    try:
+        return list(value)
+    except TypeError:  # not iterable
+        raise ConfigurationError(f"{name}: expected a sequence, got {value!r}") from None
+
+
 def _range(kind: Callable, words: str, test: Callable[[Any], bool]):
     """The check ``ranged(value, name)``: ``kind(value, name)`` when ``test``
     holds of it, else ConfigurationError ``"<name>: must be <words>, got <value>"``."""
@@ -175,6 +183,7 @@ class ThetaProcess:
 
 
 def mutation_rate(kernel: TransitionKernel) -> MutationRate:
+    _instance(TransitionKernel)(kernel, "kernel")
     per_state = tuple(1.0 - stay for stay in kernel._entries[::kernel.size + 1])
     return MutationRate(per_state=per_state, maximum=max(per_state))
 
@@ -212,6 +221,7 @@ def stationary_distribution(kernel: TransitionKernel) -> tuple[float, ...]:
     on a singular system a zero pivot's unknown is taken as 0, which gives
     one solution of the linear system.
     """
+    _instance(TransitionKernel)(kernel, "kernel")
     k, m = kernel.size, kernel._entries
     # Rows of M^T - I, the last replaced by sum(pi) = 1, each followed by its right side.
     rows = [[m[q * k + p] - float(p == q) for q in range(k)] + [0.0] for p in range(k - 1)]
@@ -242,6 +252,7 @@ def kernel_entropy(kernel: TransitionKernel, weighting: str = "uniform") -> Kern
     (irreducible + aperiodic kernel); otherwise it falls back to uniform
     weights and flags the result.
     """
+    _instance(TransitionKernel)(kernel, "kernel")
     if weighting not in ("uniform", "stationary"):
         raise ConfigurationError(
             f"weighting must be 'uniform' or 'stationary', got {weighting!r}"
@@ -259,4 +270,5 @@ def integrity(kernel: TransitionKernel) -> float:
     1 exactly for an immutable (identity) kernel, and it can only fall when
     diagonal mass moves off-diagonal.
     """
+    _instance(TransitionKernel)(kernel, "kernel")
     return min(kernel._entries[::kernel.size + 1])

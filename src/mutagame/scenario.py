@@ -169,6 +169,7 @@ def kernel_as_run(scenario: Scenario) -> TransitionKernel:
     same every round. With the meta game off, beta 0 or no effort spent,
     this is ``scenario.kernel``.
     """
+    _instance(Scenario)(scenario, "scenario")
     meta, kernel, k = scenario.meta, scenario.kernel, scenario.kernel.size
     efforts, total = [0.0] * k, 0.0
     for miner in scenario.miners:
@@ -536,6 +537,8 @@ def _override(doc: dict, raw_path: str, raw_value: str) -> Any:
         value = _load_yaml(raw_value)
     except yaml.YAMLError:
         raise ConfigurationError(f"cannot parse value {raw_value!r}") from None
+    except TypeError:  # PyYAML reads only str and bytes
+        raise ConfigurationError(f"expected YAML text, got {raw_value!r}") from None
     if isinstance(value, (dict, list)):
         raise ConfigurationError("only scalar values are allowed")
     if raw_path == "kernel.epsilon":

@@ -33,7 +33,7 @@ from . import _ziggurat
 from .discounting import endogenous_discount_path
 from .errors import CapacityError
 from .game import _ALWAYS_DEFECT, StrategyTag, _miner_bit
-from .protocol import _INDEX
+from .protocol import _INDEX, _instance
 from .scenario import Scenario, kernel_as_run
 
 
@@ -121,7 +121,7 @@ def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
 def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:
     """Run every replica and aggregate; replica i always draws from its own
     stream, so its rounds match ``run_replica(scenario, i)``."""
-    return _simulate(scenario, range(scenario.replica_count))
+    return _simulate(scenario)
 
 
 def run_replica(scenario: Scenario, replica_index: int) -> BatchTrace:
@@ -446,8 +446,11 @@ def _mean_and_spread(row: np.ndarray, ddof: int) -> tuple[np.ndarray, np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")  # refused below, with one error
-def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchTrace]:
-    """Advance the given replicas together, round by round, reducing the summary.
+def _simulate(
+    scenario: Scenario, replicas: range | None = None
+) -> tuple[BatchSummary, BatchTrace]:
+    """Advance the given replicas (default: every replica of the scenario)
+    together, round by round, reducing the summary.
 
     Per round t the state in force is P_t; the protocol step taken during
     round t yields P_{t+1}, whose change is observable to strategies from
@@ -457,6 +460,8 @@ def _simulate(scenario: Scenario, replicas: range) -> tuple[BatchSummary, BatchT
     payoffs are reduced into the discounted, endogenous and risk-adjusted
     utilities and the last cooperating round, then dropped.
     """
+    _instance(Scenario)(scenario, "scenario")
+    replicas = range(scenario.replica_count) if replicas is None else replicas
     count, horizon, n = replicas.stop - replicas.start, scenario.horizon, scenario.n
     # len() overflows past sys.maxsize. The (R, H, n) float64 payoffs that
     # ``BatchTrace.payoffs`` derives are the largest array; past numpy's

@@ -80,6 +80,14 @@ def _every_range_violation(doc):
     doc["miners"][0]["share"] += 0.4  # shares sum to 1.4
 
 
+def _seven_range_violations(doc):
+    doc["theta"] = {"mean": 1.0, "variance": -1}
+    doc["miners"][3].update(meta_budget=2.0, preferred_state=-1)
+    doc["noise"]["baseline_rate"] = -1
+    doc["noise"]["segments"][1]["value"] = -2
+    doc["meta"].update(influence_strength=2.0, contest_exponent=-1)
+
+
 # Violations in overrides and in several parts of a document: every one is
 # listed, bad overrides first, and the exit code is 1.
 EVERY_VIOLATION = {
@@ -104,6 +112,19 @@ EVERY_VIOLATION = {
         "error: noise.baseline_rate: must be >= 0, got -1.0\n"
         "error: theta.variance: must be >= 0, got -1.0\n"
         "error: miners: hash shares sum to 1.4, must equal 1 within 1e-12\n",
+    ),
+    # A part's constructor stopped at its first range violation up to 0.19.0,
+    # so four of these seven were listed.
+    "every_range_in_every_part": (
+        _seven_range_violations,
+        [],
+        "error: miners[3].meta_budget: must be in [0, 1], got 2.0\n"
+        "error: miners[3].preferred_state: must be >= 0, got -1\n"
+        "error: noise.baseline_rate: must be >= 0, got -1.0\n"
+        "error: noise.segments[1].value: must be >= 0, got -2.0\n"
+        "error: theta.variance: must be >= 0, got -1.0\n"
+        "error: meta.influence_strength: must be in [0, 1], got 2.0\n"
+        "error: meta.contest_exponent: must be positive, got -1.0\n",
     ),
     # YAML 1.1 reads a number in exponent form only with a dot in its
     # mantissa and a sign in its exponent; README says so. The message says

@@ -61,6 +61,8 @@ def test_discount_bounds_rejected():
     (lambda: npv((1.0,), ZERO_NOISE), "plan: expected an InvestmentPlan, got (1.0,)"),
     (lambda: breakeven_horizon(1.0, 1.0, 0.1), "noise: expected a NoisePath, got 0.1"),
     (lambda: discounted_utility(["x"], 0.9), "payoff: expected a number, got 'x'"),
+    # This raised TypeError up to 0.19.0.
+    (lambda: discounted_utility(1.0, 0.9), "payoffs: expected a sequence, got 1.0"),
     (lambda: endogenous_discount_path(0.1, 2), "noise: expected a NoisePath, got 0.1"),
     # A range kind refuses inf and nan as not finite, and a finite number
     # out of range by its range, after the converted value.
@@ -248,7 +250,7 @@ def test_investment_plan_refuses_non_numbers(make, message):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: InvestmentPlan(1.0, 5), "expected returns must be a sequence of numbers, got 5"),
+    (lambda: InvestmentPlan(1.0, 5), "expected returns: expected a sequence, got 5"),
     (lambda: NoisePath(0.1, 5), r"noise segments must be \(start, value\) pairs, got 5"),
     (lambda: NoisePath(0.1, ((0,),)),
      r"noise segments must be \(start, value\) pairs, got \(\(0,\),\)"),

@@ -2,7 +2,6 @@
 thresholds, the cooperation predicate, and mutation-adjusted continuation."""
 
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,7 +69,10 @@ def test_pure_nash_matches_oracle(n):
 
 
 def test_pure_nash_capacity_limit():
-    too_big = SimpleNamespace(n=21, tensor=None)
+    # A NormalFormGame of 21 players with no payoffs read: its 44 million
+    # entries are never needed to refuse it.
+    too_big = NormalFormGame.__new__(NormalFormGame)
+    too_big.n = 21
     with pytest.raises(CapacityError):
         pure_nash(too_big)
 

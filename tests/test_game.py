@@ -105,9 +105,18 @@ def test_table_validation():
         ((["s0", ["s1"]], [game, game]), "state label: expected a non-empty string, got ['s1']"),
         ((["s0"], [[[3.0, 3.0]]]),
          "payoff table for state 's0': expected a NormalFormGame, got [[3.0, 3.0]]"),
+        # This and each from_profile_maps case below raised TypeError up to 0.19.0.
+        ((5, []), "state labels: expected a sequence, got 5"),
     ]:
         with pytest.raises(ConfigurationError) as excinfo:
             StageGameSpec(*arguments)
+        assert str(excinfo.value) == message
+    for arguments, message in [
+        ((["a"], 5), "payoffs by state: expected a Mapping, got 5"),
+        ((["a"], {"a": 5}), "state 'a': profiles: expected a Mapping, got 5"),
+    ]:
+        with pytest.raises(ConfigurationError) as excinfo:
+            StageGameSpec.from_profile_maps(*arguments)
         assert str(excinfo.value) == message
 
 
@@ -119,6 +128,7 @@ def test_table_validation():
     ({"C": [1.0], "D": np.array(2.0)}, None,
      "profile 'D': expected 1 payoffs, got array(2.), not a sequence"),
     ({"CX": [1.0, 1.0]}, None, "bad profile key 'CX' for 2 miners"),
+    (5, None, "profiles: expected a Mapping, got 5"),  # TypeError up to 0.19.0
 ])
 def test_profile_map_refuses_bad_keys_and_values(profiles, state, message):
     # A non-string key and a payoff value with no length escaped as
@@ -157,6 +167,17 @@ def test_share_validation():
         validate_shares([1.2, -0.2])
     with pytest.raises(ConfigurationError):
         validate_shares([])
+    # Up to 0.19.0 a non-sequence or a text share raised TypeError, and a
+    # bool share was read as a number.
+    for shares, message in [
+        (5, "hash shares: expected a sequence, got 5"),
+        ([True], "hash share 0: expected a finite number, got True"),
+        ([0.5, "0.5"], "hash share 1: expected a finite number, got '0.5'"),
+        ([1.5, -0.5], "hash share 0: must be in [0, 1], got 1.5"),
+    ]:
+        with pytest.raises(ConfigurationError) as excinfo:
+            validate_shares(shares)
+        assert str(excinfo.value) == message
     # off by more than the tolerance
     with pytest.raises(ConfigurationError):
         validate_shares([0.5, 0.5 + 1e-9])

@@ -7,6 +7,11 @@ utilities and the trace's payoffs scale by that factor and every record
 that only compares payoffs stays equal. The same holds for `analyze`, with
 the post-mutation value scaled too: its thresholds are ratios of payoff
 differences, and its continuation values are sums of their products.
+
+Two more relations hold on their own domains. An identity kernel over equal
+tables in every state runs as one state does. Permuting the miners permutes
+every per-miner value when no lottery and at most one MetaInvestor reads the
+miner order.
 """
 
 import copy
@@ -16,14 +21,18 @@ import re
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_engine_oracle import scenarios
 
 from mutagame import (
     BatchSummary,
+    Miner,
     NormalFormGame,
     StageGameSpec,
+    StrategyKind,
+    StrategyTag,
+    TransitionKernel,
     grim_cooperation_verdict,
     grim_trigger_threshold,
     kernel_as_run,
@@ -182,6 +191,88 @@ def test_an_identity_kernel_over_equal_tables_is_one_state(name, s):
     for field in ("profiles", "theta", "winner", "cooperation_duration"):
         assert np.array_equal(getattr(three_batch, field), getattr(batch, field)), field
     assert np.array_equal(three_batch.payoffs, batch.payoffs)
+
+
+def with_preferred_state(miner, most):
+    """``miner``, a MetaInvestor's preferred state capped at ``most``."""
+    strategy = miner.strategy
+    if strategy.tag is not StrategyTag.META_INVESTOR:
+        return miner
+    return Miner(miner.share, StrategyKind(
+        strategy.tag, strategy.meta_budget, min(strategy.preferred_state, most)))
+
+
+def on_identity_kernel(scenario, table, k, s):
+    """``scenario`` with ``table`` in each of k states, on the k-state
+    identity kernel from state ``s``. The meta contest's strength is 0: it
+    would blend the kernel toward a state. GrimTrigger miners defect on a
+    rule change, so a rule change on record would show in their actions."""
+    return dataclasses.replace(
+        scenario, trigger_on_mutation=True,
+        miners=tuple(with_preferred_state(miner, k - 1) for miner in scenario.miners),
+        game=StageGameSpec([f"s{q}" for q in range(k)], [table] * k,
+                           scenario.game.lottery_mode),
+        kernel=TransitionKernel(np.eye(k)), initial_state=s,
+        meta=dataclasses.replace(scenario.meta, influence_strength=0.0))
+
+
+RECORD_FIELDS = ("profiles", "theta", "winner", "cooperation_duration", "payoffs",
+                 "discounted_utility", "endogenous_utility", "mutation_counts")
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(scenarios(), st.data())
+def test_an_identity_kernel_over_equal_tables_is_one_state_on_drawn_scenarios(scenario, data):
+    # The domain: one of the drawn scenario's tables in every state, and an
+    # identity kernel the meta contest leaves as it is. Each round draws one
+    # protocol uniform whatever the state count, and an identity row never
+    # leaves its state, so no rule change is ever on record.
+    table = scenario.game[data.draw(st.integers(0, len(scenario.game) - 1))]
+    k = data.draw(st.integers(2, 3))
+    summary, batch = run_batch(on_identity_kernel(scenario, table, 1, 0))
+    assert np.all(batch.states == 0)
+    for s in range(k):
+        k_summary, k_batch = run_batch(on_identity_kernel(scenario, table, k, s))
+        assert repr(k_summary) == repr(summary)
+        assert np.all(k_batch.states == s)
+        for field in RECORD_FIELDS:
+            assert bits(getattr(k_batch, field)) == bits(getattr(batch, field)), (s, field)
+
+
+def permuted_scenario(scenario, order):
+    """``scenario`` with miner j the miner ``order[j]`` was: its share,
+    strategy, actions and payoffs."""
+    n = scenario.n
+    game = scenario.game
+    return dataclasses.replace(
+        scenario, miners=tuple(scenario.miners[i] for i in order),
+        game=StageGameSpec(game.state_labels, [
+            NormalFormGame(table.tensor.transpose([*order, n])[..., list(order)])
+            for table in game], game.lottery_mode))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(scenarios(), st.data())
+def test_permuting_the_miners_permutes_every_per_miner_value_on_drawn_scenarios(scenario, data):
+    # The domain: no lottery (its cuts follow miner order) and at most one
+    # MetaInvestor (several would sum their efforts in another order).
+    tags = [miner.strategy.tag for miner in scenario.miners]
+    assume(tags.count(StrategyTag.META_INVESTOR) <= 1)
+    scenario = dataclasses.replace(scenario, game=StageGameSpec(
+        scenario.game.state_labels, scenario.game, lottery_mode=False))
+    order = data.draw(st.permutations(range(scenario.n)))
+    summary, batch = run_batch(scenario)
+    moved_summary, moved = run_batch(permuted_scenario(scenario, order))
+    for field in dataclasses.fields(BatchSummary):
+        base = getattr(summary, field.name)
+        if field.name in UTILITY_FIELDS and base is not None:
+            base = tuple(base[i] for i in order)
+        assert repr(getattr(moved_summary, field.name)) == repr(base), field.name
+    for field in ("payoffs", "defects", "discounted_utility", "endogenous_utility"):
+        base = getattr(batch, field)
+        assert bits(getattr(moved, field)) == bits(None if base is None else base[..., order]), field
+    for field in ("states", "theta", "winner", "cooperation_duration", "mutation_counts"):
+        assert bits(getattr(moved, field)) == bits(getattr(batch, field)), field
 
 
 # Miner j of the permuted scenario is miner PERMUTATION[j] of the original.

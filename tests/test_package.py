@@ -58,7 +58,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.19.0"
+    assert mutagame.__version__ == project["version"] == "0.20.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -210,12 +210,14 @@ def test_no_module_calls_builtin_sum():
     assert found == []
 
 
-SCALAR_KINDS = ("_is_number", "_INT", "_BOOL", "_TEXT", "_NUMBER", "_REAL")
+SCALAR_KINDS = ("_is_number", "_INT", "_BOOL", "_TEXT", "_NUMBER", "_REAL", "_range", "_UNIT",
+                "_OPEN_UNIT", "_NONNEGATIVE", "_POSITIVE", "_COUNT", "_INDEX")
 
 
 def test_one_module_holds_the_scalar_rule():
-    # The schema and every constructor check a scalar with protocol's kinds:
-    # no `numbers.Real` test beside them, and no second copy of a kind.
+    # The schema and every constructor check a scalar's type and range with
+    # protocol's kinds: no `numbers.Real` test beside them, and no second
+    # copy of a kind or of the rule that makes a range kind.
     imports_numbers = [
         f"{module}:{node.lineno}" for module, node, _ in package_nodes()
         if isinstance(node, ast.Import) and "numbers" in [alias.name for alias in node.names]
@@ -230,6 +232,28 @@ def test_one_module_holds_the_scalar_rule():
             if target in homes:
                 homes[target].append(module)
     assert homes == {kind: ["protocol.py"] for kind in SCALAR_KINDS}
+
+
+@pytest.mark.parametrize("call, message", [
+    # Each raised AttributeError up to 0.19.0.
+    (lambda: mutagame.mutation_rate([[1.0]]), "kernel: expected a TransitionKernel, got [[1.0]]"),
+    (lambda: mutagame.kernel_entropy([[1.0]]), "kernel: expected a TransitionKernel, got [[1.0]]"),
+    (lambda: mutagame.integrity([[1.0]]), "kernel: expected a TransitionKernel, got [[1.0]]"),
+    (lambda: mutagame.stationary_distribution([[1.0]]),
+     "kernel: expected a TransitionKernel, got [[1.0]]"),
+    (lambda: mutagame.pure_nash(3), "game: expected a NormalFormGame, got 3"),
+    (lambda: mutagame.grim_trigger_threshold(3), "game: expected a NormalFormGame, got 3"),
+    (lambda: mutagame.mixed_nash_2x2(3), "game: expected a NormalFormGame, got 3"),
+    (lambda: mutagame.grim_cooperation_verdict(3, 0.9, 0.1),
+     "game: expected a NormalFormGame, got 3"),
+    (lambda: mutagame.kernel_as_run("x"), "scenario: expected a Scenario, got 'x'"),
+    (lambda: mutagame.run_batch("x"), "scenario: expected a Scenario, got 'x'"),
+    (lambda: mutagame.run_replica("x", 0), "scenario: expected a Scenario, got 'x'"),
+])
+def test_each_function_refuses_a_wrong_typed_model_object(call, message):
+    with pytest.raises(mutagame.ConfigurationError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 def test_no_module_forks():

@@ -219,8 +219,8 @@ def test_non_finite_scalar_fields_rejected(path, value):
     ({"master_seed": 1.5}, ["master_seed: expected an integer, got 1.5"]),
     ({"kernel": [[1.0]]}, ["kernel: expected a TransitionKernel, got [[1.0]]"]),
     ({"miners": [1, 2]}, ["miners: expected a sequence of Miner, got [1, 2]"]),
-    # Type lines in field order, then the range checks of the fields that
-    # passed; initial_state's range needs the kernel, so it is skipped.
+    # Type and range lines in field order; initial_state's range needs the
+    # kernel, so it is skipped.
     ({"miners": [1, 2], "kernel": [[1.0]], "initial_state": 7, "horizon": "5",
       "delta": math.nan, "replica_count": 0},
      ["miners: expected a sequence of Miner, got [1, 2]",
@@ -443,6 +443,15 @@ def test_override_rejects_non_scalar_target(base_doc):
         parse_document(base_doc, {"kernel.matrix": "1"})
     with pytest.raises(ScenarioValidationError, match="scalar values"):
         parse_document(base_doc, {"discount.delta": "[1, 2]"})
+
+
+def test_override_value_must_be_yaml_text(base_doc):
+    # PyYAML reads str and bytes; anything else raised its TypeError up to 0.19.0.
+    assert parse_document(base_doc, {"horizon": b"7"}).horizon == 7
+    for value in (5, None, [1]):
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_document(base_doc, {"horizon": value})
+        assert excinfo.value.errors == [f"override horizon: expected YAML text, got {value!r}"]
 
 
 def test_kernel_epsilon_override_on_identity(base_doc):

@@ -366,8 +366,16 @@ def test_negative_replica_index_is_configuration_error():
     # another replica's stream.
     with pytest.raises(ValueError):
         replica_rng(0, -1)
-    with pytest.raises(ConfigurationError, match="^replica_index: must be >= 0, got -1$"):
-        run_replica(theta_scenario(lottery=True), -1)
+    # Up to 0.19.0 True ran replica 1, and 1.5 and "1" raised TypeError.
+    for index, message in [
+        (-1, "replica_index: must be >= 0, got -1"),
+        (True, "replica_index: expected an integer, got True"),
+        (1.5, "replica_index: expected an integer, got 1.5"),
+        ("1", "replica_index: expected an integer, got '1'"),
+    ]:
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_replica(theta_scenario(lottery=True), index)
+        assert str(excinfo.value) == message
 
 
 def test_draws_do_not_depend_on_chunk_size(monkeypatch):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ConfigurationError
-from .protocol import (_INDEX, _INT, _NONNEGATIVE, _NUMBER, _OPEN_UNIT, _POSITIVE, _REAL,
-                       _instance, _items, _sum)
+from .protocol import (_INDEX, _INT, _NONEMPTY, _NONNEGATIVE, _NUMBER, _OPEN_UNIT, _POSITIVE,
+                       _REAL, _instance, _items, _sum)
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,7 @@ class NoisePath:
         except (TypeError, ValueError):  # not iterable, or an entry not a pair
             raise ConfigurationError(f"noise segments must be (start, value) pairs, "
                                      f"got {self.segments!r}") from None
-        if not segments:
-            raise ConfigurationError("noise path needs at least one segment")
-        if _INT(segments[0][0], "noise segment start") != 0:
+        if _INT(_NONEMPTY(segments, "noise segments")[0][0], "noise segment start") != 0:
             raise ConfigurationError("first noise segment must start at round 0")
         previous = -1
         for start, value in segments:
@@ -83,9 +81,7 @@ class InvestmentPlan:
 
     def __post_init__(self) -> None:
         _NONNEGATIVE(self.upfront_cost, "upfront cost")
-        returns = _items(self.expected_returns, "expected returns")
-        if len(returns) < 1:
-            raise ConfigurationError("investment plan needs at least one period")
+        returns = _NONEMPTY(self.expected_returns, "expected returns")
         object.__setattr__(self, "expected_returns",
                            tuple(_REAL(r, "expected return") for r in returns))
 

@@ -20,8 +20,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigurationError
-from .protocol import (_BOOL, _INDEX, _TEXT, _UNIT, _float_array, _instance, _items,
-                       _read_only_array, _sum)
+from .protocol import (_BOOL, _INDEX, _NONEMPTY, _TEXT, _UNIT, _float_array, _instance,
+                       _items, _kind, _range, _read_only_array, _sum)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -70,9 +70,8 @@ class StrategyKind:
     preferred_state: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tag, StrategyTag):
-            raise ConfigurationError(f"strategy tag must be a StrategyTag, got {self.tag!r}; "
-                                     f"valid: {sorted(tag.name for tag in StrategyTag)}")
+        _kind(f"a StrategyTag, one of {sorted(tag.name for tag in StrategyTag)}",
+              lambda v: isinstance(v, StrategyTag))(self.tag, "strategy tag")
         if self.tag is StrategyTag.META_INVESTOR:
             if self.meta_budget is None or self.preferred_state is None:
                 raise ConfigurationError(
@@ -89,9 +88,7 @@ class StrategyKind:
 
 def validate_shares(shares: Sequence[float]) -> None:
     """Reject hash-share vectors that are out of range or not normalized."""
-    shares = _items(shares, "hash shares")
-    if len(shares) == 0:
-        raise ConfigurationError("at least one hash share required")
+    shares = _NONEMPTY(shares, "hash shares")
     for i, share in enumerate(shares):
         _UNIT(share, f"hash share {i}")
     total = float(_sum(shares))
@@ -143,23 +140,16 @@ class NormalFormGame:
         def at_state(text: str, separator: str = ": ") -> str:
             return text if state is None else f"state {state!r}{separator}{text}"
 
-        if not _instance(Mapping)(profiles, at_state("profiles")):
-            raise ConfigurationError(at_state("empty profile map"))
+        profiles = _range(_instance(Mapping), "non-empty", bool)(profiles, at_state("profiles"))
         first = next(iter(profiles))
         n = len(first) if isinstance(first, str) else 0  # the loop refuses a non-string first
+        payoffs = _range(_items, f"of length {n}", lambda v: len(v) == n)
         for key, values in profiles.items():
             if not isinstance(key, str):
                 raise ConfigurationError(at_state(f"bad profile key {key!r}, not a string"))
             if len(key) != n or key.strip("CD"):
                 raise ConfigurationError(at_state(f"bad profile key {key!r} for {n} miners"))
-            try:
-                got = len(values)
-            except TypeError:  # a number, or anything else with no length
-                got = f"{values!r}, not a sequence"
-            if got != n:
-                raise ConfigurationError(at_state(
-                    f"profile {key!r}: expected {n} payoffs, got {got}", ", "
-                ))
+            payoffs(values, at_state(f"profile {key!r}", ", "))
         if len(profiles) != 2**n:  # distinct valid keys are distinct masks
             raise ConfigurationError(at_state(f"{len(profiles)} of {2 ** n} profiles defined"))
         game = cls.__new__(cls)  # sorted, the keys run through the masks in order
@@ -181,9 +171,8 @@ class StageGameSpec(tuple):
         games: Sequence[NormalFormGame],
         lottery_mode: bool = False,
     ) -> "StageGameSpec":
-        state_labels, games = _items(state_labels, "state labels"), _items(games, "payoff tables")
-        if len(state_labels) == 0:
-            raise ConfigurationError("at least one protocol state required")
+        state_labels = _NONEMPTY(state_labels, "state labels")
+        games = _items(games, "payoff tables")
         if len(state_labels) != len(games):
             raise ConfigurationError(
                 f"{len(state_labels)} state labels but {len(games)} payoff tables"

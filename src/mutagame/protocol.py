@@ -81,10 +81,11 @@ def _range(kind: Callable, words: str, test: Callable[[Any], bool]):
     return ranged
 
 
-# The model's one rule for a scalar, which the YAML schema and every
-# constructor apply: a number is a float (numpy's float64 is one) or an int
-# that a float can hold, never a bool; an integer is an int. A range kind
-# states the type and the range of a value together.
+# The model's one rule for an argument, which the YAML schema and every
+# constructor and function apply: a number is a float (numpy's float64 is
+# one) or an int that a float can hold, never a bool; an integer is an int.
+# A range kind states the type and the range of a value together, and a
+# sequence's length is its range.
 _INT = _kind("an integer", lambda v: type(v) is int)
 _BOOL = _kind("a boolean", lambda v: isinstance(v, bool))
 _TEXT = _kind("a non-empty string", lambda v: isinstance(v, str) and v != "")
@@ -96,6 +97,7 @@ _NONNEGATIVE = _range(_REAL, ">= 0", lambda v: v >= 0.0)
 _POSITIVE = _range(_REAL, "positive", lambda v: v > 0.0)
 _COUNT = _range(_INT, ">= 1", lambda v: v >= 1)
 _INDEX = _range(_INT, ">= 0", lambda v: v >= 0)
+_NONEMPTY = _range(_items, "non-empty", bool)
 
 
 def _sum(values: Iterable[float], start: float = 0.0) -> float:
@@ -253,10 +255,8 @@ def kernel_entropy(kernel: TransitionKernel, weighting: str = "uniform") -> Kern
     weights and flags the result.
     """
     _instance(TransitionKernel)(kernel, "kernel")
-    if weighting not in ("uniform", "stationary"):
-        raise ConfigurationError(
-            f"weighting must be 'uniform' or 'stationary', got {weighting!r}"
-        )
+    _range(_TEXT, "'uniform' or 'stationary'", lambda v: v in ("uniform", "stationary"))(
+        weighting, "weighting")  # text first, so no array meets `in`
     unique = weighting == "stationary" and has_unique_stationary(kernel)
     weights = stationary_distribution(kernel) if unique else (1.0 / kernel.size,) * kernel.size
     fell_back = weighting == "stationary" and not unique

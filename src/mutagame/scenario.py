@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 import yaml
 
@@ -26,7 +26,7 @@ from .errors import ConfigurationError, ScenarioValidationError
 from .game import StageGameSpec, StrategyKind, StrategyTag, validate_shares
 from .protocol import (_BOOL, _COUNT, _INDEX, _INT, _NONNEGATIVE, _NUMBER, _OPEN_UNIT,
                        _POSITIVE, _REAL, _TEXT, _UNIT, ThetaProcess, TransitionKernel, _instance,
-                       _kind, _sum)
+                       _kind, _range, _sum)
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def _scenario_errors(
     *, miners=None, game=None, kernel=None, initial_state=None, investment=None, **_unchecked
 ) -> list[str]:
     """Every violation of a rule across a Scenario's fields, one ``path:
-    message`` line each; a field's own type and range are its kind's. A
+    message`` line each; a field's own type, range and length are its kind's. A
     check is skipped where a value it reads is None or not given:
     ``parse_document`` passes None for each part of a document that failed,
     and ``Scenario`` for each field its kind refuses, and each reports that
@@ -73,8 +73,6 @@ def _scenario_errors(
     def known(*fields) -> bool:
         return all(field is not None for field in fields)
 
-    if known(miners) and len(miners) < 1:
-        return ["miners: at least one miner required"]
     errors: list[str] = []
     if known(miners) and known(*miners):
         try:
@@ -204,8 +202,8 @@ _STRATEGIES = {tag.value: tag for tag in StrategyTag}
 # The kind of each Scenario field, which a Scenario built in Python must meet
 # as the schema makes a document meet it.
 _FIELD_KINDS = {
-    "miners": _kind("a sequence of Miner", lambda v: isinstance(v, Sequence)
-                    and all(isinstance(miner, Miner) for miner in v)),
+    "miners": _range(_kind("a sequence of Miner", lambda v: isinstance(v, Sequence)
+                           and all(isinstance(miner, Miner) for miner in v)), "non-empty", bool),
     "game": _instance(StageGameSpec),
     "kernel": _instance(TransitionKernel),
     "meta": _instance(MetaModelConfig),
@@ -347,23 +345,30 @@ def _given(table: dict, *keys: str) -> dict:
     return {key: table[key] for key in keys if key in table}
 
 
+# An entry of ``parse_document``'s overrides; PyYAML reads str and bytes.
+_OVERRIDE = _kind("a (dotted path, YAML text) pair",
+                  lambda entry: isinstance(entry[0], str) and isinstance(entry[1], (str, bytes)))
+
+
 def parse_document(
     doc: Any, overrides: Mapping[str, str] | None = None, name: str = "scenario"
 ) -> Scenario:
     """The Scenario of a parsed YAML document after dotted-path ``overrides``.
 
-    Override values are parsed as YAML scalars, and a path must name an
-    existing scalar; a component in digits indexes a list. The synthetic path
-    ``kernel.epsilon`` rescales the document's kernel, validated as written,
-    to the given per-state mutation rate. ``doc`` itself is never changed. One
-    ScenarioValidationError lists every bad override, then every violation
-    of the overridden document. A key the document leaves out is not passed
+    ``overrides`` maps text paths to YAML text, which is parsed as a scalar,
+    and a path must name an existing scalar; a component in digits indexes a
+    list. The synthetic path ``kernel.epsilon`` rescales the document's
+    kernel, validated as written, to the given per-state mutation rate.
+    ``doc`` itself is never changed. One ScenarioValidationError lists every
+    bad override, then every violation of the overridden document. A key the document leaves out is not passed
     on, so its constructor's default applies.
     """
+    overrides = [_OVERRIDE(entry, f"override {entry[0]}") for entry in _instance(Mapping)(
+        {} if overrides is None else overrides, "overrides").items()]
     bad_overrides, values = [], {}
     if overrides and isinstance(doc, dict):  # any other document fails the schema
         doc = copy.deepcopy(doc)
-        for path, value in overrides.items():
+        for path, value in overrides:
             try:
                 values[path] = _override(doc, path, value)
             except ConfigurationError as exc:
@@ -537,8 +542,6 @@ def _override(doc: dict, raw_path: str, raw_value: str) -> Any:
         value = _load_yaml(raw_value)
     except yaml.YAMLError:
         raise ConfigurationError(f"cannot parse value {raw_value!r}") from None
-    except TypeError:  # PyYAML reads only str and bytes
-        raise ConfigurationError(f"expected YAML text, got {raw_value!r}") from None
     if isinstance(value, (dict, list)):
         raise ConfigurationError("only scalar values are allowed")
     if raw_path == "kernel.epsilon":

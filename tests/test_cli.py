@@ -185,7 +185,7 @@ BAD_PAYOFF_TABLES = {
     ),
     "wrong_payoff_count": (
         lambda doc: doc["game"]["payoffs"]["baseline"].update(CD=[0.0]),
-        "error: game.payoffs: state 'baseline', profile 'CD': expected 2 payoffs, got 1",
+        "error: game.payoffs: state 'baseline', profile 'CD': must be of length 2, got [0.0]",
     ),
     "incomplete_table": (
         lambda doc: doc["game"]["payoffs"]["baseline"].pop("DD"),

@@ -123,10 +123,10 @@ def test_table_validation():
 @pytest.mark.parametrize("profiles, state, message", [
     ({11: [1.0, 1.0]}, None, "bad profile key 11, not a string"),
     ({**PD_TABLE, ("C", "D"): [0.0, 5.0]}, "s0", "state 's0': bad profile key ('C', 'D'), not a string"),
-    ({"C": 5, "D": 6}, None, "profile 'C': expected 1 payoffs, got 5, not a sequence"),
-    ({**PD_TABLE, "DD": 1.0}, "s0", "state 's0', profile 'DD': expected 2 payoffs, got 1.0, not a sequence"),
-    ({"C": [1.0], "D": np.array(2.0)}, None,
-     "profile 'D': expected 1 payoffs, got array(2.), not a sequence"),
+    ({"C": 5, "D": 6}, None, "profile 'C': expected a sequence, got 5"),
+    ({**PD_TABLE, "DD": 1.0}, "s0", "state 's0', profile 'DD': expected a sequence, got 1.0"),
+    ({"C": [1.0], "D": np.array(2.0)}, None, "profile 'D': expected a sequence, got array(2.)"),
+    ({**PD_TABLE, "DD": [1.0]}, "s0", "state 's0', profile 'DD': must be of length 2, got [1.0]"),
     ({"CX": [1.0, 1.0]}, None, "bad profile key 'CX' for 2 miners"),
     (5, None, "profiles: expected a Mapping, got 5"),  # TypeError up to 0.19.0
 ])
@@ -248,8 +248,10 @@ TAG_NAMES = ("['ALWAYS_DEFECT', 'COLLUDE', 'GRIM_TRIGGER', 'HONEST', 'META_INVES
 
 @pytest.mark.parametrize("arguments, message", [
     # A string tag was accepted and never matched a tag: "AlwaysDefect" never defected.
-    (("AlwaysDefect",), f"strategy tag must be a StrategyTag, got 'AlwaysDefect'; valid: {TAG_NAMES}"),
-    (("MetaInvestor", 0.2, 0), f"strategy tag must be a StrategyTag, got 'MetaInvestor'; valid: {TAG_NAMES}"),
+    (("AlwaysDefect",),
+     f"strategy tag: expected a StrategyTag, one of {TAG_NAMES}, got 'AlwaysDefect'"),
+    (("MetaInvestor", 0.2, 0),
+     f"strategy tag: expected a StrategyTag, one of {TAG_NAMES}, got 'MetaInvestor'"),
     ((StrategyTag.META_INVESTOR, "0.2", 0), "meta_budget: expected a finite number, got '0.2'"),
     ((StrategyTag.META_INVESTOR, 0.2, 0.5), "preferred_state: expected an integer, got 0.5"),
     # A bool was read as a budget of 1.0 or a preferred state of 1 or 0.

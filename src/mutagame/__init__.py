@@ -14,7 +14,7 @@ analytic side read arrays.
 
 from importlib import import_module
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 # Every public name, by the module that defines it.
 _HOMES = {

@@ -111,7 +111,8 @@ class NormalFormGame:
 
     def _read(self, value, state: str | None, rows_of: int | None = None) -> None:
         """Check and store a payoff tensor, or with ``rows_of`` n its (2**n, n) rows."""
-        subject = "payoff tensor" if state is None else f"payoff table for state {state!r}"
+        subject = ("payoff tensor" if state is None
+                   else f"payoff table for state {_TEXT(state, 'state')!r}")
         try:
             shape, entries = _float_array(value)
         except (TypeError, ValueError, OverflowError):  # ragged nesting, entries not numbers
@@ -204,6 +205,8 @@ class StageGameSpec(tuple):
     ) -> "StageGameSpec":
         """Build from nested mappings ``state label -> C/D profile key -> payoffs``."""
         _instance(Mapping)(payoffs_by_state, "payoffs by state")
+        state_labels = [_TEXT(label, "state label")  # text, before any is hashed
+                        for label in _items(state_labels, "state labels")]
         missing = [label for label in state_labels if label not in payoffs_by_state]
         if missing:
             raise ConfigurationError(f"payoff tables missing for states: {missing}")

@@ -192,6 +192,7 @@ def mutation_rate(kernel: TransitionKernel) -> MutationRate:
 
 def row_entropies(kernel: TransitionKernel) -> tuple[float, ...]:
     """Shannon entropy of each row in nats, with 0*ln(0) = 0, summed left to right."""
+    _instance(TransitionKernel)(kernel, "kernel")
     k = kernel.size
     return tuple(_sum(-m * math.log(m) for m in kernel._entries[p * k:(p + 1) * k] if m > 0.0)
                  for p in range(k))
@@ -204,6 +205,7 @@ def has_unique_stationary(kernel: TransitionKernel) -> bool:
     exponent from (k-1)**2 + 1 on, so the matrix is squared until its
     exponent reaches that. Each row of a power is a bitset of the states it
     reaches, and a row of the square is the union of the rows it reaches."""
+    _instance(TransitionKernel)(kernel, "kernel")
     k = kernel.size
     power = [reduce(or_, (1 << q for q in range(k) if kernel._entries[p * k + q] > 0.0), 0)
              for p in range(k)]

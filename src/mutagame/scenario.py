@@ -16,6 +16,7 @@ import copy
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from os import PathLike
 from pathlib import Path
 from typing import Any, Callable
 
@@ -363,6 +364,7 @@ def parse_document(
     bad override, then every violation of the overridden document. A key the document leaves out is not passed
     on, so its constructor's default applies.
     """
+    _TEXT(name, "name")
     overrides = [_OVERRIDE(entry, f"override {entry[0]}") for entry in _instance(Mapping)(
         {} if overrides is None else overrides, "overrides").items()]
     bad_overrides, values = [], {}
@@ -436,6 +438,7 @@ def parse_document(
 def load_document(path: str | Path) -> Any:
     """Read and parse the YAML document; I/O and parse errors propagate, and
     a file that is not UTF-8 is a parse error."""
+    path = _kind("a path", lambda v: isinstance(v, (str, PathLike)))(path, "path")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -511,11 +514,10 @@ def scale_kernel_epsilon(kernel: TransitionKernel, epsilon: float) -> Transition
     """``kernel`` with every row's off-diagonal mass exactly ``epsilon``.
 
     Existing off-diagonal proportions are preserved; rows with no
-    off-diagonal mass spread epsilon uniformly over the other states. The
-    result is a ``TransitionKernel``, so an ``epsilon`` outside [0, 1] fails
-    its entry check.
+    off-diagonal mass spread epsilon uniformly over the other states.
     """
-    k = kernel.size
+    _instance(TransitionKernel)(kernel, "kernel")
+    epsilon, k = _UNIT(epsilon, "epsilon"), kernel.size
     if k == 1 and epsilon > 0.0:
         raise ConfigurationError("kernel.epsilon > 0 impossible with a single state")
     scaled = []

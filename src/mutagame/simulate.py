@@ -113,9 +113,8 @@ class BatchTrace:
 
 def replica_rng(master_seed: int, replica_index: int) -> np.random.Generator:
     """Stream splitting rule, PCG64(SeedSequence([master_seed, index])): what _draws computes."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([master_seed, replica_index]))
-    )
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        [_INDEX(master_seed, "master_seed"), _INDEX(replica_index, "replica_index")])))
 
 
 def run_batch(scenario: Scenario) -> tuple[BatchSummary, BatchTrace]:

@@ -114,6 +114,9 @@ def test_table_validation():
     for arguments, message in [
         ((["a"], 5), "payoffs by state: expected a Mapping, got 5"),
         ((["a"], {"a": 5}), "state 'a': profiles: expected a Mapping, got 5"),
+        # Each raised TypeError up to 0.20.0: a label was hashed before it was read.
+        ((5, {}), "state labels: expected a sequence, got 5"),
+        (([["a"]], {}), "state label: expected a non-empty string, got ['a']"),
     ]:
         with pytest.raises(ConfigurationError) as excinfo:
             StageGameSpec.from_profile_maps(*arguments)
@@ -129,6 +132,7 @@ def test_table_validation():
     ({**PD_TABLE, "DD": [1.0]}, "s0", "state 's0', profile 'DD': must be of length 2, got [1.0]"),
     ({"CX": [1.0, 1.0]}, None, "bad profile key 'CX' for 2 miners"),
     (5, None, "profiles: expected a Mapping, got 5"),  # TypeError up to 0.19.0
+    (PD_TABLE, 5, "state: expected a non-empty string, got 5"),  # kept up to 0.20.0
 ])
 def test_profile_map_refuses_bad_keys_and_values(profiles, state, message):
     # A non-string key and a payoff value with no length escaped as

@@ -12,6 +12,8 @@ import pytest
 
 import mutagame
 from mutagame.presets import PRESETS
+from mutagame.protocol import has_unique_stationary, row_entropies
+from mutagame.scenario import scale_kernel_epsilon
 
 # Retired in 0.2.0: the scalar single-round API (now the reference engine in
 # tests/oracles.py) and the per-replica record views of a batch. Retired in
@@ -58,7 +60,7 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
-    assert mutagame.__version__ == project["version"] == "0.20.0"
+    assert mutagame.__version__ == project["version"] == "0.21.0"
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
@@ -211,13 +213,14 @@ def test_no_module_calls_builtin_sum():
 
 
 SCALAR_KINDS = ("_is_number", "_INT", "_BOOL", "_TEXT", "_NUMBER", "_REAL", "_range", "_UNIT",
-                "_OPEN_UNIT", "_NONNEGATIVE", "_POSITIVE", "_COUNT", "_INDEX")
+                "_OPEN_UNIT", "_NONNEGATIVE", "_POSITIVE", "_COUNT", "_INDEX", "_items",
+                "_NONEMPTY")
 
 
 def test_one_module_holds_the_scalar_rule():
-    # The schema and every constructor check a scalar's type and range with
-    # protocol's kinds: no `numbers.Real` test beside them, and no second
-    # copy of a kind or of the rule that makes a range kind.
+    # The schema and every constructor check a scalar's type and range, and a
+    # sequence's length, with protocol's kinds: no `numbers.Real` test beside
+    # them, and no second copy of a kind or of the rule that makes a range kind.
     imports_numbers = [
         f"{module}:{node.lineno}" for module, node, _ in package_nodes()
         if isinstance(node, ast.Import) and "numbers" in [alias.name for alias in node.names]
@@ -249,6 +252,11 @@ def test_one_module_holds_the_scalar_rule():
     (lambda: mutagame.kernel_as_run("x"), "scenario: expected a Scenario, got 'x'"),
     (lambda: mutagame.run_batch("x"), "scenario: expected a Scenario, got 'x'"),
     (lambda: mutagame.run_replica("x", 0), "scenario: expected a Scenario, got 'x'"),
+    # Each raised AttributeError up to 0.20.0.
+    (lambda: row_entropies([[1.0]]), "kernel: expected a TransitionKernel, got [[1.0]]"),
+    (lambda: has_unique_stationary([[1.0]]), "kernel: expected a TransitionKernel, got [[1.0]]"),
+    (lambda: scale_kernel_epsilon([[1.0]], 0.0),
+     "kernel: expected a TransitionKernel, got [[1.0]]"),
 ])
 def test_each_function_refuses_a_wrong_typed_model_object(call, message):
     with pytest.raises(mutagame.ConfigurationError) as excinfo:

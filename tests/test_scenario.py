@@ -75,6 +75,11 @@ def test_load_scenario_round_trip(tmp_path):
     del doc["name"]
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     assert load_scenario(path).name == "scenario"
+    # Path() raised TypeError up to 0.20.0.
+    for load in (load_scenario, load_document):
+        with pytest.raises(ConfigurationError) as excinfo:
+            load(5)
+        assert str(excinfo.value) == "path: expected a path, got 5"
 
 
 def _shared_payoff_lists():
@@ -454,6 +459,15 @@ def test_override_value_must_be_yaml_text(base_doc):
             parse_document(base_doc, {"horizon": value})
         assert str(excinfo.value) == ("override horizon: expected a (dotted path, YAML text) "
                                       f"pair, got ('horizon', {value!r})")
+    # Each raised AttributeError up to 0.20.0; a name was taken when the document had one.
+    for overrides, name, message in [
+        ({5: "1"}, "x", "override 5: expected a (dotted path, YAML text) pair, got (5, '1')"),
+        ([("horizon", "5")], "x", "overrides: expected a Mapping, got [('horizon', '5')]"),
+        (None, 5, "name: expected a non-empty string, got 5"),
+    ]:
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_document(base_doc, overrides, name)
+        assert str(excinfo.value) == message
 
 
 def test_kernel_epsilon_override_on_identity(base_doc):

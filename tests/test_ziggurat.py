@@ -363,9 +363,17 @@ def test_replica_index_past_uint32_draws_its_own_stream(monkeypatch):
 
 def test_negative_replica_index_is_configuration_error():
     # SeedSequence refuses negative entropy; the index must not wrap to
-    # another replica's stream.
-    with pytest.raises(ValueError):
-        replica_rng(0, -1)
+    # another replica's stream. Up to 0.20.0 replica_rng raised numpy's
+    # ValueError or TypeError.
+    for arguments, message in [
+        ((0, -1), "replica_index: must be >= 0, got -1"),
+        ((-1, 0), "master_seed: must be >= 0, got -1"),
+        ((0, 1.5), "replica_index: expected an integer, got 1.5"),
+        (("0", 0), "master_seed: expected an integer, got '0'"),
+    ]:
+        with pytest.raises(ConfigurationError) as excinfo:
+            replica_rng(*arguments)
+        assert str(excinfo.value) == message
     # Up to 0.19.0 True ran replica 1, and 1.5 and "1" raised TypeError.
     for index, message in [
         (-1, "replica_index: must be >= 0, got -1"),

@@ -361,8 +361,9 @@ def parse_document(
     list. The synthetic path ``kernel.epsilon`` rescales the document's
     kernel, validated as written, to the given per-state mutation rate.
     ``doc`` itself is never changed. One ScenarioValidationError lists every
-    bad override, then every violation of the overridden document. A key the document leaves out is not passed
-    on, so its constructor's default applies.
+    bad override, then every violation of the overridden document. A key the
+    document leaves out is not passed on, so its constructor's default
+    applies. An argument of the wrong type raises ConfigurationError.
     """
     _TEXT(name, "name")
     overrides = [_OVERRIDE(entry, f"override {entry[0]}") for entry in _instance(Mapping)(
